@@ -28,19 +28,13 @@
 //! stores bag metadata (bag kind and owning trace) in the annotation of the
 //! set representative, which is how `FIND-TRACE` returns a trace in O(log n).
 
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Upper bound on the number of chunks: with the smallest base chunk (2
-/// elements) the cumulative capacity covers the `u32` index space after 31
-/// doublings.
-const MAX_CHUNKS: usize = 32;
-
-// The base chunk size honors the same validated `SP_OM_CHUNK` override the
-// order-maintenance slab uses (`om::concurrent::parse_chunk_env`), so one CI
-// knob shrinks every substrate at once and a typo in the knob fails loudly
-// in exactly one place.
-use om::concurrent::base_chunk_size;
+// The slab and its base chunk size — the validated `SP_OM_CHUNK` override —
+// are the order-maintenance list's, so one CI knob shrinks every substrate
+// at once and a typo in the knob fails loudly in exactly one place.
+use om::concurrent::CHUNK_KNOB;
+use om::ChunkedSlab;
 use spmetrics::{CounterId, EventKind, MetricsHandle};
 
 /// One slab element; all fields readable without any lock.
@@ -50,6 +44,21 @@ struct Element {
     annotation: AtomicU64,
 }
 
+impl Element {
+    /// The singleton at `index`.  A chunk of a large-base slab can end past
+    /// `u32::MAX`, so the parent is checked rather than cast: a silent wrap
+    /// would initialize a parent pointing into another set.
+    fn singleton(index: usize) -> Self {
+        Element {
+            parent: AtomicU32::new(
+                u32::try_from(index).expect("ConcurrentUnionFind element index exceeds u32"),
+            ),
+            rank: AtomicU32::new(0),
+            annotation: AtomicU64::new(0),
+        }
+    }
+}
+
 /// Growable union-find with atomic parents (per-set writers, many readers).
 ///
 /// Indices are stable forever: growth appends chunks, it never moves an
@@ -57,24 +66,9 @@ struct Element {
 /// defaults, matching the eager `parent[i] = i` initialization the fixed slab
 /// used to provide.
 pub struct ConcurrentUnionFind {
-    chunks: [AtomicPtr<Element>; MAX_CHUNKS],
-    base: usize,
-    base_log2: u32,
-    /// Published element capacity; readers snapshot this with an acquire load.
-    published: AtomicU32,
-    /// Serializes chunk publication only; holds the published chunk count.
-    grow: Mutex<usize>,
-    grow_events: AtomicU64,
+    elements: ChunkedSlab<Element>,
     len: AtomicU32,
-    /// Optional observability sink, consulted only on the (rare) growth
-    /// path — never on finds or unions.
-    metrics: Mutex<MetricsHandle>,
 }
-
-// Chunk pointers are published once (null → non-null) and freed only in
-// `Drop`, so sharing the raw pointers across threads is safe.
-unsafe impl Send for ConcurrentUnionFind {}
-unsafe impl Sync for ConcurrentUnionFind {}
 
 impl ConcurrentUnionFind {
     /// Create a structure with an *initial-capacity hint* of `capacity`
@@ -82,120 +76,50 @@ impl ConcurrentUnionFind {
     /// `SP_OM_CHUNK`).  The structure grows on demand; writes beyond the
     /// current slab publish new chunks instead of panicking.
     pub fn with_capacity(capacity: usize) -> Self {
-        let base = base_chunk_size(capacity.max(1));
+        let base = CHUNK_KNOB.from_env(capacity.max(1));
         let uf = ConcurrentUnionFind {
-            chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            base,
-            base_log2: base.trailing_zeros(),
-            published: AtomicU32::new(0),
-            grow: Mutex::new(0),
-            grow_events: AtomicU64::new(0),
+            elements: ChunkedSlab::new(base, CounterId::DsuGrowth, EventKind::DsuGrow),
             len: AtomicU32::new(0),
-            metrics: Mutex::new(MetricsHandle::detached()),
         };
         uf.ensure(0);
         uf
-    }
-
-    #[inline]
-    fn chunk_len(&self, k: usize) -> usize {
-        self.base << k
-    }
-
-    /// Total capacity once chunks `0..=k` exist: `base · (2^(k+1) − 1)`.
-    #[inline]
-    fn cumulative(&self, k: usize) -> usize {
-        (self.base << (k + 1)) - self.base
-    }
-
-    /// Decompose a stable index into (chunk, offset).
-    #[inline]
-    fn locate(&self, i: u32) -> (usize, usize) {
-        let q = (i as usize >> self.base_log2) + 1;
-        let k = (usize::BITS - 1 - q.leading_zeros()) as usize;
-        let offset = i as usize - (self.cumulative(k) - self.chunk_len(k));
-        (k, offset)
     }
 
     /// Lock-free element access: `None` when `x` is beyond the published
     /// capacity (an implicit singleton).
     #[inline]
     fn slot(&self, x: u32) -> Option<&Element> {
-        if x >= self.published.load(Ordering::Acquire) {
-            return None;
-        }
-        let (k, offset) = self.locate(x);
-        // The acquire load of `published` above synchronizes with the release
-        // publication sequence (chunk pointer first, then the new capacity),
-        // so the pointer is non-null here.
-        let ptr = self.chunks[k].load(Ordering::Acquire);
-        debug_assert!(!ptr.is_null(), "element {x} inside published range has no chunk");
-        Some(unsafe { &*ptr.add(offset) })
+        self.elements.get(x)
     }
 
     /// Make index `x` addressable, publishing chunks as needed.  Called from
     /// every write path; multi-writer safe (growth serialized by a mutex the
     /// read path never touches).
     fn ensure(&self, x: u32) {
-        if x < self.published.load(Ordering::Acquire) {
-            return;
-        }
-        let mut chunks = self.grow.lock().unwrap();
-        while (x as usize) >= if *chunks == 0 { 0 } else { self.cumulative(*chunks - 1) } {
-            let k = *chunks;
-            assert!(k < MAX_CHUNKS, "ConcurrentUnionFind exceeded u32 index space");
-            let start = self.cumulative(k) - self.chunk_len(k);
-            // The final chunk of a large-base slab can end past `u32::MAX`
-            // (e.g. base 4, k = 31), so the capacity this chunk adds — and
-            // every singleton parent it is initialized with — must be
-            // checked rather than cast: a silent wrap here would publish a
-            // *smaller* watermark and corrupt parents.
-            let published_end = u32::try_from(self.cumulative(k))
-                .expect("ConcurrentUnionFind chunk ends past u32 index space");
-            let boxed: Box<[Element]> = (0..self.chunk_len(k))
-                .map(|i| Element {
-                    parent: AtomicU32::new(
-                        u32::try_from(start + i)
-                            .expect("ConcurrentUnionFind element index exceeds u32"),
-                    ),
-                    rank: AtomicU32::new(0),
-                    annotation: AtomicU64::new(0),
-                })
-                .collect();
-            let ptr = Box::into_raw(boxed) as *mut Element;
-            self.chunks[k].store(ptr, Ordering::Release);
-            self.published.store(published_end, Ordering::Release);
-            *chunks = k + 1;
-            if k > 0 {
-                self.grow_events.fetch_add(1, Ordering::Relaxed);
-                let metrics = self.metrics.lock().unwrap();
-                metrics.add(CounterId::DsuGrowth, 1);
-                metrics.event(EventKind::DsuGrow, u64::from(published_end), 0);
-            }
-        }
+        self.elements.ensure(x, Element::singleton);
     }
 
     /// Currently published element capacity (grows on demand).
     pub fn capacity(&self) -> usize {
-        self.published.load(Ordering::Acquire) as usize
+        self.elements.capacity()
     }
 
     /// Number of slab chunks currently published (1 until the first growth).
     pub fn chunk_count(&self) -> usize {
-        *self.grow.lock().unwrap()
+        self.elements.chunk_count()
     }
 
     /// Number of chunks appended after construction — how often the slab
     /// outgrew its initial hint.
     pub fn grow_events(&self) -> u64 {
-        self.grow_events.load(Ordering::Relaxed)
+        self.elements.grow_events()
     }
 
     /// Route future growth events (counter + trace event with the new
     /// capacity) to `metrics`.  Only the rare chunk-publication path looks
     /// at the handle; finds and unions never do.
     pub fn attach_metrics(&self, metrics: MetricsHandle) {
-        *self.metrics.lock().unwrap() = metrics;
+        self.elements.attach_metrics(metrics);
     }
 
     /// Number of elements created via [`make_set`](Self::make_set) so far.
@@ -300,22 +224,6 @@ impl ConcurrentUnionFind {
     /// Approximate heap bytes used.
     pub fn space_bytes(&self) -> usize {
         self.capacity() * std::mem::size_of::<Element>() + std::mem::size_of::<Self>()
-    }
-}
-
-impl Drop for ConcurrentUnionFind {
-    fn drop(&mut self) {
-        for (k, chunk) in self.chunks.iter().enumerate() {
-            let ptr = chunk.load(Ordering::Relaxed);
-            if !ptr.is_null() {
-                unsafe {
-                    drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                        ptr,
-                        self.chunk_len(k),
-                    )));
-                }
-            }
-        }
     }
 }
 

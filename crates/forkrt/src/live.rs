@@ -1,22 +1,22 @@
-//! Live-execution mode: work-stealing over a **dynamically unfolding** SP
-//! computation, with no materialized parse tree.
+//! The runtime: work-stealing over a **dynamically unfolding** SP
+//! computation.
 //!
-//! The tree walker in [`crate::scheduler`] assumes the whole
-//! [`sptree::tree::ParseTree`] exists up front.  A real instrumented Cilk
-//! program is the opposite: the parse tree *unfolds* as the program runs —
-//! each spawn reveals a P-node, each piece of serial work an S-node, and the
-//! scheduler never sees more of the tree than the frames currently open.
-//! This module provides that execution mode generically:
+//! A real instrumented Cilk program never hands the scheduler a whole parse
+//! tree: the tree *unfolds* as the program runs — each spawn reveals a
+//! P-node, each piece of serial work an S-node, and the scheduler never sees
+//! more of it than the frames currently open.  This module executes exactly
+//! that, generically:
 //!
 //! * a [`LiveProgram`] describes the computation as a *cursor* type plus an
 //!   [`LiveProgram::unfold`] function that reveals, on demand, whether the
-//!   position is a leaf or an internal S/P node with two child cursors;
-//! * [`run_live`] executes it with exactly the Cilk steal discipline of the
-//!   tree walker — per-worker deques of open P-frames (oldest at the steal
-//!   end), per-victim steal serialization, a two-flag join protocol where the
-//!   last finisher continues above the stolen node, and a 64-bit token
-//!   traveling along the walk like the trace argument `U` of `SP-HYBRID`
-//!   (paper Figure 8);
+//!   position is a leaf or an internal S/P node with two child cursors (a
+//!   materialized tree is the special case [`crate::TreeProgram`]);
+//! * [`run_live`] executes it with the Cilk steal discipline described in
+//!   the crate documentation — per-worker deques of open P-frames (oldest at
+//!   the steal end), per-victim steal serialization, a two-flag join
+//!   protocol where the last finisher continues above the stolen node, and a
+//!   64-bit token traveling along the walk like the trace argument `U` of
+//!   `SP-HYBRID` (paper Figure 8);
 //! * [`run_live_serial`] is the single-threaded elision: the same unfolding,
 //!   walked left-to-right on the calling thread with `&mut` callbacks —
 //!   deterministic, steal-free, and the reference order for conformance.
@@ -48,7 +48,23 @@ use parking_lot::Mutex;
 use spmetrics::{CounterId, EventKind, MetricsHandle};
 
 use crate::metrics::RunStats;
-use crate::visitor::{StealTokens, Token};
+
+/// Opaque 64-bit value threaded through the walk exactly like the trace
+/// argument `U` of `SP-HYBRID(X, U)` (paper Figure 8): it is passed down into
+/// subtrees, returned from completed subtrees, and replaced on steals by the
+/// values the visitor chooses.
+pub type Token = u64;
+
+/// Tokens produced by a steal: the stolen right subtree runs under `right`
+/// (the paper's U⁽⁴⁾) and the continuation after the join runs under `after`
+/// (the paper's U⁽⁵⁾).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct StealTokens {
+    /// Token for the stolen right subtree (U⁽⁴⁾).
+    pub right: Token,
+    /// Token for everything after the corresponding join (U⁽⁵⁾).
+    pub after: Token,
+}
 
 /// Kind of an internal node revealed by [`LiveProgram::unfold`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,10 +124,11 @@ pub trait LiveProgram: Sync {
 
 /// Callbacks of a parallel live run (shared-reference, `Sync`).
 ///
-/// Event ordering guarantees match [`crate::ParallelVisitor`]: one worker's
-/// serial stretch delivers events in exact left-to-right order; a stolen
-/// P-node gets `steal` on the thief instead of `between_children`, and
-/// `join_stolen` on the last finisher instead of `leave_internal`.
+/// Events of one *serial stretch* (one worker walking without interruption)
+/// arrive on that worker in exactly the order the serial left-to-right walk
+/// would produce them; a stolen P-node gets `steal` on the thief instead of
+/// `between_children`, and `join_stolen` on the last finisher instead of
+/// `leave_internal`.
 #[allow(unused_variables)]
 pub trait LiveVisitor<P: LiveProgram>: Sync {
     /// An internal node was unfolded; assign the tags its children carry.
@@ -140,8 +157,14 @@ pub trait LiveVisitor<P: LiveProgram>: Sync {
     /// `thief` stole the continuation of the P-frame with metadata `meta`
     /// from `victim`; `token` is the token the victim entered the frame with
     /// (the trace being split).  Nothing of the stolen subtree executes
-    /// before this returns.
-    fn steal(&self, thief: usize, victim: usize, meta: &P::Meta, token: Token) -> StealTokens;
+    /// before this returns.  The default suits a visitor with no trace
+    /// machinery: the token passes through unchanged on both sides.
+    fn steal(&self, thief: usize, victim: usize, meta: &P::Meta, token: Token) -> StealTokens {
+        StealTokens {
+            right: token,
+            after: token,
+        }
+    }
 
     /// Both children of a previously stolen P-frame completed; `worker` (the
     /// last finisher) continues above it under `after`.
@@ -170,9 +193,9 @@ pub trait SerialLiveVisitor<P: LiveProgram> {
 /// Configuration of a live run.
 #[derive(Clone, Copy, Debug)]
 pub struct LiveConfig {
-    /// Number of workers.  Clamped to ≥ 1 like
-    /// [`crate::WalkConfig`] — a struct-literal `workers: 0` cannot reach
-    /// the scheduler.
+    /// Number of workers (P).  Clamped to ≥ 1 — a struct-literal
+    /// `workers: 0` cannot reach the scheduler, where zero workers would
+    /// mean zero spawned threads and a run that never starts.
     pub workers: usize,
 }
 
@@ -191,7 +214,7 @@ impl LiveConfig {
     }
 }
 
-// Frame state bits (P-frames only), identical to the tree walker's.
+// Frame state bits (P-frames only).
 const STOLEN: u8 = 1;
 const LEFT_DONE: u8 = 1 << 1;
 const RIGHT_DONE: u8 = 1 << 2;
@@ -225,16 +248,22 @@ struct Shared<'p, P: LiveProgram, V> {
     program: &'p P,
     visitor: &'p V,
     stealers: Vec<Stealer<FrameRef<P>>>,
-    /// Per-victim steal serialization; see [`crate::scheduler`] for why
-    /// splits of the same victim must be applied outermost-first.
+    /// One lock per worker, held by a thief from the moment it takes an entry
+    /// from that worker's deque until the corresponding split (the visitor's
+    /// `steal` callback) has completed.  This serializes steals *per victim*,
+    /// exactly like Cilk's steal protocol, so that when the same victim is
+    /// robbed repeatedly the splits are applied outermost-first — the property
+    /// Lemma 7 of the paper relies on ("steals occur from the top of the
+    /// tree").  Without it, a thief that took the topmost P-node could be
+    /// overtaken by a second thief taking the next one, and the two trace
+    /// splits would be inserted into the global order in the wrong order.
     steal_locks: Vec<Mutex<()>>,
     done: AtomicBool,
     final_token: AtomicU64,
     steals: AtomicU64,
     failed_steals: AtomicU64,
     threads_per_worker: Vec<AtomicU64>,
-    /// Observability sink: detached (free) unless the caller came through
-    /// [`run_live_metered`] with an attached registry.
+    /// Observability sink; a detached handle makes every call a no-op.
     metrics: &'p MetricsHandle,
 }
 
@@ -258,28 +287,13 @@ impl<C, M> WorkerCtx<C, M> {
 
 /// Run `program` on `config.workers` workers, reporting to `visitor`.  The
 /// root is walked with `root_tag` and `initial_token`.
-pub fn run_live<P, V>(program: &P, visitor: &V, config: LiveConfig, root_tag: u64, initial_token: Token) -> RunStats
-where
-    P: LiveProgram,
-    V: LiveVisitor<P>,
-{
-    run_live_metered(
-        program,
-        visitor,
-        config,
-        root_tag,
-        initial_token,
-        &MetricsHandle::detached(),
-    )
-}
-
-/// [`run_live`] with an observability sink: successful steals, failed steal
-/// attempts, and idle park episodes land in `metrics` as counters plus
-/// rate-limited trace events.  A detached handle makes this identical to
-/// `run_live`; all metered paths are off the work-execution hot loop (steals
-/// and idling only), so an attached registry stays within the measured ≤5%
-/// overhead bar.
-pub fn run_live_metered<P, V>(
+///
+/// Successful steals, failed steal attempts, and idle park episodes land in
+/// `metrics` as counters plus rate-limited trace events — all off the
+/// work-execution hot loop (steals and idling only), so an attached registry
+/// stays within the measured ≤5% overhead bar and a detached handle costs
+/// nothing.
+pub fn run_live<P, V>(
     program: &P,
     visitor: &V,
     config: LiveConfig,
@@ -450,21 +464,25 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
                     left,
                     right,
                 } => {
+                    let (ltag, rtag) = shared
+                        .visitor
+                        .enter_internal(ctx.index, kind, &meta, tag, token);
+                    // The link's reference to the enclosing frame moves
+                    // into the new frame: one count fewer to take and drop.
+                    let (parent, is_left) = match link {
+                        Some((parent, is_left)) => (Some(parent), is_left),
+                        None => (None, false),
+                    };
                     let frame = Arc::new(Frame {
-                        parent: link.as_ref().map(|(f, _)| Arc::clone(f)),
-                        is_left: link.as_ref().is_some_and(|&(_, l)| l),
+                        parent,
+                        is_left,
                         kind,
                         meta,
-                        right: Mutex::new(None),
+                        right: Mutex::new(Some((right, rtag))),
                         state: AtomicU8::new(0),
                         entry_token: AtomicU64::new(token),
                         after_token: AtomicU64::new(0),
                     });
-                    let (ltag, rtag) =
-                        shared
-                            .visitor
-                            .enter_internal(ctx.index, kind, &frame.meta, tag, token);
-                    *frame.right.lock() = Some((right, rtag));
                     if kind.is_parallel() {
                         // Publish the continuation for thieves, then walk the
                         // spawned left subtree.
@@ -500,8 +518,7 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
                             shared
                                 .visitor
                                 .leave_internal(ctx.index, frame.kind, &frame.meta, result);
-                            let up = frame.parent.clone().map(|p| (p, frame.is_left));
-                            mode = Mode::Up(up, result);
+                            mode = Mode::Up(above(&frame), result);
                         }
                     }
                     SpKind::Parallel => {
@@ -523,71 +540,74 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
     }
 }
 
+/// The position above `frame`: its parent frame plus which child it is.
+fn above<C, M>(frame: &Frame<C, M>) -> Link<C, M> {
+    frame.parent.clone().map(|p| (p, frame.is_left))
+}
+
 /// The left subtree of P-frame `frame` completed on this worker: perform the
 /// `SYNCHED()` check, continuing serially if the continuation was not stolen
 /// and resolving the two-flag join otherwise.
 fn finish_left<P: LiveProgram, V: LiveVisitor<P>>(
     shared: &Shared<'_, P, V>,
     ctx: &mut WorkerCtx<P::Cursor, P::Meta>,
-    frame: Arc<Frame<P::Cursor, P::Meta>>,
+    frame: FrameRef<P>,
     result: Token,
 ) -> Option<Mode<P::Cursor, P::Meta>> {
-    match ctx.deque.pop() {
-        Some(popped) => {
-            debug_assert!(
-                Arc::ptr_eq(&popped, &frame),
-                "deque bottom must be the P-frame whose left subtree just finished"
-            );
-            shared
-                .visitor
-                .between_children(ctx.index, frame.kind, &frame.meta, result);
-            let (right, rtag) = frame
-                .right
-                .lock()
-                .take()
-                .expect("an unstolen P-frame still owns its right subtree");
-            Some(Mode::Down(right, rtag, result, Some((frame, false))))
-        }
-        None => {
-            let prev = frame.state.fetch_or(LEFT_DONE, Ordering::SeqCst);
-            debug_assert_eq!(prev & LEFT_DONE, 0, "left side finished twice");
-            if prev & RIGHT_DONE != 0 {
-                let after = frame.after_token.load(Ordering::Acquire);
-                shared.visitor.join_stolen(ctx.index, &frame.meta, after);
-                let up = frame.parent.clone().map(|p| (p, frame.is_left));
-                Some(Mode::Up(up, after))
-            } else {
-                None
-            }
-        }
-    }
+    let Some(popped) = ctx.deque.pop() else {
+        return join_stolen(shared, ctx, frame, LEFT_DONE, RIGHT_DONE);
+    };
+    debug_assert!(
+        Arc::ptr_eq(&popped, &frame),
+        "deque bottom must be the P-frame whose left subtree just finished"
+    );
+    shared
+        .visitor
+        .between_children(ctx.index, frame.kind, &frame.meta, result);
+    let (right, rtag) = frame
+        .right
+        .lock()
+        .take()
+        .expect("an unstolen P-frame still owns its right subtree");
+    Some(Mode::Down(right, rtag, result, Some((frame, false))))
 }
 
 /// The right subtree of P-frame `frame` completed on this worker.
 fn finish_right<P: LiveProgram, V: LiveVisitor<P>>(
     shared: &Shared<'_, P, V>,
     ctx: &mut WorkerCtx<P::Cursor, P::Meta>,
-    frame: Arc<Frame<P::Cursor, P::Meta>>,
+    frame: FrameRef<P>,
     result: Token,
 ) -> Option<Mode<P::Cursor, P::Meta>> {
-    if frame.state.load(Ordering::Acquire) & STOLEN == 0 {
-        // Never stolen: ordinary serial completion by the owner.
-        shared
-            .visitor
-            .leave_internal(ctx.index, frame.kind, &frame.meta, result);
-        let up = frame.parent.clone().map(|p| (p, frame.is_left));
-        return Some(Mode::Up(up, result));
+    if frame.state.load(Ordering::Acquire) & STOLEN != 0 {
+        return join_stolen(shared, ctx, frame, RIGHT_DONE, LEFT_DONE);
     }
-    let prev = frame.state.fetch_or(RIGHT_DONE, Ordering::SeqCst);
-    debug_assert_eq!(prev & RIGHT_DONE, 0, "right side finished twice");
-    if prev & LEFT_DONE != 0 {
-        let after = frame.after_token.load(Ordering::Acquire);
-        shared.visitor.join_stolen(ctx.index, &frame.meta, after);
-        let up = frame.parent.clone().map(|p| (p, frame.is_left));
-        Some(Mode::Up(up, after))
-    } else {
-        None
+    // Never stolen: ordinary serial completion by the owner.
+    shared
+        .visitor
+        .leave_internal(ctx.index, frame.kind, &frame.meta, result);
+    Some(Mode::Up(above(&frame), result))
+}
+
+/// The two-flag join of a stolen P-frame: this worker finished the side
+/// flagged `mine`.  Whoever finishes second continues above the join with
+/// the U⁽⁵⁾ token chosen at steal time; the first finisher abandons the walk
+/// (`None`) and goes back to stealing.
+fn join_stolen<P: LiveProgram, V: LiveVisitor<P>>(
+    shared: &Shared<'_, P, V>,
+    ctx: &mut WorkerCtx<P::Cursor, P::Meta>,
+    frame: FrameRef<P>,
+    mine: u8,
+    other: u8,
+) -> Option<Mode<P::Cursor, P::Meta>> {
+    let prev = frame.state.fetch_or(mine, Ordering::SeqCst);
+    debug_assert_eq!(prev & mine, 0, "one side of a join finished twice");
+    if prev & other == 0 {
+        return None;
     }
+    let after = frame.after_token.load(Ordering::Acquire);
+    shared.visitor.join_stolen(ctx.index, &frame.meta, after);
+    Some(Mode::Up(above(&frame), after))
 }
 
 /// Walk `program` serially (left-to-right, on the calling thread), reporting
@@ -741,7 +761,7 @@ mod tests {
     fn check_parallel(leaves: usize, workers: usize, spin: u64) -> RunStats {
         let program = Halver { leaves };
         let recorder = Recorder::new(leaves, spin);
-        let stats = run_live(&program, &recorder, LiveConfig::with_workers(workers), 0, 0);
+        let stats = run_live(&program, &recorder, LiveConfig::with_workers(workers), 0, 0, &MetricsHandle::detached());
         for (i, count) in recorder.executed.iter().enumerate() {
             assert_eq!(count.load(Ordering::Relaxed), 1, "leaf {i} execution count");
         }
@@ -775,7 +795,7 @@ mod tests {
     fn zero_workers_is_clamped_to_one() {
         let program = Halver { leaves: 32 };
         let recorder = Recorder::new(32, 0);
-        let stats = run_live(&program, &recorder, LiveConfig { workers: 0 }, 0, 0);
+        let stats = run_live(&program, &recorder, LiveConfig { workers: 0 }, 0, 0, &MetricsHandle::detached());
         assert_eq!(stats.workers, 1);
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.total_threads(), 32);

@@ -1,6 +1,6 @@
-//! Execution statistics reported by the parallel walk.
+//! Execution statistics reported by the runtime.
 
-/// Per-run statistics collected by [`crate::ParallelWalk`].
+/// Per-run statistics collected by [`crate::run_live`].
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Number of workers used.

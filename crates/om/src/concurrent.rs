@@ -30,10 +30,12 @@
 //! before.  The initial chunk size is only a capacity hint (overridable with
 //! the `SP_OM_CHUNK` env knob so CI can force growth on tiny programs).
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use spmetrics::{CounterId, EventKind, MetricsHandle};
+use spmetrics::{CounterId, EnvKnob, EventKind, MetricsHandle};
+
+use crate::slab::ChunkedSlab;
 
 /// Handle to an element of a [`ConcurrentOmList`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -51,45 +53,22 @@ const TAG_BITS: u32 = 62;
 const TAG_LIMIT: u64 = 1 << TAG_BITS;
 const NIL: u32 = u32::MAX;
 
-/// Upper bound on the number of chunks: with the smallest base chunk (2
-/// slots) the cumulative capacity reaches the `u32` handle space after 31
-/// doublings, so 32 pointers always suffice.
-const MAX_CHUNKS: usize = 32;
+/// The `SP_OM_CHUNK` knob: forces the base chunk size of every chunked slab
+/// (this list's and the concurrent union-find's), so CI can force growth on
+/// tiny programs.  A power-of-two slot count in `[2, 1 << 24]`.
+pub const CHUNK_KNOB: EnvKnob = EnvKnob {
+    name: "SP_OM_CHUNK",
+    what: "chunk size",
+    power_of_two: true,
+    min: 2,
+    max: 1 << 24,
+};
 
-/// Validate a raw `SP_OM_CHUNK` value against a capacity hint.
-///
-/// An unset variable, or one that is empty/whitespace (CI matrix legs pass
-/// `SP_OM_CHUNK: ""` for the default configuration), falls back to `hint`.
-/// Anything else must parse as a positive power-of-two slot count: the knob
-/// exists to *force* a chunk size, so a typo must abort loudly rather than
-/// silently degrade to the hint.  The result is clamped to the supported
-/// range `[2, 1 << 24]`.
+/// Validate a raw `SP_OM_CHUNK` value against a capacity hint
+/// ([`EnvKnob::parse`]): unset or blank falls back to `hint`, itself rounded
+/// up to a power of two and clamped.
 pub fn parse_chunk_env(value: Option<&str>, hint: usize) -> usize {
-    let chosen = match value.map(str::trim) {
-        None | Some("") => hint,
-        Some(raw) => {
-            let n: usize = raw.parse().unwrap_or_else(|_| {
-                panic!(
-                    "SP_OM_CHUNK: unparseable value {raw:?} \
-                     (expected a positive power-of-two integer)"
-                )
-            });
-            assert!(n > 0, "SP_OM_CHUNK: chunk size must be positive, got 0");
-            assert!(
-                n.is_power_of_two(),
-                "SP_OM_CHUNK: chunk size must be a power of two, got {n}"
-            );
-            n
-        }
-    };
-    chosen.next_power_of_two().clamp(2, 1 << 24)
-}
-
-/// Round an initial-capacity hint to a usable base chunk size, honoring the
-/// validated `SP_OM_CHUNK` override.  Shared by the OM list and the
-/// concurrent union-find so one knob shrinks every substrate at once.
-pub fn base_chunk_size(hint: usize) -> usize {
-    parse_chunk_env(std::env::var("SP_OM_CHUNK").ok().as_deref(), hint)
+    CHUNK_KNOB.parse(value, hint)
 }
 
 /// Per-item atomics readable without the list lock.
@@ -98,126 +77,11 @@ struct Slot {
     stamp: AtomicU64,
 }
 
-/// Growable slab of [`Slot`]s with stable indices: chunk `k` holds
-/// `base << k` slots, cumulatively `base · (2^(k+1) − 1)`.  Readers address
-/// a slot from a bare index with acquire loads only; the writer (serialized
-/// externally) appends chunks and publishes each with a release store.
-struct ChunkedSlots {
-    chunks: [AtomicPtr<Slot>; MAX_CHUNKS],
-    base: usize,
-    base_log2: u32,
-    /// Chunks allocated beyond the initial one — growth events, for tests
-    /// and benchmarks.
-    grow_events: AtomicU64,
-    /// Optional observability sink, consulted only on the (rare) growth
-    /// path — never on queries.
-    metrics: Mutex<MetricsHandle>,
-}
-
-// Chunk pointers are only ever null→non-null published once and freed in
-// `Drop` (which takes `&mut self`), so sharing them across threads is safe.
-unsafe impl Send for ChunkedSlots {}
-unsafe impl Sync for ChunkedSlots {}
-
-impl ChunkedSlots {
-    fn new(base: usize) -> Self {
-        debug_assert!(base.is_power_of_two() && base >= 2);
-        let this = ChunkedSlots {
-            chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            base,
-            base_log2: base.trailing_zeros(),
-            grow_events: AtomicU64::new(0),
-            metrics: Mutex::new(MetricsHandle::detached()),
-        };
-        this.publish_chunk(0);
-        this
-    }
-
-    #[inline]
-    fn chunk_len(&self, k: usize) -> usize {
-        self.base << k
-    }
-
-    /// Total capacity once chunks `0..=k` exist: `base · (2^(k+1) − 1)`.
-    #[inline]
-    fn cumulative(&self, k: usize) -> usize {
-        (self.base << (k + 1)) - self.base
-    }
-
-    /// Decompose a stable index into (chunk, offset).
-    #[inline]
-    fn locate(&self, i: u32) -> (usize, usize) {
-        let q = (i as usize >> self.base_log2) + 1;
-        let k = (usize::BITS - 1 - q.leading_zeros()) as usize;
-        let offset = i as usize - (self.cumulative(k) - self.chunk_len(k));
-        (k, offset)
-    }
-
-    /// Allocate and publish chunk `k` (writer side, externally serialized).
-    fn publish_chunk(&self, k: usize) {
-        assert!(k < MAX_CHUNKS, "order-maintenance slab exceeded u32 index space");
-        let boxed: Box<[Slot]> = (0..self.chunk_len(k))
-            .map(|_| Slot {
-                label: AtomicU64::new(0),
-                stamp: AtomicU64::new(0),
-            })
-            .collect();
-        let ptr = Box::into_raw(boxed) as *mut Slot;
-        self.chunks[k].store(ptr, Ordering::Release);
-        if k > 0 {
-            self.grow_events.fetch_add(1, Ordering::Relaxed);
-            let metrics = self.metrics.lock();
-            metrics.add(CounterId::OmGrowth, 1);
-            metrics.event(EventKind::OmGrow, self.cumulative(k) as u64, 0);
-        }
-    }
-
-    /// Ensure index `i` is addressable, growing if needed (writer side).
-    fn ensure(&self, i: u32) {
-        let (k, _) = self.locate(i);
-        if self.chunks[k].load(Ordering::Relaxed).is_null() {
-            self.publish_chunk(k);
-        }
-    }
-
-    /// Lock-free slot access: an acquire load of the chunk pointer plus two
-    /// shifts.  The chunk publication (release) happens-before any context
-    /// that hands the index to a reader, so the pointer is never null for a
-    /// live handle.
-    #[inline]
-    fn slot(&self, i: u32) -> &Slot {
-        let (k, offset) = self.locate(i);
-        let ptr = self.chunks[k].load(Ordering::Acquire);
-        debug_assert!(!ptr.is_null(), "slot {i} read before publication");
-        unsafe { &*ptr.add(offset) }
-    }
-
-    /// Number of chunks currently published.
-    fn chunk_count(&self) -> usize {
-        self.chunks
-            .iter()
-            .take_while(|c| !c.load(Ordering::Relaxed).is_null())
-            .count()
-    }
-
-    /// Currently allocated slot capacity.
-    fn capacity(&self) -> usize {
-        self.cumulative(self.chunk_count() - 1)
-    }
-}
-
-impl Drop for ChunkedSlots {
-    fn drop(&mut self) {
-        for (k, chunk) in self.chunks.iter().enumerate() {
-            let ptr = chunk.load(Ordering::Relaxed);
-            if !ptr.is_null() {
-                unsafe {
-                    drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                        ptr,
-                        self.chunk_len(k),
-                    )));
-                }
-            }
+impl Slot {
+    fn new(_index: usize) -> Self {
+        Slot {
+            label: AtomicU64::new(0),
+            stamp: AtomicU64::new(0),
         }
     }
 }
@@ -236,7 +100,7 @@ struct Inner {
 /// growth: inserting past the current slab appends a chunk instead of
 /// panicking, so callers no longer need a trace budget.
 pub struct ConcurrentOmList {
-    slots: ChunkedSlots,
+    slots: ChunkedSlab<Slot>,
     inner: Mutex<Inner>,
     query_retries: AtomicU64,
 }
@@ -249,8 +113,9 @@ impl ConcurrentOmList {
     /// chunks whenever an insertion needs more room, and never panics on
     /// size.
     pub fn with_capacity(capacity: usize) -> (Self, ConcurrentOmNode) {
-        let base = base_chunk_size(capacity.max(1));
-        let slots = ChunkedSlots::new(base);
+        let base = CHUNK_KNOB.from_env(capacity.max(1));
+        let slots = ChunkedSlab::new(base, CounterId::OmGrowth, EventKind::OmGrow);
+        slots.ensure(0, Slot::new);
         let mut inner = Inner {
             next: Vec::with_capacity(base),
             prev: Vec::with_capacity(base),
@@ -261,15 +126,22 @@ impl ConcurrentOmList {
         };
         inner.next.push(NIL);
         inner.prev.push(NIL);
-        slots.slot(0).label.store(TAG_LIMIT / 2, Ordering::Release);
-        (
-            ConcurrentOmList {
-                slots,
-                inner: Mutex::new(inner),
-                query_retries: AtomicU64::new(0),
-            },
-            ConcurrentOmNode(0),
-        )
+        let list = ConcurrentOmList {
+            slots,
+            inner: Mutex::new(inner),
+            query_retries: AtomicU64::new(0),
+        };
+        list.slot(0).label.store(TAG_LIMIT / 2, Ordering::Release);
+        (list, ConcurrentOmNode(0))
+    }
+
+    /// The atomics of a live handle.  Handles are only handed out after
+    /// their slot is published, so a miss is a foreign or forged handle.
+    #[inline]
+    fn slot(&self, i: u32) -> &Slot {
+        self.slots
+            .get(i)
+            .unwrap_or_else(|| panic!("order-maintenance handle {i} was not allocated by this list"))
     }
 
     /// Currently allocated slot capacity (grows on demand).
@@ -285,14 +157,14 @@ impl ConcurrentOmList {
     /// Number of chunks appended after construction — how often the list
     /// outgrew its slab.
     pub fn grow_events(&self) -> u64 {
-        self.slots.grow_events.load(Ordering::Relaxed)
+        self.slots.grow_events()
     }
 
     /// Route future growth events (counter + trace event with the new
     /// capacity) to `metrics`.  Only the rare chunk-publication path looks
     /// at the handle; queries and insertions that fit the slab never do.
     pub fn attach_metrics(&self, metrics: MetricsHandle) {
-        *self.slots.metrics.lock() = metrics;
+        self.slots.attach_metrics(metrics);
     }
 
     /// Current number of items.
@@ -342,11 +214,10 @@ impl ConcurrentOmList {
         // between 0 and the head's label, rebalancing if the head is at 0.
         loop {
             let head = inner.head;
-            let head_label = self.slots.slot(head).label.load(Ordering::Acquire);
+            let head_label = self.slot(head).label.load(Ordering::Acquire);
             if head_label >= 2 {
                 let id = self.alloc_slot(&mut inner);
-                self.slots
-                    .slot(id)
+                self.slot(id)
                     .label
                     .store(head_label / 2, Ordering::Release);
                 inner.next[id as usize] = head;
@@ -411,8 +282,8 @@ impl ConcurrentOmList {
         if a == b {
             return false;
         }
-        let sa = self.slots.slot(a.0);
-        let sb = self.slots.slot(b.0);
+        let sa = self.slot(a.0);
+        let sb = self.slot(b.0);
         loop {
             let ts_a1 = sa.stamp.load(Ordering::Acquire);
             let la1 = sa.label.load(Ordering::Acquire);
@@ -440,7 +311,7 @@ impl ConcurrentOmList {
             .ok()
             .filter(|&id| id != NIL)
             .expect("ConcurrentOmList exceeded u32 index space");
-        self.slots.ensure(id);
+        self.slots.ensure(id, Slot::new);
         inner.next.push(NIL);
         inner.prev.push(NIL);
         inner.len += 1;
@@ -450,16 +321,15 @@ impl ConcurrentOmList {
     fn locked_insert_after(&self, inner: &mut Inner, x: u32) -> ConcurrentOmNode {
         loop {
             let next = inner.next[x as usize];
-            let lx = self.slots.slot(x).label.load(Ordering::Acquire);
+            let lx = self.slot(x).label.load(Ordering::Acquire);
             let ln = if next == NIL {
                 TAG_LIMIT
             } else {
-                self.slots.slot(next).label.load(Ordering::Acquire)
+                self.slot(next).label.load(Ordering::Acquire)
             };
             if ln - lx >= 2 {
                 let id = self.alloc_slot(inner);
-                self.slots
-                    .slot(id)
+                self.slot(id)
                     .label
                     .store(lx + (ln - lx) / 2, Ordering::Release);
                 inner.next[id as usize] = next;
@@ -479,7 +349,7 @@ impl ConcurrentOmList {
     /// before each relabeling pass so in-flight queries can detect interference.
     fn rebalance_around(&self, inner: &mut Inner, x: u32) {
         inner.rebalances += 1;
-        let x_tag = self.slots.slot(x).label.load(Ordering::Acquire);
+        let x_tag = self.slot(x).label.load(Ordering::Acquire);
 
         // Pass 1: determine the range of items to rebalance.
         let mut height: u32 = 1;
@@ -495,7 +365,7 @@ impl ConcurrentOmList {
             let mut first = x;
             loop {
                 let p = inner.prev[first as usize];
-                if p != NIL && self.slots.slot(p).label.load(Ordering::Acquire) >= range_start {
+                if p != NIL && self.slot(p).label.load(Ordering::Acquire) >= range_start {
                     first = p;
                 } else {
                     break;
@@ -503,7 +373,7 @@ impl ConcurrentOmList {
             }
             let mut count: u64 = 0;
             let mut cur = first;
-            while cur != NIL && self.slots.slot(cur).label.load(Ordering::Acquire) < range_end {
+            while cur != NIL && self.slot(cur).label.load(Ordering::Acquire) < range_end {
                 count += 1;
                 cur = inner.next[cur as usize];
             }
@@ -522,7 +392,7 @@ impl ConcurrentOmList {
         // Pass 2: bump timestamps to announce the rebalance.
         let mut cur = first;
         for _ in 0..count {
-            self.slots.slot(cur).stamp.fetch_add(1, Ordering::Release);
+            self.slot(cur).stamp.fetch_add(1, Ordering::Release);
             cur = inner.next[cur as usize];
         }
 
@@ -531,8 +401,7 @@ impl ConcurrentOmList {
         // are distinct and >= range_start.
         let mut cur = first;
         for i in 0..count {
-            self.slots
-                .slot(cur)
+            self.slot(cur)
                 .label
                 .store(range_start + i, Ordering::Release);
             cur = inner.next[cur as usize];
@@ -541,7 +410,7 @@ impl ConcurrentOmList {
         // Pass 4: bump timestamps again to mark the second phase.
         let mut cur = first;
         for _ in 0..count {
-            self.slots.slot(cur).stamp.fetch_add(1, Ordering::Release);
+            self.slot(cur).stamp.fetch_add(1, Ordering::Release);
             cur = inner.next[cur as usize];
         }
 
@@ -556,8 +425,7 @@ impl ConcurrentOmList {
         }
         for (i, &item) in run.iter().enumerate().rev() {
             let label = range_start + (i as u64 + 1) * stride;
-            self.slots
-                .slot(item)
+            self.slot(item)
                 .label
                 .store(label.min(range_start + range_size - 1), Ordering::Release);
         }
@@ -585,7 +453,7 @@ impl ConcurrentOmList {
         let mut last = None;
         while cur != NIL {
             assert_eq!(inner.prev[cur as usize], prev);
-            let label = self.slots.slot(cur).label.load(Ordering::Acquire);
+            let label = self.slot(cur).label.load(Ordering::Acquire);
             if let Some(l) = last {
                 assert!(l < label, "labels not strictly increasing");
             }
@@ -649,7 +517,7 @@ mod tests {
 
     #[test]
     fn chunk_addressing_is_stable() {
-        let slots = ChunkedSlots::new(4);
+        let slots = ChunkedSlab::<Slot>::new(4, CounterId::OmGrowth, EventKind::OmGrow);
         // With base 4: chunk 0 = [0,4), chunk 1 = [4,12), chunk 2 = [12,28).
         assert_eq!(slots.locate(0), (0, 0));
         assert_eq!(slots.locate(3), (0, 3));

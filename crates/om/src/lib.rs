@@ -28,10 +28,12 @@
 //! user payload (callers keep a side table from their own ids to handles).
 
 pub mod concurrent;
+pub mod slab;
 pub mod tag_list;
 pub mod two_level;
 
 pub use concurrent::{ConcurrentOmList, ConcurrentOmNode};
+pub use slab::ChunkedSlab;
 pub use tag_list::TagList;
 pub use two_level::TwoLevelList;
 

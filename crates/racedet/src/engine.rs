@@ -46,7 +46,7 @@ use sptree::tree::{ParseTree, ThreadId};
 
 use crate::access::{Access, AccessKind, AccessScript};
 use crate::report::{Race, RaceKind, RaceReport};
-use crate::shadow::{PerCellShadowMemory, ShadowCell, ShadowStore, ShardedShadowMemory};
+use crate::shadow::{ShadowCell, ShadowStore, ShardedShadowMemory};
 
 /// Run race detection over `tree` with backend `B` built under `config`.
 /// Returns the race report and the fully built backend (useful for space
@@ -77,16 +77,18 @@ pub fn detect_races<'t, B: SpBackend<'t>>(
     let shadow = ShardedShadowMemory::new(script.num_locations(), config.workers);
     let report = Mutex::new(RaceReport::new());
     let mut backend = B::build(tree, config);
+    let metrics = MetricsHandle::detached();
     backend.run_with_queries(tree, |queries, current| {
-        check_thread_accesses(queries, &shadow, &report, current, script.of(current));
+        check_thread_accesses(queries, &shadow, &report, current, script.of(current), &metrics);
     });
     (report.into_inner(), backend)
 }
 
-/// Shadow-memory update for one access (the Feng–Leiserson rules), shared by
-/// the sharded and per-cell paths.  Races are handed to `found` in the fixed
-/// writer-conflict-then-reader-conflict order.
-fn apply_access(
+/// Shadow-memory update for one access (the Feng–Leiserson rules).  Races
+/// are handed to `found` in the fixed writer-conflict-then-reader-conflict
+/// order.  Public so a benchmark can run the same rules over a different
+/// store (the `shadow_contention` bench's per-cell-lock baseline).
+pub fn apply_access(
     queries: &dyn CurrentSpQuery,
     current: ThreadId,
     loc: u32,
@@ -236,24 +238,15 @@ fn fast_path_tier<S: ShadowStore + ?Sized>(
 /// the multi-session epoch view ([`crate::epoch::EpochShadowView`]) run the
 /// very same loop, which is what makes service-session reports bit-identical
 /// to standalone runs by construction.
+///
+/// Per-access tier attribution (owner-hint / lock-free silent read /
+/// striped-lock) and found races are tallied in plain locals during the
+/// batch and folded into `metrics` **once** at the end — an attached
+/// registry costs one `is_attached` check plus a handful of relaxed adds per
+/// batch, never per-access atomics, which is what keeps the measured
+/// overhead within the ≤5% bar; a detached handle costs nothing.  Race
+/// events are published in script order, matching the report.
 pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
-    queries: &dyn CurrentSpQuery,
-    shadow: &S,
-    report: &Mutex<RaceReport>,
-    current: ThreadId,
-    accesses: &[Access],
-) {
-    check_thread_accesses_metered(queries, shadow, report, current, accesses, &MetricsHandle::detached());
-}
-
-/// [`check_thread_accesses`] with an observability sink.  Per-access tier
-/// attribution (owner-hint / lock-free silent read / striped-lock) and found
-/// races are tallied in plain locals during the batch and folded into
-/// `metrics` **once** at the end — an attached registry costs one
-/// `is_attached` check plus a handful of relaxed adds per batch, never
-/// per-access atomics, which is what keeps the measured overhead within the
-/// ≤5% bar.  Race events are published in script order, matching the report.
-pub fn check_thread_accesses_metered<S: ShadowStore + ?Sized>(
     queries: &dyn CurrentSpQuery,
     shadow: &S,
     report: &Mutex<RaceReport>,
@@ -341,23 +334,6 @@ fn batch_index_count(len: usize) -> u32 {
     })
 }
 
-/// Shadow check for one access against the per-cell-locked baseline store.
-/// Not used by [`detect_races`] (which runs the sharded path above); kept
-/// public as the measured baseline of the `shadow_contention` benchmark.
-pub fn check_access_per_cell(
-    queries: &dyn CurrentSpQuery,
-    shadow: &PerCellShadowMemory,
-    report: &Mutex<RaceReport>,
-    current: ThreadId,
-    loc: u32,
-    kind: AccessKind,
-) {
-    let mut cell = shadow.lock(loc);
-    apply_access(queries, current, loc, kind, &mut cell, &mut |race| {
-        report.lock().push(race)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,19 +408,24 @@ mod tests {
         }
     }
 
-    /// Reference engine: the pre-sharding per-access per-cell loop, used to
-    /// pin down bit-identical serial behaviour of the batched path.
+    /// Reference engine: the pre-sharding loop — one access at a time, one
+    /// lock per cell, no batching, no fast path — used to pin down
+    /// bit-identical serial behaviour of the batched path.
     fn detect_per_cell<'t, B: SpBackend<'t>>(
         tree: &'t ParseTree,
         script: &AccessScript,
         config: BackendConfig,
     ) -> RaceReport {
-        let shadow = PerCellShadowMemory::new(script.num_locations());
+        let cells: Vec<Mutex<ShadowCell>> =
+            (0..script.num_locations()).map(|_| Mutex::new(ShadowCell::default())).collect();
         let report = Mutex::new(RaceReport::new());
         let mut backend = B::build(tree, config);
         backend.run_with_queries(tree, |queries, current| {
             for access in script.of(current) {
-                check_access_per_cell(queries, &shadow, &report, current, access.loc, access.kind);
+                let mut cell = cells[access.loc as usize].lock();
+                apply_access(queries, current, access.loc, access.kind, &mut cell, &mut |race| {
+                    report.lock().push(race)
+                });
             }
         });
         report.into_inner()
@@ -496,15 +477,15 @@ mod tests {
         // precedes, reader u0 precedes → slow path replaces reader), and u2
         // reads it (reader u1 is parallel → pure fast path, no mutation).
         let q0 = Oracle(sptree::oracle::SpOracle::new(&tree), ThreadId(0));
-        check_thread_accesses(&q0, &shadow, &report, ThreadId(0), &[Access::write(0), Access::read(0)]);
+        check_thread_accesses(&q0, &shadow, &report, ThreadId(0), &[Access::write(0), Access::read(0)], &MetricsHandle::detached());
         assert_eq!(shadow.load(0).reader, Some(ThreadId(0)));
         let q1 = Oracle(sptree::oracle::SpOracle::new(&tree), ThreadId(1));
         assert!(!silent_fast_path(&q1, &shadow, ThreadId(1), Access::read(0)), "reader must be replaced");
-        check_thread_accesses(&q1, &shadow, &report, ThreadId(1), &[Access::read(0)]);
+        check_thread_accesses(&q1, &shadow, &report, ThreadId(1), &[Access::read(0)], &MetricsHandle::detached());
         assert_eq!(shadow.load(0).reader, Some(ThreadId(1)));
         let q2 = Oracle(sptree::oracle::SpOracle::new(&tree), ThreadId(2));
         assert!(silent_fast_path(&q2, &shadow, ThreadId(2), Access::read(0)), "parallel reader stays");
-        check_thread_accesses(&q2, &shadow, &report, ThreadId(2), &[Access::read(0)]);
+        check_thread_accesses(&q2, &shadow, &report, ThreadId(2), &[Access::read(0)], &MetricsHandle::detached());
         assert_eq!(shadow.load(0).reader, Some(ThreadId(1)), "fast path left the cell untouched");
         assert!(report.lock().is_empty(), "read-shared data after a preceding write is race-free");
     }
@@ -528,16 +509,16 @@ mod tests {
         let t = ThreadId(0);
         // First write records the owner (slow path: mutates the cell)...
         assert!(!silent_fast_path(&NoQueries, &shadow, t, Access::write(0)));
-        check_thread_accesses(&NoQueries, &shadow, &report, t, &[Access::write(0)]);
+        check_thread_accesses(&NoQueries, &shadow, &report, t, &[Access::write(0)], &MetricsHandle::detached());
         assert_eq!(shadow.load(0).writer, Some(t));
         // ...every re-write afterwards is owner-silent (queries would panic).
         assert!(silent_fast_path(&NoQueries, &shadow, t, Access::write(0)));
-        check_thread_accesses(&NoQueries, &shadow, &report, t, &[Access::write(0); 8]);
+        check_thread_accesses(&NoQueries, &shadow, &report, t, &[Access::write(0); 8], &MetricsHandle::detached());
         // A re-read first fills the reader slot (a mutation, so it takes the
         // slow path — but still queryless, since the only recorded thread is
         // the current one and every rule short-circuits on it)...
         assert!(!silent_fast_path(&NoQueries, &shadow, t, Access::read(0)));
-        check_thread_accesses(&NoQueries, &shadow, &report, t, &[Access::read(0)]);
+        check_thread_accesses(&NoQueries, &shadow, &report, t, &[Access::read(0)], &MetricsHandle::detached());
         assert_eq!(shadow.load(0).reader, Some(t));
         // ...and once writer and reader are both the owner, reads and writes
         // alike are owner-silent.
@@ -548,8 +529,7 @@ mod tests {
             &shadow,
             &report,
             t,
-            &[Access::read(0), Access::write(0), Access::read(0), Access::write(0)],
-        );
+            &[Access::read(0), Access::write(0), Access::read(0), Access::write(0)], &MetricsHandle::detached());
         assert_eq!(shadow.load(0), ShadowCell { writer: Some(t), reader: Some(t) });
         assert!(report.lock().is_empty());
         // A *different* thread's write must not be owner-silent.

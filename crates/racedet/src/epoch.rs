@@ -364,8 +364,8 @@ mod tests {
         for round in 0..3 {
             let view = arena.view();
             let report = Mutex::new(RaceReport::new());
-            check_thread_accesses(&AllParallel, &view, &report, ThreadId(0), &[Access::write(1)]);
-            check_thread_accesses(&AllParallel, &view, &report, ThreadId(1), &[Access::write(1)]);
+            check_thread_accesses(&AllParallel, &view, &report, ThreadId(0), &[Access::write(1)], &spmetrics::MetricsHandle::detached());
+            check_thread_accesses(&AllParallel, &view, &report, ThreadId(1), &[Access::write(1)], &spmetrics::MetricsHandle::detached());
             let report = report.into_inner();
             assert_eq!(report.racy_locations(), vec![1], "round {round}");
             assert_eq!(report.len(), 1, "round {round}: no stale state leaked in");

@@ -14,23 +14,19 @@
 //! There is **one** detection engine ([`engine::detect_races`]), generic over
 //! the unified [`spmaint::SpBackend`] trait, so the same shadow-memory logic
 //! drives all six SP maintainers of this repository: the four serial
-//! Figure-3 algorithms, the naive locked SP-order, and SP-hybrid.  Two
-//! convenience facades are kept for the common instantiations:
-//!
-//! * [`serial::SerialRaceDetector`] — the engine pinned to one worker; with a
-//!   serial algorithm as the backend this is the classic left-to-right
-//!   simulating detector;
-//! * [`parallel::ParallelRaceDetector`] — the engine instantiated with the
-//!   SP-hybrid backend on the `forkrt` work-stealing scheduler.
+//! Figure-3 algorithms, the naive locked SP-order, and SP-hybrid.  Pinned
+//! to one worker with a serial algorithm (`BackendConfig::serial()`) it is
+//! the classic left-to-right simulating detector; instantiated with
+//! `sphybrid::HybridBackend` it is the parallel detector on the `forkrt`
+//! work-stealing runtime.
 //!
 //! The shadow store is the sharded, cache-aware
 //! [`shadow::ShardedShadowMemory`]: packed atomic cells under striped locks
 //! sized to the worker count, with a lock-free fast path and per-thread
 //! shard batching in the engine (see [`engine`] and the repository-root
 //! `ARCHITECTURE.md#race-detection-racedet` for the design; the superseded
-//! one-`Mutex`-per-cell store survives as
-//! [`shadow::PerCellShadowMemory`], the `shadow_contention` benchmark's
-//! baseline).
+//! one-`Mutex`-per-cell store lives on only inside the `shadow_contention`
+//! benchmark, as its baseline).
 //!
 //! Memory accesses are provided as per-thread *access scripts*
 //! ([`access::AccessScript`]), the synthetic stand-in for instrumenting a real
@@ -40,18 +36,16 @@ pub mod access;
 pub mod engine;
 pub mod epoch;
 pub mod live;
-pub mod parallel;
+#[cfg(test)]
+mod parallel;
 pub mod report;
-pub mod serial;
+#[cfg(test)]
+mod serial;
 pub mod shadow;
 
 pub use access::{Access, AccessKind, AccessScript};
-pub use engine::{
-    check_access_per_cell, check_thread_accesses, check_thread_accesses_metered, detect_races,
-};
+pub use engine::{check_thread_accesses, detect_races};
 pub use epoch::{EpochShadowArena, EpochShadowView};
 pub use live::{DetectionSink, LiveDetector};
-pub use parallel::ParallelRaceDetector;
 pub use report::{Race, RaceKind, RaceReport};
-pub use serial::SerialRaceDetector;
-pub use shadow::{PerCellShadowMemory, ShadowCell, ShadowStore, ShardedShadowMemory};
+pub use shadow::{ShadowCell, ShadowStore, ShardedShadowMemory};

@@ -6,7 +6,7 @@
 //! they go, and the SP structure unfolds underneath them.  [`LiveDetector`]
 //! is the engine for that mode — the *same* sharded shadow memory and the
 //! *same* batched per-thread checking path
-//! ([`check_thread_accesses`](crate::check_thread_accesses)), fed from the
+//! ([`check_thread_accesses`]), fed from the
 //! event stream instead of a script:
 //!
 //! * [`LiveDetector::read`] / [`LiveDetector::write`] serve the program's
@@ -30,7 +30,7 @@ use sptree::tree::ThreadId;
 use spmetrics::MetricsHandle;
 
 use crate::access::Access;
-use crate::engine::check_thread_accesses_metered;
+use crate::engine::check_thread_accesses;
 use crate::report::RaceReport;
 use crate::shadow::ShardedShadowMemory;
 
@@ -56,6 +56,15 @@ pub trait DetectionSink: Sync {
     /// answer [`CurrentSpQuery`] for `thread` as the currently executing
     /// thread.
     fn check_thread(&self, queries: &dyn CurrentSpQuery, thread: ThreadId, accesses: &[Access]);
+
+    /// Where a run over this sink reports its runtime events (steals, parks,
+    /// substrate growth) and per-run counters — the handle the sink already
+    /// folds its shadow-tier and race counters into.  Detached unless the
+    /// sink was built with one.
+    fn metrics(&self) -> &MetricsHandle {
+        static DETACHED: MetricsHandle = MetricsHandle::detached();
+        &DETACHED
+    }
 }
 
 /// Shared state of an online race-detection run: value memory, sharded
@@ -126,14 +135,7 @@ impl LiveDetector {
         thread: ThreadId,
         accesses: &[Access],
     ) {
-        check_thread_accesses_metered(
-            queries,
-            &self.shadow,
-            &self.report,
-            thread,
-            accesses,
-            &self.metrics,
-        );
+        check_thread_accesses(queries, &self.shadow, &self.report, thread, accesses, &self.metrics);
     }
 
     /// Snapshot of the races found so far.
@@ -164,6 +166,10 @@ impl DetectionSink for LiveDetector {
 
     fn check_thread(&self, queries: &dyn CurrentSpQuery, thread: ThreadId, accesses: &[Access]) {
         LiveDetector::check_thread(self, queries, thread, accesses)
+    }
+
+    fn metrics(&self) -> &MetricsHandle {
+        &self.metrics
     }
 }
 

@@ -12,21 +12,20 @@
 //!   reader precedes `t` (keeping a "deepest" reader that still races with any
 //!   later conflicting write).
 //!
-//! Two implementations exist:
+//! The store is [`ShardedShadowMemory`].  Cells are packed
+//! `(writer, reader)` words in one `AtomicU64` each, grouped into
+//! power-of-two blocks of consecutive cells per *shard*; one cache-padded
+//! striped lock per shard (lock count sized to the worker count) serializes
+//! mutations within a shard.  Because a cell is a single atomic word, an
+//! unlocked load always yields a consistent snapshot — the seqlock pattern
+//! with the version counter collapsed away — which gives the engine a
+//! lock-free fast path for the common "recorded reader/writer already
+//! precedes the current thread" re-check (see
+//! `engine::check_thread_accesses`).
 //!
-//! * [`ShardedShadowMemory`] — what the generic engine uses.  Cells are
-//!   packed `(writer, reader)` words in one `AtomicU64` each, grouped into
-//!   power-of-two blocks of consecutive cells per *shard*; one cache-padded
-//!   striped lock per shard (lock count sized to the worker count) serializes
-//!   mutations within a shard.  Because a cell is a single atomic word, an
-//!   unlocked load always yields a consistent snapshot — the seqlock pattern
-//!   with the version counter collapsed away — which gives the engine a
-//!   lock-free fast path for the common "recorded reader/writer already
-//!   precedes the current thread" re-check (see
-//!   `engine::check_thread_accesses`).
-//! * [`PerCellShadowMemory`] — the previous one-`Mutex`-per-cell design, kept
-//!   as the measured baseline of the `shadow_contention` benchmark (see
-//!   `BENCH_shadow.json` at the repository root).
+//! (The previous one-`Mutex`-per-cell design is the measured baseline of the
+//! `shadow_contention` benchmark, which carries its own copy; see
+//! `BENCH_shadow.json` at the repository root.)
 //!
 //! Logically parallel threads may access the same location concurrently —
 //! which is precisely when a race exists and must still be reported, not
@@ -223,40 +222,6 @@ impl ShadowStore for ShardedShadowMemory {
     }
 }
 
-/// The previous shadow design: one `Mutex<ShadowCell>` per location.
-///
-/// Superseded by [`ShardedShadowMemory`] in the engine (per-cell locks were
-/// the parallel detector's main contention point) but kept as the measured
-/// baseline the `shadow_contention` benchmark compares against, and as the
-/// simplest-possible reference implementation of the shadow scheme.
-pub struct PerCellShadowMemory {
-    cells: Vec<Mutex<ShadowCell>>,
-}
-
-impl PerCellShadowMemory {
-    /// Shadow memory covering `locations` locations.
-    pub fn new(locations: u32) -> Self {
-        PerCellShadowMemory {
-            cells: (0..locations).map(|_| Mutex::new(ShadowCell::default())).collect(),
-        }
-    }
-
-    /// Number of shadowed locations.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if no locations are shadowed.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Lock and return a cell.
-    pub fn lock(&self, loc: u32) -> parking_lot::MutexGuard<'_, ShadowCell> {
-        self.cells[loc as usize].lock()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,22 +284,5 @@ mod tests {
         assert_eq!(one.len(), 1);
         assert_eq!(one.shard_of(0), 0);
         assert_eq!(one.load(0), ShadowCell::default());
-    }
-
-    #[test]
-    fn per_cell_baseline_cells_are_independent() {
-        let shadow = PerCellShadowMemory::new(4);
-        {
-            let mut c0 = shadow.lock(0);
-            c0.writer = Some(ThreadId(7));
-            // Locking another cell while holding the first must not deadlock.
-            let mut c1 = shadow.lock(1);
-            c1.reader = Some(ThreadId(9));
-        }
-        assert_eq!(shadow.lock(0).writer, Some(ThreadId(7)));
-        assert_eq!(shadow.lock(1).reader, Some(ThreadId(9)));
-        assert_eq!(shadow.lock(2).writer, None);
-        assert_eq!(shadow.len(), 4);
-        assert!(!shadow.is_empty());
     }
 }

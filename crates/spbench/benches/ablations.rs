@@ -11,13 +11,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsu::{DisjointSets, RankOnlyUnionFind, UnionFind};
-use forkrt::{ParallelVisitor, ParallelWalk, WalkConfig};
+use forkrt::{run_live, LiveConfig, LiveVisitor, SpKind, Token, TreeProgram};
 use om::{OrderMaintenance, TagList, TwoLevelList};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spmaint::{run_serial, SpOrder};
 use sphybrid::NaiveSharedSpOrder;
-use sptree::tree::{NodeId, ThreadId};
+use spmetrics::MetricsHandle;
+use sptree::tree::{NodeId, ParseTree, ThreadId};
+use std::sync::atomic::{AtomicBool, Ordering};
 use workloads::{Workload, WorkloadKind};
 
 /// Order-maintenance backends under the SP-order insertion pattern.
@@ -111,24 +113,34 @@ fn ablation_naive_lock(c: &mut Criterion) {
     let tree = &w.tree;
     let workers = 8usize;
 
-    struct NaiveQuerying<'a, 't> {
-        naive: &'a NaiveSharedSpOrder<'t>,
-        n: u32,
+    /// One query per thread against an earlier thread, like a detector
+    /// shadowing a single location per thread.  On a parallel schedule the
+    /// earlier thread may not have started yet; a detector would find an
+    /// empty shadow cell and ask nothing, so neither side asks then.
+    fn started_flags(tree: &ParseTree) -> Vec<AtomicBool> {
+        (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect()
     }
-    impl ParallelVisitor for NaiveQuerying<'_, '_> {
-        fn enter_internal(&self, w: usize, node: NodeId, token: u64) {
-            self.naive.enter_internal(w, node, token);
+    fn query_target(started: &[AtomicBool], t: ThreadId) -> Option<ThreadId> {
+        started[t.index()].store(true, Ordering::Release);
+        let earlier = ThreadId(t.0 / 2);
+        (t.0 > 0 && started[earlier.index()].load(Ordering::Acquire)).then_some(earlier)
+    }
+
+    struct NaiveQuerying<'a> {
+        tree: &'a ParseTree,
+        naive: &'a NaiveSharedSpOrder,
+        started: Vec<AtomicBool>,
+    }
+    impl LiveVisitor<TreeProgram<'_>> for NaiveQuerying<'_> {
+        fn enter_internal(&self, _w: usize, kind: SpKind, _n: &NodeId, tag: u64, _token: Token) -> (u64, u64) {
+            self.naive.expand(tag, kind.is_parallel())
         }
-        fn execute_thread(&self, _w: usize, _n: NodeId, t: ThreadId, _token: u64) {
-            // One query per thread against an earlier thread, like a detector
-            // shadowing a single location per thread.
-            if t.0 > 0 {
-                std::hint::black_box(self.naive.precedes(ThreadId(t.0 / 2), t));
+        fn execute_leaf(&self, _w: usize, &node: &NodeId, tag: u64, _token: Token) {
+            let t = self.tree.thread_of(node).expect("leaf");
+            self.naive.execute(tag, t);
+            if let Some(earlier) = query_target(&self.started, t) {
+                std::hint::black_box(self.naive.precedes(earlier, t));
             }
-            let _ = self.n;
-        }
-        fn steal(&self, t: usize, v: usize, p: NodeId, token: u64) -> forkrt::StealTokens {
-            self.naive.steal(t, v, p, token)
         }
     }
 
@@ -136,23 +148,32 @@ fn ablation_naive_lock(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("naive-global-lock", |b| {
         b.iter(|| {
-            let naive = NaiveSharedSpOrder::new(tree);
+            let (naive, root_tag) = NaiveSharedSpOrder::new();
             let vis = NaiveQuerying {
+                tree,
                 naive: &naive,
-                n: tree.num_threads() as u32,
+                started: started_flags(tree),
             };
-            let stats = ParallelWalk::new(tree, &vis, WalkConfig::with_workers(workers)).run(0);
+            let stats = run_live(
+                &TreeProgram::new(tree),
+                &vis,
+                LiveConfig::with_workers(workers),
+                root_tag,
+                0,
+                &MetricsHandle::detached(),
+            );
             std::hint::black_box(stats.steals)
         })
     });
     group.bench_function("sp-hybrid", |b| {
         b.iter(|| {
+            let started = started_flags(tree);
             let (_h, stats) = sphybrid::run_hybrid(
                 tree,
                 sphybrid::HybridConfig::with_workers(workers),
                 |h, t, trace| {
-                    if t.0 > 0 {
-                        std::hint::black_box(h.precedes_current(ThreadId(t.0 / 2), trace));
+                    if let Some(earlier) = query_target(&started, t) {
+                        std::hint::black_box(h.precedes_current(earlier, trace));
                     }
                 },
             );

@@ -8,8 +8,9 @@
 //! (striped locks sized to the worker count, a lock-free fast path for
 //! silent reads, and per-thread shard batching in the engine); this bench
 //! measures all three against the preserved per-cell baseline
-//! ([`racedet::PerCellShadowMemory`] + [`racedet::check_access_per_cell`])
-//! on the adversarial workload: **few hot locations, many workers**.
+//! ([`PerCellShadowMemory`] + [`check_access_per_cell`], which live in this
+//! file — the bench is their only user) on the adversarial workload: **few
+//! hot locations, many workers**.
 //!
 //! Three scenarios:
 //!
@@ -33,15 +34,54 @@
 use criterion::{criterion_group, criterion_main, smoke_mode, Criterion, Throughput};
 use parking_lot::Mutex;
 use spbench::{BenchReport, Row};
-use racedet::{
-    check_access_per_cell, detect_races, Access, AccessScript, PerCellShadowMemory, RaceReport,
-};
+use racedet::engine::apply_access;
+use racedet::{detect_races, Access, AccessKind, AccessScript, RaceReport, ShadowCell};
 use sphybrid::HybridBackend;
-use spmaint::api::{BackendConfig, SpBackend};
+use spmaint::api::{BackendConfig, CurrentSpQuery, SpBackend};
 use spmaint::SpOrder;
 use sptree::cilk::{CilkProgram, Procedure, SyncBlock};
-use sptree::tree::ParseTree;
+use sptree::tree::{ParseTree, ThreadId};
 use workloads::shared_read_private_write;
+
+/// The previous shadow design: one `Mutex<ShadowCell>` per location.
+///
+/// Superseded by `racedet::ShardedShadowMemory` in the engine (per-cell locks
+/// were the parallel detector's main contention point) but kept here as the
+/// measured baseline, and as the simplest-possible reference implementation
+/// of the shadow scheme.
+pub struct PerCellShadowMemory {
+    cells: Vec<Mutex<ShadowCell>>,
+}
+
+impl PerCellShadowMemory {
+    /// Shadow memory covering `locations` locations.
+    pub fn new(locations: u32) -> Self {
+        PerCellShadowMemory {
+            cells: (0..locations).map(|_| Mutex::new(ShadowCell::default())).collect(),
+        }
+    }
+
+    /// Lock and return a cell.
+    pub fn lock(&self, loc: u32) -> parking_lot::MutexGuard<'_, ShadowCell> {
+        self.cells[loc as usize].lock()
+    }
+}
+
+/// Shadow check for one access against the per-cell-locked baseline store:
+/// the engine's update rules, one lock acquisition per access.
+pub fn check_access_per_cell(
+    queries: &dyn CurrentSpQuery,
+    shadow: &PerCellShadowMemory,
+    report: &Mutex<RaceReport>,
+    current: ThreadId,
+    loc: u32,
+    kind: AccessKind,
+) {
+    let mut cell = shadow.lock(loc);
+    apply_access(queries, current, loc, kind, &mut cell, &mut |race| {
+        report.lock().push(race)
+    });
+}
 
 /// Flat Cilk parallel loop: main does serial work, spawns `children`
 /// one-thread procedures, syncs.  Thread 0 precedes every other thread.

@@ -12,10 +12,21 @@
 //!   stay orders of magnitude below the thread count).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use forkrt::{ParallelVisitor, ParallelWalk, StealTokens, Token, WalkConfig};
-use racedet::ParallelRaceDetector;
-use sptree::tree::{NodeId, ThreadId};
+use forkrt::{run_live, LiveConfig, LiveVisitor, Token, TreeProgram};
+use racedet::{detect_races, AccessScript, RaceReport};
+use sphybrid::hybrid::HybridStats;
+use sphybrid::HybridBackend;
+use spmaint::BackendConfig;
+use spmetrics::MetricsHandle;
+use sptree::tree::{NodeId, ParseTree};
 use workloads::{disjoint_writes, Workload, WorkloadKind};
+
+/// Full parallel race detection through SP-hybrid on `workers` workers.
+fn detect_parallel(tree: &ParseTree, script: &AccessScript, workers: usize) -> (RaceReport, HybridStats) {
+    let (report, mut backend) =
+        detect_races::<HybridBackend>(tree, script, BackendConfig::with_workers(workers));
+    (report, backend.take_stats().expect("the run completed"))
+}
 
 /// Plain walk visitor that just burns the per-thread work (no SP maintenance):
 /// the uninstrumented baseline.
@@ -23,19 +34,13 @@ struct PlainWork {
     spin: u64,
 }
 
-impl ParallelVisitor for PlainWork {
-    fn execute_thread(&self, _w: usize, _n: NodeId, _t: ThreadId, _token: Token) {
+impl LiveVisitor<TreeProgram<'_>> for PlainWork {
+    fn execute_leaf(&self, _w: usize, _n: &NodeId, _tag: u64, _token: Token) {
         let mut x = 1u64;
         for i in 0..self.spin {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
         }
         std::hint::black_box(x);
-    }
-    fn steal(&self, _t: usize, _v: usize, _p: NodeId, token: Token) -> StealTokens {
-        StealTokens {
-            right: token,
-            after: token,
-        }
     }
 }
 
@@ -51,7 +56,7 @@ fn thm10(c: &mut Criterion) {
     for &p in &workers_sweep {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
             b.iter(|| {
-                let (report, stats) = ParallelRaceDetector::run(tree, &script, p);
+                let (report, stats) = detect_parallel(tree, &script, p);
                 std::hint::black_box((report.len(), stats.run.steals))
             })
         });
@@ -66,8 +71,14 @@ fn thm10(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
             let visitor = PlainWork { spin: 200 };
             b.iter(|| {
-                let stats =
-                    ParallelWalk::new(tree, &visitor, WalkConfig::with_workers(p)).run(0);
+                let stats = run_live(
+                    &TreeProgram::new(tree),
+                    &visitor,
+                    LiveConfig::with_workers(p),
+                    0,
+                    0,
+                    &MetricsHandle::detached(),
+                );
                 std::hint::black_box(stats.steals)
             })
         });
@@ -87,7 +98,7 @@ fn thm10(c: &mut Criterion) {
     let mut base = None;
     for &p in &workers_sweep {
         let start = std::time::Instant::now();
-        let (report, stats) = ParallelRaceDetector::run(tree, &script, p);
+        let (report, stats) = detect_parallel(tree, &script, p);
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         let base = *base.get_or_insert(elapsed);
         println!(

@@ -9,8 +9,8 @@
 //! label schemes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use racedet::SerialRaceDetector;
-use spmaint::{run_serial, EnglishHebrewLabels, OffsetSpanLabels, SpBags, SpOrder};
+use racedet::detect_races;
+use spmaint::{run_serial, BackendConfig, EnglishHebrewLabels, OffsetSpanLabels, SpBags, SpOrder};
 use workloads::{disjoint_writes, Workload, WorkloadKind};
 
 /// Theorem 5: construction cost per leaf across a decade of sizes.
@@ -44,16 +44,16 @@ fn cor6_detector_overhead(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(accesses));
     group.bench_function("sp-order", |b| {
-        b.iter(|| SerialRaceDetector::run::<SpOrder>(&w.tree, &script).0.len())
+        b.iter(|| detect_races::<SpOrder>(&w.tree, &script, BackendConfig::serial()).0.len())
     });
     group.bench_function("sp-bags", |b| {
-        b.iter(|| SerialRaceDetector::run::<SpBags>(&w.tree, &script).0.len())
+        b.iter(|| detect_races::<SpBags>(&w.tree, &script, BackendConfig::serial()).0.len())
     });
     group.bench_function("english-hebrew", |b| {
-        b.iter(|| SerialRaceDetector::run::<EnglishHebrewLabels>(&w.tree, &script).0.len())
+        b.iter(|| detect_races::<EnglishHebrewLabels>(&w.tree, &script, BackendConfig::serial()).0.len())
     });
     group.bench_function("offset-span", |b| {
-        b.iter(|| SerialRaceDetector::run::<OffsetSpanLabels>(&w.tree, &script).0.len())
+        b.iter(|| detect_races::<OffsetSpanLabels>(&w.tree, &script, BackendConfig::serial()).0.len())
     });
     group.finish();
 
@@ -63,7 +63,7 @@ fn cor6_detector_overhead(c: &mut Criterion) {
     macro_rules! report_overhead {
         ($name:expr, $alg:ty) => {{
             let start = std::time::Instant::now();
-            let (report, _) = SerialRaceDetector::run::<$alg>(&w.tree, &script);
+            let (report, _) = detect_races::<$alg>(&w.tree, &script, BackendConfig::serial());
             let elapsed = start.elapsed();
             println!(
                 "  {:<16} {:>10.1} ns/access   ({} races)",

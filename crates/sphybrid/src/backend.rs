@@ -4,7 +4,7 @@
 //! directly; the two parallel structures of this crate need thin adapters
 //! because their query interface is threaded through the scheduler:
 //!
-//! * [`HybridBackend`] — SP-hybrid.  Queries need the [`TraceId`] the current
+//! * [`HybridBackend`] — SP-hybrid.  Queries need the [`crate::TraceId`] the current
 //!   thread runs in, so the adapter closes over it in a per-thread view.
 //!   With `workers == 1` this is the paper's serialized SP-hybrid (no steals,
 //!   one trace); with `workers > 1` it is the full two-tier parallel
@@ -14,17 +14,17 @@
 //!   one endpoint; the backend also implements [`SpQuery`], making it a
 //!   [`FullSpBackend`](spmaint::FullSpBackend) — the only *parallel* one.
 //!
-//! Both adapters run the program on the `forkrt` work-stealing scheduler,
-//! which lets one generic engine (`racedet::detect_races`) and one
+//! Both adapters run the tree as a `forkrt::TreeProgram` on the one
+//! work-stealing runtime, which lets one generic engine (`racedet::detect_races`) and one
 //! conformance harness (`spconform`) drive all six maintainers identically.
 
-use forkrt::{ParallelVisitor, ParallelWalk, StealTokens, Token, WalkConfig};
+use forkrt::{run_live, LiveConfig, LiveVisitor, SpKind, Token, TreeProgram};
 use spmaint::api::{BackendConfig, CurrentSpQuery, SpBackend, SpQuery};
+use spmetrics::MetricsHandle;
 use sptree::tree::{NodeId, ParseTree, ThreadId};
 
-use crate::hybrid::{HybridConfig, HybridStats, SpHybrid};
+use crate::hybrid::{HybridStats, SpHybrid};
 use crate::naive::NaiveSharedSpOrder;
-use crate::trace::TraceId;
 
 // ---------------------------------------------------------------------------
 // SP-hybrid
@@ -39,19 +39,6 @@ pub struct HybridBackend<'t> {
     hybrid: SpHybrid<'t>,
     workers: usize,
     stats: Option<HybridStats>,
-}
-
-/// Current-thread query view of one executing thread: the SP-hybrid structure
-/// plus the trace that thread runs in.
-struct HybridView<'a, 't> {
-    hybrid: &'a SpHybrid<'t>,
-    trace: TraceId,
-}
-
-impl CurrentSpQuery for HybridView<'_, '_> {
-    fn precedes_current(&self, earlier: ThreadId) -> bool {
-        self.hybrid.precedes_current(earlier, self.trace)
-    }
 }
 
 impl<'t> HybridBackend<'t> {
@@ -73,10 +60,9 @@ impl<'t> HybridBackend<'t> {
 
 impl<'t> SpBackend<'t> for HybridBackend<'t> {
     fn build(tree: &'t ParseTree, config: BackendConfig) -> Self {
-        let workers = config.workers.max(1);
         HybridBackend {
-            hybrid: SpHybrid::new(tree, HybridConfig::with_workers(workers)),
-            workers,
+            hybrid: SpHybrid::new(tree),
+            workers: config.workers.max(1),
             stats: None,
         }
     }
@@ -90,7 +76,7 @@ impl<'t> SpBackend<'t> for HybridBackend<'t> {
             "run_with_queries must receive the tree the backend was built for"
         );
         let stats = self.hybrid.run(self.workers, |h, current, trace| {
-            on_thread(&HybridView { hybrid: h, trace }, current);
+            on_thread(&h.live().view(trace), current);
         });
         self.stats = Some(stats);
     }
@@ -117,25 +103,15 @@ impl<'t> SpBackend<'t> for HybridBackend<'t> {
 /// machinery), at the cost of serializing every maintenance operation and
 /// query on one global lock.
 pub struct NaiveBackend<'t> {
-    naive: NaiveSharedSpOrder<'t>,
+    tree: &'t ParseTree,
+    naive: NaiveSharedSpOrder,
+    root_tag: u64,
     workers: usize,
 }
 
-/// Pair queries specialized to the currently executing thread.
-struct NaiveView<'a, 't> {
-    naive: &'a NaiveSharedSpOrder<'t>,
-    current: ThreadId,
-}
-
-impl CurrentSpQuery for NaiveView<'_, '_> {
-    fn precedes_current(&self, earlier: ThreadId) -> bool {
-        self.naive.precedes(earlier, self.current)
-    }
-}
-
-impl<'t> NaiveBackend<'t> {
+impl NaiveBackend<'_> {
     /// The underlying locked structure.
-    pub fn naive(&self) -> &NaiveSharedSpOrder<'t> {
+    pub fn naive(&self) -> &NaiveSharedSpOrder {
         &self.naive
     }
 
@@ -147,8 +123,11 @@ impl<'t> NaiveBackend<'t> {
 
 impl<'t> SpBackend<'t> for NaiveBackend<'t> {
     fn build(tree: &'t ParseTree, config: BackendConfig) -> Self {
+        let (naive, root_tag) = NaiveSharedSpOrder::new();
         NaiveBackend {
-            naive: NaiveSharedSpOrder::new(tree),
+            tree,
+            naive,
+            root_tag,
             workers: config.workers.max(1),
         }
     }
@@ -158,35 +137,48 @@ impl<'t> SpBackend<'t> for NaiveBackend<'t> {
         F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
     {
         debug_assert!(
-            std::ptr::eq(tree, self.naive.tree()),
+            std::ptr::eq(tree, self.tree),
             "run_with_queries must receive the tree the backend was built for"
         );
         struct Vis<'a, 't, F> {
-            naive: &'a NaiveSharedSpOrder<'t>,
+            tree: &'t ParseTree,
+            naive: &'a NaiveSharedSpOrder,
             on_thread: F,
         }
-        impl<F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync> ParallelVisitor for Vis<'_, '_, F> {
-            fn enter_internal(&self, worker: usize, node: NodeId, token: Token) {
-                self.naive.enter_internal(worker, node, token);
+        impl<'t, F> LiveVisitor<TreeProgram<'t>> for Vis<'_, 't, F>
+        where
+            F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
+        {
+            fn enter_internal(
+                &self,
+                _worker: usize,
+                kind: SpKind,
+                _node: &NodeId,
+                tag: u64,
+                _token: Token,
+            ) -> (u64, u64) {
+                self.naive.expand(tag, kind.is_parallel())
             }
-            fn execute_thread(&self, _worker: usize, _node: NodeId, thread: ThreadId, _token: Token) {
-                (self.on_thread)(
-                    &NaiveView {
-                        naive: self.naive,
-                        current: thread,
-                    },
-                    thread,
-                );
+            fn execute_leaf(&self, _worker: usize, &node: &NodeId, tag: u64, _token: Token) {
+                let current = self.tree.thread_of(node).expect("the runtime executes leaves only");
+                self.naive.execute(tag, current);
+                (self.on_thread)(&self.naive.view(current), current);
             }
-            fn steal(&self, thief: usize, victim: usize, pnode: NodeId, token: Token) -> StealTokens {
-                self.naive.steal(thief, victim, pnode, token)
-            }
+            // No `steal`: without trace machinery the token passes through.
         }
         let vis = Vis {
+            tree,
             naive: &self.naive,
             on_thread,
         };
-        ParallelWalk::new(tree, &vis, WalkConfig::with_workers(self.workers)).run(0);
+        run_live(
+            &TreeProgram::new(tree),
+            &vis,
+            LiveConfig::with_workers(self.workers),
+            self.root_tag,
+            0,
+            &MetricsHandle::detached(),
+        );
     }
 
     fn backend_name(&self) -> &'static str {
@@ -198,15 +190,13 @@ impl<'t> SpBackend<'t> for NaiveBackend<'t> {
     }
 
     fn backend_space_bytes(&self) -> usize {
-        // The naive structure keeps two order lists plus three per-node
-        // vectors; mirror NaiveSharedSpOrder's accounting granularity.
         self.naive.space_bytes()
     }
 }
 
-/// Once every thread has executed (parents before children), the English and
-/// Hebrew handles are final and arbitrary-pair queries are valid — this is
-/// what makes the naive scheme the one *parallel* full backend.
+/// Once every thread has executed, its English and Hebrew handles are final
+/// and arbitrary-pair queries are valid — this is what makes the naive
+/// scheme the one *parallel* full backend.
 impl SpQuery for NaiveBackend<'_> {
     fn precedes(&self, a: ThreadId, b: ThreadId) -> bool {
         self.naive.precedes(a, b)

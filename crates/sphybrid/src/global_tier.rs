@@ -30,6 +30,9 @@ pub struct SplitHandles {
     pub u4: (ConcurrentOmNode, ConcurrentOmNode),
     /// (English, Hebrew) handles of U⁽⁵⁾.
     pub u5: (ConcurrentOmNode, ConcurrentOmNode),
+    /// Position of this split in insertion order (1-based), assigned under
+    /// the insertion lock.
+    pub seq: u64,
 }
 
 /// Shared SP-order over traces.
@@ -65,7 +68,8 @@ impl GlobalTier {
     /// insertion lock.
     pub fn insert_split(&self, u_eng: ConcurrentOmNode, u_heb: ConcurrentOmNode) -> SplitHandles {
         let _guard = self.lock.lock();
-        self.insertions
+        let seq = 1 + self
+            .insertions
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // English: ⟨U1, U2, U, U4, U5⟩.
         let (e1, e2, e4, e5) = self.eng.multi_insert_around(u_eng);
@@ -76,6 +80,7 @@ impl GlobalTier {
             u2: (e2, h2),
             u4: (e4, h4),
             u5: (e5, h5),
+            seq,
         }
     }
 

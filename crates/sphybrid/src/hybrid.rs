@@ -1,41 +1,35 @@
-//! The SP-hybrid algorithm itself: tying the scheduler, the global tier and
-//! the local tier together (paper Figures 8 and 9).
+//! SP-hybrid over a materialized parse tree: the tree as a `forkrt` program,
+//! the two tiers as its visitor (paper Figures 8 and 9).
 
-use forkrt::{ParallelVisitor, ParallelWalk, RunStats, StealTokens, Token, WalkConfig};
-use sptree::tree::{NodeId, NodeKind, ParseTree, ThreadId};
+use forkrt::{
+    run_live, LiveConfig, LiveVisitor, RunStats, SpKind, StealTokens, Token, TreeProgram,
+};
+use spmetrics::MetricsHandle;
+use sptree::tree::{NodeId, ParseTree, ProcId, ThreadId};
 
-use crate::global_tier::GlobalTier;
-use crate::local_tier::{BagKind, LocalTier};
-use crate::trace::{TraceArena, TraceId};
+use crate::live::{LiveHybridConfig, LiveSpHybrid};
+use crate::trace::TraceId;
 
 /// Configuration of an SP-hybrid run.
 #[derive(Clone, Copy, Debug)]
 pub struct HybridConfig {
     /// Number of workers (the paper's P).
     pub workers: usize,
-    /// Upper bound on the number of traces the global tier can hold.  Defaults
-    /// to 4·(number of P-nodes) + 16, the worst case when every P-node's
-    /// continuation is stolen.
-    pub max_traces: Option<usize>,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
-        HybridConfig {
-            workers: 1,
-            max_traces: None,
-        }
+        HybridConfig { workers: 1 }
     }
 }
 
 impl HybridConfig {
     /// Convenience constructor.  Clamps `workers` to ≥ 1, matching
-    /// [`forkrt::WalkConfig::with_workers`] — zero workers could otherwise be
+    /// [`forkrt::LiveConfig::with_workers`] — zero workers could otherwise be
     /// smuggled in and only be caught deep inside the scheduler.
     pub fn with_workers(workers: usize) -> Self {
         HybridConfig {
             workers: workers.max(1),
-            max_traces: None,
         }
     }
 }
@@ -53,13 +47,6 @@ pub struct HybridStats {
     pub query_retries: u64,
 }
 
-/// The two-tier parallel SP-maintenance structure.
-///
-/// Query semantics follow the paper: [`SpHybrid::precedes_current`] relates an
-/// already-executed thread to the **currently executing** thread of a given
-/// trace.  The structure expects programs in canonical Cilk form
-/// ([`sptree::cilk`]); arbitrary fork-join programs can be brought into that
-/// form by adding empty threads (paper footnote 6).
 /// Record of one trace split, kept for diagnostics and for the
 /// Theorem-10 benchmarks (splits are rare — one per steal — so logging them
 /// is cheap).
@@ -68,7 +55,7 @@ pub struct SplitRecord {
     /// The stolen P-node.
     pub pnode: NodeId,
     /// The procedure whose bags were moved.
-    pub proc: sptree::tree::ProcId,
+    pub proc: ProcId,
     /// The trace that was split (U = U⁽³⁾).
     pub victim: TraceId,
     /// The four traces created: U⁽¹⁾, U⁽²⁾, U⁽⁴⁾, U⁽⁵⁾.
@@ -77,38 +64,36 @@ pub struct SplitRecord {
     pub seq: u64,
 }
 
+/// SP-hybrid for a program given as a parse tree: the event-driven two-tier
+/// structure ([`LiveSpHybrid`]) fed with the tree's own procedure ids, plus
+/// a log of the splits its steals caused.
+///
+/// The tree must be in canonical Cilk form ([`sptree::cilk`]); arbitrary
+/// fork-join programs can be brought into that form by adding empty threads
+/// (paper footnote 6).
 pub struct SpHybrid<'t> {
     tree: &'t ParseTree,
-    global: GlobalTier,
-    local: LocalTier,
-    traces: TraceArena,
-    root_trace: TraceId,
+    live: LiveSpHybrid,
     split_log: parking_lot::Mutex<Vec<SplitRecord>>,
 }
 
 impl<'t> SpHybrid<'t> {
-    /// Build the structure for `tree`.
-    pub fn new(tree: &'t ParseTree, config: HybridConfig) -> Self {
-        let max_traces = config
-            .max_traces
-            .unwrap_or_else(|| 4 * tree.num_pnodes() + 16);
-        let (global, eng_base, heb_base) = GlobalTier::new(max_traces.max(4));
-        let (traces, root_trace) = TraceArena::new(eng_base, heb_base);
+    /// Build the structure for `tree`, sized for the worst case in which
+    /// every P-node's continuation is stolen.
+    pub fn new(tree: &'t ParseTree) -> Self {
         SpHybrid {
             tree,
-            global,
-            local: LocalTier::new(tree.num_threads()),
-            traces,
-            root_trace,
+            live: LiveSpHybrid::new(LiveHybridConfig {
+                max_threads: tree.num_threads(),
+                max_steals: tree.num_pnodes(),
+            }),
             split_log: parking_lot::Mutex::new(Vec::new()),
         }
     }
 
-    /// Which trace does an already-executed thread currently belong to, and is
-    /// its bag an S-bag?  (`FIND-TRACE`; exposed for diagnostics and tests.)
-    pub fn find_trace(&self, thread: ThreadId) -> (TraceId, bool) {
-        let (trace, kind) = self.local.find_trace(thread);
-        (trace, kind == BagKind::S)
+    /// The two tiers themselves.
+    pub fn live(&self) -> &LiveSpHybrid {
+        &self.live
     }
 
     /// The splits performed so far (one per steal).
@@ -116,162 +101,105 @@ impl<'t> SpHybrid<'t> {
         self.split_log.lock().clone()
     }
 
-    /// The trace the computation starts in.
-    pub fn root_trace(&self) -> TraceId {
-        self.root_trace
-    }
-
     /// The parse tree this structure was built for.
     pub fn tree(&self) -> &'t ParseTree {
         self.tree
     }
 
-    /// Number of traces created so far.
-    pub fn num_traces(&self) -> usize {
-        self.traces.len()
+    /// Which trace does an already-executed thread currently belong to, and is
+    /// its bag an S-bag?  (`FIND-TRACE`; exposed for diagnostics and tests.)
+    pub fn find_trace(&self, thread: ThreadId) -> (TraceId, bool) {
+        self.live.find_trace(thread)
     }
 
     /// `SP-PRECEDES(earlier, current)` (Figure 9): does the already-executed
     /// thread `earlier` logically precede the currently executing thread,
     /// which runs as part of `current_trace`?
     pub fn precedes_current(&self, earlier: ThreadId, current_trace: TraceId) -> bool {
-        let (trace, kind) = self.local.find_trace(earlier);
-        if trace == current_trace {
-            // Same trace: the local tier (SP-bags) answers.
-            kind == BagKind::S
-        } else {
-            // Different traces: compare the traces in the global tier.
-            let a = self.traces.get(trace);
-            let b = self.traces.get(current_trace);
-            self.global.precedes((a.eng, a.heb), (b.eng, b.heb))
-        }
-    }
-
-    /// Does `earlier` operate logically in parallel with the currently
-    /// executing thread of `current_trace`?
-    pub fn parallel_with_current(&self, earlier: ThreadId, current_trace: TraceId) -> bool {
-        !self.precedes_current(earlier, current_trace)
+        self.live.precedes_current(earlier, current_trace)
     }
 
     /// Approximate heap bytes used by the two tiers.
     pub fn space_bytes(&self) -> usize {
-        self.global.space_bytes() + self.local.space_bytes()
+        self.live.space_bytes()
     }
 
-    // ------------------------------------------------------------------
-    // Maintenance events, invoked by the runtime visitor.
-    // ------------------------------------------------------------------
-
-    fn thread_event(&self, node: NodeId, thread: ThreadId, trace: TraceId) {
-        let proc = self.tree.proc_of(node);
-        let state = self.traces.get(trace);
-        let mut local = state.local.lock();
-        self.local.thread_executed(&mut local, trace, proc, thread);
-    }
-
-    fn between_event(&self, node: NodeId, trace: TraceId) {
-        if self.tree.kind(node) != NodeKind::P {
-            return;
-        }
-        let proc = self.tree.proc_of(node);
-        let child = self.tree.spawned_proc(node);
-        let state = self.traces.get(trace);
-        let mut local = state.local.lock();
-        self.local.child_returned(&mut local, trace, proc, child);
-    }
-
-    fn leave_event(&self, node: NodeId, trace: TraceId) {
-        if self.tree.kind(node) != NodeKind::P {
-            return;
-        }
-        let proc = self.tree.proc_of(node);
-        let state = self.traces.get(trace);
-        let mut local = state.local.lock();
-        self.local.sync(&mut local, trace, proc);
-    }
-
-    /// Lines 19–24 of Figure 8: create the four new traces, insert them into
-    /// the global orders under the global lock, and split the victim's local
-    /// tier in O(1).  Returns (U⁽⁴⁾, U⁽⁵⁾).
-    fn steal_event(&self, pnode: NodeId, victim_trace: TraceId) -> (TraceId, TraceId) {
-        let u_state = self.traces.get(victim_trace);
-        let handles = self.global.insert_split(u_state.eng, u_state.heb);
-        let seq = self.global.insertions();
-        let u1 = self.traces.push(handles.u1.0, handles.u1.1);
-        let u2 = self.traces.push(handles.u2.0, handles.u2.1);
-        let u4 = self.traces.push(handles.u4.0, handles.u4.1);
-        let u5 = self.traces.push(handles.u5.0, handles.u5.1);
-        let proc = self.tree.proc_of(pnode);
-        {
-            let mut local = u_state.local.lock();
-            self.local.split(&mut local, proc, u1, u2);
-        }
-        self.split_log.lock().push(SplitRecord {
-            pnode,
-            proc,
-            victim: victim_trace,
-            created: [u1, u2, u4, u5],
-            seq,
-        });
-        (u4, u5)
-    }
-
-    /// Run the parallel walk on `workers` workers.  `on_thread` is called on
-    /// the executing worker for every thread, with the thread id and the trace
+    /// Run the program on `workers` workers.  `on_thread` is called on the
+    /// executing worker for every thread, with the thread id and the trace
     /// it runs in; this is where a race detector performs its shadowed
     /// accesses and issues [`SpHybrid::precedes_current`] queries.
     pub fn run<F>(&self, workers: usize, on_thread: F) -> HybridStats
     where
         F: Fn(&SpHybrid<'t>, ThreadId, TraceId) + Sync,
     {
-        // Clamp here too: `HybridConfig { workers: 0, .. }` built as a struct
-        // literal bypasses `with_workers`.
-        let workers = workers.max(1);
         let visitor = HybridVisitor {
             hybrid: self,
             on_thread,
         };
-        let walk = ParallelWalk::new(self.tree, &visitor, WalkConfig::with_workers(workers));
-        let run = walk.run(self.root_trace.to_token());
+        let run = run_live(
+            &TreeProgram::new(self.tree),
+            &visitor,
+            LiveConfig::with_workers(workers),
+            0,
+            self.live.root_trace().to_token(),
+            &MetricsHandle::detached(),
+        );
         HybridStats {
-            traces: self.num_traces(),
-            global_insertions: self.global.insertions(),
-            query_retries: self.global.query_retries(),
+            traces: self.live.num_traces(),
+            global_insertions: self.live.global_insertions(),
+            query_retries: self.live.query_retries(),
             run,
         }
     }
 }
 
+/// Translates the runtime's events on tree nodes into the maintenance events
+/// of the two tiers.
 struct HybridVisitor<'h, 't, F> {
     hybrid: &'h SpHybrid<'t>,
     on_thread: F,
 }
 
-impl<'t, F> ParallelVisitor for HybridVisitor<'_, 't, F>
+impl<'t, F> LiveVisitor<TreeProgram<'t>> for HybridVisitor<'_, 't, F>
 where
     F: Fn(&SpHybrid<'t>, ThreadId, TraceId) + Sync,
 {
-    fn execute_thread(&self, _worker: usize, node: NodeId, thread: ThreadId, token: Token) {
+    fn execute_leaf(&self, _worker: usize, &node: &NodeId, _tag: u64, token: Token) {
+        let SpHybrid { tree, live, .. } = self.hybrid;
+        let thread = tree.thread_of(node).expect("the runtime executes leaves only");
         let trace = TraceId::from_token(token);
         // Line 3 of Figure 8: insert the thread into the trace, then execute.
-        self.hybrid.thread_event(node, thread, trace);
+        live.thread_executed(tree.proc_of(node), thread, trace);
         (self.on_thread)(self.hybrid, thread, trace);
     }
 
-    fn between_children(&self, _worker: usize, node: NodeId, token: Token) {
-        self.hybrid.between_event(node, TraceId::from_token(token));
-    }
-
-    fn leave_internal(&self, _worker: usize, node: NodeId, token: Token) {
-        self.hybrid.leave_event(node, TraceId::from_token(token));
-    }
-
-    fn steal(&self, _thief: usize, _victim: usize, pnode: NodeId, token: Token) -> StealTokens {
-        let (u4, u5) = self.hybrid.steal_event(pnode, TraceId::from_token(token));
-        StealTokens {
-            right: u4.to_token(),
-            after: u5.to_token(),
+    fn between_children(&self, _worker: usize, kind: SpKind, &node: &NodeId, token: Token) {
+        if kind.is_parallel() {
+            let SpHybrid { tree, live, .. } = self.hybrid;
+            let trace = TraceId::from_token(token);
+            live.child_returned(tree.proc_of(node), tree.spawned_proc(node), trace);
         }
+    }
+
+    fn leave_internal(&self, _worker: usize, kind: SpKind, &node: &NodeId, token: Token) {
+        if kind.is_parallel() {
+            let SpHybrid { tree, live, .. } = self.hybrid;
+            live.synced(tree.proc_of(node), TraceId::from_token(token));
+        }
+    }
+
+    fn steal(&self, _thief: usize, _victim: usize, &pnode: &NodeId, token: Token) -> StealTokens {
+        let SpHybrid { tree, live, split_log } = self.hybrid;
+        let (proc, victim) = (tree.proc_of(pnode), TraceId::from_token(token));
+        let split = live.split(proc, victim);
+        split_log.lock().push(SplitRecord {
+            pnode,
+            proc,
+            victim,
+            created: split.created,
+            seq: split.seq,
+        });
+        split.tokens()
     }
 }
 
@@ -284,7 +212,7 @@ pub fn run_hybrid<'t, F>(
 where
     F: Fn(&SpHybrid<'t>, ThreadId, TraceId) + Sync,
 {
-    let hybrid = SpHybrid::new(tree, config);
+    let hybrid = SpHybrid::new(tree);
     let stats = hybrid.run(config.workers, on_thread);
     (hybrid, stats)
 }
@@ -394,14 +322,11 @@ mod tests {
     #[test]
     fn zero_workers_is_clamped_to_one() {
         // Regression: `HybridConfig { workers: 0 }` (struct literal) used to
-        // reach the scheduler unclamped while `WalkConfig::with_workers`
-        // clamps; both the constructor and `run` now normalize to 1.
+        // reach the scheduler unclamped; the constructor and the runtime
+        // both normalize to 1.
         assert_eq!(HybridConfig::with_workers(0).workers, 1);
         let tree = CilkProgram::new(fib_like(5, 1)).build_tree();
-        let config = HybridConfig {
-            workers: 0,
-            max_traces: None,
-        };
+        let config = HybridConfig { workers: 0 };
         let (_hybrid, stats) = run_hybrid(&tree, config, |_h, _t, _tr| {});
         assert_eq!(stats.run.steals, 0, "one worker cannot steal");
         assert_eq!(stats.traces, 1);
@@ -414,5 +339,35 @@ mod tests {
         let tree = CilkProgram::new(fib_like(10, 1)).build_tree();
         let stats = check_against_oracle(&tree, 8, 100);
         assert!(stats.traces >= 1);
+    }
+
+    #[test]
+    fn split_log_records_every_steal_once_in_insertion_order() {
+        // Steals are schedule-dependent, so hammer a few runs; every run's
+        // log must hold one record per steal whose `seq` values are exactly
+        // 1..=steals (assigned under the global insertion lock, so
+        // concurrent splits of different victims cannot collide).
+        let tree = CilkProgram::new(fib_like(10, 1)).build_tree();
+        let mut steals = 0;
+        for _ in 0..5 {
+            let (hybrid, stats) = run_hybrid(&tree, HybridConfig::with_workers(6), |_h, _t, _trace| {
+                let mut x = 1u64;
+                for i in 0..200u64 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+                }
+                std::hint::black_box(x);
+            });
+            let log = hybrid.split_log();
+            assert_eq!(log.len() as u64, stats.run.steals);
+            let mut seqs: Vec<u64> = log.iter().map(|r| r.seq).collect();
+            seqs.sort_unstable();
+            assert_eq!(seqs, (1..=stats.run.steals).collect::<Vec<_>>());
+            for record in &log {
+                assert!(tree.kind(record.pnode).is_p(), "only P-nodes are stolen");
+                assert_eq!(record.proc, tree.proc_of(record.pnode));
+            }
+            steals += stats.run.steals;
+        }
+        assert!(steals > 0, "expected at least one steal across 5 runs");
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! SP-hybrid maintains series-parallel relationships while the program runs
 //! **in parallel** under a Cilk-style work-stealing scheduler (our `forkrt`
-//! crate).  It is a two-tier structure:
+//! crate).  It is a two-tier structure ([`LiveSpHybrid`]), driven by
+//! maintenance events; [`SpHybrid`] feeds it from a materialized parse tree
+//! and `spprog` from a live run, on the same runtime:
 //!
 //! * the **global tier** ([`global_tier::GlobalTier`]) is a shared SP-order
 //!   structure over *traces* — sets of threads executed on one processor
@@ -46,6 +48,6 @@ pub mod trace;
 
 pub use backend::{HybridBackend, NaiveBackend};
 pub use hybrid::{run_hybrid, HybridConfig, HybridStats, SpHybrid};
-pub use live::{LiveHybridConfig, LiveSpHybrid};
+pub use live::{LiveHybridConfig, LiveSpHybrid, TraceSplit};
 pub use naive::NaiveSharedSpOrder;
 pub use trace::TraceId;

@@ -1,22 +1,22 @@
-//! Live SP-hybrid: the two-tier structure of §4–§7 driven by a **live**
-//! fork-join execution instead of a pre-built parse tree.
+//! The two-tier structure of §4–§7, driven by maintenance *events* rather
+//! than by any particular source of them.
 //!
-//! [`crate::SpHybrid`] derives every maintenance event from a materialized
-//! [`sptree::tree::ParseTree`] (procedure of a node, spawned child, node
-//! kind).  In a live `spprog` run that information arrives *with the event
-//! stream* — the runtime knows, at each spawn, which procedure is spawning
-//! and which fresh procedure it spawns — so the same two tiers can be driven
-//! with no tree at all:
+//! Everything SP-hybrid needs to know arrives with the event stream — which
+//! procedure a thread belongs to, which procedure spawns which, which trace
+//! a steal splits — so the structure holds no program representation:
 //!
-//! * the **global tier** is untouched: [`GlobalTier`]'s concurrent English /
-//!   Hebrew order-maintenance lists over traces, insertions only at steals;
-//! * the **local tier** is untouched: per-trace SP-bags over the concurrent
-//!   union-find, keyed by *procedure ids* the live runtime allocates as
-//!   procedures are instantiated;
-//! * steals consume the scheduler's steal tokens exactly like the tree
-//!   walker: the victim's trace (carried in the token) splits five ways
-//!   (Figure 8, lines 19–24), the stolen continuation runs under U⁽⁴⁾ and
-//!   the post-join code under U⁽⁵⁾.
+//! * the **global tier** is [`GlobalTier`]'s concurrent English / Hebrew
+//!   order-maintenance lists over traces, insertions only at steals;
+//! * the **local tier** is per-trace SP-bags over the concurrent union-find,
+//!   keyed by *procedure ids*;
+//! * a steal consumes the scheduler's steal token: the victim's trace
+//!   (carried in the token) splits five ways (Figure 8, lines 19–24), the
+//!   stolen continuation runs under U⁽⁴⁾ and the post-join code under U⁽⁵⁾.
+//!
+//! A live `spprog` run feeds it procedure ids the runtime allocates as
+//! procedures are instantiated; the tree-driven [`crate::SpHybrid`] feeds it
+//! `proc_of` / `spawned_proc` of a materialized parse tree.  Both run on the
+//! same `forkrt` runtime.
 //!
 //! The two substrates grow on demand (chunked slabs published with release
 //! stores, addressed by readers with acquire loads — see
@@ -33,6 +33,8 @@
 //!
 //! See `ARCHITECTURE.md#live-execution-spprog`.
 
+use forkrt::StealTokens;
+use spmaint::api::CurrentSpQuery;
 use sptree::tree::{ProcId, ThreadId};
 
 use crate::global_tier::GlobalTier;
@@ -65,10 +67,57 @@ impl Default for LiveHybridConfig {
     }
 }
 
-/// The two-tier parallel SP-maintenance structure for live executions.
+/// What one steal did to the trace structure.
+#[derive(Clone, Copy, Debug)]
+pub struct TraceSplit {
+    /// The four traces created: U⁽¹⁾, U⁽²⁾, U⁽⁴⁾, U⁽⁵⁾ (U⁽³⁾ is the victim).
+    pub created: [TraceId; 4],
+    /// Position of this split in global-tier insertion order (1-based).
+    pub seq: u64,
+}
+
+impl TraceSplit {
+    /// U⁽⁴⁾, the trace of the stolen continuation.
+    pub fn stolen(&self) -> TraceId {
+        self.created[2]
+    }
+
+    /// U⁽⁵⁾, the trace of the code after the join.
+    pub fn after(&self) -> TraceId {
+        self.created[3]
+    }
+
+    /// The scheduler tokens of this steal: U⁽⁴⁾ for the stolen right
+    /// subtree, U⁽⁵⁾ for everything after the join.
+    pub fn tokens(&self) -> StealTokens {
+        StealTokens {
+            right: self.stolen().to_token(),
+            after: self.after().to_token(),
+        }
+    }
+}
+
+/// Current-thread queries of one executing thread: the structure plus the
+/// trace that thread runs in ([`LiveSpHybrid::view`]).
+pub struct TraceView<'a> {
+    hybrid: &'a LiveSpHybrid,
+    trace: TraceId,
+}
+
+impl CurrentSpQuery for TraceView<'_> {
+    fn precedes_current(&self, earlier: ThreadId) -> bool {
+        self.hybrid.precedes_current(earlier, self.trace)
+    }
+}
+
+/// The two-tier parallel SP-maintenance structure.
 ///
-/// Queries follow Figure 9, identically to [`crate::SpHybrid`]: relate an
-/// already-executed thread to the currently executing thread of a trace.
+/// Query semantics follow the paper (Figure 9):
+/// [`LiveSpHybrid::precedes_current`] relates an already-executed thread to
+/// the **currently executing** thread of a given trace.  The structure
+/// expects events in canonical Cilk form (procedures and sync blocks);
+/// arbitrary fork-join programs can be brought into that form by adding
+/// empty threads (paper footnote 6).
 pub struct LiveSpHybrid {
     global: GlobalTier,
     local: LocalTier,
@@ -153,8 +202,17 @@ impl LiveSpHybrid {
         }
     }
 
+    /// The [`CurrentSpQuery`] view of the thread currently executing in
+    /// `trace` — what a detector checks that thread's accesses under.
+    pub fn view(&self, trace: TraceId) -> TraceView<'_> {
+        TraceView {
+            hybrid: self,
+            trace,
+        }
+    }
+
     // ------------------------------------------------------------------
-    // Maintenance events, invoked by the live runtime.
+    // Maintenance events, invoked by the runtime's visitor.
     // ------------------------------------------------------------------
 
     /// Line 3 of Figure 8: `thread` (of procedure `proc`, running as part of
@@ -185,9 +243,7 @@ impl LiveSpHybrid {
     /// Lines 19–24 of Figure 8: the continuation of a spawn in procedure
     /// `proc` was stolen from `victim_trace`.  Creates the four new traces
     /// in the global orders and splits the victim's local tier in O(1).
-    /// Returns `(U⁽⁴⁾, U⁽⁵⁾)` — the traces of the stolen continuation and of
-    /// the post-join code — for the scheduler's steal tokens.
-    pub fn split(&self, proc: ProcId, victim_trace: TraceId) -> (TraceId, TraceId) {
+    pub fn split(&self, proc: ProcId, victim_trace: TraceId) -> TraceSplit {
         let u_state = self.traces.get(victim_trace);
         let handles = self.global.insert_split(u_state.eng, u_state.heb);
         let u1 = self.traces.push(handles.u1.0, handles.u1.1);
@@ -198,7 +254,10 @@ impl LiveSpHybrid {
             let mut local = u_state.local.lock();
             self.local.split(&mut local, proc, u1, u2);
         }
-        (u4, u5)
+        TraceSplit {
+            created: [u1, u2, u4, u5],
+            seq: handles.seq,
+        }
     }
 }
 
@@ -244,7 +303,9 @@ mod tests {
         // main runs u0, spawns child; the victim descends into the child
         // while a thief steals the continuation.
         h.thread_executed(main, ThreadId(0), u);
-        let (u4, u5) = h.split(main, u);
+        let split = h.split(main, u);
+        let (u4, u5) = (split.stolen(), split.after());
+        assert_eq!((split.seq, split.tokens().right), (1, u4.to_token()));
         assert_eq!(h.num_traces(), 5);
         assert_eq!(h.global_insertions(), 1);
         // The victim keeps executing the child's body in U (= U3).
@@ -279,9 +340,8 @@ mod tests {
         let mut victim = u;
         let mut splits = vec![u];
         for _ in 0..40 {
-            let (u4, _u5) = h.split(main, victim);
-            splits.push(u4);
-            victim = u4;
+            victim = h.split(main, victim).stolen();
+            splits.push(victim);
         }
         assert_eq!(h.num_traces(), 1 + 4 * 40);
         assert!(h.grow_events() > 0, "tiny hints must have forced growth");

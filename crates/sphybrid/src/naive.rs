@@ -5,71 +5,80 @@
 //! insertions commute as long as parents are inserted before their children,
 //! which any unfolding order respects — but each operation may stall all P−1
 //! other processors, so the apparent work can blow up to Θ(P·T₁).  SP-hybrid's
-//! two-tier design exists precisely to avoid this.  This implementation is the
-//! baseline for the `ablation_naive_lock` benchmark; it also doubles as a
-//! second, independently-implemented parallel SP oracle in stress tests.
+//! two-tier design exists precisely to avoid this.  This is the one
+//! implementation of the strawman: [`crate::NaiveBackend`] drives it from a
+//! parse tree, `spprog`'s naive-locked maintainer from a live run, and the
+//! `ablation_naive_lock` benchmark measures it; it also doubles as a second,
+//! independently-implemented parallel SP oracle in stress tests.
 
-use forkrt::{ParallelVisitor, StealTokens, Token};
-use om::{OmNode, OrderMaintenance, TwoLevelList};
 use parking_lot::Mutex;
-use sptree::tree::{NodeId, NodeKind, ParseTree, ThreadId};
+use spmaint::api::{CurrentSpQuery, SpQuery};
+use spmaint::stream::{StreamNode, StreamingSpBackend, StreamingSpOrder};
+use sptree::tree::ThreadId;
 
 struct Inner {
-    eng: TwoLevelList,
-    heb: TwoLevelList,
-    node_eng: Vec<OmNode>,
-    node_heb: Vec<OmNode>,
-    inserted: Vec<bool>,
+    sp: StreamingSpOrder,
     lock_acquisitions: u64,
 }
 
-/// Shared SP-order behind a single global lock.
-pub struct NaiveSharedSpOrder<'t> {
-    tree: &'t ParseTree,
+/// A streaming SP-order shared by all workers behind a single global lock.
+///
+/// Node handles travel as the scheduler's *tags*: the root tag comes from
+/// [`NaiveSharedSpOrder::new`], and a visitor's `enter_internal` forwards to
+/// [`NaiveSharedSpOrder::expand`] to obtain its children's.
+pub struct NaiveSharedSpOrder {
     inner: Mutex<Inner>,
 }
 
-impl<'t> NaiveSharedSpOrder<'t> {
-    /// Create the structure with the root already inserted.
-    pub fn new(tree: &'t ParseTree) -> Self {
-        let (mut eng, eng_base) = TwoLevelList::new();
-        let (mut heb, heb_base) = TwoLevelList::new();
-        let root_eng = eng.insert_after(eng_base);
-        let root_heb = heb.insert_after(heb_base);
-        let n = tree.num_nodes();
-        let mut node_eng = vec![eng_base; n];
-        let mut node_heb = vec![heb_base; n];
-        let mut inserted = vec![false; n];
-        node_eng[tree.root().index()] = root_eng;
-        node_heb[tree.root().index()] = root_heb;
-        inserted[tree.root().index()] = true;
-        NaiveSharedSpOrder {
-            tree,
-            inner: Mutex::new(Inner {
-                eng,
-                heb,
-                node_eng,
-                node_heb,
-                inserted,
-                lock_acquisitions: 0,
-            }),
-        }
+impl NaiveSharedSpOrder {
+    /// An empty structure and the tag of the root position.
+    pub fn new() -> (Self, u64) {
+        let (sp, root) = StreamingSpOrder::stream_new();
+        let inner = Inner {
+            sp,
+            lock_acquisitions: 0,
+        };
+        (
+            NaiveSharedSpOrder {
+                inner: Mutex::new(inner),
+            },
+            root.to_tag(),
+        )
     }
 
-    /// Does thread `a` precede thread `b`?  Both must already be inserted
-    /// (i.e. their parents visited).  Takes the global lock.
-    pub fn precedes(&self, a: ThreadId, b: ThreadId) -> bool {
-        if a == b {
-            return false;
-        }
-        let na = self.tree.leaf_of(a);
-        let nb = self.tree.leaf_of(b);
+    fn locked<R>(&self, op: impl FnOnce(&mut StreamingSpOrder) -> R) -> R {
         let mut inner = self.inner.lock();
         inner.lock_acquisitions += 1;
-        debug_assert!(inner.inserted[na.index()] && inner.inserted[nb.index()]);
-        let (ea, eb) = (inner.node_eng[na.index()], inner.node_eng[nb.index()]);
-        let (ha, hb) = (inner.node_heb[na.index()], inner.node_heb[nb.index()]);
-        inner.eng.precedes(ea, eb) && inner.heb.precedes(ha, hb)
+        op(&mut inner.sp)
+    }
+
+    /// The position tagged `tag` is revealed to be an internal node; returns
+    /// the tags of its (left, right) children.  Takes the global lock.
+    pub fn expand(&self, tag: u64, parallel: bool) -> (u64, u64) {
+        let (left, right) = self.locked(|sp| sp.expand(StreamNode::from_tag(tag), parallel));
+        (left.to_tag(), right.to_tag())
+    }
+
+    /// The position tagged `tag` is revealed to be a leaf executing as
+    /// `thread`.  Takes the global lock.
+    pub fn execute(&self, tag: u64, thread: ThreadId) {
+        self.locked(|sp| sp.execute(StreamNode::from_tag(tag), thread));
+    }
+
+    /// Does thread `a` precede thread `b`?  Both must have started executing.
+    /// Takes the global lock.
+    pub fn precedes(&self, a: ThreadId, b: ThreadId) -> bool {
+        self.locked(|sp| sp.precedes(a, b))
+    }
+
+    /// The [`CurrentSpQuery`] view of the executing thread `current`: pair
+    /// queries with one endpoint pinned (the structure's own notion of
+    /// "current thread" is advanced by other workers concurrently).
+    pub fn view(&self, current: ThreadId) -> NaiveView<'_> {
+        NaiveView {
+            naive: self,
+            current,
+        }
     }
 
     /// Number of global-lock acquisitions so far (contention metric).
@@ -77,114 +86,61 @@ impl<'t> NaiveSharedSpOrder<'t> {
         self.inner.lock().lock_acquisitions
     }
 
-    /// The parse tree this structure was built for.
-    pub fn tree(&self) -> &'t ParseTree {
-        self.tree
-    }
-
     /// Approximate heap bytes used by the shared structure.
     pub fn space_bytes(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.eng.space_bytes()
-            + inner.heb.space_bytes()
-            + inner.node_eng.capacity() * std::mem::size_of::<OmNode>()
-            + inner.node_heb.capacity() * std::mem::size_of::<OmNode>()
-            + inner.inserted.capacity()
+        self.inner.lock().sp.stream_space_bytes()
     }
 }
 
-impl ParallelVisitor for NaiveSharedSpOrder<'_> {
-    fn enter_internal(&self, _worker: usize, node: NodeId, _token: Token) {
-        let left = self.tree.left(node);
-        let right = self.tree.right(node);
-        let kind = self.tree.kind(node);
-        let mut inner = self.inner.lock();
-        inner.lock_acquisitions += 1;
-        let base = inner.node_eng[node.index()];
-        let eng = inner.eng.insert_after_many(base, 2);
-        inner.node_eng[left.index()] = eng[0];
-        inner.node_eng[right.index()] = eng[1];
-        let base = inner.node_heb[node.index()];
-        let heb = inner.heb.insert_after_many(base, 2);
-        match kind {
-            NodeKind::S => {
-                inner.node_heb[left.index()] = heb[0];
-                inner.node_heb[right.index()] = heb[1];
-            }
-            NodeKind::P => {
-                inner.node_heb[right.index()] = heb[0];
-                inner.node_heb[left.index()] = heb[1];
-            }
-            NodeKind::Leaf(_) => unreachable!(),
-        }
-        inner.inserted[left.index()] = true;
-        inner.inserted[right.index()] = true;
-    }
+/// Pair queries specialized to one executing thread
+/// ([`NaiveSharedSpOrder::view`]).
+pub struct NaiveView<'a> {
+    naive: &'a NaiveSharedSpOrder,
+    current: ThreadId,
+}
 
-    fn execute_thread(&self, _worker: usize, _node: NodeId, _thread: ThreadId, _token: Token) {
-        // The race detector (or benchmark kernel) layered on top performs the
-        // thread's work and queries; the structure itself has nothing to do.
-    }
-
-    fn steal(&self, _thief: usize, _victim: usize, _pnode: NodeId, token: Token) -> StealTokens {
-        // No trace machinery: the token is irrelevant, pass it through.
-        StealTokens {
-            right: token,
-            after: token,
-        }
+impl CurrentSpQuery for NaiveView<'_> {
+    fn precedes_current(&self, earlier: ThreadId) -> bool {
+        self.naive.precedes(earlier, self.current)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forkrt::{ParallelWalk, WalkConfig};
+    use crate::backend::NaiveBackend;
     use parking_lot::Mutex as PLMutex;
+    use spmaint::api::{BackendConfig, SpBackend};
     use sptree::cilk::CilkProgram;
     use sptree::generate::{fib_like, random_sp_ast};
     use sptree::oracle::SpOracle;
+    use sptree::tree::ParseTree;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// A wrapper visitor that issues queries from each executing thread.
-    struct Querying<'a, 't> {
-        naive: &'a NaiveSharedSpOrder<'t>,
-        executed: Vec<AtomicBool>,
-        recorded: PLMutex<Vec<(ThreadId, ThreadId, bool)>>,
-    }
-
-    impl ParallelVisitor for Querying<'_, '_> {
-        fn enter_internal(&self, w: usize, node: NodeId, token: Token) {
-            self.naive.enter_internal(w, node, token);
-        }
-        fn execute_thread(&self, _w: usize, _node: NodeId, current: ThreadId, _token: Token) {
+    /// Run the strawman over `tree`, issuing queries against every
+    /// already-executed thread from each executing thread, and check every
+    /// answer against the oracle.
+    fn check(tree: &ParseTree, workers: usize) {
+        let executed: Vec<AtomicBool> =
+            (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect();
+        let recorded: PLMutex<Vec<(ThreadId, ThreadId, bool)>> = PLMutex::new(Vec::new());
+        let mut backend = NaiveBackend::build(tree, BackendConfig::with_workers(workers));
+        backend.run_with_queries(tree, |queries, current| {
             let mut answers = Vec::new();
-            for earlier in 0..self.executed.len() as u32 {
+            for earlier in 0..executed.len() as u32 {
                 let earlier = ThreadId(earlier);
-                if earlier != current && self.executed[earlier.index()].load(Ordering::Acquire) {
-                    answers.push((earlier, current, self.naive.precedes(earlier, current)));
+                if earlier != current && executed[earlier.index()].load(Ordering::Acquire) {
+                    answers.push((earlier, current, queries.precedes_current(earlier)));
                 }
             }
-            self.recorded.lock().extend(answers);
-            self.executed[current.index()].store(true, Ordering::Release);
-        }
-        fn steal(&self, t: usize, v: usize, p: NodeId, token: Token) -> StealTokens {
-            self.naive.steal(t, v, p, token)
-        }
-    }
-
-    fn check(tree: &ParseTree, workers: usize) {
-        let naive = NaiveSharedSpOrder::new(tree);
-        let vis = Querying {
-            naive: &naive,
-            executed: (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect(),
-            recorded: PLMutex::new(Vec::new()),
-        };
-        ParallelWalk::new(tree, &vis, WalkConfig::with_workers(workers)).run(0);
+            recorded.lock().extend(answers);
+            executed[current.index()].store(true, Ordering::Release);
+        });
         let oracle = SpOracle::new(tree);
-        for (a, b, ans) in vis.recorded.into_inner() {
+        for (a, b, ans) in recorded.into_inner() {
             assert_eq!(ans, oracle.precedes(a, b), "{a:?} vs {b:?}");
         }
-        assert!(naive.lock_acquisitions() > 0);
+        assert!(backend.lock_acquisitions() > 0);
     }
 
     #[test]
@@ -201,5 +157,21 @@ mod tests {
         // Unlike SP-hybrid, the naive scheme works on arbitrary SP trees too,
         // because it has no per-procedure trace machinery.
         check(&random_sp_ast(300, 0.6, 11).build(), 4);
+    }
+
+    #[test]
+    fn tags_thread_handles_and_every_operation_counts_a_lock() {
+        // S(u0, P(u1, u2)), unfolded by hand.
+        let (naive, root) = NaiveSharedSpOrder::new();
+        let (u0, rest) = naive.expand(root, false);
+        naive.execute(u0, ThreadId(0));
+        let (u1, u2) = naive.expand(rest, true);
+        naive.execute(u1, ThreadId(1));
+        naive.execute(u2, ThreadId(2));
+        assert!(naive.precedes(ThreadId(0), ThreadId(2)));
+        assert!(!naive.precedes(ThreadId(1), ThreadId(2)));
+        assert!(!naive.precedes(ThreadId(2), ThreadId(1)));
+        assert_eq!(naive.lock_acquisitions(), 8, "2 expands + 3 executes + 3 queries");
+        assert!(naive.space_bytes() > 0);
     }
 }

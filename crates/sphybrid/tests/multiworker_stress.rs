@@ -109,7 +109,7 @@ fn fib_tree_stress_exercises_concurrent_steal_queries() {
 /// SP-order reference.
 #[test]
 fn contended_shadow_detection_matches_serial_across_worker_counts() {
-    use racedet::{detect_races, ParallelRaceDetector, SerialRaceDetector};
+    use racedet::detect_races;
     use spmaint::api::BackendConfig;
     use spmaint::SpOrder;
     use workloads::{inject_races, shared_read_private_write};
@@ -134,11 +134,15 @@ fn contended_shadow_detection_matches_serial_across_worker_counts() {
         let wanted = (tree.num_threads() / 4).clamp(1, 6);
         let (script, expected) = inject_races(&tree, &base, wanted, seed ^ 0x57E55);
 
-        let (serial, _) = SerialRaceDetector::run::<SpOrder>(&tree, &script);
+        let (serial, _) = detect_races::<SpOrder>(&tree, &script, BackendConfig::serial());
         assert_eq!(serial.racy_locations(), expected, "seed {seed}: serial reference");
 
         for workers in [2usize, 4, 8] {
-            let (report, _stats) = ParallelRaceDetector::run(&tree, &script, workers);
+            let (report, _) = detect_races::<sphybrid::HybridBackend>(
+                &tree,
+                &script,
+                BackendConfig::with_workers(workers),
+            );
             assert_eq!(
                 report.racy_locations(),
                 expected,

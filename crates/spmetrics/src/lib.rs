@@ -33,7 +33,7 @@
 //! (writer wrapped the ring mid-copy) is always detected and the record is
 //! counted as dropped — overflow **loses events gracefully, never corrupts**.
 //! The ring capacity is sized by the `SP_TRACE_BUF` environment knob,
-//! validated by [`parse_trace_buf_env`] exactly like `om`'s `SP_OM_CHUNK`.
+//! validated by [`EnvKnob`] exactly like `om`'s `SP_OM_CHUNK`.
 //!
 //! ```
 //! use spmetrics::{CounterId, EventKind, MetricsHandle, MetricsRegistry};
@@ -80,36 +80,73 @@ pub const DEFAULT_SLOTS: usize = 16;
 /// Number of log2 buckets per histogram (one per `u64` bit position).
 pub const HIST_BUCKETS: usize = 64;
 
-/// Validate an `SP_TRACE_BUF` override, mirroring the `SP_OM_CHUNK`
-/// contract (`om::concurrent::parse_chunk_env`): unset or empty keeps the
-/// caller's default; anything else must parse as a positive power-of-two
-/// record count or the process panics naming the knob; the result is
-/// clamped to a usable range.
-pub fn parse_trace_buf_env(value: Option<&str>, default: usize) -> usize {
-    let chosen = match value.map(str::trim) {
-        None | Some("") => default,
-        Some(raw) => {
-            let n: usize = raw.parse().unwrap_or_else(|_| {
-                panic!(
-                    "SP_TRACE_BUF: unparseable value {raw:?} \
-                     (expected a positive power-of-two integer)"
-                )
-            });
-            assert!(n > 0, "SP_TRACE_BUF: ring capacity must be positive, got 0");
-            assert!(
-                n.is_power_of_two(),
-                "SP_TRACE_BUF: ring capacity must be a power of two, got {n}"
-            );
-            n
-        }
-    };
-    chosen.next_power_of_two().clamp(8, 1 << 20)
+/// An integer environment knob under the workspace's one validation
+/// contract: unset or empty/whitespace keeps the caller's default (CI matrix
+/// legs pass `KNOB: ""` for the default configuration); anything else must
+/// parse as a positive integer — a power of two if the knob demands one — or
+/// the process panics naming the knob, because a knob exists to *force* a
+/// value and a typo must fail loudly rather than silently fall back.  The
+/// result (default included) is rounded up to a power of two where required
+/// and clamped to the supported range.
+#[derive(Clone, Copy, Debug)]
+pub struct EnvKnob {
+    /// The environment variable.
+    pub name: &'static str,
+    /// What the value counts, for the panic messages ("chunk size").
+    pub what: &'static str,
+    /// Whether the value must be a power of two.
+    pub power_of_two: bool,
+    /// Smallest supported value.
+    pub min: usize,
+    /// Largest supported value.
+    pub max: usize,
 }
 
-/// Per-slot trace ring capacity honoring the validated `SP_TRACE_BUF`
-/// override.
-pub fn trace_buf_size(default: usize) -> usize {
-    parse_trace_buf_env(std::env::var(TRACE_BUF_ENV).ok().as_deref(), default)
+impl EnvKnob {
+    /// Validate a raw value of the knob against `default`.
+    pub fn parse(&self, value: Option<&str>, default: usize) -> usize {
+        let EnvKnob { name, what, .. } = *self;
+        let chosen = match value.map(str::trim) {
+            None | Some("") => default,
+            Some(raw) => {
+                let expected = if self.power_of_two { "power-of-two integer" } else { what };
+                let n: usize = raw.parse().unwrap_or_else(|_| {
+                    panic!("{name}: unparseable value {raw:?} (expected a positive {expected})")
+                });
+                assert!(n > 0, "{name}: {what} must be positive, got 0");
+                assert!(
+                    !self.power_of_two || n.is_power_of_two(),
+                    "{name}: {what} must be a power of two, got {n}"
+                );
+                n
+            }
+        };
+        let chosen = if self.power_of_two {
+            chosen.next_power_of_two()
+        } else {
+            chosen
+        };
+        chosen.clamp(self.min, self.max)
+    }
+
+    /// The knob's validated value from the process environment.
+    pub fn from_env(&self, default: usize) -> usize {
+        self.parse(std::env::var(self.name).ok().as_deref(), default)
+    }
+}
+
+/// The `SP_TRACE_BUF` knob: a power-of-two record count in `[8, 1 << 20]`.
+pub const TRACE_BUF_KNOB: EnvKnob = EnvKnob {
+    name: TRACE_BUF_ENV,
+    what: "ring capacity",
+    power_of_two: true,
+    min: 8,
+    max: 1 << 20,
+};
+
+/// Validate an `SP_TRACE_BUF` override ([`EnvKnob::parse`]).
+pub fn parse_trace_buf_env(value: Option<&str>, default: usize) -> usize {
+    TRACE_BUF_KNOB.parse(value, default)
 }
 
 macro_rules! id_enum {
@@ -298,7 +335,7 @@ impl MetricsRegistry {
     /// Registry with default slot count and the `SP_TRACE_BUF`-validated
     /// default ring capacity.
     pub fn new() -> Arc<Self> {
-        Self::with_options(DEFAULT_SLOTS, trace_buf_size(DEFAULT_TRACE_BUF))
+        Self::with_options(DEFAULT_SLOTS, TRACE_BUF_KNOB.from_env(DEFAULT_TRACE_BUF))
     }
 
     /// Registry with explicit slot count and per-slot ring capacity (both
@@ -439,7 +476,7 @@ impl std::fmt::Debug for MetricsHandle {
 impl MetricsHandle {
     /// The no-op handle: every call vanishes.
     #[inline]
-    pub fn detached() -> Self {
+    pub const fn detached() -> Self {
         MetricsHandle(None)
     }
 
@@ -763,8 +800,7 @@ mod tests {
         .is_err());
     }
 
-    // ---- SP_TRACE_BUF validation, one test per accepted/rejected class
-    // (mirrors om::concurrent::parse_chunk_env's contract). ----
+    // ---- SP_TRACE_BUF validation, one test per accepted/rejected class. ----
 
     #[test]
     fn trace_buf_env_unset_or_empty_keeps_default() {

@@ -82,7 +82,7 @@ pub use determinacy::{DeterminacyViolation, Divergence};
 pub use program::{build_proc, Proc, ProcBuilder, SpawnFn, StepFn};
 pub use record::{record_program, Recorded};
 pub use runtime::{
-    run_program, run_session, run_session_metered, run_uninstrumented, try_run_program,
+    run_program, run_session, run_uninstrumented, try_run_program,
     LiveMaintainer, LiveRun, RunConfig, SessionMode, SessionRun, StepCtx,
 };
 pub use unfold::Meta;

@@ -14,9 +14,9 @@
 //!   [`sphybrid::LiveSpHybrid`]: tokens carry [`TraceId`]s, steals split the
 //!   victim's trace five ways (the steal token *is* the split input), and
 //!   queries follow paper Figure 9.
-//! * **Parallel, naive-locked** — the §3 strawman live: one global mutex
-//!   around a shared streaming SP-order.  Kept as the ablation/cross-check
-//!   backend, exactly like its tree-driven sibling.
+//! * **Parallel, naive-locked** — the §3 strawman live
+//!   ([`sphybrid::NaiveSharedSpOrder`]): one global mutex around a shared
+//!   streaming SP-order.  Kept as the ablation/cross-check backend.
 //!
 //! [`run_uninstrumented`] executes the program with *no* SP maintenance and
 //! no detection (values only) — the baseline of the `live_overhead` bench.
@@ -25,16 +25,15 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use forkrt::{
-    run_live, run_live_metered, run_live_serial, LiveConfig, LiveVisitor, SerialLiveVisitor,
-    SpKind, StealTokens, Token,
+    run_live, run_live_serial, LiveConfig, LiveVisitor, SerialLiveVisitor, SpKind, StealTokens,
+    Token,
 };
 use parking_lot::Mutex;
 use racedet::{Access, DetectionSink, LiveDetector, RaceReport};
 use spmetrics::{CounterId, EventKind, HistId, MetricsHandle};
-use spmaint::api::{CurrentSpQuery, SpQuery};
 use spmaint::stream::{StreamNode, StreamingSpBackend, StreamingSpOrder};
 use sphybrid::live::{LiveHybridConfig, LiveSpHybrid};
-use sphybrid::TraceId;
+use sphybrid::{NaiveSharedSpOrder, TraceId};
 use sptree::tree::ThreadId;
 
 use std::sync::Arc;
@@ -144,7 +143,7 @@ pub enum LiveMaintainer {
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Worker threads; 1 means deterministic serial execution on the calling
-    /// thread.  Clamped to ≥ 1 ([`forkrt::WalkConfig`]-style) so a
+    /// thread.  Clamped to ≥ 1 (like [`forkrt::LiveConfig`]) so a
     /// struct-literal 0 cannot diverge from the tree-driven engines.
     pub workers: usize,
     /// Number of shared-memory locations (sizes value + shadow memory).
@@ -357,8 +356,8 @@ fn run_serial_with<'a>(
     prog: &Proc,
     sink: &'a dyn DetectionSink,
     capture: Option<&'a mut (dyn SerialFold + 'a)>,
-    metrics: &MetricsHandle,
 ) -> SessionRun {
+    let metrics = sink.metrics();
     let program = LiveCilk::new(prog);
     let (sp, root) = StreamingSpOrder::stream_new();
     let mut visitor = SerialRunVisitor {
@@ -412,17 +411,6 @@ fn finish_run_metrics(
 // Parallel run, SP-hybrid
 // ---------------------------------------------------------------------------
 
-struct HybridView<'a> {
-    hybrid: &'a LiveSpHybrid,
-    trace: TraceId,
-}
-
-impl CurrentSpQuery for HybridView<'_> {
-    fn precedes_current(&self, earlier: ThreadId) -> bool {
-        self.hybrid.precedes_current(earlier, self.trace)
-    }
-}
-
 struct HybridRunVisitor<'a> {
     hybrid: &'a LiveSpHybrid,
     sink: &'a dyn DetectionSink,
@@ -474,14 +462,7 @@ impl LiveVisitor<LiveCilk> for HybridRunVisitor<'_> {
         if let Some(c) = self.capture {
             c.fold(worker, leaf_record(meta.path, meta.step.is_some(), &buf));
         }
-        self.sink.check_thread(
-            &HybridView {
-                hybrid: self.hybrid,
-                trace,
-            },
-            thread,
-            &buf,
-        );
+        self.sink.check_thread(&self.hybrid.view(trace), thread, &buf);
     }
 
     fn between_children(&self, _worker: usize, kind: SpKind, meta: &Meta, token: Token) {
@@ -499,11 +480,7 @@ impl LiveVisitor<LiveCilk> for HybridRunVisitor<'_> {
     }
 
     fn steal(&self, _thief: usize, _victim: usize, meta: &Meta, token: Token) -> StealTokens {
-        let (u4, u5) = self.hybrid.split(meta.proc, TraceId::from_token(token));
-        StealTokens {
-            right: u4.to_token(),
-            after: u5.to_token(),
-        }
+        self.hybrid.split(meta.proc, TraceId::from_token(token)).tokens()
     }
 }
 
@@ -513,8 +490,8 @@ fn run_hybrid_with(
     hints: (usize, usize),
     sink: &dyn DetectionSink,
     capture: Option<&SharedCapture>,
-    metrics: &MetricsHandle,
 ) -> SessionRun {
+    let metrics = sink.metrics();
     let program = LiveCilk::new(prog);
     let hybrid = LiveSpHybrid::new(LiveHybridConfig {
         max_threads: hints.0,
@@ -534,7 +511,7 @@ fn run_hybrid_with(
         spawns: AtomicU64::new(0),
     };
     metrics.event(EventKind::RunStarted, workers as u64, 0);
-    let stats = run_live_metered(
+    let stats = run_live(
         &program,
         &visitor,
         LiveConfig::with_workers(workers),
@@ -565,26 +542,8 @@ fn run_hybrid_with(
 // Parallel run, naive-locked
 // ---------------------------------------------------------------------------
 
-struct NaiveShared {
-    sp: Mutex<StreamingSpOrder>,
-}
-
-struct NaiveView<'a> {
-    shared: &'a NaiveShared,
-    current: ThreadId,
-}
-
-impl CurrentSpQuery for NaiveView<'_> {
-    fn precedes_current(&self, earlier: ThreadId) -> bool {
-        // Arbitrary-pair query under the global lock; `current` is pinned
-        // explicitly because other workers advance the structure's notion of
-        // "current thread" concurrently.
-        self.shared.sp.lock().precedes(earlier, self.current)
-    }
-}
-
 struct NaiveRunVisitor<'a> {
-    shared: &'a NaiveShared,
+    shared: &'a NaiveSharedSpOrder,
     sink: &'a dyn DetectionSink,
     next_thread: &'a AtomicU32,
     /// Per-worker access buffers, reused across leaves.
@@ -611,20 +570,12 @@ impl LiveVisitor<LiveCilk> for NaiveRunVisitor<'_> {
         if let Some(c) = self.capture {
             c.fold(worker, internal_record(meta.path, kind));
         }
-        let (l, r) = self
-            .shared
-            .sp
-            .lock()
-            .expand(StreamNode::from_tag(tag), kind.is_parallel());
-        (l.to_tag(), r.to_tag())
+        self.shared.expand(tag, kind.is_parallel())
     }
 
     fn execute_leaf(&self, worker: usize, meta: &Meta, tag: u64, _token: Token) {
         let thread = ThreadId(self.next_thread.fetch_add(1, Ordering::Relaxed));
-        self.shared
-            .sp
-            .lock()
-            .execute(StreamNode::from_tag(tag), thread);
+        self.shared.execute(tag, thread);
         let mut buf = self.bufs[worker].lock();
         buf.clear();
         if let Some(step) = &meta.step {
@@ -636,23 +587,11 @@ impl LiveVisitor<LiveCilk> for NaiveRunVisitor<'_> {
         if let Some(c) = self.capture {
             c.fold(worker, leaf_record(meta.path, meta.step.is_some(), &buf));
         }
-        self.sink.check_thread(
-            &NaiveView {
-                shared: self.shared,
-                current: thread,
-            },
-            thread,
-            &buf,
-        );
+        self.sink.check_thread(&self.shared.view(thread), thread, &buf);
     }
 
-    fn steal(&self, _thief: usize, _victim: usize, _meta: &Meta, token: Token) -> StealTokens {
-        // The shared structure is schedule-independent: no split needed.
-        StealTokens {
-            right: token,
-            after: token,
-        }
-    }
+    // No `steal`: the shared structure is schedule-independent, so the
+    // token passes through unsplit.
 }
 
 fn run_naive_with(
@@ -660,11 +599,10 @@ fn run_naive_with(
     workers: usize,
     sink: &dyn DetectionSink,
     capture: Option<&SharedCapture>,
-    metrics: &MetricsHandle,
 ) -> SessionRun {
+    let metrics = sink.metrics();
     let program = LiveCilk::new(prog);
-    let (sp, root) = StreamingSpOrder::stream_new();
-    let shared = NaiveShared { sp: Mutex::new(sp) };
+    let (shared, root_tag) = NaiveSharedSpOrder::new();
     let next_thread = AtomicU32::new(0);
     let visitor = NaiveRunVisitor {
         shared: &shared,
@@ -676,11 +614,11 @@ fn run_naive_with(
         spawns: AtomicU64::new(0),
     };
     metrics.event(EventKind::RunStarted, workers as u64, 0);
-    let stats = run_live_metered(
+    let stats = run_live(
         &program,
         &visitor,
         LiveConfig::with_workers(workers),
-        root.to_tag(),
+        root_tag,
         0,
         metrics,
     );
@@ -691,14 +629,13 @@ fn run_naive_with(
         stats.steals,
         stats.elapsed,
     );
-    let sp = shared.sp.into_inner();
     SessionRun {
         threads: stats.total_threads(),
         steals: stats.steals,
         traces: 1,
         workers,
         maintainer: "live-naive-locked",
-        sp_space_bytes: sp.stream_space_bytes(),
+        sp_space_bytes: shared.space_bytes(),
         sp_grow_events: 0,
         elapsed: stats.elapsed,
     }
@@ -722,32 +659,19 @@ fn run_naive_with(
 /// [`SessionMode::Serial`] and both 1-worker scheduler modes are
 /// deterministic: same program + same mode ⇒ bit-identical accesses,
 /// thread ids, and report.
+///
+/// Runtime events (steals, parks), per-run counters, and substrate-growth
+/// events land in the sink's [`DetectionSink::metrics`] handle; reports and
+/// [`SessionRun`] stats are bit-identical whether or not it is attached.
 pub fn run_session(prog: &Proc, mode: SessionMode, sink: &dyn DetectionSink) -> SessionRun {
-    run_session_metered(prog, mode, sink, &MetricsHandle::detached())
-}
-
-/// [`run_session`] with an observability sink: runtime events (steals,
-/// parks), per-run counters, and substrate-growth events land in `metrics`.
-/// Reports and [`SessionRun`] stats are bit-identical with a detached
-/// handle.
-pub fn run_session_metered(
-    prog: &Proc,
-    mode: SessionMode,
-    sink: &dyn DetectionSink,
-    metrics: &MetricsHandle,
-) -> SessionRun {
     let hints = {
         let d = RunConfig::default();
         (d.max_threads, d.max_steals)
     };
     match mode {
-        SessionMode::Serial => run_serial_with(prog, sink, None, metrics),
-        SessionMode::Hybrid { workers } => {
-            run_hybrid_with(prog, workers.max(1), hints, sink, None, metrics)
-        }
-        SessionMode::NaiveLocked { workers } => {
-            run_naive_with(prog, workers.max(1), sink, None, metrics)
-        }
+        SessionMode::Serial => run_serial_with(prog, sink, None),
+        SessionMode::Hybrid { workers } => run_hybrid_with(prog, workers.max(1), hints, sink, None),
+        SessionMode::NaiveLocked { workers } => run_naive_with(prog, workers.max(1), sink, None),
     }
 }
 
@@ -880,14 +804,14 @@ pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, Deter
     let hints = (config.max_threads, config.max_steals);
     if !config.enforce_determinacy {
         let stats = if workers == 1 {
-            run_serial_with(prog, &detector, None, metrics)
+            run_serial_with(prog, &detector, None)
         } else {
             match config.maintainer {
                 LiveMaintainer::Hybrid => {
-                    run_hybrid_with(prog, workers, hints, &detector, None, metrics)
+                    run_hybrid_with(prog, workers, hints, &detector, None)
                 }
                 LiveMaintainer::NaiveLocked => {
-                    run_naive_with(prog, workers, &detector, None, metrics)
+                    run_naive_with(prog, workers, &detector, None)
                 }
             }
         };
@@ -901,7 +825,7 @@ pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, Deter
         // in place, allocating nothing on the steady-state happy path.
         if let Some(reference) = prog.reference.get() {
             let mut check = SerialCheck::new(reference);
-            let stats = run_serial_with(prog, &detector, Some(&mut check), metrics);
+            let stats = run_serial_with(prog, &detector, Some(&mut check));
             let hash = check.hash;
             if hash != reference.hash {
                 metrics.add(CounterId::EnforcementMismatches, 1);
@@ -916,7 +840,7 @@ pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, Deter
             return Ok(finish_live_run(detector, stats, Some(hash)));
         }
         let mut capture = SerialCapture::default();
-        let stats = run_serial_with(prog, &detector, Some(&mut capture), metrics);
+        let stats = run_serial_with(prog, &detector, Some(&mut capture));
         let hash = capture.hash;
         let _ = prog.reference.set(Arc::new(capture.into_reference()));
         return Ok(finish_live_run(detector, stats, Some(hash)));
@@ -928,10 +852,10 @@ pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, Deter
     let capture = SharedCapture::new(workers);
     let stats = match config.maintainer {
         LiveMaintainer::Hybrid => {
-            run_hybrid_with(prog, workers, hints, &detector, Some(&capture), metrics)
+            run_hybrid_with(prog, workers, hints, &detector, Some(&capture))
         }
         LiveMaintainer::NaiveLocked => {
-            run_naive_with(prog, workers, &detector, Some(&capture), metrics)
+            run_naive_with(prog, workers, &detector, Some(&capture))
         }
     };
     let hash = capture.hash();
@@ -943,17 +867,16 @@ pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, Deter
         // that diverged once is schedule-dependent and diverges again
         // with overwhelming likelihood — if this run happens to match
         // the reference after all, the violation is still reported,
-        // just without a named node.  The diagnostic re-run stays
-        // unmetered so it cannot double-count the failed run.
+        // just without a named node.  The diagnostic re-run's sink is
+        // detached, so it cannot double-count the failed run.
         let recording = SharedCapture::recording(workers, reference.nodes.len());
         let rerun_sink = LiveDetector::new(config.locations, workers);
-        let detached = MetricsHandle::detached();
         match config.maintainer {
             LiveMaintainer::Hybrid => {
-                run_hybrid_with(prog, workers, hints, &rerun_sink, Some(&recording), &detached)
+                run_hybrid_with(prog, workers, hints, &rerun_sink, Some(&recording))
             }
             LiveMaintainer::NaiveLocked => {
-                run_naive_with(prog, workers, &rerun_sink, Some(&recording), &detached)
+                run_naive_with(prog, workers, &rerun_sink, Some(&recording))
             }
         };
         let divergence = if recording.hash() == reference.hash {
@@ -1008,20 +931,14 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
                         trace: None,
                     });
                 }
-            }
-            fn steal(&self, _t: usize, _v: usize, _m: &Meta, token: Token) -> StealTokens {
-                StealTokens {
-                    right: token,
-                    after: token,
-                }
-            }
-        }
+            }        }
         let stats = run_live(
             &program,
             &Bare { values: &values },
             LiveConfig::with_workers(workers),
             0,
             0,
+            &MetricsHandle::detached(),
         );
         (stats.total_threads(), stats.steals, stats.elapsed)
     }

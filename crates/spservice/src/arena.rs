@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use racedet::epoch::{EpochShadowArena, EpochShadowView};
-use racedet::{check_thread_accesses_metered, Access, DetectionSink, RaceReport};
+use racedet::{check_thread_accesses, Access, DetectionSink, RaceReport};
 use spmaint::api::CurrentSpQuery;
 use spmetrics::MetricsHandle;
 use sptree::tree::ThreadId;
@@ -124,15 +124,11 @@ impl SessionArena {
     /// Lease the arena to a session over `locations` locations (must be
     /// within [`Self::capacity`]; the pool grows arenas before leasing).
     /// The sink is pinned to the current generation; drop it and call
-    /// [`Self::recycle`] before the next lease.
-    pub fn sink(&self, locations: u32) -> SessionSink<'_> {
-        self.sink_metered(locations, MetricsHandle::detached())
-    }
-
-    /// [`Self::sink`] with an observability sink: shadow-tier hit counters
+    /// [`Self::recycle`] before the next lease.  Shadow-tier hit counters
     /// and race counters/events are folded into `metrics` once per checked
-    /// thread batch.  Reports are bit-identical either way.
-    pub fn sink_metered(&self, locations: u32, metrics: MetricsHandle) -> SessionSink<'_> {
+    /// thread batch, and a run over the sink reports its runtime events
+    /// there too; reports are bit-identical whether or not it is attached.
+    pub fn sink(&self, locations: u32, metrics: MetricsHandle) -> SessionSink<'_> {
         assert!(
             locations <= self.capacity(),
             "session wants {locations} locations but the arena holds {}; grow it first",
@@ -218,14 +214,11 @@ impl DetectionSink for SessionSink<'_> {
     }
 
     fn check_thread(&self, queries: &dyn CurrentSpQuery, thread: ThreadId, accesses: &[Access]) {
-        check_thread_accesses_metered(
-            queries,
-            &self.view,
-            &self.report,
-            thread,
-            accesses,
-            &self.metrics,
-        );
+        check_thread_accesses(queries, &self.view, &self.report, thread, accesses, &self.metrics);
+    }
+
+    fn metrics(&self) -> &MetricsHandle {
+        &self.metrics
     }
 }
 
@@ -243,12 +236,12 @@ mod tests {
     #[test]
     fn values_are_fresh_after_recycle() {
         let arena = SessionArena::new(4, 1, 8);
-        let sink = arena.sink(4);
+        let sink = arena.sink(4, MetricsHandle::detached());
         sink.write(2, 99);
         assert_eq!(sink.read(2), 99);
         drop(sink);
         arena.recycle();
-        let sink = arena.sink(4);
+        let sink = arena.sink(4, MetricsHandle::detached());
         assert_eq!(sink.read(2), 0, "stale-generation value reads as fresh memory");
         assert_eq!(arena.resets(), 1);
     }
@@ -257,7 +250,7 @@ mod tests {
     fn shadow_state_is_fresh_after_recycle() {
         let arena = SessionArena::new(2, 1, 8);
         for round in 0..3 {
-            let sink = arena.sink(2);
+            let sink = arena.sink(2, MetricsHandle::detached());
             sink.check_thread(&AllParallel, ThreadId(0), &[Access::write(0)]);
             sink.check_thread(&AllParallel, ThreadId(1), &[Access::write(0)]);
             let report = sink.into_report();
@@ -271,7 +264,7 @@ mod tests {
         // gen_limit 2: every second recycle wraps and purges both planes.
         let arena = SessionArena::new(2, 1, 2);
         for round in 0..5 {
-            let sink = arena.sink(2);
+            let sink = arena.sink(2, MetricsHandle::detached());
             assert_eq!(sink.read(0), 0, "round {round}");
             sink.write(0, round + 1);
             assert_eq!(sink.read(0), round + 1);
@@ -286,12 +279,12 @@ mod tests {
         let mut arena = SessionArena::new(2, 2, 8);
         arena.ensure_locations(16);
         assert!(arena.capacity() >= 16);
-        let sink = arena.sink(16);
+        let sink = arena.sink(16, MetricsHandle::detached());
         sink.write(15, 7);
         assert_eq!(sink.read(15), 7);
         drop(sink);
         arena.recycle();
-        assert_eq!(arena.sink(16).read(15), 0);
+        assert_eq!(arena.sink(16, MetricsHandle::detached()).read(15), 0);
         assert!(arena.space_bytes() > 0);
     }
 
@@ -300,12 +293,12 @@ mod tests {
     fn session_bounds_are_enforced_even_on_a_larger_arena() {
         let arena = SessionArena::new(64, 1, 8);
         // The arena holds 64 locations but this session asked for 4.
-        arena.sink(4).read(10);
+        arena.sink(4, MetricsHandle::detached()).read(10);
     }
 
     #[test]
     #[should_panic(expected = "grow it first")]
     fn oversized_leases_are_rejected() {
-        SessionArena::new(4, 1, 8).sink(64);
+        SessionArena::new(4, 1, 8).sink(64, MetricsHandle::detached());
     }
 }

@@ -40,8 +40,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use racedet::RaceReport;
-use spmetrics::{CounterId, EventKind, HistId, MetricsHandle};
-use spprog::{run_session_metered, Proc, SessionMode, SessionRun};
+use spmetrics::{CounterId, EnvKnob, EventKind, HistId, MetricsHandle};
+use spprog::{run_session, Proc, SessionMode, SessionRun};
 
 use crate::arena::SessionArena;
 use crate::sched::{select_session, RuntimeEstimator, WorkloadSignature};
@@ -49,25 +49,20 @@ use crate::sched::{select_session, RuntimeEstimator, WorkloadSignature};
 /// Environment knob naming the detector worker count.
 pub const WORKERS_ENV: &str = "SP_SERVICE_WORKERS";
 
-/// Validate an `SP_SERVICE_WORKERS` override: unset/empty keeps `default`;
-/// anything else must parse to a positive worker count (clamped to 512) or
-/// the service refuses to start, naming the knob.
-///
-/// Same contract as `om::concurrent::parse_chunk_env`, the workspace's
-/// pattern for environment knobs: a typo'd override must fail loudly at
-/// startup, never silently fall back to a default.
+/// The `SP_SERVICE_WORKERS` knob: a positive worker count, clamped to 512.
+pub const WORKERS_KNOB: EnvKnob = EnvKnob {
+    name: WORKERS_ENV,
+    what: "worker count",
+    power_of_two: false,
+    min: 1,
+    max: 512,
+};
+
+/// Validate an `SP_SERVICE_WORKERS` override ([`EnvKnob::parse`]): unset or
+/// empty keeps `default`; a typo'd override refuses to start the service,
+/// naming the knob.
 pub fn parse_workers_env(value: Option<&str>, default: usize) -> usize {
-    let chosen = match value.map(str::trim) {
-        None | Some("") => default,
-        Some(raw) => {
-            let n: usize = raw.parse().unwrap_or_else(|_| {
-                panic!("{WORKERS_ENV}: unparseable value {raw:?} (expected a positive worker count)")
-            });
-            assert!(n > 0, "{WORKERS_ENV}: worker count must be positive, got 0");
-            n
-        }
-    };
-    chosen.clamp(1, 512)
+    WORKERS_KNOB.parse(value, default)
 }
 
 /// Configuration of a [`DetectionService`].
@@ -128,7 +123,7 @@ impl ServiceConfig {
     /// Worker count from the validated [`WORKERS_ENV`] knob, `default` when
     /// unset.  Panics (naming the knob) on unparseable or zero overrides.
     pub fn workers_from_env(default: usize) -> usize {
-        parse_workers_env(std::env::var(WORKERS_ENV).ok().as_deref(), default)
+        WORKERS_KNOB.from_env(default)
     }
 }
 
@@ -638,8 +633,8 @@ fn run_one(shared: &Shared, admitted: Admitted) {
     // User closures run inside: a panicking session must not take the
     // detector worker (and every session queued behind it) down with it.
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let sink = arena.sink_metered(job.locations, metrics.clone());
-        let run = run_session_metered(&job.prog, job.mode, &sink, metrics);
+        let sink = arena.sink(job.locations, metrics.clone());
+        let run = run_session(&job.prog, job.mode, &sink);
         (sink.into_report(), run)
     }));
     let run_time = started.elapsed();

@@ -173,13 +173,14 @@ pub fn racy_locations_oracle(tree: &ParseTree, script: &AccessScript) -> Vec<u32
 mod tests {
     use super::*;
     use crate::programs::{Workload, WorkloadKind};
-    use racedet::SerialRaceDetector;
+    use racedet::detect_races;
+    use spmaint::BackendConfig;
 
     #[test]
     fn disjoint_writes_are_race_free() {
         let w = Workload::build(WorkloadKind::Fib, 200, 1, 0);
         let script = disjoint_writes(&w.tree, 4);
-        let (report, _) = SerialRaceDetector::run::<spmaint::SpOrder>(&w.tree, &script);
+        let (report, _) = detect_races::<spmaint::SpOrder>(&w.tree, &script, BackendConfig::serial());
         assert!(report.is_empty());
         assert_eq!(script.total_accesses(), w.tree.num_threads() * 4);
     }
@@ -188,7 +189,7 @@ mod tests {
     fn shared_read_script_is_race_free_on_cilk_programs() {
         let w = Workload::build(WorkloadKind::Fib, 150, 1, 0);
         let script = shared_read_private_write(&w.tree, 8, 6);
-        let (report, _) = SerialRaceDetector::run::<spmaint::SpOrder>(&w.tree, &script);
+        let (report, _) = detect_races::<spmaint::SpOrder>(&w.tree, &script, BackendConfig::serial());
         assert!(report.is_empty(), "races: {:?}", report.races());
     }
 
@@ -198,7 +199,7 @@ mod tests {
         let base = disjoint_writes(&w.tree, 2);
         let (script, expected) = inject_races(&w.tree, &base, 10, 99);
         assert_eq!(expected.len(), 10);
-        let (report, _) = SerialRaceDetector::run::<spmaint::SpOrder>(&w.tree, &script);
+        let (report, _) = detect_races::<spmaint::SpOrder>(&w.tree, &script, BackendConfig::serial());
         assert_eq!(report.racy_locations(), expected);
     }
 
@@ -225,7 +226,7 @@ mod tests {
             let w = Workload::build(WorkloadKind::RandomSp, 80, 1, seed);
             let script = random_mixed_script(&w.tree, 3, 4, seed);
             let truth = racy_locations_oracle(&w.tree, &script);
-            let (report, _) = SerialRaceDetector::run::<spmaint::SpOrder>(&w.tree, &script);
+            let (report, _) = detect_races::<spmaint::SpOrder>(&w.tree, &script, BackendConfig::serial());
             assert_eq!(report.racy_locations(), truth, "seed {seed}");
         }
     }

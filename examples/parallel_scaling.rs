@@ -35,7 +35,9 @@ fn main() {
     let mut base_ms = None;
     let mut p = 1;
     while p <= max_workers {
-        let (report, stats) = ParallelRaceDetector::run(tree, &script, p);
+        let (report, backend) =
+            detect_races::<HybridBackend>(tree, &script, BackendConfig::with_workers(p));
+        let stats = backend.stats().expect("the run completed");
         assert!(report.is_empty(), "the scaling workload is race free");
         let ms = stats.run.elapsed.as_secs_f64() * 1e3;
         let base = *base_ms.get_or_insert(ms);

@@ -30,10 +30,10 @@ fn main() {
     );
 
     // Serial detection with each of the four algorithms of Figure 3.
-    let (r_order, _) = SerialRaceDetector::run::<SpOrder>(tree, &script);
-    let (r_bags, _) = SerialRaceDetector::run::<SpBags>(tree, &script);
-    let (r_eh, _) = SerialRaceDetector::run::<EnglishHebrewLabels>(tree, &script);
-    let (r_os, _) = SerialRaceDetector::run::<OffsetSpanLabels>(tree, &script);
+    let (r_order, _) = detect_races::<SpOrder>(tree, &script, BackendConfig::serial());
+    let (r_bags, _) = detect_races::<SpBags>(tree, &script, BackendConfig::serial());
+    let (r_eh, _) = detect_races::<EnglishHebrewLabels>(tree, &script, BackendConfig::serial());
+    let (r_os, _) = detect_races::<OffsetSpanLabels>(tree, &script, BackendConfig::serial());
     for (name, report) in [
         ("sp-order", &r_order),
         ("sp-bags", &r_bags),
@@ -50,7 +50,9 @@ fn main() {
 
     // Parallel detection with SP-hybrid on several worker counts.
     for workers in [1, 2, 4, 8] {
-        let (report, stats) = ParallelRaceDetector::run(tree, &script, workers);
+        let (report, backend) =
+            detect_races::<HybridBackend>(tree, &script, BackendConfig::with_workers(workers));
+        let stats = backend.stats().expect("the run completed");
         println!(
             "parallel detector [P = {workers}]: {} race reports on locations {:?} \
              ({} steals, {} traces, {:.1} ms)",

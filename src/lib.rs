@@ -13,10 +13,10 @@
 //!   computation-dag metrics and random program generators,
 //! * [`spmaint`] — the serial SP-maintenance algorithms of Figure 3:
 //!   SP-order, SP-bags, English-Hebrew labels, offset-span labels,
-//! * [`forkrt`] — a Cilk-style work-stealing runtime that walks parse trees,
+//! * [`forkrt`] — the Cilk-style work-stealing runtime: one scheduler over
+//!   computations that unfold as they run, a materialized parse tree included,
 //! * [`sphybrid`] — the parallel SP-hybrid algorithm (global + local tier),
 //! * [`racedet`] — one generic race-detection engine over any SP backend,
-//!   with serial and parallel convenience facades,
 //! * [`workloads`] — synthetic fork-join programs and access scripts,
 //! * [`spconform`] — the differential conformance harness cross-checking
 //!   every backend against the LCA oracle on random Cilk programs,
@@ -136,10 +136,7 @@ pub use workloads;
 /// The most commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use om::{OrderMaintenance, TagList, TwoLevelList};
-    pub use racedet::{
-        detect_races, Access, AccessKind, AccessScript, ParallelRaceDetector, RaceReport,
-        SerialRaceDetector,
-    };
+    pub use racedet::{detect_races, Access, AccessKind, AccessScript, RaceReport};
     pub use spconform::{
         check_case, check_live_case, run_live_sweep, run_sweep, ShapeKind, SweepConfig,
     };

@@ -12,10 +12,10 @@ fn serial_detectors_agree_across_algorithms_on_random_programs() {
         let workload = Workload::build(WorkloadKind::RandomSp, 400, 1, seed);
         let base = disjoint_writes(&workload.tree, 3);
         let (script, expected) = inject_races(&workload.tree, &base, 6, seed + 100);
-        let (a, _) = SerialRaceDetector::run::<SpOrder>(&workload.tree, &script);
-        let (b, _) = SerialRaceDetector::run::<SpBags>(&workload.tree, &script);
-        let (c, _) = SerialRaceDetector::run::<EnglishHebrewLabels>(&workload.tree, &script);
-        let (d, _) = SerialRaceDetector::run::<OffsetSpanLabels>(&workload.tree, &script);
+        let (a, _) = detect_races::<SpOrder>(&workload.tree, &script, BackendConfig::serial());
+        let (b, _) = detect_races::<SpBags>(&workload.tree, &script, BackendConfig::serial());
+        let (c, _) = detect_races::<EnglishHebrewLabels>(&workload.tree, &script, BackendConfig::serial());
+        let (d, _) = detect_races::<OffsetSpanLabels>(&workload.tree, &script, BackendConfig::serial());
         for report in [&a, &b, &c, &d] {
             assert_eq!(report.racy_locations(), expected, "seed {seed}");
         }
@@ -32,13 +32,18 @@ fn parallel_detector_matches_serial_on_cilk_workloads() {
         // truth: random Cilk programs may start with a spawn, in which case
         // the "shared" block written by the first thread legitimately races
         // with the parallel readers, in addition to the injected races.
-        let (serial, _) = SerialRaceDetector::run::<SpOrder>(&workload.tree, &script);
+        let (serial, _) = detect_races::<SpOrder>(&workload.tree, &script, BackendConfig::serial());
         let expected = serial.racy_locations();
         for loc in &injected {
             assert!(expected.contains(loc), "injected race on {loc} must be found");
         }
         for workers in [1usize, 4, 8] {
-            let (parallel, stats) = ParallelRaceDetector::run(&workload.tree, &script, workers);
+            let (parallel, backend) = detect_races::<HybridBackend>(
+                &workload.tree,
+                &script,
+                BackendConfig::with_workers(workers),
+            );
+            let stats = backend.stats().expect("the run completed");
             assert_eq!(
                 parallel.racy_locations(),
                 expected,
@@ -84,7 +89,7 @@ fn workload_metrics_are_consistent_with_detector_work() {
     let workload = Workload::build(WorkloadKind::ParallelLoop, 1000, 5, 0);
     let script = disjoint_writes(&workload.tree, 2);
     assert_eq!(script.total_accesses(), 2 * workload.tree.num_threads());
-    let (report, alg) = SerialRaceDetector::run::<SpOrder>(&workload.tree, &script);
+    let (report, alg) = detect_races::<SpOrder>(&workload.tree, &script, BackendConfig::serial());
     assert!(report.is_empty());
     // The SP-order structure holds every node of the tree plus the two list
     // base elements.

@@ -84,8 +84,7 @@ fn split_chain_past_old_default_budget() {
     }
     const SPLITS: u64 = (1 << 13) + 64;
     for _ in 0..SPLITS {
-        let (u4, _u5) = h.split(main, victim);
-        victim = u4;
+        victim = h.split(main, victim).stolen();
     }
     assert_eq!(h.num_traces() as u64, 4 * SPLITS + 1);
     assert!(h.grow_events() > 0, "the default hints are far below 2^13 steals");
@@ -95,7 +94,7 @@ fn split_chain_past_old_default_budget() {
         assert!(h.precedes_current(ThreadId(t), victim), "u{t} precedes the deepest steal");
     }
     h.thread_executed(main, ThreadId(64), victim);
-    let (parallel_trace, _) = h.split(main, h.root_trace());
+    let parallel_trace = h.split(main, h.root_trace()).stolen();
     assert!(!h.precedes_current(ThreadId(64), parallel_trace));
 }
 
