@@ -231,8 +231,9 @@ struct Frame<C, M> {
     /// the owner (S-frame, or unstolen P-frame) or by the thief.
     right: Mutex<Option<(C, u64)>>,
     state: AtomicU8,
-    /// Token the frame was entered with (the trace `U` of Figure 8).
-    entry_token: AtomicU64,
+    /// Token the frame was entered with (the trace `U` of Figure 8).  Written
+    /// once, before the deque hand-off publishes the frame to thieves.
+    entry_token: Token,
     /// Token for the continuation after a stolen join (the paper's U⁽⁵⁾).
     after_token: AtomicU64,
 }
@@ -403,10 +404,9 @@ fn steal_loop<P: LiveProgram, V: LiveVisitor<P>>(
                 shared.steals.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.add(CounterId::Steals, 1);
                 shared.metrics.event(EventKind::Steal, victim as u64, ctx.index as u64);
-                let victim_token = frame.entry_token.load(Ordering::Acquire);
                 let tokens = shared
                     .visitor
-                    .steal(ctx.index, victim, &frame.meta, victim_token);
+                    .steal(ctx.index, victim, &frame.meta, frame.entry_token);
                 frame.after_token.store(tokens.after, Ordering::Release);
                 frame.state.fetch_or(STOLEN, Ordering::SeqCst);
                 drop(_guard);
@@ -480,7 +480,7 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
                         meta,
                         right: Mutex::new(Some((right, rtag))),
                         state: AtomicU8::new(0),
-                        entry_token: AtomicU64::new(token),
+                        entry_token: token,
                         after_token: AtomicU64::new(0),
                     });
                     if kind.is_parallel() {

@@ -30,7 +30,8 @@
 //!
 //! Memory accesses are provided as per-thread *access scripts*
 //! ([`access::AccessScript`]), the synthetic stand-in for instrumenting a real
-//! program (see DESIGN.md's substitution table).
+//! program (see `ARCHITECTURE.md#race-detection-racedet`; a *live* program's
+//! real accesses take the [`live`] path instead).
 
 pub mod access;
 pub mod engine;

@@ -1,8 +1,8 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Every bench target in `benches/` reproduces one table or figure of the
-//! paper (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured results):
+//! paper (the repository-root `ARCHITECTURE.md#benchmarks-and-experiments`
+//! is the experiment index; measured rows are the committed `BENCH_*.json`):
 //!
 //! * `fig3_comparison` — Figure 3: per-operation cost and per-node space of
 //!   the four serial SP-maintenance algorithms, plus label growth.

@@ -380,28 +380,80 @@ pub struct Discrepancy {
     pub detail: String,
 }
 
-/// A conformance failure minimized to a replayable case.
+/// Which of the three sweeps a [`Failure`] came from — names the entry
+/// point its replay line calls.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SweepKind {
+    /// The tree-driven sweep over all six backends ([`run_sweep`]).
+    Tree,
+    /// The live-vs-offline sweep ([`run_live_sweep`]).
+    Live,
+    /// The service-vs-standalone sweep ([`run_service_sweep`]).
+    Service,
+}
+
+impl SweepKind {
+    /// The `check_*_case` function that replays a case of this sweep.
+    fn replay_fn(self) -> &'static str {
+        match self {
+            SweepKind::Tree => "spconform::check_case",
+            SweepKind::Live => "spconform::live::check_live_case",
+            SweepKind::Service => "spconform::service::check_service_case",
+        }
+    }
+
+    /// `(offset into the `case_seed` stream, workers of an ordinary case)`:
+    /// the offsets keep the three sweeps on different programs under one
+    /// base seed; the live and service sweeps run every case multi-worker.
+    fn plan(self) -> (u64, usize) {
+        match self {
+            SweepKind::Tree => (0, 1),
+            SweepKind::Live => (17, 2),
+            SweepKind::Service => (43, 2),
+        }
+    }
+
+    /// Seed of the program a failure of case `seed` renders: a service case
+    /// is a batch, shown by its first program.
+    fn tree_seed(self, seed: u64) -> u64 {
+        match self {
+            SweepKind::Service => service::program_seed(seed, 0),
+            SweepKind::Tree | SweepKind::Live => seed,
+        }
+    }
+}
+
+/// A conformance failure of any sweep, minimized to a replayable case.
 #[derive(Clone, Debug)]
-pub struct ConformanceFailure {
-    /// Shape of the failing program.
+pub struct Failure {
+    /// The sweep that found it.
+    pub sweep: SweepKind,
+    /// Shape of the failing program (of the batch's programs, for
+    /// [`SweepKind::Service`]).
     pub shape: ShapeKind,
     /// Minimized size knob.
     pub size: u32,
     /// Seed reproducing the failure (together with shape and size).
     pub seed: u64,
-    /// Worker count of the failing configuration.
+    /// Worker count of the failing configuration (the detector-worker pool,
+    /// for [`SweepKind::Service`]).
     pub workers: usize,
     /// The disagreement at the minimized case.
     pub discrepancy: Discrepancy,
-    /// The shrunk parse tree, rendered as an S-expression.
+    /// The shrunk parse tree (of the batch's first program, for
+    /// [`SweepKind::Service`]), rendered as an S-expression.
     pub tree: String,
 }
 
-impl std::fmt::Display for ConformanceFailure {
+/// A [`Failure`] of the tree-driven sweep.
+pub type ConformanceFailure = Failure;
+
+impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "conformance failure in backend `{}` (shape={}, size={}, seed={:#x}, workers={})",
+            "{:?}-sweep conformance failure in `{}` (shape={}, size={}, seed={:#x}, workers={})",
+            self.sweep,
             self.discrepancy.backend,
             self.shape.name(),
             self.size,
@@ -412,8 +464,12 @@ impl std::fmt::Display for ConformanceFailure {
         writeln!(f, "  shrunk tree: {}", self.tree)?;
         write!(
             f,
-            "  replay: spconform::check_case(ShapeKind::{:?}, {}, {:#x}, {})",
-            self.shape, self.size, self.seed, self.workers
+            "  replay: {}(ShapeKind::{:?}, {}, {:#x}, {})",
+            self.sweep.replay_fn(),
+            self.shape,
+            self.size,
+            self.seed,
+            self.workers
         )
     }
 }
@@ -923,10 +979,90 @@ pub fn case_seed(base_seed: u64, shape_idx: u64, case: u64) -> u64 {
     splitmix64(base_seed.wrapping_add(shape_idx << 40).wrapping_add(case))
 }
 
+/// The one sweep loop: `cases_per_shape` cases of `check` for every shape
+/// the sweep covers (every shape for [`SweepKind::Tree`], the Cilk-form ones
+/// otherwise), each green case folded into the stats by `add`.  Every
+/// `parallel_every`-th case runs on `parallel_workers` workers;
+/// `workers_override` pins the worker count of every case instead.  On the
+/// first disagreement the failing case is [`minimize`]d and returned.
+pub(crate) fn sweep<C, S: Default>(
+    kind: SweepKind,
+    config: &SweepConfig,
+    workers_override: Option<usize>,
+    check: impl Fn(ShapeKind, u32, u64, usize) -> Result<C, Discrepancy>,
+    mut add: impl FnMut(&mut S, C),
+) -> Result<S, Box<Failure>> {
+    let (seed_offset, base_workers) = kind.plan();
+    let mut stats = S::default();
+    for (shape_idx, shape) in ShapeKind::ALL.iter().copied().enumerate() {
+        if kind != SweepKind::Tree && !shape.is_cilk_form() {
+            continue;
+        }
+        if config.only_shape.is_some_and(|only| only != shape) {
+            continue;
+        }
+        for case in 0..config.cases_per_shape {
+            let seed = case_seed(config.base_seed, shape_idx as u64 + seed_offset, case as u64);
+            let size = 4 + (seed % 25) as u32;
+            let parallel_case = config.parallel_every > 0 && case % config.parallel_every == 0;
+            let workers = workers_override.unwrap_or(if parallel_case {
+                config.parallel_workers.max(base_workers)
+            } else {
+                base_workers
+            });
+            match check(shape, size, seed, workers) {
+                Ok(case_stats) => add(&mut stats, case_stats),
+                Err(discrepancy) => {
+                    let failure = minimize(kind, shape, size, seed, workers, discrepancy, &check);
+                    return Err(Box::new(failure));
+                }
+            }
+        }
+    }
+    Ok(stats)
+}
+
+/// The one shrink protocol: shrink a failing case (via the `proptest`
+/// shrinker) to the smallest `size` that still fails `check` and package it
+/// with the shrunk tree for replay.
+///
+/// `original` is the discrepancy observed at the unshrunk case.  Multi-worker
+/// failures can be timing-dependent and may not reproduce on replay; the
+/// shrinker only descends through sizes that failed *when re-checked*, and
+/// the reported discrepancy is always the one actually observed at the
+/// returned size (falling back to `original` if nothing smaller re-failed —
+/// never losing the evidence).
+pub(crate) fn minimize<C>(
+    sweep: SweepKind,
+    shape: ShapeKind,
+    size: u32,
+    seed: u64,
+    workers: usize,
+    original: Discrepancy,
+    check: impl Fn(ShapeKind, u32, u64, usize) -> Result<C, Discrepancy>,
+) -> Failure {
+    let mut last = original;
+    let min_size = proptest::minimize(size, |&s| match check(shape, s, seed, workers) {
+        Err(d) => {
+            last = d;
+            true
+        }
+        Ok(_) => false,
+    });
+    Failure {
+        sweep,
+        shape,
+        size: min_size,
+        seed,
+        workers,
+        discrepancy: last,
+        tree: tree_sexpr(&shape.build_tree(min_size, sweep.tree_seed(seed))),
+    }
+}
+
 /// Run `cases_per_shape` differential cases for every shape.  On the first
-/// disagreement the failing case is shrunk (via the `proptest` shrinker) to
-/// the smallest `size` that still fails and returned as a replayable
-/// [`ConformanceFailure`].
+/// disagreement the failing case is shrunk to the smallest `size` that still
+/// fails and returned as a replayable [`ConformanceFailure`].
 ///
 /// ```
 /// use spconform::{run_sweep, SweepConfig};
@@ -936,52 +1072,20 @@ pub fn case_seed(base_seed: u64, shape_idx: u64, case: u64) -> u64 {
 /// assert_eq!(stats.cases, 20); // 2 cases × 10 shapes
 /// ```
 pub fn run_sweep(config: &SweepConfig) -> Result<SweepStats, Box<ConformanceFailure>> {
-    let mut stats = SweepStats::default();
-    for (shape_idx, shape) in ShapeKind::ALL.iter().copied().enumerate() {
-        if config.only_shape.is_some_and(|only| only != shape) {
-            continue;
-        }
-        for case in 0..config.cases_per_shape {
-            let seed = case_seed(config.base_seed, shape_idx as u64, case as u64);
-            let size = 4 + (seed % 25) as u32;
-            let workers = if config.parallel_every > 0 && case % config.parallel_every == 0 {
-                config.parallel_workers
-            } else {
-                1
-            };
-            match check_case(shape, size, seed, workers) {
-                Ok(s) => {
-                    stats.cases += 1;
-                    stats.threads += s.threads;
-                    stats.queries += s.queries;
-                    stats.pair_queries += s.pair_queries;
-                    stats.injected_races += s.injected_races;
-                    stats.emergent_races += s.emergent_races;
-                }
-                Err(discrepancy) => {
-                    return Err(Box::new(minimize_failure(
-                        shape,
-                        size,
-                        seed,
-                        workers,
-                        discrepancy,
-                    )));
-                }
-            }
-        }
-    }
-    Ok(stats)
+    sweep(SweepKind::Tree, config, None, check_case, |stats: &mut SweepStats, s| {
+        stats.cases += 1;
+        stats.threads += s.threads;
+        stats.queries += s.queries;
+        stats.pair_queries += s.pair_queries;
+        stats.injected_races += s.injected_races;
+        stats.emergent_races += s.emergent_races;
+    })
 }
 
-/// Shrink a failing case to the smallest `size` that still fails and package
-/// it with the shrunk tree for replay.
-///
-/// `original` is the discrepancy observed at the unshrunk case.  Multi-worker
-/// failures can be timing-dependent and may not reproduce on replay; the
-/// shrinker only descends through sizes that failed *when re-checked*, and
-/// the reported discrepancy is always the one actually observed at the
-/// returned size (falling back to `original` if nothing smaller re-failed —
-/// never losing the evidence).
+/// Shrink a failing [`check_case`] case to the smallest `size` that still
+/// fails and package it for replay (the shrink protocol shared by the three
+/// sweeps: only sizes that re-fail are descended into, and the reported
+/// discrepancy is the one observed at the returned size).
 pub fn minimize_failure(
     shape: ShapeKind,
     size: u32,
@@ -989,22 +1093,7 @@ pub fn minimize_failure(
     workers: usize,
     original: Discrepancy,
 ) -> ConformanceFailure {
-    let mut last = original;
-    let min_size = proptest::minimize(size, |&s| match check_case(shape, s, seed, workers) {
-        Err(d) => {
-            last = d;
-            true
-        }
-        Ok(_) => false,
-    });
-    ConformanceFailure {
-        shape,
-        size: min_size,
-        seed,
-        workers,
-        discrepancy: last,
-        tree: tree_sexpr(&shape.build_tree(min_size, seed)),
-    }
+    minimize(SweepKind::Tree, shape, size, seed, workers, original, check_case)
 }
 
 #[cfg(test)]
@@ -1080,6 +1169,39 @@ mod tests {
         assert_eq!(min, 7);
         let sexpr = tree_sexpr(&shape.build_tree(min, 3));
         assert!(sexpr.contains("u0"), "tree renders: {sexpr}");
+        // The same through the one sweep driver, for every sweep kind: the
+        // first failing case shrinks to 7 and replays by the right entry point.
+        let config = SweepConfig {
+            only_shape: Some(shape),
+            ..SweepConfig::default()
+        };
+        let check = |_: ShapeKind, size: u32, _: u64, workers: usize| {
+            if size >= 7 {
+                return Err(Discrepancy {
+                    backend: "synthetic",
+                    detail: format!("size {size} on {workers} workers"),
+                });
+            }
+            Ok(())
+        };
+        for (kind, replay, pinned) in [
+            (SweepKind::Tree, "spconform::check_case(", None),
+            (SweepKind::Live, "spconform::live::check_live_case(", None),
+            (SweepKind::Service, "spconform::service::check_service_case(", Some(3)),
+        ] {
+            let failure = sweep(kind, &config, pinned, check, |green: &mut u32, ()| *green += 1)
+                .expect_err("sizes 7.. fail");
+            assert_eq!((failure.sweep, failure.shape, failure.size), (kind, shape, 7));
+            // The shrunk discrepancy was observed on the failing case's workers.
+            let detail = format!("size 7 on {} workers", failure.workers);
+            assert_eq!(failure.discrepancy.detail, detail);
+            if let Some(workers) = pinned {
+                assert_eq!(failure.workers, workers, "an override pins every case");
+            }
+            let text = failure.to_string();
+            assert!(text.contains(replay), "{text}");
+            assert!(text.contains("shrunk tree: "), "{text}");
+        }
     }
 
     #[test]

@@ -29,10 +29,10 @@ use spmaint::SpOrder;
 use spprog::{record_program, run_program, try_run_program, LiveMaintainer, RunConfig};
 use sptree::cilk::CilkProgram;
 use sptree::oracle::SpOracle;
-use sptree::tree::ThreadId;
+use sptree::tree::{ParseTree, ThreadId};
 use workloads::{live_from_cilk, racy_locations_oracle};
 
-use crate::{case_seed, tree_sexpr, Discrepancy, ShapeKind, SweepConfig};
+use crate::{minimize, sweep, tree_sexpr, Discrepancy, Failure, ShapeKind, SweepConfig, SweepKind};
 
 /// What one live differential case covered.
 #[derive(Clone, Copy, Debug, Default)]
@@ -51,79 +51,30 @@ pub struct LiveCaseStats {
     pub parallel_runs: u64,
 }
 
-/// A live-conformance failure minimized to a replayable case.
-#[derive(Clone, Debug)]
-pub struct LiveFailure {
-    /// Shape of the failing program.
-    pub shape: ShapeKind,
-    /// Minimized size knob.
-    pub size: u32,
-    /// Seed reproducing the failure.
-    pub seed: u64,
-    /// Worker count of the failing configuration.
-    pub workers: usize,
-    /// The disagreement at the minimized case.
-    pub discrepancy: Discrepancy,
-    /// The offline tree of the shrunk case, as an S-expression.
-    pub tree: String,
-}
-
-impl std::fmt::Display for LiveFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "live conformance failure in `{}` (shape={}, size={}, seed={:#x}, workers={})",
-            self.discrepancy.backend,
-            self.shape.name(),
-            self.size,
-            self.seed,
-            self.workers
-        )?;
-        writeln!(f, "  {}", self.discrepancy.detail)?;
-        writeln!(f, "  offline tree: {}", self.tree)?;
-        write!(
-            f,
-            "  replay: spconform::live::check_live_case(ShapeKind::{:?}, {}, {:#x}, {})",
-            self.shape, self.size, self.seed, self.workers
-        )
-    }
-}
+/// A [`Failure`] of the live sweep.
+pub type LiveFailure = Failure;
 
 fn err(backend: &'static str, detail: String) -> Discrepancy {
     Discrepancy { backend, detail }
 }
 
-/// Run the full live-vs-offline differential check for one
-/// `(shape, size, seed)` case.  `workers >= 2` also runs the program live on
-/// that many workers under both live maintainers; shapes without a Cilk
-/// form ([`ShapeKind::RandomSp`]) are skipped (the live API *is* canonical
-/// Cilk form).
-///
-/// Odd seeds generate a random read/write mix on top of the planted races
-/// (multi-worker runs held to soundness + planted completeness); even seeds
-/// are planted-only (multi-worker racy-location sets must match the
-/// tree-driven engine exactly).
-pub fn check_live_case(
-    shape: ShapeKind,
-    size: u32,
+/// The script of one live or service case, over step threads only: on odd
+/// seeds a random shared/private read/write mix, and always planted parallel
+/// write-write pairs, each alone on a dedicated fresh location.  Returns the
+/// script and the planted locations (ascending).  `salt` keeps the two
+/// sweeps' random streams apart.
+pub(crate) fn planted_script(
+    tree: &ParseTree,
+    oracle: &SpOracle<'_>,
     seed: u64,
-    workers: usize,
-) -> Result<LiveCaseStats, Discrepancy> {
-    let Some(procedure) = shape.build_procedure(size, seed) else {
-        return Ok(LiveCaseStats::default());
-    };
-    let tree = CilkProgram::new(procedure.clone()).build_tree();
-    let oracle = SpOracle::new(&tree);
+    salt: u64,
+) -> (AccessScript, Vec<u32>) {
     let n = tree.num_threads();
     let steps: Vec<ThreadId> = tree.thread_ids().filter(|&t| tree.work_of(t) > 0).collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x11FE_C0DE);
-    let mixed = seed % 2 == 1;
-
-    // Script over step threads only: optional random shared/private mix,
-    // plus planted parallel write-write pairs on dedicated fresh locations.
+    let mut rng = StdRng::seed_from_u64(seed ^ salt);
     const SHARED: u32 = 6;
     let mut script = AccessScript::new(n, SHARED);
-    if mixed {
+    if seed % 2 == 1 {
         for &t in &steps {
             for _ in 0..rng.gen_range(0..3usize) {
                 let loc = if rng.gen_bool(0.7) {
@@ -158,7 +109,33 @@ pub fn check_live_case(
             next_loc += 1;
         }
     }
-    planted.sort_unstable();
+    (script, planted)
+}
+
+/// Run the full live-vs-offline differential check for one
+/// `(shape, size, seed)` case.  `workers >= 2` also runs the program live on
+/// that many workers under both live maintainers; shapes without a Cilk
+/// form ([`ShapeKind::RandomSp`]) are skipped (the live API *is* canonical
+/// Cilk form).
+///
+/// Odd seeds generate a random read/write mix on top of the planted races
+/// (multi-worker runs held to soundness + planted completeness); even seeds
+/// are planted-only (multi-worker racy-location sets must match the
+/// tree-driven engine exactly).
+pub fn check_live_case(
+    shape: ShapeKind,
+    size: u32,
+    seed: u64,
+    workers: usize,
+) -> Result<LiveCaseStats, Discrepancy> {
+    let Some(procedure) = shape.build_procedure(size, seed) else {
+        return Ok(LiveCaseStats::default());
+    };
+    let tree = CilkProgram::new(procedure.clone()).build_tree();
+    let oracle = SpOracle::new(&tree);
+    let n = tree.num_threads();
+    let mixed = seed % 2 == 1;
+    let (script, planted) = planted_script(&tree, &oracle, seed, 0x11FE_C0DE);
 
     // Ground truth and the offline serial reference.
     let truth = racy_locations_oracle(&tree, &script);
@@ -322,56 +299,24 @@ pub struct LiveSweepStats {
 
 /// Run `cases_per_shape` live differential cases for every Cilk-form shape,
 /// shrinking the first failure to a replayable [`LiveFailure`].  Seeds come
-/// from the same [`case_seed`] stream as the main sweep (offset so the two
-/// sweeps cover different programs); every case runs multi-worker — 2
-/// workers by default, `parallel_workers` on every `parallel_every`-th case.
+/// from the same [`crate::case_seed`] stream as the main sweep (offset so
+/// the two sweeps cover different programs); every case runs multi-worker —
+/// 2 workers by default, `parallel_workers` on every `parallel_every`-th case.
 pub fn run_live_sweep(config: &SweepConfig) -> Result<LiveSweepStats, Box<LiveFailure>> {
-    let mut stats = LiveSweepStats::default();
-    for (shape_idx, shape) in ShapeKind::ALL.iter().copied().enumerate() {
-        if shape.build_procedure(1, 1).is_none() {
-            continue;
-        }
-        if config.only_shape.is_some_and(|only| only != shape) {
-            continue;
-        }
-        for case in 0..config.cases_per_shape {
-            // Offset the shape index so live cases draw different programs
-            // than the main sweep under the same base seed.
-            let seed = case_seed(config.base_seed, shape_idx as u64 + 17, case as u64);
-            let size = 4 + (seed % 25) as u32;
-            let workers = if config.parallel_every > 0 && case % config.parallel_every == 0 {
-                config.parallel_workers.max(2)
-            } else {
-                2
-            };
-            match check_live_case(shape, size, seed, workers) {
-                Ok(s) => {
-                    stats.cases += 1;
-                    stats.threads += s.threads;
-                    stats.accesses += s.accesses;
-                    stats.planted += s.planted;
-                    stats.emergent += s.emergent;
-                    stats.parallel_runs += s.parallel_runs;
-                }
-                Err(discrepancy) => {
-                    return Err(Box::new(minimize_live_failure(
-                        shape,
-                        size,
-                        seed,
-                        workers,
-                        discrepancy,
-                    )));
-                }
-            }
-        }
-    }
-    Ok(stats)
+    sweep(SweepKind::Live, config, None, check_live_case, |stats: &mut LiveSweepStats, s| {
+        stats.cases += 1;
+        stats.threads += s.threads;
+        stats.accesses += s.accesses;
+        stats.planted += s.planted;
+        stats.emergent += s.emergent;
+        stats.parallel_runs += s.parallel_runs;
+    })
 }
 
-/// Shrink a failing live case to the smallest `size` that still fails (the
-/// same protocol as the main sweep's minimizer: only sizes that re-fail are
-/// descended into, and the reported discrepancy is the one observed at the
-/// returned size).
+/// Shrink a failing [`check_live_case`] case to the smallest `size` that still
+/// fails and package it for replay (the shrink protocol shared by the three
+/// sweeps: only sizes that re-fail are descended into, and the reported
+/// discrepancy is the one observed at the returned size).
 pub fn minimize_live_failure(
     shape: ShapeKind,
     size: u32,
@@ -379,22 +324,7 @@ pub fn minimize_live_failure(
     workers: usize,
     original: Discrepancy,
 ) -> LiveFailure {
-    let mut last = original;
-    let min_size = proptest::minimize(size, |&s| match check_live_case(shape, s, seed, workers) {
-        Err(d) => {
-            last = d;
-            true
-        }
-        Ok(_) => false,
-    });
-    LiveFailure {
-        shape,
-        size: min_size,
-        seed,
-        workers,
-        discrepancy: last,
-        tree: tree_sexpr(&shape.build_tree(min_size, seed)),
-    }
+    minimize(SweepKind::Live, shape, size, seed, workers, original, check_live_case)
 }
 
 #[cfg(test)]

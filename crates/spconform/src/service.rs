@@ -13,7 +13,8 @@
 //! * **both live SP maintainers** plus the serial elision, via the
 //!   deterministic one-worker [`SessionMode`]s (`Serial`, `Hybrid`,
 //!   `NaiveLocked` — determinism is what makes bit-identity well-defined),
-//! * arena **recycling and growth** (a tiny `locations_hint` forces
+//! * arena **recycling and growth** (an arena is created at its first
+//!   session's size, so the batch's differently-sized programs force
 //!   `ensure_locations` growth; more sessions than workers forces epoch
 //!   resets), and on even seeds a deliberately tiny generation space so the
 //!   batch crosses the **wraparound purge** mid-stream.
@@ -25,17 +26,15 @@
 //! like the other sweeps, and [`run_service_sweep`] honors the same
 //! `SPCONFORM_SEED` / `SPCONFORM_CASES` environment variables.
 
-use racedet::{Access, AccessScript, LiveDetector};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use racedet::LiveDetector;
 use spprog::{run_session, Proc, SessionMode};
 use spservice::{DetectionService, ServiceConfig, SessionHandle};
 use sptree::cilk::CilkProgram;
 use sptree::oracle::SpOracle;
-use sptree::tree::ThreadId;
 use workloads::live_from_cilk;
 
-use crate::{case_seed, tree_sexpr, Discrepancy, ShapeKind, SweepConfig};
+use crate::live::planted_script;
+use crate::{minimize, sweep, Discrepancy, Failure, ShapeKind, SweepConfig, SweepKind};
 
 /// Programs per batch: enough that sessions outnumber any worker pool's
 /// arenas (forcing recycling) while a single case stays cheap.
@@ -65,43 +64,9 @@ pub struct ServiceCaseStats {
     pub epoch_purges: u64,
 }
 
-/// A service-conformance failure minimized to a replayable case.
-#[derive(Clone, Debug)]
-pub struct ServiceFailure {
-    /// Shape of the failing batch's programs.
-    pub shape: ShapeKind,
-    /// Minimized size knob.
-    pub size: u32,
-    /// Seed reproducing the failure.
-    pub seed: u64,
-    /// Detector-worker pool size of the failing configuration.
-    pub service_workers: usize,
-    /// The disagreement at the minimized case.
-    pub discrepancy: Discrepancy,
-    /// The offline tree of the first program of the shrunk batch.
-    pub tree: String,
-}
-
-impl std::fmt::Display for ServiceFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "service conformance failure in `{}` (shape={}, size={}, seed={:#x}, service_workers={})",
-            self.discrepancy.backend,
-            self.shape.name(),
-            self.size,
-            self.seed,
-            self.service_workers
-        )?;
-        writeln!(f, "  {}", self.discrepancy.detail)?;
-        writeln!(f, "  first program's tree: {}", self.tree)?;
-        write!(
-            f,
-            "  replay: spconform::service::check_service_case(ShapeKind::{:?}, {}, {:#x}, {})",
-            self.shape, self.size, self.seed, self.service_workers
-        )
-    }
-}
+/// A [`Failure`] of the service sweep (`workers` is the detector-worker
+/// pool size, `tree` the batch's first program).
+pub type ServiceFailure = Failure;
 
 fn err(backend: &'static str, detail: String) -> Discrepancy {
     Discrepancy { backend, detail }
@@ -109,7 +74,7 @@ fn err(backend: &'static str, detail: String) -> Discrepancy {
 
 /// Seed of the `i`-th program in a batch (a fixed odd-multiplier stream so
 /// batch members differ but stay replayable from the case seed).
-fn program_seed(seed: u64, i: usize) -> u64 {
+pub(crate) fn program_seed(seed: u64, i: usize) -> u64 {
     seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -139,48 +104,7 @@ fn build_program(
     };
     let tree = CilkProgram::new(procedure.clone()).build_tree();
     let oracle = SpOracle::new(&tree);
-    let n = tree.num_threads();
-    let steps: Vec<ThreadId> = tree.thread_ids().filter(|&t| tree.work_of(t) > 0).collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5E21_1CE5);
-    let mixed = seed % 2 == 1;
-
-    const SHARED: u32 = 6;
-    let mut script = AccessScript::new(n, SHARED);
-    if mixed {
-        for &t in &steps {
-            for _ in 0..rng.gen_range(0..3usize) {
-                let loc = if rng.gen_bool(0.7) {
-                    rng.gen_range(0..SHARED)
-                } else {
-                    SHARED + t.0
-                };
-                let access = if rng.gen_bool(0.4) {
-                    Access::write(loc)
-                } else {
-                    Access::read(loc)
-                };
-                script.push(t, access);
-            }
-        }
-    }
-    let mut planted = Vec::new();
-    if steps.len() >= 2 {
-        let wanted = (steps.len() / 4).clamp(1, 4);
-        let mut next_loc = SHARED + n as u32;
-        let mut attempts = 0;
-        while planted.len() < wanted && attempts < 4_000 {
-            attempts += 1;
-            let a = steps[rng.gen_range(0..steps.len())];
-            let b = steps[rng.gen_range(0..steps.len())];
-            if a == b || !oracle.parallel(a, b) {
-                continue;
-            }
-            script.push(a, Access::write(next_loc));
-            script.push(b, Access::write(next_loc));
-            planted.push(next_loc);
-            next_loc += 1;
-        }
-    }
+    let (script, planted) = planted_script(&tree, &oracle, seed, 0x5E21_1CE5);
 
     let live = live_from_cilk(&procedure, &script);
     let locations = script.num_locations();
@@ -255,9 +179,6 @@ pub fn check_service_case(
         let service = DetectionService::new(ServiceConfig {
             workers,
             gen_limit,
-            // Tiny hint: every batch program outgrows it, so pooled arenas
-            // exercise `ensure_locations` growth between leases.
-            locations_hint: 4,
             ..ServiceConfig::default()
         });
         // Submit the whole batch up front so multi-worker pools genuinely
@@ -340,9 +261,9 @@ pub struct ServiceSweepStats {
 
 /// Run `cases_per_shape` service differential cases for every Cilk-form
 /// shape, shrinking the first failure to a replayable [`ServiceFailure`].
-/// Seeds draw from the same [`case_seed`] stream as the other sweeps, offset
-/// so the three sweeps cover different programs; every case runs against a
-/// 1-worker service and a multi-worker one (2 by default,
+/// Seeds draw from the same [`crate::case_seed`] stream as the other sweeps,
+/// offset so the three sweeps cover different programs; every case runs
+/// against a 1-worker service and a multi-worker one (2 by default,
 /// `parallel_workers` on every `parallel_every`-th case).  The validated
 /// `SP_SERVICE_WORKERS` knob ([`spservice::parse_workers_env`]) overrides
 /// the multi-worker pool size for the whole sweep — CI pins one matrix leg
@@ -353,76 +274,28 @@ pub fn run_service_sweep(config: &SweepConfig) -> Result<ServiceSweepStats, Box<
         .ok()
         .filter(|raw| !raw.trim().is_empty())
         .map(|raw| spservice::parse_workers_env(Some(&raw), 2));
-    let mut stats = ServiceSweepStats::default();
-    for (shape_idx, shape) in ShapeKind::ALL.iter().copied().enumerate() {
-        if shape.build_procedure(1, 1).is_none() {
-            continue;
-        }
-        if config.only_shape.is_some_and(|only| only != shape) {
-            continue;
-        }
-        for case in 0..config.cases_per_shape {
-            // Offset the shape index so service cases draw different
-            // programs than the main (+0) and live (+17) sweeps.
-            let seed = case_seed(config.base_seed, shape_idx as u64 + 43, case as u64);
-            let size = 4 + (seed % 25) as u32;
-            let service_workers = env_override.unwrap_or(
-                if config.parallel_every > 0 && case % config.parallel_every == 0 {
-                    config.parallel_workers.max(2)
-                } else {
-                    2
-                },
-            );
-            match check_service_case(shape, size, seed, service_workers) {
-                Ok(s) => {
-                    stats.cases += 1;
-                    stats.sessions += s.sessions;
-                    stats.planted += s.planted;
-                    stats.epoch_resets += s.epoch_resets;
-                    stats.epoch_purges += s.epoch_purges;
-                }
-                Err(discrepancy) => {
-                    return Err(Box::new(minimize_service_failure(
-                        shape,
-                        size,
-                        seed,
-                        service_workers,
-                        discrepancy,
-                    )));
-                }
-            }
-        }
-    }
-    Ok(stats)
+    let add = |stats: &mut ServiceSweepStats, s: ServiceCaseStats| {
+        stats.cases += 1;
+        stats.sessions += s.sessions;
+        stats.planted += s.planted;
+        stats.epoch_resets += s.epoch_resets;
+        stats.epoch_purges += s.epoch_purges;
+    };
+    sweep(SweepKind::Service, config, env_override, check_service_case, add)
 }
 
-/// Shrink a failing service case to the smallest `size` that still fails
-/// (same protocol as the other sweeps' minimizers).
+/// Shrink a failing [`check_service_case`] case to the smallest `size` that still
+/// fails and package it for replay (the shrink protocol shared by the three
+/// sweeps: only sizes that re-fail are descended into, and the reported
+/// discrepancy is the one observed at the returned size).
 pub fn minimize_service_failure(
     shape: ShapeKind,
     size: u32,
     seed: u64,
-    service_workers: usize,
+    workers: usize,
     original: Discrepancy,
 ) -> ServiceFailure {
-    let mut last = original;
-    let min_size = proptest::minimize(size, |&s| {
-        match check_service_case(shape, s, seed, service_workers) {
-            Err(d) => {
-                last = d;
-                true
-            }
-            Ok(_) => false,
-        }
-    });
-    ServiceFailure {
-        shape,
-        size: min_size,
-        seed,
-        service_workers,
-        discrepancy: last,
-        tree: tree_sexpr(&shape.build_tree(min_size, program_seed(seed, 0))),
-    }
+    minimize(SweepKind::Service, shape, size, seed, workers, original, check_service_case)
 }
 
 #[cfg(test)]

@@ -158,21 +158,21 @@ pub(crate) trait SerialFold {
     fn fold(&mut self, rec: NodeRecord);
 }
 
-/// Ordered capture of a serial (single-threaded) walk.
+/// Ordered capture of a serial (single-threaded) walk: the structural hash
+/// plus the per-node records in serial visit order.
 #[derive(Default)]
 pub(crate) struct SerialCapture {
     pub(crate) hash: u64,
     pub(crate) nodes: Vec<NodeRecord>,
 }
 
-impl SerialCapture {
-    pub(crate) fn into_reference(self) -> SerialReference {
-        SerialReference {
-            hash: self.hash,
-            nodes: self.nodes,
-        }
-    }
-}
+/// The cached serial reference of one [`Proc`](crate::Proc) *is* the capture
+/// of one serial walk; its node records are what lets a violation *name* a
+/// divergent node.  Computed once per program — the first enforced run
+/// seeds it, every later enforced run of the same `Proc` (or a clone)
+/// reuses it, which is what keeps enforcement overhead to the per-node
+/// fold.
+pub(crate) type SerialReference = SerialCapture;
 
 impl SerialFold for SerialCapture {
     #[inline]
@@ -210,12 +210,8 @@ impl<'a> SerialCheck<'a> {
         if self.divergence.is_some() {
             return self.divergence;
         }
-        self.reference.nodes.get(self.index).map(|r| Divergence {
-            path: r.path,
-            serial_index: Some(self.index),
-            serial_node: Some(describe(r.desc)),
-            parallel_node: None,
-        })
+        let missing = self.reference.nodes.get(self.index)?;
+        Some(Divergence::at(missing.path, Some((self.index, missing)), None))
     }
 }
 
@@ -224,25 +220,11 @@ impl SerialFold for SerialCheck<'_> {
     fn fold(&mut self, rec: NodeRecord) {
         self.hash ^= rec.fp;
         if self.divergence.is_none() {
-            match self.reference.nodes.get(self.index) {
-                Some(r) if r.path == rec.path && r.fp == rec.fp => {}
-                Some(r) => {
-                    self.divergence = Some(Divergence {
-                        path: r.path,
-                        serial_index: Some(self.index),
-                        serial_node: Some(describe(r.desc)),
-                        parallel_node: Some(describe(rec.desc)),
-                    });
-                }
-                None => {
-                    self.divergence = Some(Divergence {
-                        path: rec.path,
-                        serial_index: None,
-                        serial_node: None,
-                        parallel_node: Some(describe(rec.desc)),
-                    });
-                }
-            }
+            self.divergence = match self.reference.nodes.get(self.index) {
+                Some(r) if r.path == rec.path && r.fp == rec.fp => None,
+                Some(r) => Some(Divergence::at(r.path, Some((self.index, r)), Some(&rec))),
+                None => Some(Divergence::at(rec.path, None, Some(&rec))),
+            };
         }
         self.index += 1;
     }
@@ -280,13 +262,10 @@ impl SharedCapture {
     /// steal imbalance without a mid-run realloc on typical runs.
     pub(crate) fn recording(workers: usize, expected_nodes: usize) -> Self {
         let per_worker = expected_nodes / workers.max(1) + expected_nodes / 4 + 16;
+        let records = (0..workers).map(|_| Mutex::new(Vec::with_capacity(per_worker)));
         SharedCapture {
-            hashes: (0..workers).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-            records: Some(
-                (0..workers)
-                    .map(|_| Mutex::new(Vec::with_capacity(per_worker)))
-                    .collect(),
-            ),
+            records: Some(records.collect()),
+            ..SharedCapture::new(workers)
         }
     }
 
@@ -318,21 +297,6 @@ impl SharedCapture {
 }
 
 // ---------------------------------------------------------------------------
-// The serial reference
-// ---------------------------------------------------------------------------
-
-/// The cached serial reference of one [`Proc`](crate::Proc): the structural
-/// hash plus the per-node records (in serial visit order) needed to *name*
-/// a divergent node.  Computed once per program — the first enforced run
-/// seeds it, every later enforced run of the same `Proc` (or a clone)
-/// reuses it, which is what keeps enforcement overhead to the per-node
-/// fold.
-pub(crate) struct SerialReference {
-    pub(crate) hash: u64,
-    pub(crate) nodes: Vec<NodeRecord>,
-}
-
-// ---------------------------------------------------------------------------
 // Violations
 // ---------------------------------------------------------------------------
 
@@ -350,6 +314,19 @@ pub struct Divergence {
     pub serial_node: Option<String>,
     /// What the checked run has at this path, rendered for humans.
     pub parallel_node: Option<String>,
+}
+
+impl Divergence {
+    /// The divergence at `path`: what the serial reference has there (with
+    /// its visit index) against what the checked run has.
+    fn at(path: u64, serial: Option<(usize, &NodeRecord)>, checked: Option<&NodeRecord>) -> Self {
+        Divergence {
+            path,
+            serial_index: serial.map(|(i, _)| i),
+            serial_node: serial.map(|(_, r)| describe(r.desc)),
+            parallel_node: checked.map(|r| describe(r.desc)),
+        }
+    }
 }
 
 impl fmt::Display for Divergence {
@@ -419,12 +396,7 @@ pub(crate) fn diagnose(reference: &SerialReference, checked: &[NodeRecord]) -> O
     for (i, r) in reference.nodes.iter().enumerate() {
         let other = by_path.get(&r.path);
         if other.map(|p| p.fp) != Some(r.fp) {
-            return Some(Divergence {
-                path: r.path,
-                serial_index: Some(i),
-                serial_node: Some(describe(r.desc)),
-                parallel_node: other.map(|p| describe(p.desc)),
-            });
+            return Some(Divergence::at(r.path, Some((i, r)), other));
         }
     }
     let serial_paths: HashSet<u64> = reference.nodes.iter().map(|r| r.path).collect();
@@ -432,12 +404,7 @@ pub(crate) fn diagnose(reference: &SerialReference, checked: &[NodeRecord]) -> O
         .iter()
         .filter(|r| !serial_paths.contains(&r.path))
         .min_by_key(|r| r.path)
-        .map(|r| Divergence {
-            path: r.path,
-            serial_index: None,
-            serial_node: None,
-            parallel_node: Some(describe(r.desc)),
-        })
+        .map(|r| Divergence::at(r.path, None, Some(r)))
 }
 
 #[cfg(test)]

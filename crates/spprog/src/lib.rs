@@ -79,11 +79,11 @@ pub mod runtime;
 pub(crate) mod unfold;
 
 pub use determinacy::{DeterminacyViolation, Divergence};
-pub use program::{build_proc, Proc, ProcBuilder, SpawnFn, StepFn};
+pub use program::{build_proc, Proc, ProcBuilder, SpawnFn, StepCtx, StepFn};
 pub use record::{record_program, Recorded};
 pub use runtime::{
     run_program, run_session, run_uninstrumented, try_run_program,
-    LiveMaintainer, LiveRun, RunConfig, SessionMode, SessionRun, StepCtx,
+    LiveMaintainer, LiveRun, RunConfig, SessionMode, SessionRun,
 };
 pub use unfold::Meta;
 
@@ -227,6 +227,70 @@ mod tests {
         }
         // The serial bridge folds the same per-node fingerprints.
         assert_eq!(record_program(&prog, 1).structural_hash, hash);
+    }
+
+    #[test]
+    fn run_program_and_run_session_are_one_dispatch() {
+        use racedet::LiveDetector;
+        let prog = build_proc(fib_proc(8, Some(0)));
+        let session = |mode, workers| {
+            let detector = LiveDetector::new(1, workers);
+            let run = run_session(&prog, mode, &detector);
+            (run, detector.into_report())
+        };
+        // One worker: every mode is deterministic, so the report is
+        // bit-identical to `run_program`'s however the run was entered.
+        let serial = run_program(&prog, &RunConfig::serial(1));
+        for mode in [
+            SessionMode::Serial,
+            SessionMode::Hybrid { workers: 1 },
+            SessionMode::NaiveLocked { workers: 1 },
+        ] {
+            let (run, report) = session(mode, 1);
+            assert_eq!(report.races(), serial.report.races(), "{mode:?}");
+            assert_eq!(run.threads, serial.threads, "{mode:?}");
+            assert_eq!((run.workers, run.steals), (1, 0), "{mode:?}");
+            if mode == SessionMode::Serial {
+                assert_eq!(run.maintainer, serial.maintainer);
+            }
+        }
+        // Two workers: each maintainer answers under the same name and finds
+        // the same racy locations, entered either way.
+        for (maintainer, mode) in [
+            (LiveMaintainer::Hybrid, SessionMode::Hybrid { workers: 2 }),
+            (LiveMaintainer::NaiveLocked, SessionMode::NaiveLocked { workers: 2 }),
+        ] {
+            let config = RunConfig {
+                maintainer,
+                ..RunConfig::with_workers(2, 1)
+            };
+            let direct = run_program(&prog, &config);
+            let (run, report) = session(mode, 2);
+            assert_eq!(run.maintainer, direct.maintainer, "{mode:?}");
+            assert_eq!(run.threads, direct.threads, "{mode:?}");
+            assert_eq!(report.racy_locations(), direct.report.racy_locations(), "{mode:?}");
+            assert_eq!(report.racy_locations(), serial.report.racy_locations(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_multiworker_run_seeds_the_reference_an_enforced_serial_run_would() {
+        // Two fresh `Proc`s of one program: the first is seeded by the
+        // throwaway serial pass of an enforced 2-worker run, the second
+        // inline by an enforced serial run.
+        let seeded = |config: RunConfig| {
+            let prog = build_proc(fib_proc(8, Some(0)));
+            assert!(prog.reference.get().is_none(), "a fresh Proc has no reference");
+            let run = run_program(&prog, &config.enforced());
+            let reference = prog.reference.get().expect("the enforced run seeded it");
+            assert_eq!(run.structural_hash, Some(reference.hash));
+            (reference.hash, reference.nodes.clone())
+        };
+        assert_eq!(
+            seeded(RunConfig::with_workers(2, 1)),
+            seeded(RunConfig::serial(1)),
+            "same hash, same node records in serial visit order"
+        );
     }
 
     #[test]

@@ -25,10 +25,85 @@
 //! [`record_program`](crate::record_program) lowers one serial execution
 //! into the equivalent parse tree + access script for the offline engines.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use racedet::{Access, DetectionSink};
+
 use crate::determinacy::SerialReference;
-use crate::runtime::StepCtx;
+
+// ---------------------------------------------------------------------------
+// Step context
+// ---------------------------------------------------------------------------
+
+/// Where a step's reads and writes land: a detection sink's value memory
+/// (instrumented runs) or a bare word array (`run_uninstrumented`).
+pub(crate) enum MemRef<'a> {
+    Sink(&'a dyn DetectionSink),
+    Raw(&'a [AtomicU64]),
+}
+
+/// The view a step closure gets of shared memory.
+///
+/// Reads and writes go to the program's *value* memory immediately (racy
+/// programs really race on it — it is atomic word storage); in instrumented
+/// runs each access is also recorded and checked against the shadow memory
+/// when the step ends, exactly like the offline engine checks one thread's
+/// scripted accesses.
+pub struct StepCtx<'a> {
+    pub(crate) mem: MemRef<'a>,
+    /// Where the step's accesses are recorded, in instrumented runs.
+    pub(crate) trace: Option<&'a mut Vec<Access>>,
+}
+
+impl StepCtx<'_> {
+    /// Read a shared location, returning its current value.
+    pub fn read(&mut self, loc: u32) -> u64 {
+        if let Some(t) = self.trace.as_mut() {
+            t.push(Access::read(loc));
+        }
+        match &self.mem {
+            MemRef::Sink(d) => d.read(loc),
+            MemRef::Raw(v) => raw_cell(v, loc).load(Ordering::Relaxed),
+        }
+    }
+
+    /// Write a value to a shared location.
+    pub fn write(&mut self, loc: u32, value: u64) {
+        if let Some(t) = self.trace.as_mut() {
+            t.push(Access::write(loc));
+        }
+        match &self.mem {
+            MemRef::Sink(d) => d.write(loc, value),
+            MemRef::Raw(v) => raw_cell(v, loc).store(value, Ordering::Relaxed),
+        }
+    }
+
+    /// Replay a pre-recorded access (scripted workloads); reads discard the
+    /// value, writes store a marker.
+    pub fn access(&mut self, access: Access) {
+        match access.kind {
+            racedet::AccessKind::Read => {
+                self.read(access.loc);
+            }
+            racedet::AccessKind::Write => self.write(access.loc, 1),
+        }
+    }
+}
+
+fn raw_cell(values: &[AtomicU64], loc: u32) -> &AtomicU64 {
+    values.get(loc as usize).unwrap_or_else(|| {
+        panic!(
+            "location {loc} is outside the configured shared memory (0..{}); \
+             raise `locations` in the run config",
+            values.len()
+        )
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Procedures
+// ---------------------------------------------------------------------------
 
 /// A step closure: one thread of serial work.
 pub type StepFn = dyn Fn(&mut StepCtx<'_>) + Send + Sync;
@@ -38,22 +113,23 @@ pub type SpawnFn = dyn Fn(&mut ProcBuilder) + Send + Sync;
 
 /// How a spawned child procedure is obtained.
 pub(crate) enum SpawnBody {
-    /// Pre-built procedure (cloned per instantiation — cheap, it is an
-    /// `Arc` of blocks).
+    /// Pre-built procedure (its blocks are shared per instantiation).
     Built(Proc),
     /// Builder closure run by the executing worker at spawn time.
     Lazy(Arc<SpawnFn>),
 }
 
 impl SpawnBody {
-    /// Materialize the child procedure for one spawn execution.
-    pub(crate) fn instantiate(&self) -> Proc {
+    /// Materialize the child procedure's blocks for one spawn execution.
+    /// A spawned instance is only its blocks: the determinacy cache of a
+    /// [`Proc`] belongs to the root a run starts from.
+    pub(crate) fn instantiate(&self) -> Arc<Vec<Block>> {
         match self {
-            SpawnBody::Built(p) => p.clone(),
+            SpawnBody::Built(p) => Arc::clone(&p.blocks),
             SpawnBody::Lazy(f) => {
-                let mut b = ProcBuilder::new();
+                let mut b = ProcBuilder::default();
                 f(&mut b);
-                b.finish()
+                Arc::new(b.into_blocks())
             }
         }
     }
@@ -87,7 +163,7 @@ pub struct Proc {
     /// clones — the same program has the same reference — so repeated
     /// enforced runs pay only the per-node hash fold, never a second
     /// reference execution.
-    pub(crate) reference: Arc<OnceLock<Arc<SerialReference>>>,
+    pub(crate) reference: Arc<OnceLock<SerialReference>>,
 }
 
 impl Proc {
@@ -113,10 +189,6 @@ pub struct ProcBuilder {
 }
 
 impl ProcBuilder {
-    pub(crate) fn new() -> Self {
-        ProcBuilder::default()
-    }
-
     /// Append one thread of serial work.  The closure runs when the step
     /// executes, with a [`StepCtx`] for shared-memory reads
     /// and writes.
@@ -149,16 +221,12 @@ impl ProcBuilder {
         self
     }
 
-    pub(crate) fn finish(mut self) -> Proc {
+    /// The finished sync blocks (a trailing open block is closed).
+    fn into_blocks(mut self) -> Vec<Block> {
         if !self.current.is_empty() {
-            self.blocks.push(Block {
-                stmts: std::mem::take(&mut self.current),
-            });
+            self.sync();
         }
-        Proc {
-            blocks: Arc::new(self.blocks),
-            reference: Arc::new(OnceLock::new()),
-        }
+        self.blocks
     }
 }
 
@@ -167,9 +235,12 @@ impl ProcBuilder {
 ///
 /// See the crate-level documentation for a complete racy example.
 pub fn build_proc(body: impl FnOnce(&mut ProcBuilder)) -> Proc {
-    let mut b = ProcBuilder::new();
+    let mut b = ProcBuilder::default();
     body(&mut b);
-    b.finish()
+    Proc {
+        blocks: Arc::new(b.into_blocks()),
+        reference: Arc::new(OnceLock::new()),
+    }
 }
 
 #[cfg(test)]
@@ -213,8 +284,14 @@ mod tests {
         }));
         let a = body.instantiate();
         let b = body.instantiate();
-        assert_eq!(a.num_statements(), 1);
-        assert_eq!(b.num_statements(), 1);
-        assert!(!Arc::ptr_eq(&a.blocks, &b.blocks), "each spawn unfolds fresh");
+        assert_eq!(a.iter().map(|blk| blk.stmts.len()).sum::<usize>(), 1);
+        assert_eq!(b.iter().map(|blk| blk.stmts.len()).sum::<usize>(), 1);
+        assert!(!Arc::ptr_eq(&a, &b), "each spawn unfolds fresh");
+        // A pre-built child shares its blocks with every instantiation.
+        let child = build_proc(|p| {
+            p.step(|_| {});
+        });
+        let built = SpawnBody::Built(child.clone());
+        assert!(Arc::ptr_eq(&built.instantiate(), &child.blocks));
     }
 }

@@ -21,9 +21,9 @@ use racedet::{Access, AccessScript, LiveDetector};
 use sptree::builder::Ast;
 use sptree::tree::{ParseTree, ThreadId};
 
-use crate::determinacy::{internal_record, leaf_record, SerialCapture, SerialFold};
+use crate::determinacy::{internal_record, SerialCapture, SerialFold};
 use crate::program::Proc;
-use crate::runtime::record_step_ctx;
+use crate::runtime::run_leaf;
 use crate::unfold::{LiveCilk, Meta};
 
 /// The offline artifacts of one recorded serial execution.
@@ -72,17 +72,10 @@ impl SerialLiveVisitor<LiveCilk> for Recorder<'_> {
     }
 
     fn execute_leaf(&mut self, meta: &Meta, _tag: u64) {
-        self.buf.clear();
-        let work = if let Some(step) = &meta.step {
-            step(&mut record_step_ctx(self.detector, &mut self.buf));
-            1
-        } else {
-            0
-        };
-        self.capture
-            .fold(leaf_record(meta.path, meta.step.is_some(), &self.buf));
+        let capture = &mut self.capture;
+        run_leaf(meta, self.detector, &mut self.buf, Some(|rec| capture.fold(rec)));
         self.accesses.push(self.buf.clone());
-        self.attach(Ast::leaf(work));
+        self.attach(Ast::leaf(u64::from(meta.step.is_some())));
     }
 
     fn leave_internal(&mut self, _kind: SpKind, _meta: &Meta) {

@@ -1,7 +1,11 @@
 //! Executing live programs: serial elision, work-stealing run, online
 //! detection wiring.
 //!
-//! Three run modes over the same unfolding (the crate-internal `unfold` module):
+//! Every instrumented run goes one way — the private `execute` — whatever
+//! the entry point ([`run_session`], [`try_run_program`] plain or enforced),
+//! and a thread's work (`run_leaf`) is the same whatever maintains the SP
+//! relation.  Three run modes over the same unfolding (the crate-internal
+//! `unfold` module):
 //!
 //! * **Serial** (`workers == 1`) — [`forkrt::run_live_serial`] on the calling
 //!   thread.  SP maintenance is the streaming SP-order
@@ -30,98 +34,19 @@ use forkrt::{
 };
 use parking_lot::Mutex;
 use racedet::{Access, DetectionSink, LiveDetector, RaceReport};
-use spmetrics::{CounterId, EventKind, HistId, MetricsHandle};
+use spmaint::api::CurrentSpQuery;
 use spmaint::stream::{StreamNode, StreamingSpBackend, StreamingSpOrder};
+use spmetrics::{CounterId, EventKind, HistId, MetricsHandle};
 use sphybrid::live::{LiveHybridConfig, LiveSpHybrid};
 use sphybrid::{NaiveSharedSpOrder, TraceId};
 use sptree::tree::ThreadId;
 
-use std::sync::Arc;
-
 use crate::determinacy::{
-    diagnose, internal_record, leaf_record, DeterminacyViolation, SerialCapture, SerialCheck,
-    SerialFold, SerialReference, SharedCapture,
+    diagnose, internal_record, leaf_record, DeterminacyViolation, NodeRecord, SerialCapture,
+    SerialCheck, SerialFold, SerialReference, SharedCapture,
 };
-use crate::program::Proc;
+use crate::program::{MemRef, Proc, StepCtx};
 use crate::unfold::{LiveCilk, Meta};
-
-// ---------------------------------------------------------------------------
-// Step context
-// ---------------------------------------------------------------------------
-
-enum MemRef<'a> {
-    Sink(&'a dyn DetectionSink),
-    Raw(&'a [AtomicU64]),
-}
-
-/// The view a step closure gets of shared memory.
-///
-/// Reads and writes go to the program's *value* memory immediately (racy
-/// programs really race on it — it is atomic word storage); in instrumented
-/// runs each access is also recorded and checked against the shadow memory
-/// when the step ends, exactly like the offline engine checks one thread's
-/// scripted accesses.
-pub struct StepCtx<'a> {
-    mem: MemRef<'a>,
-    trace: Option<&'a mut Vec<Access>>,
-}
-
-impl StepCtx<'_> {
-    /// Read a shared location, returning its current value.
-    pub fn read(&mut self, loc: u32) -> u64 {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(Access::read(loc));
-        }
-        match &self.mem {
-            MemRef::Sink(d) => d.read(loc),
-            MemRef::Raw(v) => raw_cell(v, loc).load(Ordering::Relaxed),
-        }
-    }
-
-    /// Write a value to a shared location.
-    pub fn write(&mut self, loc: u32, value: u64) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(Access::write(loc));
-        }
-        match &self.mem {
-            MemRef::Sink(d) => d.write(loc, value),
-            MemRef::Raw(v) => raw_cell(v, loc).store(value, Ordering::Relaxed),
-        }
-    }
-
-    /// Replay a pre-recorded access (scripted workloads); reads discard the
-    /// value, writes store a marker.
-    pub fn access(&mut self, access: Access) {
-        match access.kind {
-            racedet::AccessKind::Read => {
-                self.read(access.loc);
-            }
-            racedet::AccessKind::Write => self.write(access.loc, 1),
-        }
-    }
-}
-
-/// Step context over a detector's value memory, recording accesses into
-/// `buf` — the recorder's way of running steps (crate-internal).
-pub(crate) fn record_step_ctx<'a>(
-    detector: &'a LiveDetector,
-    buf: &'a mut Vec<Access>,
-) -> StepCtx<'a> {
-    StepCtx {
-        mem: MemRef::Sink(detector),
-        trace: Some(buf),
-    }
-}
-
-fn raw_cell(values: &[AtomicU64], loc: u32) -> &AtomicU64 {
-    values.get(loc as usize).unwrap_or_else(|| {
-        panic!(
-            "location {loc} is outside the configured shared memory (0..{}); \
-             raise `locations` in the run config",
-            values.len()
-        )
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Configuration and outcome
@@ -191,10 +116,7 @@ impl Default for RunConfig {
 impl RunConfig {
     /// Serial run over `locations` shared locations.
     pub fn serial(locations: u32) -> Self {
-        RunConfig {
-            locations,
-            ..RunConfig::default()
-        }
+        RunConfig::with_workers(1, locations)
     }
 
     /// Multi-worker run over `locations` shared locations.
@@ -306,6 +228,45 @@ pub struct LiveRun {
 }
 
 // ---------------------------------------------------------------------------
+// The per-thread work every maintainer shares
+// ---------------------------------------------------------------------------
+
+/// The body of one executing thread, the same on every instrumented walk:
+/// run the step (if any) over `sink`'s value memory with its accesses
+/// recorded into `buf`, then — on a hashed walk — hand the leaf's structural
+/// record to `fold`.
+#[inline]
+pub(crate) fn run_leaf(
+    meta: &Meta,
+    sink: &dyn DetectionSink,
+    buf: &mut Vec<Access>,
+    fold: Option<impl FnOnce(NodeRecord)>,
+) {
+    buf.clear();
+    if let Some(step) = &meta.step {
+        step(&mut StepCtx {
+            mem: MemRef::Sink(sink),
+            trace: Some(buf),
+        });
+    }
+    if let Some(fold) = fold {
+        fold(leaf_record(meta.path, meta.step.is_some(), buf));
+    }
+}
+
+/// Where a determinacy-enforced walk folds its node records (see
+/// [`crate::determinacy`]).
+enum Fold<'a> {
+    /// Not enforced: nothing is hashed.
+    Off,
+    /// Serial walk: records arrive in visit order — a full capture when
+    /// seeding a reference, a streaming check against the cached one after.
+    Ordered(&'a mut (dyn SerialFold + 'a)),
+    /// Multi-worker walk: every worker folds into its own slot.
+    PerWorker(&'a SharedCapture),
+}
+
+// ---------------------------------------------------------------------------
 // Serial run
 // ---------------------------------------------------------------------------
 
@@ -314,19 +275,12 @@ struct SerialRunVisitor<'a> {
     sink: &'a dyn DetectionSink,
     next_thread: u32,
     buf: Vec<Access>,
-    /// Spawned procedures (P-nodes unfolded) — plain local, folded into the
-    /// metrics sink once at the end of the run.
-    spawns: u64,
-    /// Structural-hash fold when the run is determinacy-enforced: a full
-    /// capture on the reference-seeding run, a streaming check afterwards.
+    /// Structural-hash fold when the run is determinacy-enforced.
     capture: Option<&'a mut dyn SerialFold>,
 }
 
 impl SerialLiveVisitor<LiveCilk> for SerialRunVisitor<'_> {
     fn enter_internal(&mut self, kind: SpKind, meta: &Meta, tag: u64) -> (u64, u64) {
-        if kind.is_parallel() {
-            self.spawns += 1;
-        }
         if let Some(c) = self.capture.as_deref_mut() {
             c.fold(internal_record(meta.path, kind));
         }
@@ -338,41 +292,29 @@ impl SerialLiveVisitor<LiveCilk> for SerialRunVisitor<'_> {
         let thread = ThreadId(self.next_thread);
         self.next_thread += 1;
         self.sp.execute(StreamNode::from_tag(tag), thread);
-        self.buf.clear();
-        if let Some(step) = &meta.step {
-            step(&mut StepCtx {
-                mem: MemRef::Sink(self.sink),
-                trace: Some(&mut self.buf),
-            });
-        }
-        if let Some(c) = self.capture.as_deref_mut() {
-            c.fold(leaf_record(meta.path, meta.step.is_some(), &self.buf));
-        }
+        let fold = self.capture.as_deref_mut().map(|c| |rec| c.fold(rec));
+        run_leaf(meta, self.sink, &mut self.buf, fold);
         self.sink.check_thread(&self.sp, thread, &self.buf);
     }
 }
 
-fn run_serial_with<'a>(
-    prog: &Proc,
+fn run_serial<'a>(
+    program: &LiveCilk,
     sink: &'a dyn DetectionSink,
     capture: Option<&'a mut (dyn SerialFold + 'a)>,
 ) -> SessionRun {
-    let metrics = sink.metrics();
-    let program = LiveCilk::new(prog);
     let (sp, root) = StreamingSpOrder::stream_new();
     let mut visitor = SerialRunVisitor {
         sp,
         sink,
         next_thread: 0,
         buf: Vec::new(),
-        spawns: 0,
         capture,
     };
-    metrics.event(EventKind::RunStarted, 0, 0);
+    sink.metrics().event(EventKind::RunStarted, 0, 0);
     let start = Instant::now();
-    let threads = run_live_serial(&program, &mut visitor, root.to_tag());
+    let threads = run_live_serial(program, &mut visitor, root.to_tag());
     let elapsed = start.elapsed();
-    finish_run_metrics(metrics, threads, visitor.spawns, 0, elapsed);
     SessionRun {
         threads,
         steals: 0,
@@ -385,177 +327,127 @@ fn run_serial_with<'a>(
     }
 }
 
-/// Fold a finished run's whole-run tallies into the metrics sink: thread and
-/// spawn counters, the elapsed-time histogram, and the RunFinished event.
-/// One call per run — never on a per-node path.
-fn finish_run_metrics(
-    metrics: &MetricsHandle,
-    threads: u64,
-    spawns: u64,
-    steals: u64,
-    elapsed: Duration,
-) {
-    if !metrics.is_attached() {
-        return;
+// ---------------------------------------------------------------------------
+// Parallel run
+// ---------------------------------------------------------------------------
+
+/// What the one parallel visitor needs from the structure maintaining the SP
+/// relation.  A thread's work is the same whatever maintains it — only these
+/// events differ between the §3 locked strawman and §4–§7 SP-hybrid
+/// (paper Figure 8).  The defaults suit a maintainer keyed on tags alone.
+trait ParallelSp: Sync {
+    const NAME: &'static str;
+
+    /// An internal node unfolds under `tag`: the tags of its children.
+    fn unfolded(&self, _kind: SpKind, _tag: u64) -> (u64, u64) {
+        (0, 0)
     }
-    metrics.add(CounterId::Threads, threads);
-    metrics.add(CounterId::Spawns, spawns);
-    metrics.record(
-        HistId::RunElapsedNs,
-        u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-    );
-    metrics.event(EventKind::RunFinished, threads, steals);
+
+    /// `thread` starts executing at a leaf: insert it, and return the view
+    /// its accesses are checked under.
+    fn started(
+        &self,
+        meta: &Meta,
+        tag: u64,
+        token: Token,
+        thread: ThreadId,
+    ) -> impl CurrentSpQuery + '_;
+
+    /// A spawned child returned with its continuation unstolen.
+    fn child_returned(&self, _meta: &Meta, _token: Token) {}
+
+    /// A spawn completed unstolen through its join point.
+    fn joined(&self, _meta: &Meta, _token: Token) {}
+
+    /// The continuation of the spawn at `meta` was stolen from the trace
+    /// `token`: the tokens of the stolen subtree and of the code after the
+    /// join.
+    fn stolen(&self, _meta: &Meta, token: Token) -> StealTokens {
+        StealTokens {
+            right: token,
+            after: token,
+        }
+    }
+
+    /// `(traces, approximate heap bytes, chunks published past the hints)`
+    /// at the end of the run.
+    fn footprint(&self) -> (usize, usize, u64);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel run, SP-hybrid
-// ---------------------------------------------------------------------------
+impl ParallelSp for LiveSpHybrid {
+    const NAME: &'static str = "live-sp-hybrid";
 
-struct HybridRunVisitor<'a> {
-    hybrid: &'a LiveSpHybrid,
+    // No `unfolded`: the hybrid keys on proc ids and trace tokens, not tags.
+
+    fn started(
+        &self,
+        meta: &Meta,
+        _tag: u64,
+        token: Token,
+        thread: ThreadId,
+    ) -> impl CurrentSpQuery + '_ {
+        let trace = TraceId::from_token(token);
+        // Line 3 of Figure 8: insert the thread into its trace, then run it.
+        self.thread_executed(meta.proc, thread, trace);
+        self.view(trace)
+    }
+
+    fn child_returned(&self, meta: &Meta, token: Token) {
+        let spawned = meta.spawned.expect("P-nodes carry their spawned procedure");
+        LiveSpHybrid::child_returned(self, meta.proc, spawned, TraceId::from_token(token));
+    }
+
+    fn joined(&self, meta: &Meta, token: Token) {
+        self.synced(meta.proc, TraceId::from_token(token));
+    }
+
+    fn stolen(&self, meta: &Meta, token: Token) -> StealTokens {
+        self.split(meta.proc, TraceId::from_token(token)).tokens()
+    }
+
+    fn footprint(&self) -> (usize, usize, u64) {
+        (self.num_traces(), self.space_bytes(), self.grow_events())
+    }
+}
+
+impl ParallelSp for NaiveSharedSpOrder {
+    const NAME: &'static str = "live-naive-locked";
+
+    fn unfolded(&self, kind: SpKind, tag: u64) -> (u64, u64) {
+        self.expand(tag, kind.is_parallel())
+    }
+
+    fn started(
+        &self,
+        _meta: &Meta,
+        tag: u64,
+        _token: Token,
+        thread: ThreadId,
+    ) -> impl CurrentSpQuery + '_ {
+        self.execute(tag, thread);
+        self.view(thread)
+    }
+
+    // No `stolen`: the shared structure is schedule-independent, so the
+    // token passes through unsplit.
+
+    fn footprint(&self) -> (usize, usize, u64) {
+        (1, self.space_bytes(), 0)
+    }
+}
+
+struct ParallelRunVisitor<'a, S> {
+    sp: &'a S,
     sink: &'a dyn DetectionSink,
-    next_thread: &'a AtomicU32,
+    next_thread: AtomicU32,
     /// Per-worker access buffers, reused across leaves (indexed by worker;
     /// each lock is only ever taken by its own worker, so it is uncontended).
     bufs: Vec<Mutex<Vec<Access>>>,
     /// Structural-hash capture when the run is determinacy-enforced.
     capture: Option<&'a SharedCapture>,
-    /// Spawn tally, bumped only when a registry is attached (P-nodes are
-    /// unfolded exactly once, so one relaxed add per spawn).
-    metrics: &'a MetricsHandle,
-    spawns: AtomicU64,
 }
 
-impl LiveVisitor<LiveCilk> for HybridRunVisitor<'_> {
-    fn enter_internal(
-        &self,
-        worker: usize,
-        kind: SpKind,
-        meta: &Meta,
-        _tag: u64,
-        _token: Token,
-    ) -> (u64, u64) {
-        // The hybrid keys on proc ids and trace tokens, not tags; this
-        // override exists only to fold enforced runs' internal nodes.
-        if kind.is_parallel() && self.metrics.is_attached() {
-            self.spawns.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(c) = self.capture {
-            c.fold(worker, internal_record(meta.path, kind));
-        }
-        (0, 0)
-    }
-
-    fn execute_leaf(&self, worker: usize, meta: &Meta, _tag: u64, token: Token) {
-        let trace = TraceId::from_token(token);
-        let thread = ThreadId(self.next_thread.fetch_add(1, Ordering::Relaxed));
-        // Line 3 of Figure 8: insert the thread into its trace, then run it.
-        self.hybrid.thread_executed(meta.proc, thread, trace);
-        let mut buf = self.bufs[worker].lock();
-        buf.clear();
-        if let Some(step) = &meta.step {
-            step(&mut StepCtx {
-                mem: MemRef::Sink(self.sink),
-                trace: Some(&mut buf),
-            });
-        }
-        if let Some(c) = self.capture {
-            c.fold(worker, leaf_record(meta.path, meta.step.is_some(), &buf));
-        }
-        self.sink.check_thread(&self.hybrid.view(trace), thread, &buf);
-    }
-
-    fn between_children(&self, _worker: usize, kind: SpKind, meta: &Meta, token: Token) {
-        if kind.is_parallel() {
-            let spawned = meta.spawned.expect("P-nodes carry their spawned procedure");
-            self.hybrid
-                .child_returned(meta.proc, spawned, TraceId::from_token(token));
-        }
-    }
-
-    fn leave_internal(&self, _worker: usize, kind: SpKind, meta: &Meta, token: Token) {
-        if kind.is_parallel() {
-            self.hybrid.synced(meta.proc, TraceId::from_token(token));
-        }
-    }
-
-    fn steal(&self, _thief: usize, _victim: usize, meta: &Meta, token: Token) -> StealTokens {
-        self.hybrid.split(meta.proc, TraceId::from_token(token)).tokens()
-    }
-}
-
-fn run_hybrid_with(
-    prog: &Proc,
-    workers: usize,
-    hints: (usize, usize),
-    sink: &dyn DetectionSink,
-    capture: Option<&SharedCapture>,
-) -> SessionRun {
-    let metrics = sink.metrics();
-    let program = LiveCilk::new(prog);
-    let hybrid = LiveSpHybrid::new(LiveHybridConfig {
-        max_threads: hints.0,
-        max_steals: hints.1,
-    });
-    if metrics.is_attached() {
-        hybrid.attach_metrics(metrics);
-    }
-    let next_thread = AtomicU32::new(0);
-    let visitor = HybridRunVisitor {
-        hybrid: &hybrid,
-        sink,
-        next_thread: &next_thread,
-        bufs: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-        capture,
-        metrics,
-        spawns: AtomicU64::new(0),
-    };
-    metrics.event(EventKind::RunStarted, workers as u64, 0);
-    let stats = run_live(
-        &program,
-        &visitor,
-        LiveConfig::with_workers(workers),
-        0,
-        hybrid.root_trace().to_token(),
-        metrics,
-    );
-    finish_run_metrics(
-        metrics,
-        stats.total_threads(),
-        visitor.spawns.load(Ordering::Relaxed),
-        stats.steals,
-        stats.elapsed,
-    );
-    SessionRun {
-        threads: stats.total_threads(),
-        steals: stats.steals,
-        traces: hybrid.num_traces(),
-        workers,
-        maintainer: "live-sp-hybrid",
-        sp_space_bytes: hybrid.space_bytes(),
-        sp_grow_events: hybrid.grow_events(),
-        elapsed: stats.elapsed,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel run, naive-locked
-// ---------------------------------------------------------------------------
-
-struct NaiveRunVisitor<'a> {
-    shared: &'a NaiveSharedSpOrder,
-    sink: &'a dyn DetectionSink,
-    next_thread: &'a AtomicU32,
-    /// Per-worker access buffers, reused across leaves.
-    bufs: Vec<Mutex<Vec<Access>>>,
-    /// Structural-hash capture when the run is determinacy-enforced.
-    capture: Option<&'a SharedCapture>,
-    /// Spawn tally, bumped only when a registry is attached.
-    metrics: &'a MetricsHandle,
-    spawns: AtomicU64,
-}
-
-impl LiveVisitor<LiveCilk> for NaiveRunVisitor<'_> {
+impl<S: ParallelSp> LiveVisitor<LiveCilk> for ParallelRunVisitor<'_, S> {
     fn enter_internal(
         &self,
         worker: usize,
@@ -564,79 +456,68 @@ impl LiveVisitor<LiveCilk> for NaiveRunVisitor<'_> {
         tag: u64,
         _token: Token,
     ) -> (u64, u64) {
-        if kind.is_parallel() && self.metrics.is_attached() {
-            self.spawns.fetch_add(1, Ordering::Relaxed);
-        }
         if let Some(c) = self.capture {
             c.fold(worker, internal_record(meta.path, kind));
         }
-        self.shared.expand(tag, kind.is_parallel())
+        self.sp.unfolded(kind, tag)
     }
 
-    fn execute_leaf(&self, worker: usize, meta: &Meta, tag: u64, _token: Token) {
+    fn execute_leaf(&self, worker: usize, meta: &Meta, tag: u64, token: Token) {
         let thread = ThreadId(self.next_thread.fetch_add(1, Ordering::Relaxed));
-        self.shared.execute(tag, thread);
+        let view = self.sp.started(meta, tag, token, thread);
         let mut buf = self.bufs[worker].lock();
-        buf.clear();
-        if let Some(step) = &meta.step {
-            step(&mut StepCtx {
-                mem: MemRef::Sink(self.sink),
-                trace: Some(&mut buf),
-            });
-        }
-        if let Some(c) = self.capture {
-            c.fold(worker, leaf_record(meta.path, meta.step.is_some(), &buf));
-        }
-        self.sink.check_thread(&self.shared.view(thread), thread, &buf);
+        let fold = self.capture.map(|c| move |rec| c.fold(worker, rec));
+        run_leaf(meta, self.sink, &mut buf, fold);
+        self.sink.check_thread(&view, thread, &buf);
     }
 
-    // No `steal`: the shared structure is schedule-independent, so the
-    // token passes through unsplit.
+    fn between_children(&self, _worker: usize, kind: SpKind, meta: &Meta, token: Token) {
+        if kind.is_parallel() {
+            self.sp.child_returned(meta, token);
+        }
+    }
+
+    fn leave_internal(&self, _worker: usize, kind: SpKind, meta: &Meta, token: Token) {
+        if kind.is_parallel() {
+            self.sp.joined(meta, token);
+        }
+    }
+
+    fn steal(&self, _thief: usize, _victim: usize, meta: &Meta, token: Token) -> StealTokens {
+        self.sp.stolen(meta, token)
+    }
 }
 
-fn run_naive_with(
-    prog: &Proc,
+/// Run `prog` on `workers` workers under maintainer `sp`, whose root position
+/// is `(root_tag, root_token)`.
+fn run_parallel<S: ParallelSp>(
+    program: &LiveCilk,
+    sp: &S,
+    (root_tag, root_token): (u64, Token),
     workers: usize,
     sink: &dyn DetectionSink,
     capture: Option<&SharedCapture>,
 ) -> SessionRun {
     let metrics = sink.metrics();
-    let program = LiveCilk::new(prog);
-    let (shared, root_tag) = NaiveSharedSpOrder::new();
-    let next_thread = AtomicU32::new(0);
-    let visitor = NaiveRunVisitor {
-        shared: &shared,
+    let visitor = ParallelRunVisitor {
+        sp,
         sink,
-        next_thread: &next_thread,
+        next_thread: AtomicU32::new(0),
         bufs: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
         capture,
-        metrics,
-        spawns: AtomicU64::new(0),
     };
     metrics.event(EventKind::RunStarted, workers as u64, 0);
-    let stats = run_live(
-        &program,
-        &visitor,
-        LiveConfig::with_workers(workers),
-        root_tag,
-        0,
-        metrics,
-    );
-    finish_run_metrics(
-        metrics,
-        stats.total_threads(),
-        visitor.spawns.load(Ordering::Relaxed),
-        stats.steals,
-        stats.elapsed,
-    );
+    let config = LiveConfig::with_workers(workers);
+    let stats = run_live(program, &visitor, config, root_tag, root_token, metrics);
+    let (traces, sp_space_bytes, sp_grow_events) = sp.footprint();
     SessionRun {
         threads: stats.total_threads(),
         steals: stats.steals,
-        traces: 1,
+        traces,
         workers,
-        maintainer: "live-naive-locked",
-        sp_space_bytes: shared.space_bytes(),
-        sp_grow_events: 0,
+        maintainer: S::NAME,
+        sp_space_bytes,
+        sp_grow_events,
         elapsed: stats.elapsed,
     }
 }
@@ -644,6 +525,63 @@ fn run_naive_with(
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
+
+/// The one way from a [`Proc`] to a finished instrumented run — and the one
+/// place the maintainer is chosen.  `hints` are the initial capacities of
+/// the SP-hybrid substrates; `fold` must match the walk ([`Fold::Ordered`]
+/// for serial, [`Fold::PerWorker`] for the scheduler modes) — a mismatched
+/// fold is never fed, so its hash stays 0 and enforcement fails loudly.
+fn execute<'a>(
+    prog: &Proc,
+    mode: SessionMode,
+    hints: LiveHybridConfig,
+    sink: &'a dyn DetectionSink,
+    fold: Fold<'a>,
+) -> SessionRun {
+    let (ordered, per_worker) = match fold {
+        Fold::Off => (None, None),
+        Fold::Ordered(c) => (Some(c), None),
+        Fold::PerWorker(c) => (None, Some(c)),
+    };
+    let metrics = sink.metrics();
+    let program = LiveCilk::new(prog);
+    let run = match mode {
+        SessionMode::Serial => run_serial(&program, sink, ordered),
+        SessionMode::Hybrid { workers } => {
+            let hybrid = LiveSpHybrid::new(hints);
+            if metrics.is_attached() {
+                hybrid.attach_metrics(metrics);
+            }
+            let root = (0, hybrid.root_trace().to_token());
+            run_parallel(&program, &hybrid, root, workers.max(1), sink, per_worker)
+        }
+        SessionMode::NaiveLocked { workers } => {
+            let (shared, root_tag) = NaiveSharedSpOrder::new();
+            run_parallel(&program, &shared, (root_tag, 0), workers.max(1), sink, per_worker)
+        }
+    };
+    // Whole-run tallies, folded in once per run — never on a per-node path.
+    if metrics.is_attached() {
+        metrics.add(CounterId::Threads, run.threads);
+        metrics.add(CounterId::Spawns, program.spawns());
+        metrics.record(
+            HistId::RunElapsedNs,
+            u64::try_from(run.elapsed.as_nanos()).unwrap_or(u64::MAX),
+        );
+        metrics.event(EventKind::RunFinished, run.threads, run.steals);
+    }
+    run
+}
+
+/// The mode [`run_program`] runs a configuration in: one worker always
+/// elides to the deterministic serial walk.
+fn session_mode(config: &RunConfig) -> SessionMode {
+    match (config.workers.max(1), config.maintainer) {
+        (1, _) => SessionMode::Serial,
+        (workers, LiveMaintainer::Hybrid) => SessionMode::Hybrid { workers },
+        (workers, LiveMaintainer::NaiveLocked) => SessionMode::NaiveLocked { workers },
+    }
+}
 
 /// Execute a live program as a *session* over a caller-owned
 /// [`DetectionSink`] — the reentrant entry point the multi-session
@@ -664,59 +602,7 @@ fn run_naive_with(
 /// events land in the sink's [`DetectionSink::metrics`] handle; reports and
 /// [`SessionRun`] stats are bit-identical whether or not it is attached.
 pub fn run_session(prog: &Proc, mode: SessionMode, sink: &dyn DetectionSink) -> SessionRun {
-    let hints = {
-        let d = RunConfig::default();
-        (d.max_threads, d.max_steals)
-    };
-    match mode {
-        SessionMode::Serial => run_serial_with(prog, sink, None),
-        SessionMode::Hybrid { workers } => run_hybrid_with(prog, workers.max(1), hints, sink, None),
-        SessionMode::NaiveLocked { workers } => run_naive_with(prog, workers.max(1), sink, None),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Determinacy enforcement
-// ---------------------------------------------------------------------------
-
-/// Hash-only serial walk over raw value memory: computes a program's
-/// serial reference (structural hash + per-node records) without any SP
-/// maintenance or detection.
-struct ReferenceVisitor<'a> {
-    values: &'a [AtomicU64],
-    buf: Vec<Access>,
-    capture: SerialCapture,
-}
-
-impl SerialLiveVisitor<LiveCilk> for ReferenceVisitor<'_> {
-    fn enter_internal(&mut self, kind: SpKind, meta: &Meta, _tag: u64) -> (u64, u64) {
-        self.capture.fold(internal_record(meta.path, kind));
-        (0, 0)
-    }
-
-    fn execute_leaf(&mut self, meta: &Meta, _tag: u64) {
-        self.buf.clear();
-        if let Some(step) = &meta.step {
-            step(&mut StepCtx {
-                mem: MemRef::Raw(self.values),
-                trace: Some(&mut self.buf),
-            });
-        }
-        self.capture
-            .fold(leaf_record(meta.path, meta.step.is_some(), &self.buf));
-    }
-}
-
-fn compute_serial_reference(prog: &Proc, locations: u32) -> SerialReference {
-    let program = LiveCilk::new(prog);
-    let values: Vec<AtomicU64> = (0..locations).map(|_| AtomicU64::new(0)).collect();
-    let mut visitor = ReferenceVisitor {
-        values: &values,
-        buf: Vec::new(),
-        capture: SerialCapture::default(),
-    };
-    run_live_serial(&program, &mut visitor, 0);
-    visitor.capture.into_reference()
+    execute(prog, mode, LiveHybridConfig::default(), sink, Fold::Off)
 }
 
 fn finish_live_run(
@@ -798,70 +684,62 @@ pub fn run_program(prog: &Proc, config: &RunConfig) -> LiveRun {
 /// assert!(err.divergence.is_some(), "the first divergent node is named");
 /// ```
 pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, DeterminacyViolation> {
+    let mode = session_mode(config);
     let workers = config.workers.max(1);
+    let hints = LiveHybridConfig {
+        max_threads: config.max_threads,
+        max_steals: config.max_steals,
+    };
     let metrics = &config.metrics;
     let detector = LiveDetector::with_metrics(config.locations, workers, metrics.clone());
-    let hints = (config.max_threads, config.max_steals);
     if !config.enforce_determinacy {
-        let stats = if workers == 1 {
-            run_serial_with(prog, &detector, None)
-        } else {
-            match config.maintainer {
-                LiveMaintainer::Hybrid => {
-                    run_hybrid_with(prog, workers, hints, &detector, None)
-                }
-                LiveMaintainer::NaiveLocked => {
-                    run_naive_with(prog, workers, &detector, None)
-                }
-            }
-        };
+        let stats = execute(prog, mode, hints, &detector, Fold::Off);
         return Ok(finish_live_run(detector, stats, None));
     }
-    if workers == 1 {
+    let violation = |reference: &SerialReference, hash, divergence| {
+        metrics.add(CounterId::EnforcementMismatches, 1);
+        metrics.event(EventKind::EnforcementMismatch, workers as u64, 0);
+        DeterminacyViolation {
+            serial_hash: reference.hash,
+            parallel_hash: hash,
+            workers,
+            divergence,
+        }
+    };
+    if mode == SessionMode::Serial {
         // A serial run *is* a reference execution.  The first enforced run
         // captures the walk inline (no second pass) and seeds the program's
         // cache; every later one checks run-to-run serial stability
         // *streamingly* against the cached reference — comparing each node
         // in place, allocating nothing on the steady-state happy path.
-        if let Some(reference) = prog.reference.get() {
-            let mut check = SerialCheck::new(reference);
-            let stats = run_serial_with(prog, &detector, Some(&mut check));
-            let hash = check.hash;
-            if hash != reference.hash {
-                metrics.add(CounterId::EnforcementMismatches, 1);
-                metrics.event(EventKind::EnforcementMismatch, 1, 0);
-                return Err(DeterminacyViolation {
-                    serial_hash: reference.hash,
-                    parallel_hash: hash,
-                    workers: 1,
-                    divergence: check.into_divergence(),
-                });
-            }
+        let Some(reference) = prog.reference.get() else {
+            let mut capture = SerialCapture::default();
+            let stats = execute(prog, mode, hints, &detector, Fold::Ordered(&mut capture));
+            let hash = capture.hash;
+            let _ = prog.reference.set(capture);
             return Ok(finish_live_run(detector, stats, Some(hash)));
+        };
+        let mut check = SerialCheck::new(reference);
+        let stats = execute(prog, mode, hints, &detector, Fold::Ordered(&mut check));
+        let hash = check.hash;
+        if hash != reference.hash {
+            return Err(violation(reference, hash, check.into_divergence()));
         }
-        let mut capture = SerialCapture::default();
-        let stats = run_serial_with(prog, &detector, Some(&mut capture));
-        let hash = capture.hash;
-        let _ = prog.reference.set(Arc::new(capture.into_reference()));
         return Ok(finish_live_run(detector, stats, Some(hash)));
     }
-    let reference = Arc::clone(
-        prog.reference
-            .get_or_init(|| Arc::new(compute_serial_reference(prog, config.locations))),
-    );
+    // A multi-worker run of a program with no reference yet seeds one by the
+    // ordinary serial path over a throwaway detached detector: one extra
+    // detection pass, once per `Proc`.
+    let reference = prog.reference.get_or_init(|| {
+        let mut capture = SerialCapture::default();
+        let throwaway = LiveDetector::new(config.locations, 1);
+        execute(prog, SessionMode::Serial, hints, &throwaway, Fold::Ordered(&mut capture));
+        capture
+    });
     let capture = SharedCapture::new(workers);
-    let stats = match config.maintainer {
-        LiveMaintainer::Hybrid => {
-            run_hybrid_with(prog, workers, hints, &detector, Some(&capture))
-        }
-        LiveMaintainer::NaiveLocked => {
-            run_naive_with(prog, workers, &detector, Some(&capture))
-        }
-    };
+    let stats = execute(prog, mode, hints, &detector, Fold::PerWorker(&capture));
     let hash = capture.hash();
     if hash != reference.hash {
-        metrics.add(CounterId::EnforcementMismatches, 1);
-        metrics.event(EventKind::EnforcementMismatch, workers as u64, 0);
         // The hot path keeps per-worker hashes only; re-run with full
         // node recording to *name* the first divergent node.  A program
         // that diverged once is schedule-dependent and diverges again
@@ -871,25 +749,13 @@ pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, Deter
         // detached, so it cannot double-count the failed run.
         let recording = SharedCapture::recording(workers, reference.nodes.len());
         let rerun_sink = LiveDetector::new(config.locations, workers);
-        match config.maintainer {
-            LiveMaintainer::Hybrid => {
-                run_hybrid_with(prog, workers, hints, &rerun_sink, Some(&recording))
-            }
-            LiveMaintainer::NaiveLocked => {
-                run_naive_with(prog, workers, &rerun_sink, Some(&recording))
-            }
-        };
+        execute(prog, mode, hints, &rerun_sink, Fold::PerWorker(&recording));
         let divergence = if recording.hash() == reference.hash {
             None
         } else {
-            diagnose(&reference, &recording.into_records())
+            diagnose(reference, &recording.into_records())
         };
-        return Err(DeterminacyViolation {
-            serial_hash: reference.hash,
-            parallel_hash: hash,
-            workers,
-            divergence,
-        });
+        return Err(violation(reference, hash, divergence));
     }
     Ok(finish_live_run(detector, stats, Some(hash)))
 }

@@ -23,13 +23,13 @@ use forkrt::{LiveNode, LiveProgram, SpKind};
 use sptree::tree::ProcId;
 
 use crate::determinacy::{child_paths, ROOT_PATH};
-use crate::program::{Proc, SpawnBody, Stmt};
+use crate::program::{Block, Proc, SpawnBody, Stmt};
 use crate::StepFn;
 
 /// One instantiated procedure: its fresh id plus its (shared) blocks.
 pub(crate) struct ProcInst {
     pub(crate) id: ProcId,
-    pub(crate) proc: Proc,
+    pub(crate) blocks: Arc<Vec<Block>>,
 }
 
 /// Position in the unfolding computation.  The trailing `u64` of every
@@ -61,25 +61,42 @@ pub struct Meta {
     pub path: u64,
 }
 
+impl Meta {
+    /// Metadata of a node of `proc` that neither spawns nor steps.
+    fn plain(proc: ProcId, path: u64) -> Meta {
+        Meta {
+            proc,
+            spawned: None,
+            step: None,
+            path,
+        }
+    }
+}
+
 /// A [`Proc`] wrapped for one live run: allocates procedure ids as spawns
 /// unfold.  Create one per run — ids restart at the root for every run.
 pub(crate) struct LiveCilk {
-    root: Proc,
+    root: Arc<Vec<Block>>,
     next_proc: AtomicU32,
 }
 
 impl LiveCilk {
     pub(crate) fn new(root: &Proc) -> Self {
         LiveCilk {
-            root: root.clone(),
+            root: Arc::clone(&root.blocks),
             next_proc: AtomicU32::new(1),
         }
     }
 
+    /// Procedures spawned so far — every spawn takes exactly one fresh id.
+    pub(crate) fn spawns(&self) -> u64 {
+        u64::from(self.next_proc.load(Ordering::Relaxed)) - 1
+    }
+
     fn instantiate(&self, body: &SpawnBody) -> Arc<ProcInst> {
-        let proc = body.instantiate();
+        let blocks = body.instantiate();
         let id = ProcId(self.next_proc.fetch_add(1, Ordering::Relaxed));
-        Arc::new(ProcInst { id, proc })
+        Arc::new(ProcInst { id, blocks })
     }
 }
 
@@ -91,7 +108,7 @@ impl LiveProgram for LiveCilk {
         Cursor::Blocks(
             Arc::new(ProcInst {
                 id: ProcId(0),
-                proc: self.root.clone(),
+                blocks: Arc::clone(&self.root),
             }),
             0,
             ROOT_PATH,
@@ -103,15 +120,10 @@ impl LiveProgram for LiveCilk {
         loop {
             match cursor {
                 Cursor::Blocks(p, b, path) => {
-                    let n = p.proc.blocks.len();
+                    let n = p.blocks.len();
                     if n == 0 {
                         // Empty procedure: a single empty thread.
-                        return LiveNode::Leaf(Meta {
-                            proc: p.id,
-                            spawned: None,
-                            step: None,
-                            path,
-                        });
+                        return LiveNode::Leaf(Meta::plain(p.id, path));
                     }
                     if b + 1 == n {
                         // Pass-through (no node emitted): the path rides on.
@@ -121,37 +133,22 @@ impl LiveProgram for LiveCilk {
                     let (lp, rp) = child_paths(path);
                     return LiveNode::Internal {
                         kind: SpKind::Series,
-                        meta: Meta {
-                            proc: p.id,
-                            spawned: None,
-                            step: None,
-                            path,
-                        },
+                        meta: Meta::plain(p.id, path),
                         left: Cursor::Rest(Arc::clone(&p), b, 0, lp),
                         right: Cursor::Blocks(p, b + 1, rp),
                     };
                 }
                 Cursor::Rest(p, b, s, path) => {
-                    let block = &p.proc.blocks[b];
+                    let block = &p.blocks[b];
                     if s == block.stmts.len() {
                         // The implicit empty thread that reaches the sync.
-                        return LiveNode::Leaf(Meta {
-                            proc: p.id,
-                            spawned: None,
-                            step: None,
-                            path,
-                        });
+                        return LiveNode::Leaf(Meta::plain(p.id, path));
                     }
                     let (lp, rp) = child_paths(path);
                     return match &block.stmts[s] {
                         Stmt::Step(_) => LiveNode::Internal {
                             kind: SpKind::Series,
-                            meta: Meta {
-                                proc: p.id,
-                                spawned: None,
-                                step: None,
-                                path,
-                            },
+                            meta: Meta::plain(p.id, path),
                             left: Cursor::Step(Arc::clone(&p), b, s, lp),
                             right: Cursor::Rest(p, b, s + 1, rp),
                         },
@@ -173,7 +170,7 @@ impl LiveProgram for LiveCilk {
                     };
                 }
                 Cursor::Step(p, b, s, path) => {
-                    let Stmt::Step(f) = &p.proc.blocks[b].stmts[s] else {
+                    let Stmt::Step(f) = &p.blocks[b].stmts[s] else {
                         unreachable!("a Step cursor always points at a step statement");
                     };
                     return LiveNode::Leaf(Meta {

@@ -65,6 +65,11 @@ pub fn parse_workers_env(value: Option<&str>, default: usize) -> usize {
     WORKERS_KNOB.parse(value, default)
 }
 
+/// Starvation aging of the admission score: estimate-nanoseconds forgiven
+/// per waited nanosecond.  1.0 bounds any session's extra wait by its own
+/// estimate (0.0 would be pure, starvation-prone shortest-job-first).
+const AGING: f64 = 1.0;
+
 /// Configuration of a [`DetectionService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -75,16 +80,10 @@ pub struct ServiceConfig {
     /// default, [`SessionMode::Serial`], is deterministic — required for the
     /// bit-identical-to-standalone guarantee.
     pub mode: SessionMode,
-    /// Initial arena sizing (arenas grow on demand past it).
-    pub locations_hint: u32,
     /// Epoch generation space per arena: recycles before a wraparound purge.
     /// Tests use tiny values to exercise wraparound; keep the default
     /// otherwise.
     pub gen_limit: u32,
-    /// Starvation aging: estimate-nanoseconds forgiven per waited
-    /// nanosecond.  1.0 bounds any session's extra wait by its own
-    /// estimate; 0.0 is pure (starvation-prone) shortest-job-first.
-    pub aging: f64,
     /// Observability sink.  Detached (the default) compiles every
     /// instrumentation site down to an inlined no-op; attached, the service
     /// emits lifecycle events and histograms into the shared registry.
@@ -96,9 +95,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 1,
             mode: SessionMode::Serial,
-            locations_hint: 64,
             gen_limit: racedet::EpochShadowArena::MAX_GEN_LIMIT,
-            aging: 1.0,
             metrics: MetricsHandle::detached(),
         }
     }
@@ -578,23 +575,20 @@ fn admit(state: &mut State, shared: &Shared) -> Option<Admitted> {
                 (state.estimator.estimate_ns(q.sig), waited)
             })
             .collect();
-        let pick = select_session(&entries, shared.config.aging);
+        let pick = select_session(&entries, AGING);
         state.scheduled_admissions += 1;
         (state.queue.remove(pick).expect("selected index is in range"), false)
     };
     let estimated_ns = state.estimator.estimate_ns(job.sig);
     let queue_wait = job.enqueued.elapsed();
 
-    // Lease an arena: reuse the roomiest free one, create on a pool miss.
+    // Lease an arena: reuse the roomiest free one; on a pool miss create one
+    // at this session's size (later leases grow it on demand).
     let mut arena = match state.pool.pop() {
         Some(arena) => arena,
         None => {
             state.arenas_created += 1;
-            SessionArena::new(
-                shared.config.locations_hint.max(job.locations),
-                shared.config.workers,
-                shared.config.gen_limit,
-            )
+            SessionArena::new(job.locations, shared.config.workers, shared.config.gen_limit)
         }
     };
     arena.ensure_locations(job.locations);

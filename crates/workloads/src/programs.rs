@@ -55,7 +55,8 @@ impl WorkloadKind {
     }
 
     /// Only canonical Cilk-form workloads are suitable for SP-hybrid (the
-    /// paper assumes Cilk programs; see DESIGN.md).
+    /// paper assumes Cilk programs; see the footnote-6 row of the
+    /// repository-root `ARCHITECTURE.md#paper-to-crate-map`).
     pub fn is_cilk_form(self) -> bool {
         matches!(
             self,

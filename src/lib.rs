@@ -114,11 +114,11 @@
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios (race detection,
-//! parallel scaling, algorithm comparison) and `DESIGN.md` / `EXPERIMENTS.md`
-//! for the reproduction notes.  The repository-root
-//! `ARCHITECTURE.md#paper-to-crate-map` maps every paper section, figure,
-//! and theorem (Fig. 3, Thm 5/Cor 6, Thm 10) to the crate, bench, and test
-//! that reproduces it.
+//! parallel scaling, algorithm comparison) and the repository-root
+//! `ARCHITECTURE.md#benchmarks-and-experiments` for the reproduction
+//! benches.  `ARCHITECTURE.md#paper-to-crate-map` maps every paper section,
+//! figure, and theorem (Fig. 3, Thm 5/Cor 6, Thm 10) to the crate, bench,
+//! and test that reproduces it.
 
 pub use dsu;
 pub use forkrt;

@@ -50,7 +50,8 @@ fn planted(pairs: u32) -> Proc {
 }
 
 /// A "huge" session: `n` race-free writers over `n` locations, far past
-/// the service's `locations_hint`, forcing `ensure_locations` growth.
+/// the small sessions the pooled arenas were created for, forcing
+/// `ensure_locations` growth.
 fn huge(n: u32) -> Proc {
     build_proc(move |p| {
         for i in 0..n {
@@ -105,7 +106,6 @@ fn run_soak(workers: usize, rounds: usize) {
     let service = DetectionService::new(ServiceConfig {
         workers,
         gen_limit: 4,
-        locations_hint: 8,
         ..ServiceConfig::default()
     });
 
