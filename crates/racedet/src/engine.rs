@@ -14,16 +14,33 @@
 //! The shadow store is the sharded [`ShardedShadowMemory`]; per-thread
 //! accesses are processed in *batches* by [`check_thread_accesses`]:
 //!
-//! 1. the thread's scripted accesses are stably grouped by shard (stable, so
-//!    same-location accesses keep their program order — all that the
-//!    Feng–Leiserson rules depend on);
+//! 1. batch-constant work is done once per batch:
+//!    * **each SP question once** — the backend's [`CurrentSpQuery`] view is
+//!      wrapped in a `BatchMemo`, a small fixed-size table of
+//!      `precedes_current` answers keyed by the earlier thread and living on
+//!      the batch's stack, so a batch that meets the same recorded
+//!      writer/reader in thousands of cells reaches the maintainer about it
+//!      once (two OM comparisons on SP-order, a trace lock + `FIND-TRACE` on
+//!      SP-hybrid, the global mutex on the §3 strawman) and every repeat is
+//!      an inlined compare.  Sound on every maintainer: the relation between
+//!      an already-executed thread and the current one is a fixed fact of
+//!      the dag, so any answer obtained during the batch *is* the answer for
+//!      the rest of it.  The memo dies with the batch — the next batch has a
+//!      different current thread;
+//!    * **one linear grouping pass** — the accesses are stably grouped by
+//!      shard with a counting pass over the few shards the batch touches
+//!      (stable, so same-location accesses keep their program order — all
+//!      that the Feng–Leiserson rules depend on); a batch that lies in one
+//!      shard — common, since consecutive locations share a shard — is
+//!      walked in script order with no index vector built at all;
 //! 2. within a shard group, each access first tries a **lock-free fast
 //!    path**: one atomic snapshot of the packed cell; if the snapshot shows
 //!    the cell is wholly owned by the current thread (the *owner hint* —
 //!    private-write runs, same thread re-writing its own location) or the
 //!    recorded writer/reader already precede the current thread and no cell
 //!    update is needed (the overwhelmingly common case on read-shared
-//!    data), the access completes without any lock or even any SP query;
+//!    data), the access completes without any lock, and — by the owner hint
+//!    or a memo hit — without reaching the SP maintainer;
 //! 3. the first access that must mutate (or report) acquires the shard's
 //!    striped lock **once**, and the rest of the group is processed under
 //!    that single acquisition;
@@ -38,6 +55,8 @@
 //! snapshot would have reported nothing and written nothing.  The report is
 //! behind a mutex so the *same* engine code is correct for concurrent
 //! backends; for serial backends all locks are uncontended.
+
+use std::cell::Cell;
 
 use parking_lot::Mutex;
 use spmaint::api::{BackendConfig, CurrentSpQuery, SpBackend};
@@ -88,8 +107,8 @@ pub fn detect_races<'t, B: SpBackend<'t>>(
 /// are handed to `found` in the fixed writer-conflict-then-reader-conflict
 /// order.  Public so a benchmark can run the same rules over a different
 /// store (the `shadow_contention` bench's per-cell-lock baseline).
-pub fn apply_access(
-    queries: &dyn CurrentSpQuery,
+pub fn apply_access<Q: CurrentSpQuery + ?Sized>(
+    queries: &Q,
     current: ThreadId,
     loc: u32,
     kind: AccessKind,
@@ -193,8 +212,8 @@ enum FastTier {
 
 /// Tier-attributing body of [`silent_fast_path`]; `None` means the access
 /// needs the shard lock.
-fn fast_path_tier<S: ShadowStore + ?Sized>(
-    queries: &dyn CurrentSpQuery,
+fn fast_path_tier<S: ShadowStore + ?Sized, Q: CurrentSpQuery + ?Sized>(
+    queries: &Q,
     shadow: &S,
     current: ThreadId,
     access: Access,
@@ -228,9 +247,174 @@ fn fast_path_tier<S: ShadowStore + ?Sized>(
     }
 }
 
+/// Slots of the per-batch query memo, sized by measurement on the
+/// repository's benchmark.  The table is initialised for every non-empty
+/// batch, so the ~2.6-access batches of `service-mix` pay for every slot: at
+/// 64 slots its `run_ms_w1` read +3.8 % and `sessions_per_s` −3.0 % (worse
+/// in 5 of 6 alternating pairs), while `read-matmul`, whose batches meet a
+/// handful of recorded threads, keeps its whole `run_ms_w1` gain at 16.
+const MEMO_SLOTS: usize = 16;
+
+/// One batch's memo of `precedes_current` answers: direct-mapped on the
+/// earlier thread's id, living on the batch's stack.
+///
+/// Sound on every maintainer: the relation between an already-executed
+/// thread and the current one is a fixed fact of the dag, so an answer
+/// obtained at any point of the batch is the answer at every later point.
+/// It must not outlive the batch — the next batch has another current thread.
+struct BatchMemo<'q> {
+    inner: &'q dyn CurrentSpQuery,
+    /// `(earlier thread id, answer)`; an empty slot holds `u32::MAX`, which
+    /// the shadow cells reserve as "no thread" and so never ask about.
+    slots: [Cell<(u32, bool)>; MEMO_SLOTS],
+}
+
+impl<'q> BatchMemo<'q> {
+    fn new(inner: &'q dyn CurrentSpQuery) -> Self {
+        BatchMemo { inner, slots: std::array::from_fn(|_| Cell::new((u32::MAX, false))) }
+    }
+}
+
+impl CurrentSpQuery for BatchMemo<'_> {
+    #[inline]
+    fn precedes_current(&self, earlier: ThreadId) -> bool {
+        let slot = &self.slots[earlier.0 as usize % MEMO_SLOTS];
+        let (key, answer) = slot.get();
+        if key == earlier.0 {
+            return answer;
+        }
+        let answer = self.inner.precedes_current(earlier);
+        slot.set((earlier.0, answer));
+        answer
+    }
+}
+
+/// One batch's access indices, stably grouped by ascending shard — exactly
+/// the order a stable sort of `0..n` by shard yields, built in O(n + shards).
+enum ShardGroups {
+    /// The whole batch lies in this shard: script order is the one group, and
+    /// no index vector is built.
+    Single(usize),
+    /// The batch spans several shards.
+    Many(ShardRuns),
+}
+
+/// The access indices of a multi-shard batch, grouped by shard.
+struct ShardRuns {
+    /// The batch spans shards `lo..lo + span`.
+    lo: usize,
+    span: usize,
+    /// `span` run-end offsets, then the grouped access indices they cut into
+    /// runs — one allocation for both.
+    buf: Vec<u32>,
+}
+
+impl ShardRuns {
+    /// Each spanned shard, ascending, with its (possibly empty) run of access
+    /// indices in script order.
+    fn runs(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        let (ends, order) = self.buf.split_at(self.span);
+        let mut start = 0;
+        ends.iter().enumerate().map(move |(s, &end)| {
+            let run = &order[start..end as usize];
+            start = end as usize;
+            (self.lo + s, run)
+        })
+    }
+}
+
+impl ShardGroups {
+    /// Group the (non-empty) batch `accesses` under `shard_of`.
+    fn new(accesses: &[Access], shard_of: impl Fn(u32) -> usize) -> Self {
+        // Indices are stored as `u32` below.
+        batch_index_count(accesses.len());
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for access in accesses {
+            let shard = shard_of(access.loc);
+            lo = lo.min(shard);
+            hi = hi.max(shard);
+        }
+        if lo == hi {
+            return ShardGroups::Single(lo);
+        }
+        // Counting sort: per-shard counts, then running group starts, then a
+        // scatter in script order (which is what makes the grouping stable
+        // and leaves each start advanced to its group's end).
+        let span = hi - lo + 1;
+        let mut buf = vec![0u32; span + accesses.len()];
+        let (next, order) = buf.split_at_mut(span);
+        for access in accesses {
+            next[shard_of(access.loc) - lo] += 1;
+        }
+        let mut start = 0;
+        for slot in next.iter_mut() {
+            start += std::mem::replace(slot, start);
+        }
+        for (idx, access) in accesses.iter().enumerate() {
+            let slot = &mut next[shard_of(access.loc) - lo];
+            order[*slot as usize] = idx as u32;
+            *slot += 1;
+        }
+        ShardGroups::Many(ShardRuns { lo, span, buf })
+    }
+}
+
+/// The running state of one thread batch: what every shard group reads, and
+/// the per-batch tallies it adds to.
+struct Batch<'a, S: ?Sized> {
+    queries: BatchMemo<'a>,
+    shadow: &'a S,
+    current: ThreadId,
+    accesses: &'a [Access],
+    owner_hits: u64,
+    silent_hits: u64,
+    locked: u64,
+    /// Races with the script index of the access that found them.
+    found: Vec<(u32, Race)>,
+}
+
+impl<S: ShadowStore + ?Sized> Batch<'_, S> {
+    /// Check the accesses `indices` (script order, all guarded by `shard`):
+    /// lock-free while they stay silent, under one acquisition of the shard
+    /// lock from the first access that must mutate or report.
+    fn check_group(&mut self, shard: usize, indices: impl Iterator<Item = u32>) {
+        let mut guard = None;
+        for idx in indices {
+            let access = self.accesses[idx as usize];
+            if guard.is_none() {
+                match fast_path_tier(&self.queries, self.shadow, self.current, access) {
+                    Some(FastTier::OwnerHint) => {
+                        self.owner_hits += 1;
+                        continue;
+                    }
+                    Some(FastTier::SilentRead) => {
+                        self.silent_hits += 1;
+                        continue;
+                    }
+                    None => {}
+                }
+                // First access of the group that needs exclusivity: one lock
+                // acquisition covers the rest of the group.
+                guard = Some(self.shadow.lock_shard(shard));
+            }
+            self.locked += 1;
+            let mut cell = self.shadow.load(access.loc);
+            let before = cell;
+            let found = &mut self.found;
+            apply_access(&self.queries, self.current, access.loc, access.kind, &mut cell, &mut |race| {
+                found.push((idx, race))
+            });
+            if cell != before {
+                self.shadow.store(access.loc, cell);
+            }
+        }
+    }
+}
+
 /// Check one thread's scripted accesses against the sharded shadow memory:
-/// stable-grouped by shard, lock-free fast path first, at most one striped
-/// lock acquisition per shard group, races reported in program order.
+/// SP queries memoised for the batch, accesses stable-grouped by shard,
+/// lock-free fast path first, at most one striped lock acquisition per shard
+/// group, races reported in program order.
 ///
 /// This is the per-thread body of [`detect_races`], public so benchmarks and
 /// stress tests can drive the exact engine path against hand-built queries.
@@ -254,56 +438,35 @@ pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
     accesses: &[Access],
     metrics: &MetricsHandle,
 ) {
+    // Ahead of the memo: an empty batch (most threads of a spawn-dense
+    // program) must cost nothing.
     if accesses.is_empty() {
         return;
     }
-    // Stable order of access indices grouped by shard.  Stability preserves
-    // program order within a shard, and same-location accesses always share
-    // a shard, so every cell still sees its updates in program order.
-    let mut order: Vec<u32> = (0..batch_index_count(accesses.len())).collect();
-    order.sort_by_key(|&i| shadow.shard_of(accesses[i as usize].loc));
-
-    let (mut owner_hits, mut silent_hits, mut locked) = (0u64, 0u64, 0u64);
-    let mut found: Vec<(u32, Race)> = Vec::new();
-    let mut start = 0;
-    while start < order.len() {
-        let shard = shadow.shard_of(accesses[order[start] as usize].loc);
-        let mut end = start + 1;
-        while end < order.len() && shadow.shard_of(accesses[order[end] as usize].loc) == shard {
-            end += 1;
+    let mut batch = Batch {
+        queries: BatchMemo::new(queries),
+        shadow,
+        current,
+        accesses,
+        owner_hits: 0,
+        silent_hits: 0,
+        locked: 0,
+        found: Vec::new(),
+    };
+    // Stability preserves program order within a shard, and same-location
+    // accesses always share a shard, so every cell still sees its updates in
+    // program order.
+    match ShardGroups::new(accesses, |loc| shadow.shard_of(loc)) {
+        ShardGroups::Single(shard) => {
+            batch.check_group(shard, 0..batch_index_count(accesses.len()))
         }
-        let mut guard = None;
-        for &idx in &order[start..end] {
-            let access = accesses[idx as usize];
-            if guard.is_none() {
-                match fast_path_tier(queries, shadow, current, access) {
-                    Some(FastTier::OwnerHint) => {
-                        owner_hits += 1;
-                        continue;
-                    }
-                    Some(FastTier::SilentRead) => {
-                        silent_hits += 1;
-                        continue;
-                    }
-                    None => {}
-                }
-                // First access of the group that needs exclusivity: one lock
-                // acquisition covers the rest of the group.
-                guard = Some(shadow.lock_shard(shard));
-            }
-            locked += 1;
-            let mut cell = shadow.load(access.loc);
-            let before = cell;
-            apply_access(queries, current, access.loc, access.kind, &mut cell, &mut |race| {
-                found.push((idx, race))
-            });
-            if cell != before {
-                shadow.store(access.loc, cell);
+        ShardGroups::Many(grouped) => {
+            for (shard, run) in grouped.runs() {
+                batch.check_group(shard, run.iter().copied());
             }
         }
-        drop(guard);
-        start = end;
     }
+    let Batch { owner_hits, silent_hits, locked, mut found, .. } = batch;
 
     if metrics.is_attached() {
         metrics.add(CounterId::ShadowOwnerHint, owner_hits);
@@ -534,5 +697,154 @@ mod tests {
         assert!(report.lock().is_empty());
         // A *different* thread's write must not be owner-silent.
         assert!(!silent_fast_path(&NoQueries, &shadow, ThreadId(1), Access::write(1)));
+    }
+
+    /// Queries that count how often the maintainer is actually reached.
+    /// Threads with an id below `precedes_below` precede the current one, the
+    /// rest are parallel with it; the bound can be moved between batches.
+    struct CountingQueries {
+        precedes_below: Cell<u32>,
+        asked: Cell<usize>,
+    }
+
+    impl CountingQueries {
+        fn preceded_by_ids_below(bound: u32) -> Self {
+            CountingQueries { precedes_below: Cell::new(bound), asked: Cell::new(0) }
+        }
+    }
+
+    impl CurrentSpQuery for CountingQueries {
+        fn precedes_current(&self, earlier: ThreadId) -> bool {
+            self.asked.set(self.asked.get() + 1);
+            earlier.0 < self.precedes_below.get()
+        }
+    }
+
+    /// The memo asks each SP question once per batch: 4,096 reads of cells
+    /// recorded by 3 earlier threads, across all 8 shards, reach the
+    /// maintainer at most 3 times — through the locked tier and through the
+    /// silent-read tier alike.
+    #[test]
+    fn a_batch_asks_the_maintainer_once_per_recorded_thread() {
+        const CELLS: u32 = 4096;
+        let shadow = ShardedShadowMemory::new(CELLS, 1);
+        assert!(shadow.num_shards() >= 2, "the batch must span shards");
+        let report = Mutex::new(RaceReport::new());
+        let detached = MetricsHandle::detached();
+        let all_precede = CountingQueries::preceded_by_ids_below(u32::MAX);
+        for writer in 0..3u32 {
+            let writes: Vec<Access> =
+                (0..CELLS).filter(|loc| loc % 3 == writer).map(Access::write).collect();
+            check_thread_accesses(&all_precede, &shadow, &report, ThreadId(writer), &writes, &detached);
+        }
+        let reads: Vec<Access> = (0..CELLS).map(Access::read).collect();
+
+        // Locked tier: every read fills the empty reader slot.
+        let queries = CountingQueries::preceded_by_ids_below(3);
+        check_thread_accesses(&queries, &shadow, &report, ThreadId(3), &reads, &detached);
+        assert!(queries.asked.get() <= 3, "asked {} times", queries.asked.get());
+        assert_eq!(shadow.load(CELLS - 1).reader, Some(ThreadId(3)));
+
+        // Silent-read tier: thread 4 is after the writers and parallel with
+        // reader 3, so nothing is written — one more recorded thread to ask
+        // about, one more question.
+        let queries = CountingQueries::preceded_by_ids_below(3);
+        check_thread_accesses(&queries, &shadow, &report, ThreadId(4), &reads, &detached);
+        assert!(queries.asked.get() <= 4, "asked {} times", queries.asked.get());
+        assert_eq!(shadow.load(CELLS - 1).reader, Some(ThreadId(3)));
+        assert!(report.lock().is_empty());
+    }
+
+    /// The memo dies with its batch: the same query object, flipped between
+    /// two `check_thread` calls on one detector, is believed afresh.
+    #[test]
+    fn the_memo_does_not_outlive_a_batch() {
+        use crate::live::LiveDetector;
+        let det = LiveDetector::new(1, 1);
+        let queries = CountingQueries::preceded_by_ids_below(u32::MAX);
+        det.check_thread(&queries, ThreadId(0), &[Access::write(0)]);
+        det.check_thread(&queries, ThreadId(1), &[Access::read(0), Access::read(0)]);
+        assert!(det.report().is_empty(), "thread 0 precedes thread 1");
+        queries.precedes_below.set(0);
+        det.check_thread(&queries, ThreadId(2), &[Access::read(0), Access::read(0)]);
+        let report = det.into_report();
+        let race = Race {
+            loc: 0,
+            earlier: ThreadId(0),
+            later: ThreadId(2),
+            kind: RaceKind::WriteRead,
+        };
+        assert_eq!(report.races(), &[race, race]);
+    }
+
+    /// `(shard, script index)` in the order `check_thread_accesses` visits a
+    /// batch grouped as `groups`.
+    fn visit_order(groups: &ShardGroups, n: usize) -> Vec<(usize, u32)> {
+        match groups {
+            ShardGroups::Single(shard) => (0..n as u32).map(|idx| (*shard, idx)).collect(),
+            ShardGroups::Many(grouped) => grouped
+                .runs()
+                .flat_map(|(shard, run)| run.iter().map(move |&idx| (shard, idx)))
+                .collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The linear grouping is the old `order.sort_by_key(shard_of)`:
+        /// same index order, every index labelled with its own shard — for
+        /// 1-access batches, single-shard layouts (`shift` beyond every
+        /// location) and many-shard layouts alike.
+        #[test]
+        fn linear_grouping_matches_the_stable_sort(
+            locs in proptest::collection::vec(0u32..4096, 1..200),
+            shift in 0u32..14,
+        ) {
+            let accesses: Vec<Access> = locs.iter().map(|&loc| Access::read(loc)).collect();
+            let shard_of = |loc: u32| (loc >> shift) as usize;
+            let mut sorted: Vec<u32> = (0..accesses.len() as u32).collect();
+            sorted.sort_by_key(|&i| shard_of(accesses[i as usize].loc));
+            let expected: Vec<(usize, u32)> =
+                sorted.iter().map(|&i| (shard_of(accesses[i as usize].loc), i)).collect();
+            let groups = ShardGroups::new(&accesses, shard_of);
+            let one_shard = expected.iter().all(|&(shard, _)| shard == expected[0].0);
+            proptest::prop_assert_eq!(matches!(groups, ShardGroups::Single(_)), one_shard);
+            proptest::prop_assert_eq!(visit_order(&groups, accesses.len()), expected);
+        }
+    }
+
+    /// A racy batch that hops between shards is visited shard by shard but
+    /// reported in script order — through the standalone store and through
+    /// an epoch view alike.
+    #[test]
+    fn multi_shard_racy_batches_report_in_script_order_through_both_stores() {
+        use crate::epoch::EpochShadowArena;
+        const CELLS: u32 = 1024;
+        // Scrambled over all shards; location 5 is written twice.
+        let script: Vec<Access> = [900u32, 5, 400, 6, 901, 130, 5, 1023, 0]
+            .into_iter()
+            .map(Access::write)
+            .collect();
+        let init: Vec<Access> = (0..CELLS).map(Access::write).collect();
+        let run = |shadow: &dyn ShadowStore| {
+            let shards: std::collections::BTreeSet<usize> =
+                script.iter().map(|a| shadow.shard_of(a.loc)).collect();
+            assert!(shards.len() >= 3, "the batch must hop between shards");
+            let report = Mutex::new(RaceReport::new());
+            let detached = MetricsHandle::detached();
+            let parallel = CountingQueries::preceded_by_ids_below(0);
+            check_thread_accesses(&parallel, shadow, &report, ThreadId(0), &init, &detached);
+            check_thread_accesses(&parallel, shadow, &report, ThreadId(1), &script, &detached);
+            report.into_inner()
+        };
+        let sharded = run(&ShardedShadowMemory::new(CELLS, 1));
+        let arena = EpochShadowArena::new(CELLS, 1);
+        arena.reset();
+        let epoch = run(&arena.view());
+        let reported: Vec<u32> = sharded.races().iter().map(|r| r.loc).collect();
+        // The second write of location 5 finds thread 1 itself recorded.
+        assert_eq!(reported, vec![900, 5, 400, 6, 901, 130, 1023, 0]);
+        assert!(sharded.races().iter().all(|r| r.earlier == ThreadId(0) && r.later == ThreadId(1)));
+        assert_eq!(epoch.races(), sharded.races());
     }
 }

@@ -61,7 +61,7 @@ fn fig3(c: &mut Criterion) {
     }
 
     // Printed summary table (space per node + measured per-op costs), the
-    // direct analogue of the Figure 3 rows; recorded in EXPERIMENTS.md.
+    // direct analogue of the Figure 3 rows.
     println!("\n=== Figure 3 summary (measured) ===");
     for (wname, tree) in [("fib-20k", &fib.tree), ("deep-2k", &deep.tree)] {
         println!(

@@ -12,7 +12,7 @@
 //! file — the bench is their only user) on the adversarial workload: **few
 //! hot locations, many workers**.
 //!
-//! Three scenarios:
+//! Four scenarios:
 //!
 //! * `hot-read` — thread 0 initializes 4 shared locations, every other
 //!   thread re-reads them many times (plus a private write): race-free, all
@@ -24,7 +24,13 @@
 //! * `private-rewrite` — every thread re-writes (and re-reads) its *own*
 //!   location over and over: the private-write-run pattern the owner-hint
 //!   tier of the fast path serves with zero locks and zero SP queries
-//!   (before the hint, every one of those writes took the shard lock).
+//!   (before the hint, every one of those writes took the shard lock);
+//! * `query-dense` — a handful of writer threads fill a few thousand shared
+//!   cells (spanning every shard), sync, and then every thread of a wide
+//!   parallel loop re-reads all of them: race-free, two SP questions per
+//!   access about the same few recorded threads — what the engine's
+//!   per-batch query memo turns into one question per recorded thread per
+//!   batch.
 //!
 //! The trailing report prints a JSON document with ns/access for every
 //! (scenario × engine × backend) cell; the committed `BENCH_shadow.json` at
@@ -145,6 +151,45 @@ fn detect_per_cell<'t, B: SpBackend<'t>>(
     report.into_inner()
 }
 
+/// `writers` parallel threads fill `cells` shared locations between them
+/// (interleaved, so every shard holds every writer), sync, and then
+/// `readers` parallel threads each re-read every cell.  Race-free; every
+/// read asks about the cell's writer and, after the first reader, about its
+/// recorded (parallel) reader.
+fn query_dense(writers: u32, readers: usize, cells: u32) -> (ParseTree, AccessScript) {
+    const WRITER: u64 = 2;
+    const READER: u64 = 3;
+    let leaf = |work| Procedure::single(SyncBlock::new().work(work));
+    let mut fill = SyncBlock::new().work(1);
+    for _ in 0..writers {
+        fill = fill.spawn(leaf(WRITER));
+    }
+    let mut scan = SyncBlock::new();
+    for _ in 0..readers {
+        scan = scan.spawn(leaf(READER));
+    }
+    let tree = CilkProgram::new(Procedure::new().block(fill).block(scan.work(1))).build_tree();
+    let mut script = AccessScript::new(tree.num_threads(), cells);
+    let mut next_writer = 0;
+    for t in tree.thread_ids() {
+        match tree.work_of(t) {
+            WRITER => {
+                for loc in (next_writer..cells).step_by(writers as usize) {
+                    script.push(t, Access::write(loc));
+                }
+                next_writer += 1;
+            }
+            READER => {
+                for loc in 0..cells {
+                    script.push(t, Access::read(loc));
+                }
+            }
+            _ => {}
+        }
+    }
+    (tree, script)
+}
+
 struct Scenario {
     name: &'static str,
     tree: ParseTree,
@@ -152,7 +197,8 @@ struct Scenario {
 }
 
 fn scenarios() -> Vec<Scenario> {
-    let (children, hot_accesses, span) = if smoke_mode() { (32, 8, 8) } else { (512, 96, 64) };
+    let (children, hot_accesses, span, dense_cells) =
+        if smoke_mode() { (32, 8, 8, 64) } else { (512, 96, 64, 2048) };
     // Each script is generated against the very tree instance its scenario
     // benches, so thread ids can never drift between the two.
     let hot_tree = parallel_loop_tree(children);
@@ -161,10 +207,12 @@ fn scenarios() -> Vec<Scenario> {
     let scan_script = private_scan_script(&scan_tree, span);
     let rewrite_tree = parallel_loop_tree(children);
     let rewrite_script = private_rewrite_script(&rewrite_tree, 2 * span);
+    let (dense_tree, dense_script) = query_dense(4, children, dense_cells);
     vec![
         Scenario { name: "hot-read", tree: hot_tree, script: hot_script },
         Scenario { name: "private-scan", tree: scan_tree, script: scan_script },
         Scenario { name: "private-rewrite", tree: rewrite_tree, script: rewrite_script },
+        Scenario { name: "query-dense", tree: dense_tree, script: dense_script },
     ]
 }
 
@@ -209,7 +257,7 @@ fn shadow_contention(c: &mut Criterion) {
         &format!(
             "best of {reps} runs; per-cell = one Mutex<ShadowCell> per location \
              (pre-sharding engine), sharded = striped locks + lock-free read fast path + \
-             per-thread shard batching"
+             per-thread shard batching with a per-batch SP-query memo"
         ),
     )
     .command("cargo bench -p spbench --bench shadow_contention");

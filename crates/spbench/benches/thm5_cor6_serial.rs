@@ -57,8 +57,8 @@ fn cor6_detector_overhead(c: &mut Criterion) {
     });
     group.finish();
 
-    // Printed ratio table: detector time per access (the "overhead factor
-    // over T1" view used in EXPERIMENTS.md).
+    // Printed ratio table: detector time per access — the "overhead factor
+    // over T1" view of Corollary 6.
     println!("\n=== Corollary 6 summary: detector ns per access ===");
     macro_rules! report_overhead {
         ($name:expr, $alg:ty) => {{

@@ -166,19 +166,23 @@ impl<L: OrderMaintenance> StreamingSpBackend for StreamingSpOrder<L> {
     fn expand(&mut self, node: StreamNode, parallel: bool) -> (StreamNode, StreamNode) {
         let (node_eng, node_heb) = self.nodes[node.index()];
         // English order: insert ⟨left, right⟩ after X (line 4 of Figure 5).
-        let eng = self.eng.insert_after_many(node_eng, 2);
+        // Two single inserts, not `insert_after_many(x, 2)`: same order and
+        // handles, without a heap-allocated handle vector per internal node.
+        let left_eng = self.eng.insert_after(node_eng);
+        let right_eng = self.eng.insert_after(left_eng);
         // Hebrew order: ⟨left, right⟩ after an S-node, ⟨right, left⟩ after a
         // P-node (lines 5–7).
-        let heb = self.heb.insert_after_many(node_heb, 2);
+        let first_heb = self.heb.insert_after(node_heb);
+        let second_heb = self.heb.insert_after(first_heb);
         let (left_heb, right_heb) = if parallel {
-            (heb[1], heb[0])
+            (second_heb, first_heb)
         } else {
-            (heb[0], heb[1])
+            (first_heb, second_heb)
         };
         let left = StreamNode(self.nodes.len() as u32);
-        self.nodes.push((eng[0], left_heb));
+        self.nodes.push((left_eng, left_heb));
         let right = StreamNode(self.nodes.len() as u32);
-        self.nodes.push((eng[1], right_heb));
+        self.nodes.push((right_eng, right_heb));
         (left, right)
     }
 

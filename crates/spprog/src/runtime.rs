@@ -28,6 +28,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use crossbeam_utils::CachePadded;
 use forkrt::{
     run_live, run_live_serial, LiveConfig, LiveVisitor, SerialLiveVisitor, SpKind, StealTokens,
     Token,
@@ -442,7 +443,10 @@ struct ParallelRunVisitor<'a, S> {
     next_thread: AtomicU32,
     /// Per-worker access buffers, reused across leaves (indexed by worker;
     /// each lock is only ever taken by its own worker, so it is uncontended).
-    bufs: Vec<Mutex<Vec<Access>>>,
+    /// One cache line each: an unpadded slot is 32 bytes, so two workers'
+    /// lock words and length fields would share a line and every `push`
+    /// would bounce it.
+    bufs: Vec<CachePadded<Mutex<Vec<Access>>>>,
     /// Structural-hash capture when the run is determinacy-enforced.
     capture: Option<&'a SharedCapture>,
 }
@@ -503,7 +507,7 @@ fn run_parallel<S: ParallelSp>(
         sp,
         sink,
         next_thread: AtomicU32::new(0),
-        bufs: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+        bufs: (0..workers).map(|_| CachePadded::new(Mutex::new(Vec::new()))).collect(),
         capture,
     };
     metrics.event(EventKind::RunStarted, workers as u64, 0);
