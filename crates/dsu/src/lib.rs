@@ -6,30 +6,26 @@
 //! with `union`, and a query is a `find` followed by an inspection of the bag
 //! the representative belongs to.
 //!
-//! Three variants are provided, matching the paper's discussion in §5:
+//! Two variants are provided, matching the paper's discussion in §5:
 //!
 //! * [`UnionFind`] — the classical structure with union by rank *and* path
 //!   compression: O(α(m, n)) amortized per operation.  Used by the serial
 //!   SP-bags algorithm.
-//! * [`RankOnlyUnionFind`] — union by rank only, O(log n) worst case per
-//!   `find`.  Path compression mutates the structure during queries, which
-//!   interferes with concurrent `FIND-TRACE` operations, so the paper's local
-//!   tier forgoes it; this type exists mainly for the ablation benchmark.
-//! * [`ConcurrentUnionFind`] — union by rank only with atomic parent
-//!   pointers: a single owner performs `make_set`/`union` while any number of
-//!   other threads may concurrently run `find`.  This is the structure the
-//!   SP-hybrid local tier actually uses.
+//! * [`ConcurrentUnionFind`] — union by rank only (O(log n) worst case per
+//!   `find`) with atomic parent pointers: a single owner performs
+//!   `make_set`/`union` while any number of other threads may concurrently
+//!   run `find`.  Path compression mutates the structure during queries,
+//!   which interferes with concurrent `FIND-TRACE` operations, so the paper's
+//!   local tier forgoes it.  This is the structure the SP-hybrid local tier
+//!   uses.
 
 pub mod classic;
 pub mod concurrent;
-pub mod rank_only;
 
 pub use classic::UnionFind;
 pub use concurrent::ConcurrentUnionFind;
-pub use rank_only::RankOnlyUnionFind;
 
-/// Minimal interface shared by the serial union-find variants, so the SP-bags
-/// algorithm and the ablation benchmarks can be generic over them.
+/// Minimal interface of a serial union-find, as the SP-bags algorithm uses it.
 pub trait DisjointSets {
     /// Create an empty structure with pre-reserved capacity.
     fn with_capacity(capacity: usize) -> Self
@@ -125,11 +121,5 @@ mod trait_tests {
     fn classic_matches_model() {
         randomized_against_model::<UnionFind>(1);
         randomized_against_model::<UnionFind>(2);
-    }
-
-    #[test]
-    fn rank_only_matches_model() {
-        randomized_against_model::<RankOnlyUnionFind>(3);
-        randomized_against_model::<RankOnlyUnionFind>(4);
     }
 }

@@ -9,8 +9,8 @@
 //! Bender et al. style).  Queries never relabel and are O(1) worst case.
 //!
 //! This structure is both a standalone baseline (compared against
-//! [`crate::TwoLevelList`] in the `bench_om` benchmark) and the *top level* of
-//! the two-level structure.
+//! [`crate::TwoLevelList`] by relabel count in `tests/paper_example.rs`) and
+//! the *top level* of the two-level structure.
 
 use crate::{OmNode, OrderMaintenance};
 

@@ -105,9 +105,8 @@ pub fn detect_races<'t, B: SpBackend<'t>>(
 
 /// Shadow-memory update for one access (the Feng–Leiserson rules).  Races
 /// are handed to `found` in the fixed writer-conflict-then-reader-conflict
-/// order.  Public so a benchmark can run the same rules over a different
-/// store (the `shadow_contention` bench's per-cell-lock baseline).
-pub fn apply_access<Q: CurrentSpQuery + ?Sized>(
+/// order.
+fn apply_access<Q: CurrentSpQuery + ?Sized>(
     queries: &Q,
     current: ThreadId,
     loc: u32,

@@ -24,9 +24,7 @@
 //! [`shadow::ShardedShadowMemory`]: packed atomic cells under striped locks
 //! sized to the worker count, with a lock-free fast path and per-thread
 //! shard batching in the engine (see [`engine`] and the repository-root
-//! `ARCHITECTURE.md#race-detection-racedet` for the design; the superseded
-//! one-`Mutex`-per-cell store lives on only inside the `shadow_contention`
-//! benchmark, as its baseline).
+//! `ARCHITECTURE.md#race-detection-racedet` for the design).
 //!
 //! Memory accesses are provided as per-thread *access scripts*
 //! ([`access::AccessScript`]), the synthetic stand-in for instrumenting a real

@@ -23,10 +23,6 @@
 //! precedes the current thread" re-check (see
 //! `engine::check_thread_accesses`).
 //!
-//! (The previous one-`Mutex`-per-cell design is the measured baseline of the
-//! `shadow_contention` benchmark, which carries its own copy; see
-//! `BENCH_shadow.json` at the repository root.)
-//!
 //! Logically parallel threads may access the same location concurrently —
 //! which is precisely when a race exists and must still be reported, not
 //! missed or corrupted.  Serial backend runs take the same (uncontended)

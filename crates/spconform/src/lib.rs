@@ -27,7 +27,8 @@
 //!
 //! The sweep entry point [`run_sweep`] honors two environment variables:
 //! `SPCONFORM_SEED` (base seed, default `0xC0FFEE`) and `SPCONFORM_CASES`
-//! (cases per shape, default 200) — CI runs the sweep under several seeds.
+//! (cases per shape, default 32; CI passes 200) — CI runs the sweep under
+//! several seeds.
 //!
 //! The shape generators double as handy deterministic program factories.
 //! Build a tree, script two parallel writes, detect, assert the race:
@@ -900,7 +901,7 @@ impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
             base_seed: 0xC0FFEE,
-            cases_per_shape: 200,
+            cases_per_shape: 32,
             parallel_workers: 4,
             parallel_every: 8,
             only_shape: None,
@@ -1207,7 +1208,7 @@ mod tests {
     #[test]
     fn sweep_config_reads_env_shapes() {
         let d = SweepConfig::default();
-        assert_eq!(d.cases_per_shape, 200);
+        assert_eq!(d.cases_per_shape, 32);
         assert_eq!(d.base_seed, 0xC0FFEE);
     }
 

@@ -1,10 +1,10 @@
 //! The full differential conformance sweep.
 //!
-//! Runs `SPCONFORM_CASES` (default 200) random programs per shape, derived
+//! Runs `SPCONFORM_CASES` (default 32) random programs per shape, derived
 //! from `SPCONFORM_SEED` (default 0xC0FFEE), through all six SP backends and
 //! cross-checks every queried relation against the LCA oracle plus the race
-//! reports of every generic-engine instantiation.  CI runs this under
-//! several seeds; locally, e.g.:
+//! reports of every generic-engine instantiation.  CI runs this in release
+//! at 200 cases under several seeds; locally, e.g.:
 //!
 //! ```text
 //! SPCONFORM_SEED=0x1234 SPCONFORM_CASES=500 cargo test -p spconform --release

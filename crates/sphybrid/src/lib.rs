@@ -28,9 +28,8 @@
 //! program can be put in that form by adding empty threads (paper footnote 6).
 //!
 //! The crate also contains [`naive::NaiveSharedSpOrder`], the strawman of §3
-//! (one global lock around a shared SP-order structure), used by the
-//! `ablation_naive_lock` benchmark to demonstrate why the two-tier design is
-//! needed.
+//! (one global lock around a shared SP-order structure): the design the
+//! two-tier structure exists to avoid.
 //!
 //! Both parallel structures are additionally exposed through the unified
 //! [`spmaint::SpBackend`] trait ([`backend::HybridBackend`],

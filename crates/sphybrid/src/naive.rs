@@ -7,9 +7,9 @@
 //! other processors, so the apparent work can blow up to Θ(P·T₁).  SP-hybrid's
 //! two-tier design exists precisely to avoid this.  This is the one
 //! implementation of the strawman: [`crate::NaiveBackend`] drives it from a
-//! parse tree, `spprog`'s naive-locked maintainer from a live run, and the
-//! `ablation_naive_lock` benchmark measures it; it also doubles as a second,
-//! independently-implemented parallel SP oracle in stress tests.
+//! parse tree, `spprog`'s naive-locked maintainer from a live run; it also
+//! doubles as a second, independently-implemented parallel SP oracle in
+//! stress tests.
 
 use parking_lot::Mutex;
 use spmaint::api::{CurrentSpQuery, SpQuery};

@@ -19,7 +19,7 @@
 //! original schemes share label prefixes and advertise Θ(1) creation.  The
 //! growth behaviour that the paper's comparison highlights — label length and
 //! query time growing with `f` or `d` while SP-order stays constant — is
-//! preserved and is what the `fig3_*` benchmarks measure.
+//! preserved and is what `examples/algorithm_comparison.rs` prints.
 //!
 //! All algorithms are driven through the [`sptree::walk::TreeVisitor`]
 //! interface by a serial left-to-right walk ([`run_serial`],

@@ -15,7 +15,7 @@
 //! Theorem 5 and the O(T₁) race-detection bound of Corollary 6.
 //!
 //! The implementation is generic over the order-maintenance structure so the
-//! benchmarks can compare the O(1)-amortized two-level list with the simpler
+//! O(1)-amortized two-level list can be compared with the simpler
 //! single-level list ([`om::TagList`]).
 
 use om::{OmNode, OrderMaintenance, TwoLevelList};

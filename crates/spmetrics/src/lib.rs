@@ -23,7 +23,7 @@
 //! builds — while an **attached** handle routes to the registry.  Hot loops
 //! additionally batch into plain local integers and fold once per batch,
 //! which is how the measured attached overhead stays within the ≤5% bar
-//! enforced by the `metrics_overhead` bench (`BENCH_obs.json`).
+//! (read from `trace.overhead_x_w1/w2` of the repository's benchmark).
 //!
 //! The event ring is a fixed-capacity seqlock ring per slot: writers claim a
 //! sequence number with one `fetch_add` and publish the record with a

@@ -23,7 +23,7 @@
 //!   streaming SP-order.  Kept as the ablation/cross-check backend.
 //!
 //! [`run_uninstrumented`] executes the program with *no* SP maintenance and
-//! no detection (values only) — the baseline of the `live_overhead` bench.
+//! no detection (values only) — the denominator of every overhead metric.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -766,8 +766,8 @@ pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, Deter
 
 /// Execute a live program with **no** instrumentation: no SP maintenance,
 /// no shadow memory, no access recording — just the user closures over
-/// atomic value memory on the scheduler.  The baseline of the
-/// `live_overhead` benchmark.  Returns `(threads, steals, elapsed)`.
+/// atomic value memory on the scheduler.  The denominator of every overhead
+/// metric.  Returns `(threads, steals, elapsed)`.
 pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, u64, Duration) {
     let program = LiveCilk::new(prog);
     let values: Vec<AtomicU64> = (0..locations).map(|_| AtomicU64::new(0)).collect();

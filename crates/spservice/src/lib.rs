@@ -31,10 +31,10 @@
 //!   ≤ 1 session is pending.
 //!
 //! Worker count ships behind the validated [`WORKERS_ENV`]
-//! (`SP_SERVICE_WORKERS`) knob.  Throughput and the reset-vs-reallocate
-//! comparison are measured by the `service_throughput` bench
-//! (`BENCH_service.json`).  See the repository-root
-//! `ARCHITECTURE.md#detection-as-a-service-spservice` for the design map.
+//! (`SP_SERVICE_WORKERS`) knob.  See the repository-root
+//! `ARCHITECTURE.md#detection-as-a-service-spservice` for the design map
+//! and `ARCHITECTURE.md#benchmarks-and-experiments` for the `spservice.*`
+//! metrics that measure throughput and arena recycling.
 
 pub mod arena;
 pub mod p2;

@@ -43,8 +43,7 @@
 //! sound detector must flag every planted location on every schedule — the
 //! conformance sweeps assert report *equality*, not just soundness.
 //!
-//! See `ARCHITECTURE.md#graph-workloads` for the paper-to-crate map and the
-//! `graph_bfs` bench (`BENCH_graph.json`).
+//! See `ARCHITECTURE.md#graph-workloads` for the paper-to-crate map.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -20,7 +20,7 @@ fn measure<A: OnTheFlySp + CurrentSpQuery>(tree: &ParseTree, queries: usize) -> 
     let start = Instant::now();
     let mut acc = 0u64;
     for i in 0..queries as u32 {
-        let earlier = ThreadId((i * 2654435761) % (n - 1));
+        let earlier = ThreadId(i.wrapping_mul(2654435761) % (n - 1));
         acc += alg.precedes_current(earlier) as u64;
     }
     let query = start.elapsed();
@@ -50,7 +50,7 @@ fn main() {
         // The static-label schemes carry Θ(d) labels, so construction on a
         // depth-d nest is Θ(n·d): at full size the deep-nesting workload
         // would run for hours.  Cap it where the asymptotic separation is
-        // already unmistakable (same cap the fig3 bench uses).
+        // already unmistakable.
         let threads = match kind {
             WorkloadKind::DeepNesting => threads.min(2_000),
             _ => threads,

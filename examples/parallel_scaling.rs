@@ -39,6 +39,8 @@ fn main() {
             detect_races::<HybridBackend>(tree, &script, BackendConfig::with_workers(p));
         let stats = backend.stats().expect("the run completed");
         assert!(report.is_empty(), "the scaling workload is race free");
+        // Every steal splits one trace into five (|C| = 4s + 1).
+        assert_eq!(stats.traces as u64, 4 * stats.run.steals + 1);
         let ms = stats.run.elapsed.as_secs_f64() * 1e3;
         let base = *base_ms.get_or_insert(ms);
         println!(

@@ -7,7 +7,7 @@
 //!
 //! * [`om`] — order-maintenance lists (single-level, two-level O(1) amortized,
 //!   and a concurrent lock-free-query variant),
-//! * [`dsu`] — disjoint-set structures (path-compressed, rank-only, and a
+//! * [`dsu`] — disjoint-set structures (path-compressed, and a
 //!   concurrent-read variant),
 //! * [`sptree`] — SP parse trees, Cilk canonical form, walks, the LCA oracle,
 //!   computation-dag metrics and random program generators,
@@ -115,10 +115,10 @@
 //!
 //! See `examples/` for runnable end-to-end scenarios (race detection,
 //! parallel scaling, algorithm comparison) and the repository-root
-//! `ARCHITECTURE.md#benchmarks-and-experiments` for the reproduction
-//! benches.  `ARCHITECTURE.md#paper-to-crate-map` maps every paper section,
-//! figure, and theorem (Fig. 3, Thm 5/Cor 6, Thm 10) to the crate, bench,
-//! and test that reproduces it.
+//! `ARCHITECTURE.md#benchmarks-and-experiments` for the repository's
+//! benchmark.  `ARCHITECTURE.md#paper-to-crate-map` maps every paper section,
+//! figure, and theorem (Fig. 3, Thm 5/Cor 6, Thm 10) to the crate and the
+//! test or metric that checks it.
 
 pub use dsu;
 pub use forkrt;

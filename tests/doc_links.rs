@@ -73,19 +73,21 @@ fn references_in(text: &str, file: &Path, out: &mut Vec<(String, String)>) {
     }
 }
 
-/// Recursively collect `.rs` files under `dir` (skipping `target/`).
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Recursively collect the files under `dir` with one of the extensions
+/// `exts` (skipping build output, `.git`, and `benchmark/`, whose binary
+/// shares a name with the harness this repository retired).
+fn sources(dir: &Path, exts: &[&str], out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            if path.file_name().is_some_and(|n| n == "target" || n == ".git") {
-                continue;
+            let skip = ["target", ".git", ".bench_build", "benchmark"];
+            if !path.file_name().is_some_and(|n| skip.iter().any(|s| n == *s)) {
+                sources(&path, exts, out);
             }
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        } else if path.extension().is_some_and(|e| exts.iter().any(|x| e == *x)) {
             out.push(path);
         }
     }
@@ -102,14 +104,14 @@ fn architecture_anchors_referenced_from_rustdoc_exist() {
         "ARCHITECTURE.md has no headings — parsing is broken"
     );
 
-    let mut sources = Vec::new();
+    let mut files = Vec::new();
     for top in ["src", "crates", "shims", "tests", "examples"] {
-        rust_sources(&root.join(top), &mut sources);
+        sources(&root.join(top), &["rs"], &mut files);
     }
-    assert!(!sources.is_empty(), "no rust sources found under {root:?}");
+    assert!(!files.is_empty(), "no rust sources found under {root:?}");
 
     let mut references = Vec::new();
-    for file in &sources {
+    for file in &files {
         // This file mentions the needle in its own strings; skip it.
         if file.file_name().is_some_and(|n| n == "doc_links.rs") {
             continue;
@@ -142,19 +144,46 @@ fn architecture_anchors_referenced_from_rustdoc_exist() {
 
 #[test]
 fn architecture_mentions_every_bench_target() {
-    // The "Benchmarks and experiments" table must list every bench target
-    // that actually exists, so new benches cannot land undocumented.
+    // "Benchmarks and experiments" must name every workload of the one
+    // harness and both table-printing examples, so none lands undocumented.
     let root = repo_root();
     let markdown = fs::read_to_string(root.join("ARCHITECTURE.md")).unwrap();
-    let bench_dir = root.join("crates/spbench/benches");
-    for entry in fs::read_dir(&bench_dir).expect("spbench/benches exists").flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "rs") {
-            let stem = path.file_stem().unwrap().to_string_lossy();
-            assert!(
-                markdown.contains(&format!("`{stem}`")),
-                "bench target `{stem}` is missing from ARCHITECTURE.md"
-            );
+    let section = markdown
+        .split("\n## ")
+        .find(|s| s.starts_with("Benchmarks and experiments"))
+        .expect("ARCHITECTURE.md has a Benchmarks and experiments section");
+    let spec = fs::read_to_string(root.join("BENCHMARK.json")).unwrap();
+    let workloads = spec
+        .split("\"workloads\"")
+        .nth(1)
+        .and_then(|s| s.split("\"end_to_end\"").next())
+        .expect("BENCHMARK.json lists workloads before end_to_end");
+    let names: Vec<&str> = workloads
+        .split("\"name\": \"")
+        .skip(1)
+        .filter_map(|s| s.split('"').next())
+        .collect();
+    assert!(!names.is_empty(), "no workload names parsed from BENCHMARK.json");
+    for name in names.into_iter().chain(["algorithm_comparison", "parallel_scaling"]) {
+        assert!(
+            section.contains(&format!("`{name}`")),
+            "`{name}` is missing from ARCHITECTURE.md § Benchmarks and experiments"
+        );
+    }
+
+    // Nothing outside the history files may still point at the retired
+    // harness: its crate, its result files, its smoke knob (`SP` + `BENCH_…`).
+    let mut files = Vec::new();
+    sources(&root, &["rs", "md", "yml"], &mut files);
+    for file in files {
+        let rel = file.strip_prefix(&root).unwrap_or(&file);
+        let history = ["CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/doc_links.rs"];
+        if history.iter().any(|h| rel == Path::new(h)) {
+            continue;
+        }
+        let text = fs::read_to_string(&file).expect("source file is readable");
+        for stale in ["crates/spbench", "BENCH_"] {
+            assert!(!text.contains(stale), "{} still names `{stale}…`", rel.display());
         }
     }
 }

@@ -124,3 +124,56 @@ fn all_serial_algorithms_agree_on_the_example() {
         }
     }
 }
+
+/// Theorem 5 as counts (no clocks): SP-order's relabelling work and space
+/// per parse-tree node stay flat from 10³ to 10⁵ threads — on random SP
+/// trees and on the spawn-loop chain, whose insertions all land in one gap
+/// of the Hebrew order — while the same algorithm over the single-level
+/// `om::TagList` (O(lg² n) amortised) breaks the bound on the chain and the
+/// static English-Hebrew labels of Figure 3 grow with the nesting depth.
+/// (Random trees cannot tell the two lists apart at these sizes: 64-bit
+/// tags almost never collide under scattered insertions, so `TagList`
+/// relabels 0.03 times per node there.)
+#[test]
+fn theorem_5_sp_order_cost_per_node_is_flat() {
+    use sp_maintenance::sptree::generate::{flat_parallel_loop, left_deep_parallel, random_sp_ast};
+
+    /// (relabels per node, bytes per node) of one SP-order construction.
+    fn per_node<L: OrderMaintenance>(tree: &ParseTree) -> (f64, f64) {
+        let sp: SpOrder<L> = run_serial(tree);
+        let nodes = tree.num_nodes() as f64;
+        (sp.relabel_count() as f64 / nodes, sp.space_bytes() as f64 / nodes)
+    }
+    /// Largest over smallest: 1.0 is perfectly flat.
+    fn spread(xs: &[f64]) -> f64 {
+        let max = xs.iter().copied().fold(f64::MIN, f64::max);
+        let min = xs.iter().copied().fold(f64::MAX, f64::min);
+        max / min
+    }
+    const MAX_RELABELS_PER_NODE: f64 = 6.0;
+    const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
+    fn assert_flat(shape: &str, ast: impl Fn(usize) -> Ast) {
+        let (relabels, bytes): (Vec<f64>, Vec<f64>) =
+            SIZES.iter().map(|&n| per_node::<TwoLevelList>(&ast(n).build())).unzip();
+        println!("{shape}: relabels/node {relabels:.2?}, bytes/node {bytes:.1?}");
+        assert!(relabels.iter().all(|&r| r <= MAX_RELABELS_PER_NODE), "{shape}: {relabels:?}");
+        assert!(spread(&relabels) <= 1.5, "{shape}: relabels/node grow with n: {relabels:?}");
+        assert!(spread(&bytes) <= 2.0, "{shape}: bytes/node grow with n: {bytes:?}");
+    }
+    assert_flat("random", |n| random_sp_ast(n, 0.5, 42));
+    assert_flat("spawn-loop", |n| flat_parallel_loop(n, 1));
+    // The same constant rejects the single-level list at the largest size.
+    let (tag_list, _) = per_node::<TagList>(&flat_parallel_loop(SIZES[2], 1).build());
+    println!("spawn-loop over TagList: relabels/node {tag_list:.2}");
+    assert!(tag_list > MAX_RELABELS_PER_NODE, "TagList: {tag_list} relabels/node");
+
+    let label_len: Vec<f64> = [16usize, 64, 256]
+        .iter()
+        .map(|&depth| {
+            let tree = left_deep_parallel(depth, 1).build();
+            let eh: EnglishHebrewLabels = run_serial(&tree);
+            eh.total_label_len() as f64 / tree.num_threads() as f64
+        })
+        .collect();
+    assert!(label_len.windows(2).all(|w| w[1] >= 3.0 * w[0]), "label entries/thread: {label_len:?}");
+}
