@@ -49,6 +49,13 @@ impl OmNode {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// Rebuild the handle whose [`OmNode::index`] is `index` — for callers
+    /// that pack handles into words of their own.
+    #[inline]
+    pub fn from_index(index: u32) -> Self {
+        OmNode(index)
+    }
 }
 
 /// Common interface of the serial order-maintenance structures.

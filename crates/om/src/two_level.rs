@@ -36,9 +36,11 @@ struct Item {
     local: u64,
     /// Next item in the same group (by order), NIL at the group tail.
     next: u32,
-    /// Previous item in the same group, NIL at the group head.
-    prev: u32,
 }
+
+// One item per executed thread in each of SP-order's two lists: the size is
+// part of the per-thread space bound.
+const _: () = assert!(std::mem::size_of::<Item>() == 16);
 
 #[derive(Clone, Debug)]
 struct Group {
@@ -84,7 +86,6 @@ impl TwoLevelList {
             group: gid,
             local: LOCAL_STRIDE,
             next: NIL,
-            prev: NIL,
         });
         (list, OmNode(0))
     }
@@ -146,16 +147,13 @@ impl TwoLevelList {
             assert_eq!(*items.first().unwrap(), g.head);
             assert_eq!(*items.last().unwrap(), g.tail);
             let mut last_local = None;
-            let mut prev = NIL;
             for &it in &items {
                 let item = &self.items[it as usize];
                 assert_eq!(item.group, gid as u32, "item {it} group pointer stale");
-                assert_eq!(item.prev, prev, "item {it} prev mismatch");
                 if let Some(l) = last_local {
                     assert!(l < item.local, "local labels not increasing in group {gid}");
                 }
                 last_local = Some(item.local);
-                prev = it;
             }
             total += items.len();
         }
@@ -186,13 +184,10 @@ impl TwoLevelList {
             group: gid,
             local,
             next,
-            prev: x.0,
         });
         self.items[xi].next = id;
         if next == NIL {
             self.groups[gid as usize].tail = id;
-        } else {
-            self.items[next as usize].prev = id;
         }
         self.groups[gid as usize].count += 1;
 
@@ -220,18 +215,24 @@ impl TwoLevelList {
         self.splits += 1;
         let count = self.groups[gid as usize].count;
         let keep = count / 2;
-        // Find the first item that moves to the new group.
-        let mut cur = self.groups[gid as usize].head;
+        // Re-space the half that stays, so both halves regain full slack —
+        // which is also the walk to the split point: the successor of the
+        // last item that stays heads the new group.
+        let mut new_tail_of_old = NIL;
+        let mut move_head = self.groups[gid as usize].head;
+        let mut local = LOCAL_STRIDE;
         for _ in 0..keep {
-            cur = self.items[cur as usize].next;
+            let item = &mut self.items[move_head as usize];
+            item.local = local;
+            local = local.saturating_add(LOCAL_STRIDE);
+            new_tail_of_old = move_head;
+            move_head = item.next;
         }
-        let move_head = cur;
+        self.renumbers += u64::from(keep);
         let move_tail = self.groups[gid as usize].tail;
-        let new_tail_of_old = self.items[move_head as usize].prev;
 
         // Detach.
         self.items[new_tail_of_old as usize].next = NIL;
-        self.items[move_head as usize].prev = NIL;
         self.groups[gid as usize].tail = new_tail_of_old;
         self.groups[gid as usize].count = keep;
 
@@ -255,8 +256,6 @@ impl TwoLevelList {
             local = local.saturating_add(LOCAL_STRIDE);
             cur = item.next;
         }
-        // Also renumber the kept half so both halves regain full slack.
-        self.renumber_group(gid);
     }
 }
 
@@ -397,6 +396,34 @@ mod tests {
         expect.push(t);
         assert_eq!(list.iter_order(), expect);
         list.check_invariants();
+    }
+
+    #[test]
+    fn splits_at_either_end_of_a_group_keep_order_and_links() {
+        // GROUP_MAX + 1 inserts right behind the base overflow the first
+        // group while its head end is the busy one; as many appends then
+        // overflow the last group at its tail.  Each split walks to its
+        // split point from the head, with no back links to lean on.
+        let (mut list, base) = TwoLevelList::with_base();
+        let mut order = vec![base];
+        for _ in 0..=GROUP_MAX {
+            order.insert(1, list.insert_after(base));
+            list.check_invariants();
+        }
+        assert_eq!(list.split_count(), 1);
+        let mut last = *order.last().unwrap();
+        for _ in 0..=GROUP_MAX {
+            last = list.insert_after(last);
+            order.push(last);
+            list.check_invariants();
+        }
+        assert!(list.split_count() >= 2, "the tail group split too");
+        assert_eq!(list.iter_order(), order);
+        for (i, &a) in order.iter().enumerate() {
+            for (j, &b) in order.iter().enumerate() {
+                assert_eq!(list.precedes(a, b), i < j, "positions {i}, {j}");
+            }
+        }
     }
 
     proptest::proptest! {

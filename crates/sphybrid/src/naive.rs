@@ -2,10 +2,12 @@
 //!
 //! Sharing the serial SP-order structure among processors and protecting every
 //! operation (insertion *and* query) with one global lock is correct — the
-//! insertions commute as long as parents are inserted before their children,
-//! which any unfolding order respects — but each operation may stall all P−1
-//! other processors, so the apparent work can blow up to Θ(P·T₁).  SP-hybrid's
-//! two-tier design exists precisely to avoid this.  This is the one
+//! unfoldings commute as long as a parent unfolds before its children, which
+//! any schedule respects (and [`StreamingSpOrder`]'s leaf-only takeover rule
+//! is argued one insertion at a time, so it commutes the same way) — but each
+//! operation may stall all P−1 other processors, so the apparent work can
+//! blow up to Θ(P·T₁).  SP-hybrid's two-tier design exists precisely to avoid
+//! this.  This is the one
 //! implementation of the strawman: [`crate::NaiveBackend`] drives it from a
 //! parse tree, `spprog`'s naive-locked maintainer from a live run; it also
 //! doubles as a second, independently-implemented parallel SP oracle in
@@ -23,7 +25,8 @@ struct Inner {
 
 /// A streaming SP-order shared by all workers behind a single global lock.
 ///
-/// Node handles travel as the scheduler's *tags*: the root tag comes from
+/// A position's handle pair *is* the scheduler's 64-bit *tag*
+/// ([`StreamNode::to_tag`]): the root tag comes from
 /// [`NaiveSharedSpOrder::new`], and a visitor's `enter_internal` forwards to
 /// [`NaiveSharedSpOrder::expand`] to obtain its children's.
 pub struct NaiveSharedSpOrder {

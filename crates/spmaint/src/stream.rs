@@ -8,10 +8,10 @@
 //! be an S/P node", "this position is a leaf and its thread executes now".
 //! [`StreamingSpBackend`] is that event interface, and
 //! [`StreamingSpOrder`] implements the paper's SP-order algorithm (§2,
-//! Figure 5) against it: the two order-maintenance lists are maintained
-//! exactly as in the tree-driven [`crate::SpOrder`], but node handles are
-//! allocated on the fly as the structure is revealed, one [`StreamNode`] per
-//! unfolded position.
+//! Figure 5) against it, keeping list elements for the *leaves* only: every
+//! pair of threads is ordered exactly as by the tree-driven
+//! [`crate::SpOrder`], at one element per thread per list instead of one per
+//! node.
 //!
 //! The adapter [`stream_tree`] replays a materialized tree through the
 //! streaming interface — the bridge used by the equivalence tests: streaming
@@ -26,50 +26,63 @@ use sptree::walk::{serial_walk, WalkEvent};
 
 use crate::api::{CurrentSpQuery, SpQuery};
 
-/// Handle of a node in an incrementally unfolding SP parse tree.
+/// Handle of a not-yet-unfolded position in an incrementally unfolding SP
+/// parse tree: the position's (English, Hebrew) list elements packed into one
+/// word, which is exactly the 64-bit tag `forkrt::live` threads down the
+/// walk — a maintainer keeps no per-node table behind it.
 ///
-/// The root is handed out by [`StreamingSpBackend::stream_root`]; children
-/// are allocated by [`StreamingSpBackend::expand`].
+/// The root is handed out by [`StreamingSpBackend::stream_new`]; children
+/// come from [`StreamingSpBackend::expand`].  A handle is spent by the one
+/// `expand` or `execute` call that reveals its position.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct StreamNode(pub u32);
+pub struct StreamNode(u64);
 
 impl StreamNode {
-    /// Raw index of this handle.
+    /// The word that is never a handle pair (no list holds 2³² − 1 elements):
+    /// "this thread has not executed" in the per-thread table.
+    const NONE: StreamNode = StreamNode(u64::MAX);
+
     #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
+    fn pack(eng: OmNode, heb: OmNode) -> Self {
+        StreamNode((eng.index() as u64) << 32 | heb.index() as u64)
+    }
+
+    #[inline]
+    fn unpack(self) -> (OmNode, OmNode) {
+        (
+            OmNode::from_index((self.0 >> 32) as u32),
+            OmNode::from_index(self.0 as u32),
+        )
     }
 
     /// Encode as a scheduler tag (the 64-bit value `forkrt::live` threads
     /// down the walk).
     #[inline]
     pub fn to_tag(self) -> u64 {
-        self.0 as u64
+        self.0
     }
 
     /// Decode from a scheduler tag.
     #[inline]
     pub fn from_tag(tag: u64) -> Self {
-        StreamNode(tag as u32)
+        StreamNode(tag)
     }
 }
 
 /// An SP maintainer driven by reveal events instead of a tree walk.
 ///
-/// The event contract mirrors a left-to-right serial execution: `expand` is
-/// called when a position is revealed to be internal (before anything inside
-/// it executes; the parent must have been expanded first), and `execute`
-/// when a position is revealed to be a leaf whose thread starts executing —
-/// that thread is *current* until the next `execute`.  Between events,
-/// [`CurrentSpQuery`] relates any already-executed thread to the current one.
+/// `expand` is called when a position is revealed to be internal (the parent
+/// must have been expanded first — any unfolding order that respects that is
+/// allowed, the serial left-to-right one being the common case), and
+/// `execute` when a position is revealed to be a leaf whose thread starts
+/// executing — that thread is *current* until the next `execute`.  Between
+/// events, [`CurrentSpQuery`] relates any already-executed thread to the
+/// current one.
 pub trait StreamingSpBackend: CurrentSpQuery {
     /// Create an empty structure and the handle of the root position.
     fn stream_new() -> (Self, StreamNode)
     where
         Self: Sized;
-
-    /// The handle of the root position.
-    fn stream_root(&self) -> StreamNode;
 
     /// `node` is revealed to be an internal node (`parallel` selects P over
     /// S); returns the handles of its (left, right) children.
@@ -87,14 +100,31 @@ pub trait StreamingSpBackend: CurrentSpQuery {
     fn stream_space_bytes(&self) -> usize;
 }
 
-/// SP-order over an incrementally unfolding tree.
+/// SP-order over an incrementally unfolding tree, with list elements for the
+/// leaves only.
 ///
-/// Same algorithm as the tree-driven [`crate::SpOrder`] — two
-/// order-maintenance lists, children inserted after their parent in English
-/// order and (for P-nodes) reversed in Hebrew order — but fed by
-/// [`StreamingSpBackend`] events, so it never needs (or builds) a
-/// [`ParseTree`].  Generic over the order-maintenance structure like its
-/// tree-driven sibling.
+/// Figure 5 inserts both children of an unfolding node X right after X in the
+/// English order (and after X, swapped under a P-node, in the Hebrew order).
+/// Once X has unfolded nothing reads X's own elements again: queries take
+/// [`ThreadId`]s, so only leaves are ever compared, and only X's own
+/// unfolding ever inserts after X.  So here X's *first* child in each order
+/// **takes over** X's element — the left child in English; the left child
+/// under an S-node and the right child under a P-node in Hebrew — and only
+/// the other child is inserted, immediately after it.  Nothing ever sat
+/// between X and its first child, so every pair of leaves is ordered exactly
+/// as by Figure 5, for **2** insertions per fork instead of 4 and one element
+/// per *thread* in each list (plus the base) instead of one per node.  The
+/// argument is about one insertion at a time, so it holds for any
+/// parent-before-child unfolding order, not just the serial one — which is
+/// what lets the §3 strawman share this structure among workers.
+///
+/// An unfolded position is just its [`StreamNode`] handle pair, carried by
+/// the caller (the scheduler's tag), and an executed thread is the same word
+/// in a table indexed by [`ThreadId`]: 2·16 B of list items + 8 B ≈ 48 B per
+/// thread with [`TwoLevelList`].  Generic over the order-maintenance
+/// structure like its tree-driven sibling [`crate::SpOrder`], which keeps
+/// Figure 5's per-node elements and stays the reference this is tested
+/// against.
 ///
 /// ```
 /// use spmaint::stream::{StreamingSpBackend, StreamingSpOrder};
@@ -111,34 +141,35 @@ pub trait StreamingSpBackend: CurrentSpQuery {
 /// sp.execute(u2, ThreadId(2));
 /// assert!(sp.parallel_with_current(ThreadId(1))); // sibling branch is parallel
 /// assert!(sp.precedes(ThreadId(0), ThreadId(2)));
+/// assert_eq!(sp.num_nodes(), 5);             // 3 threads + 2 internal nodes
 /// ```
 pub struct StreamingSpOrder<L: OrderMaintenance = TwoLevelList> {
     eng: L,
     heb: L,
-    /// English/Hebrew handle of every stream node, indexed by [`StreamNode`].
-    nodes: Vec<(OmNode, OmNode)>,
-    /// Handles of every executed thread's leaf, indexed by [`ThreadId`].
-    threads: Vec<Option<(OmNode, OmNode)>>,
+    /// Handle pair of every executed thread's leaf, indexed by [`ThreadId`];
+    /// [`StreamNode::NONE`] until the thread executes.
+    threads: Vec<StreamNode>,
     current: Option<ThreadId>,
 }
 
 impl<L: OrderMaintenance> StreamingSpOrder<L> {
-    /// Number of stream nodes revealed so far.
+    /// Number of positions revealed so far (unfolded internal nodes, their
+    /// children, the root).  Every `expand` reveals two positions and adds
+    /// one element to each list, which start out as base + root.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        2 * self.eng.len() - 3
     }
 
     /// Number of threads executed so far.
     pub fn num_executed(&self) -> usize {
-        self.threads.iter().filter(|t| t.is_some()).count()
+        self.threads.iter().filter(|&&t| t != StreamNode::NONE).count()
     }
 
     fn handles_of(&self, thread: ThreadId) -> (OmNode, OmNode) {
-        self.threads
-            .get(thread.index())
-            .copied()
-            .flatten()
-            .unwrap_or_else(|| panic!("thread u{} has not executed yet", thread.0))
+        match self.threads.get(thread.index()) {
+            Some(&leaf) if leaf != StreamNode::NONE => leaf.unpack(),
+            _ => panic!("thread u{} has not executed yet", thread.0),
+        }
     }
 }
 
@@ -146,57 +177,47 @@ impl<L: OrderMaintenance> StreamingSpBackend for StreamingSpOrder<L> {
     fn stream_new() -> (Self, StreamNode) {
         let (mut eng, eng_base) = L::new();
         let (mut heb, heb_base) = L::new();
-        let root = (eng.insert_after(eng_base), heb.insert_after(heb_base));
+        let root = StreamNode::pack(eng.insert_after(eng_base), heb.insert_after(heb_base));
         (
             StreamingSpOrder {
                 eng,
                 heb,
-                nodes: vec![root],
                 threads: Vec::new(),
                 current: None,
             },
-            StreamNode(0),
+            root,
         )
     }
 
-    fn stream_root(&self) -> StreamNode {
-        StreamNode(0)
-    }
-
     fn expand(&mut self, node: StreamNode, parallel: bool) -> (StreamNode, StreamNode) {
-        let (node_eng, node_heb) = self.nodes[node.index()];
-        // English order: insert ⟨left, right⟩ after X (line 4 of Figure 5).
-        // Two single inserts, not `insert_after_many(x, 2)`: same order and
-        // handles, without a heap-allocated handle vector per internal node.
-        let left_eng = self.eng.insert_after(node_eng);
-        let right_eng = self.eng.insert_after(left_eng);
-        // Hebrew order: ⟨left, right⟩ after an S-node, ⟨right, left⟩ after a
-        // P-node (lines 5–7).
-        let first_heb = self.heb.insert_after(node_heb);
-        let second_heb = self.heb.insert_after(first_heb);
+        let (node_eng, node_heb) = node.unpack();
+        // English order ⟨left, right⟩ (line 4 of Figure 5): left takes over
+        // X's element, right goes right behind it.
+        let right_eng = self.eng.insert_after(node_eng);
+        // Hebrew order: ⟨left, right⟩ under an S-node, ⟨right, left⟩ under a
+        // P-node (lines 5–7) — the first of the two takes over X's element.
+        let second_heb = self.heb.insert_after(node_heb);
         let (left_heb, right_heb) = if parallel {
-            (second_heb, first_heb)
+            (second_heb, node_heb)
         } else {
-            (first_heb, second_heb)
+            (node_heb, second_heb)
         };
-        let left = StreamNode(self.nodes.len() as u32);
-        self.nodes.push((left_eng, left_heb));
-        let right = StreamNode(self.nodes.len() as u32);
-        self.nodes.push((right_eng, right_heb));
-        (left, right)
+        (
+            StreamNode::pack(node_eng, left_heb),
+            StreamNode::pack(right_eng, right_heb),
+        )
     }
 
     fn execute(&mut self, node: StreamNode, thread: ThreadId) {
-        let handles = self.nodes[node.index()];
         if self.threads.len() <= thread.index() {
-            self.threads.resize(thread.index() + 1, None);
+            self.threads.resize(thread.index() + 1, StreamNode::NONE);
         }
         debug_assert!(
-            self.threads[thread.index()].is_none(),
+            self.threads[thread.index()] == StreamNode::NONE,
             "thread u{} executed twice",
             thread.0
         );
-        self.threads[thread.index()] = Some(handles);
+        self.threads[thread.index()] = node;
         self.current = Some(thread);
     }
 
@@ -207,14 +228,14 @@ impl<L: OrderMaintenance> StreamingSpBackend for StreamingSpOrder<L> {
     fn stream_space_bytes(&self) -> usize {
         self.eng.space_bytes()
             + self.heb.space_bytes()
-            + self.nodes.capacity() * std::mem::size_of::<(OmNode, OmNode)>()
-            + self.threads.capacity() * std::mem::size_of::<Option<(OmNode, OmNode)>>()
+            + self.threads.capacity() * std::mem::size_of::<StreamNode>()
     }
 }
 
 /// Arbitrary-pair queries over *executed* threads (valid at any point during
-/// the unfolding — a leaf's position in both orders is fixed as soon as it
-/// is revealed, exactly like in the tree-driven SP-order).
+/// the unfolding — a leaf's position in both orders relative to every other
+/// leaf is fixed as soon as it is revealed, exactly like in the tree-driven
+/// SP-order).
 impl<L: OrderMaintenance> SpQuery for StreamingSpOrder<L> {
     fn precedes(&self, a: ThreadId, b: ThreadId) -> bool {
         if a == b {
@@ -243,18 +264,19 @@ where
     F: FnMut(&B, ThreadId),
 {
     let (mut backend, root) = B::stream_new();
-    // Map tree nodes to stream handles as the walk reveals them.
-    let mut handle = vec![StreamNode(u32::MAX); tree.num_nodes()];
-    handle[tree.root().index()] = root;
+    // Handles of the revealed positions the walk has not reached yet; the
+    // left-to-right walk reaches them in stack order.
+    let mut pending = vec![root];
     serial_walk(tree, |event| match event {
         WalkEvent::EnterInternal(n) => {
-            let parallel = tree.kind(n) == NodeKind::P;
-            let (l, r) = backend.expand(handle[n.index()], parallel);
-            handle[tree.left(n).index()] = l;
-            handle[tree.right(n).index()] = r;
+            let node = pending.pop().expect("the walk enters a revealed position");
+            let (l, r) = backend.expand(node, tree.kind(n) == NodeKind::P);
+            pending.push(r);
+            pending.push(l);
         }
-        WalkEvent::Thread(n, t) => {
-            backend.execute(handle[n.index()], t);
+        WalkEvent::Thread(_, t) => {
+            let node = pending.pop().expect("the walk enters a revealed position");
+            backend.execute(node, t);
             on_thread(&backend, t);
         }
         WalkEvent::BetweenChildren(_) | WalkEvent::LeaveInternal(_) => {}
@@ -346,9 +368,78 @@ mod tests {
 
     #[test]
     fn node_and_tag_round_trip() {
-        let n = StreamNode(1234);
-        assert_eq!(StreamNode::from_tag(n.to_tag()), n);
-        assert_eq!(n.index(), 1234);
+        let (mut sp, root) = StreamingSpOrder::<TwoLevelList>::stream_new();
+        let (left, right) = sp.expand(root, true);
+        for node in [root, left, right] {
+            assert_eq!(StreamNode::from_tag(node.to_tag()), node);
+            let (eng, heb) = node.unpack();
+            assert_eq!(StreamNode::pack(eng, heb), node);
+            assert_ne!(node, StreamNode::NONE);
+        }
+        // Under a P-node the left child keeps X's English element and the
+        // right child X's Hebrew one.
+        assert_eq!(left.unpack().0, root.unpack().0);
+        assert_eq!(right.unpack().1, root.unpack().1);
+        assert_eq!(sp.num_nodes(), 3);
+    }
+
+    /// The takeover rule's soundness argument, without threads: it is made
+    /// one insertion at a time, so *any* parent-before-child unfolding order
+    /// (what concurrent workers of the §3 strawman produce) must order every
+    /// pair of leaves like Figure 5 on the whole tree does.
+    fn check_random_unfolding_order<L: OrderMaintenance>(seed: u64) {
+        use crate::api::run_serial;
+        use crate::SpOrder;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let tree = random_sp_ast(200, 0.5, seed).build();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let (mut sp, root) = StreamingSpOrder::<L>::stream_new();
+        // Revealed positions not yet unfolded or executed; picking any of
+        // them next keeps parents before children and nothing else.
+        let mut frontier = vec![(tree.root(), root)];
+        let mut left_to_right = true;
+        let mut last_thread = None;
+        while !frontier.is_empty() {
+            let pick = rng.gen_range(0..frontier.len());
+            let (n, node) = frontier.swap_remove(pick);
+            match tree.thread_of(n) {
+                Some(t) => {
+                    left_to_right &= last_thread < Some(t);
+                    last_thread = Some(t);
+                    sp.execute(node, t);
+                }
+                None => {
+                    let (l, r) = sp.expand(node, tree.kind(n) == NodeKind::P);
+                    frontier.push((tree.left(n), l));
+                    frontier.push((tree.right(n), r));
+                }
+            }
+        }
+        assert!(!left_to_right, "seed {seed}: the order was meant to be shuffled");
+        assert_eq!(sp.num_executed(), tree.num_threads());
+        assert_eq!(sp.num_nodes(), tree.num_nodes());
+        assert_eq!(sp.eng.len(), tree.num_threads() + 1, "base + one element per thread");
+        assert_eq!(sp.heb.len(), tree.num_threads() + 1);
+
+        let oracle = SpOracle::new(&tree);
+        let driven: SpOrder<L> = run_serial(&tree);
+        for a in tree.thread_ids() {
+            for b in tree.thread_ids() {
+                let got = sp.relation(a, b);
+                assert_eq!(got, oracle.relation(a, b), "seed {seed}, {a:?} vs {b:?}");
+                assert_eq!(got, driven.relation(a, b), "seed {seed}, {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn any_parent_before_child_unfolding_orders_leaves_like_figure_5() {
+        for seed in 0..6u64 {
+            check_random_unfolding_order::<TwoLevelList>(seed);
+            check_random_unfolding_order::<TagList>(seed);
+        }
     }
 
     #[test]

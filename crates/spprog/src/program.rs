@@ -2,7 +2,7 @@
 //! `spawn`, and `sync`.
 //!
 //! A [`Proc`] is a Cilk procedure: a series of *sync blocks*, each a list of
-//! statements.  A statement is either a **step** — one thread of serial work,
+//! statements (stored end to end in one vector, a sync marker closing each).  A statement is either a **step** — one thread of serial work,
 //! a user closure that reads and writes shared memory through
 //! [`StepCtx`] — or a **spawn** of a child procedure that
 //! runs logically in parallel with the rest of the block.
@@ -113,51 +113,70 @@ pub type SpawnFn = dyn Fn(&mut ProcBuilder) + Send + Sync;
 
 /// How a spawned child procedure is obtained.
 pub(crate) enum SpawnBody {
-    /// Pre-built procedure (its blocks are shared per instantiation).
+    /// Pre-built procedure (every instantiation shares its body).
     Built(Proc),
     /// Builder closure run by the executing worker at spawn time.
     Lazy(Arc<SpawnFn>),
 }
 
 impl SpawnBody {
-    /// Materialize the child procedure's blocks for one spawn execution.
-    /// A spawned instance is only its blocks: the determinacy cache of a
+    /// Materialize the child procedure's body for one spawn execution.
+    /// A spawned instance is only its body: the determinacy cache of a
     /// [`Proc`] belongs to the root a run starts from.
-    pub(crate) fn instantiate(&self) -> Arc<Vec<Block>> {
+    pub(crate) fn instantiate(&self) -> Body {
         match self {
-            SpawnBody::Built(p) => Arc::clone(&p.blocks),
+            SpawnBody::Built(p) => Body::Shared(Arc::clone(&p.body)),
             SpawnBody::Lazy(f) => {
                 let mut b = ProcBuilder::default();
                 f(&mut b);
-                Arc::new(b.into_blocks())
+                Body::Own(b.into_body())
             }
         }
     }
 }
 
-/// One statement of a sync block.
+/// One statement of a procedure body.
 pub(crate) enum Stmt {
     /// Serial work: one thread running the closure.
     Step(Arc<StepFn>),
     /// Spawn of a child procedure.
     Spawn(SpawnBody),
+    /// End of a sync block: joins every procedure spawned since the previous
+    /// `Sync` (or the start of the body).
+    Sync,
 }
 
-/// A maximal region of a procedure terminated by a `sync`.
-pub(crate) struct Block {
-    pub(crate) stmts: Vec<Stmt>,
+/// The statements of one procedure instance: its sync blocks laid end to end
+/// in one vector, a [`Stmt::Sync`] closing each — so a finished body is empty
+/// or ends in `Sync`.  A lazily spawned instance owns the vector its builder
+/// closure filled; an instance of a pre-built [`Proc`] shares the `Proc`'s.
+pub(crate) enum Body {
+    Own(Vec<Stmt>),
+    Shared(Arc<Vec<Stmt>>),
+}
+
+impl std::ops::Deref for Body {
+    type Target = [Stmt];
+
+    #[inline]
+    fn deref(&self) -> &[Stmt] {
+        match self {
+            Body::Own(stmts) => stmts,
+            Body::Shared(stmts) => stmts,
+        }
+    }
 }
 
 /// A live fork-join procedure: a series of sync blocks of steps and spawns.
 ///
 /// Build one with [`build_proc`]; run it with
-/// [`run_program`](crate::run_program).  Cloning is cheap (shared blocks)
+/// [`run_program`](crate::run_program).  Cloning is cheap (shared body)
 /// and runs are independent: the same `Proc` can be recorded, executed
 /// serially, and executed on many workers, each run unfolding its own
 /// parse-tree structure.
 #[derive(Clone)]
 pub struct Proc {
-    pub(crate) blocks: Arc<Vec<Block>>,
+    pub(crate) body: Arc<Vec<Stmt>>,
     /// Cached serial reference for determinacy enforcement, seeded by the
     /// first enforced run (see [`crate::try_run_program`]).  Shared across
     /// clones — the same program has the same reference — so repeated
@@ -170,13 +189,13 @@ impl Proc {
     /// Number of sync blocks (an empty procedure — zero blocks — executes as
     /// a single empty thread).
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.body.iter().filter(|s| matches!(s, Stmt::Sync)).count()
     }
 
     /// Number of statements across all blocks of *this* procedure (children
     /// of spawns are not counted — lazily spawned ones do not exist yet).
     pub fn num_statements(&self) -> usize {
-        self.blocks.iter().map(|b| b.stmts.len()).sum()
+        self.body.len() - self.num_blocks()
     }
 }
 
@@ -184,8 +203,7 @@ impl Proc {
 /// [`ProcBuilder::spawn`] bodies.
 #[derive(Default)]
 pub struct ProcBuilder {
-    blocks: Vec<Block>,
-    current: Vec<Stmt>,
+    stmts: Vec<Stmt>,
 }
 
 impl ProcBuilder {
@@ -193,7 +211,7 @@ impl ProcBuilder {
     /// executes, with a [`StepCtx`] for shared-memory reads
     /// and writes.
     pub fn step(&mut self, f: impl Fn(&mut StepCtx<'_>) + Send + Sync + 'static) -> &mut Self {
-        self.current.push(Stmt::Step(Arc::new(f)));
+        self.stmts.push(Stmt::Step(Arc::new(f)));
         self
     }
 
@@ -201,32 +219,32 @@ impl ProcBuilder {
     /// is evaluated *when the spawn executes*, on the executing worker — the
     /// program unfolds lazily, which is what recursive programs rely on.
     pub fn spawn(&mut self, body: impl Fn(&mut ProcBuilder) + Send + Sync + 'static) -> &mut Self {
-        self.current.push(Stmt::Spawn(SpawnBody::Lazy(Arc::new(body))));
+        self.stmts.push(Stmt::Spawn(SpawnBody::Lazy(Arc::new(body))));
         self
     }
 
     /// Spawn an already-built child procedure.
     pub fn spawn_proc(&mut self, child: Proc) -> &mut Self {
-        self.current.push(Stmt::Spawn(SpawnBody::Built(child)));
+        self.stmts.push(Stmt::Spawn(SpawnBody::Built(child)));
         self
     }
 
     /// End the current sync block: join every procedure spawned in it.  A
     /// trailing `sync` before the procedure ends is implicit (as in Cilk),
-    /// so `step(a); sync()` and `step(a)` describe the same procedure.
+    /// so `step(a); sync()` and `step(a)` describe the same procedure.  A
+    /// `sync` with nothing since the previous one still closes an (empty)
+    /// block, which executes as one empty thread.
     pub fn sync(&mut self) -> &mut Self {
-        self.blocks.push(Block {
-            stmts: std::mem::take(&mut self.current),
-        });
+        self.stmts.push(Stmt::Sync);
         self
     }
 
-    /// The finished sync blocks (a trailing open block is closed).
-    fn into_blocks(mut self) -> Vec<Block> {
-        if !self.current.is_empty() {
+    /// The finished body (a trailing open block is closed).
+    fn into_body(mut self) -> Vec<Stmt> {
+        if !matches!(self.stmts.last(), None | Some(Stmt::Sync)) {
             self.sync();
         }
-        self.blocks
+        self.stmts
     }
 }
 
@@ -238,7 +256,7 @@ pub fn build_proc(body: impl FnOnce(&mut ProcBuilder)) -> Proc {
     let mut b = ProcBuilder::default();
     body(&mut b);
     Proc {
-        blocks: Arc::new(b.into_blocks()),
+        body: Arc::new(b.into_body()),
         reference: Arc::new(OnceLock::new()),
     }
 }
@@ -278,20 +296,34 @@ mod tests {
     }
 
     #[test]
+    fn a_sync_on_an_empty_open_block_still_closes_a_block() {
+        let p = build_proc(|p| {
+            p.sync();
+            p.step(|_| {}).sync().sync();
+        });
+        assert_eq!(p.num_blocks(), 3);
+        assert_eq!(p.num_statements(), 1);
+    }
+
+    #[test]
     fn lazy_spawn_bodies_instantiate_fresh_procedures() {
         let body = SpawnBody::Lazy(Arc::new(|b: &mut ProcBuilder| {
             b.step(|_| {});
         }));
         let a = body.instantiate();
         let b = body.instantiate();
-        assert_eq!(a.iter().map(|blk| blk.stmts.len()).sum::<usize>(), 1);
-        assert_eq!(b.iter().map(|blk| blk.stmts.len()).sum::<usize>(), 1);
-        assert!(!Arc::ptr_eq(&a, &b), "each spawn unfolds fresh");
-        // A pre-built child shares its blocks with every instantiation.
+        for inst in [&a, &b] {
+            assert!(matches!(inst, Body::Own(_)), "each spawn unfolds fresh");
+            assert!(matches!(inst[..], [Stmt::Step(_), Stmt::Sync]));
+        }
+        // A pre-built child shares its body with every instantiation.
         let child = build_proc(|p| {
             p.step(|_| {});
         });
         let built = SpawnBody::Built(child.clone());
-        assert!(Arc::ptr_eq(&built.instantiate(), &child.blocks));
+        let Body::Shared(shared) = built.instantiate() else {
+            panic!("a pre-built child is shared, not copied");
+        };
+        assert!(Arc::ptr_eq(&shared, &child.body));
     }
 }

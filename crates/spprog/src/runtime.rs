@@ -8,9 +8,10 @@
 //! `unfold` module):
 //!
 //! * **Serial** (`workers == 1`) — [`forkrt::run_live_serial`] on the calling
-//!   thread.  SP maintenance is the streaming SP-order
-//!   ([`spmaint::StreamingSpOrder`]), whose node handles ride the
-//!   scheduler's *tags*; detection is [`racedet::LiveDetector`] with the
+//!   thread.  SP maintenance is the leaf-only streaming SP-order
+//!   ([`spmaint::StreamingSpOrder`]): a position's pair of list handles *is*
+//!   the scheduler's 64-bit *tag*, so nothing is stored per unfolded node;
+//!   detection is [`racedet::LiveDetector`] with the
 //!   same per-thread batching as the offline engine.  Deterministic: thread
 //!   ids, query answers, and the race report are bit-identical across runs —
 //!   and bit-identical to offline serial detection on the recorded tree.

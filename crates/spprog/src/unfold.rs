@@ -12,9 +12,28 @@
 //!   empty thread that reaches the sync;
 //! * an empty procedure is a single empty thread.
 //!
+//! A procedure body is one flat statement vector with a [`Stmt::Sync`]
+//! closing each block (see [`crate::program`]), and every cursor is an index
+//! into it:
+//!
+//! ```text
+//! body         ::= ε | block+                  block ::= (Step | Spawn)* Sync
+//! Blocks(p, s) ::= leaf                        if body = ε
+//!                | Rest(p, s)                  if the block at s is the last
+//!                | S(Rest(p, s), Blocks(p, e + 1))   e = the Sync closing it
+//! Rest(p, s)   ::= leaf                        if body[s] = Sync
+//!                | S(Step(p, s), Rest(p, s + 1))     if body[s] = Step
+//!                | P(Blocks(child, 0), Rest(p, s + 1))   if body[s] = Spawn
+//! Step(p, s)   ::= leaf running body[s]
+//! ```
+//!
+//! `Blocks` finds `e` by one forward scan, made once per block.
+//!
 //! Procedure instances get fresh [`ProcId`]s when their spawn executes —
 //! this is the information the live SP-hybrid's local tier keys its bags on,
-//! arriving with the event stream instead of from a materialized tree.
+//! arriving with the event stream instead of from a materialized tree.  An
+//! instance is one allocation: the `Arc<ProcInst>` its cursors share, which
+//! owns the body a lazy spawn built (or shares a pre-built [`Proc`]'s).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -23,13 +42,13 @@ use forkrt::{LiveNode, LiveProgram, SpKind};
 use sptree::tree::ProcId;
 
 use crate::determinacy::{child_paths, ROOT_PATH};
-use crate::program::{Block, Proc, SpawnBody, Stmt};
+use crate::program::{Body, Proc, SpawnBody, Stmt};
 use crate::StepFn;
 
-/// One instantiated procedure: its fresh id plus its (shared) blocks.
+/// One instantiated procedure: its fresh id plus its body.
 pub(crate) struct ProcInst {
     pub(crate) id: ProcId,
-    pub(crate) blocks: Arc<Vec<Block>>,
+    pub(crate) body: Body,
 }
 
 /// Position in the unfolding computation.  The trailing `u64` of every
@@ -37,13 +56,14 @@ pub(crate) struct ProcInst {
 /// derived purely from the position in the tree, identical on every
 /// schedule, unlike the `fetch_add`-allocated [`ProcId`]s.
 pub(crate) enum Cursor {
-    /// The series of sync blocks `b..` of a procedure.
+    /// The series of sync blocks of a procedure from the block that starts
+    /// at statement `s` on.
     Blocks(Arc<ProcInst>, usize, u64),
-    /// The statements `s..` of block `b` (ending in the implicit empty
+    /// The statements from `s` to the end of their block (the implicit empty
     /// thread that reaches the sync).
-    Rest(Arc<ProcInst>, usize, usize, u64),
-    /// The single step leaf at statement `(b, s)`.
-    Step(Arc<ProcInst>, usize, usize, u64),
+    Rest(Arc<ProcInst>, usize, u64),
+    /// The single step leaf at statement `s`.
+    Step(Arc<ProcInst>, usize, u64),
 }
 
 /// Node metadata handed to visitors.
@@ -76,14 +96,14 @@ impl Meta {
 /// A [`Proc`] wrapped for one live run: allocates procedure ids as spawns
 /// unfold.  Create one per run — ids restart at the root for every run.
 pub(crate) struct LiveCilk {
-    root: Arc<Vec<Block>>,
+    root: Arc<Vec<Stmt>>,
     next_proc: AtomicU32,
 }
 
 impl LiveCilk {
     pub(crate) fn new(root: &Proc) -> Self {
         LiveCilk {
-            root: Arc::clone(&root.blocks),
+            root: Arc::clone(&root.body),
             next_proc: AtomicU32::new(1),
         }
     }
@@ -94,9 +114,9 @@ impl LiveCilk {
     }
 
     fn instantiate(&self, body: &SpawnBody) -> Arc<ProcInst> {
-        let blocks = body.instantiate();
+        let body = body.instantiate();
         let id = ProcId(self.next_proc.fetch_add(1, Ordering::Relaxed));
-        Arc::new(ProcInst { id, blocks })
+        Arc::new(ProcInst { id, body })
     }
 }
 
@@ -108,7 +128,7 @@ impl LiveProgram for LiveCilk {
         Cursor::Blocks(
             Arc::new(ProcInst {
                 id: ProcId(0),
-                blocks: Arc::clone(&self.root),
+                body: Body::Shared(Arc::clone(&self.root)),
             }),
             0,
             ROOT_PATH,
@@ -119,58 +139,60 @@ impl LiveProgram for LiveCilk {
         let mut cursor = cursor;
         loop {
             match cursor {
-                Cursor::Blocks(p, b, path) => {
-                    let n = p.blocks.len();
-                    if n == 0 {
+                Cursor::Blocks(p, s, path) => {
+                    if p.body.is_empty() {
                         // Empty procedure: a single empty thread.
                         return LiveNode::Leaf(Meta::plain(p.id, path));
                     }
-                    if b + 1 == n {
+                    let end = s + p.body[s..]
+                        .iter()
+                        .position(|stmt| matches!(stmt, Stmt::Sync))
+                        .expect("a finished body ends in a sync");
+                    if end + 1 == p.body.len() {
                         // Pass-through (no node emitted): the path rides on.
-                        cursor = Cursor::Rest(p, b, 0, path);
+                        cursor = Cursor::Rest(p, s, path);
                         continue;
                     }
                     let (lp, rp) = child_paths(path);
                     return LiveNode::Internal {
                         kind: SpKind::Series,
                         meta: Meta::plain(p.id, path),
-                        left: Cursor::Rest(Arc::clone(&p), b, 0, lp),
-                        right: Cursor::Blocks(p, b + 1, rp),
+                        left: Cursor::Rest(Arc::clone(&p), s, lp),
+                        right: Cursor::Blocks(p, end + 1, rp),
                     };
                 }
-                Cursor::Rest(p, b, s, path) => {
-                    let block = &p.blocks[b];
-                    if s == block.stmts.len() {
+                Cursor::Rest(p, s, path) => {
+                    return match &p.body[s] {
                         // The implicit empty thread that reaches the sync.
-                        return LiveNode::Leaf(Meta::plain(p.id, path));
-                    }
-                    let (lp, rp) = child_paths(path);
-                    return match &block.stmts[s] {
-                        Stmt::Step(_) => LiveNode::Internal {
-                            kind: SpKind::Series,
-                            meta: Meta::plain(p.id, path),
-                            left: Cursor::Step(Arc::clone(&p), b, s, lp),
-                            right: Cursor::Rest(p, b, s + 1, rp),
-                        },
+                        Stmt::Sync => LiveNode::Leaf(Meta::plain(p.id, path)),
+                        Stmt::Step(_) => {
+                            let (lp, rp) = child_paths(path);
+                            LiveNode::Internal {
+                                kind: SpKind::Series,
+                                meta: Meta::plain(p.id, path),
+                                left: Cursor::Step(Arc::clone(&p), s, lp),
+                                right: Cursor::Rest(p, s + 1, rp),
+                            }
+                        }
                         Stmt::Spawn(body) => {
+                            let (lp, rp) = child_paths(path);
                             let child = self.instantiate(body);
-                            let spawned = child.id;
                             LiveNode::Internal {
                                 kind: SpKind::Parallel,
                                 meta: Meta {
                                     proc: p.id,
-                                    spawned: Some(spawned),
+                                    spawned: Some(child.id),
                                     step: None,
                                     path,
                                 },
                                 left: Cursor::Blocks(child, 0, lp),
-                                right: Cursor::Rest(p, b, s + 1, rp),
+                                right: Cursor::Rest(p, s + 1, rp),
                             }
                         }
                     };
                 }
-                Cursor::Step(p, b, s, path) => {
-                    let Stmt::Step(f) = &p.blocks[b].stmts[s] else {
+                Cursor::Step(p, s, path) => {
+                    let Stmt::Step(f) = &p.body[s] else {
                         unreachable!("a Step cursor always points at a step statement");
                     };
                     return LiveNode::Leaf(Meta {

@@ -125,6 +125,16 @@ fn all_serial_algorithms_agree_on_the_example() {
     }
 }
 
+/// Thread counts the Theorem-5 counts are taken at.
+const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
+
+/// Largest over smallest: 1.0 is perfectly flat.
+fn spread(xs: &[f64]) -> f64 {
+    let max = xs.iter().copied().fold(f64::MIN, f64::max);
+    let min = xs.iter().copied().fold(f64::MAX, f64::min);
+    max / min
+}
+
 /// Theorem 5 as counts (no clocks): SP-order's relabelling work and space
 /// per parse-tree node stay flat from 10³ to 10⁵ threads — on random SP
 /// trees and on the spawn-loop chain, whose insertions all land in one gap
@@ -144,14 +154,7 @@ fn theorem_5_sp_order_cost_per_node_is_flat() {
         let nodes = tree.num_nodes() as f64;
         (sp.relabel_count() as f64 / nodes, sp.space_bytes() as f64 / nodes)
     }
-    /// Largest over smallest: 1.0 is perfectly flat.
-    fn spread(xs: &[f64]) -> f64 {
-        let max = xs.iter().copied().fold(f64::MIN, f64::max);
-        let min = xs.iter().copied().fold(f64::MAX, f64::min);
-        max / min
-    }
     const MAX_RELABELS_PER_NODE: f64 = 6.0;
-    const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
     fn assert_flat(shape: &str, ast: impl Fn(usize) -> Ast) {
         let (relabels, bytes): (Vec<f64>, Vec<f64>) =
             SIZES.iter().map(|&n| per_node::<TwoLevelList>(&ast(n).build())).unzip();
@@ -176,4 +179,32 @@ fn theorem_5_sp_order_cost_per_node_is_flat() {
         })
         .collect();
     assert!(label_len.windows(2).all(|w| w[1] >= 3.0 * w[0]), "label entries/thread: {label_len:?}");
+}
+
+/// The same count for the streaming SP-order a live serial run maintains:
+/// it keeps list elements for the leaves only (two 16-byte items and one
+/// 8-byte handle pair per thread, before vector slack), so its space per
+/// *thread* is small and flat from 10³ to 10⁵ threads.
+#[test]
+fn theorem_5_streaming_sp_order_space_per_thread_is_small_and_flat() {
+    use sp_maintenance::spmaint::stream::{stream_tree, StreamingSpBackend, StreamingSpOrder};
+    use sp_maintenance::sptree::generate::{flat_parallel_loop, random_sp_ast};
+
+    const MAX_BYTES_PER_THREAD: f64 = 96.0;
+    fn assert_small_and_flat(shape: &str, ast: impl Fn(usize) -> Ast) {
+        let bytes: Vec<f64> = SIZES
+            .iter()
+            .map(|&n| {
+                let tree = ast(n).build();
+                let sp: StreamingSpOrder = stream_tree(&tree, |_, _| {});
+                assert_eq!(sp.num_nodes(), tree.num_nodes(), "{shape}");
+                sp.stream_space_bytes() as f64 / tree.num_threads() as f64
+            })
+            .collect();
+        println!("{shape}: streaming bytes/thread {bytes:.1?}");
+        assert!(bytes.iter().all(|&b| b <= MAX_BYTES_PER_THREAD), "{shape}: {bytes:?}");
+        assert!(spread(&bytes) <= 2.0, "{shape}: bytes/thread grow with n: {bytes:?}");
+    }
+    assert_small_and_flat("random", |n| random_sp_ast(n, 0.5, 42));
+    assert_small_and_flat("spawn-loop", |n| flat_parallel_loop(n, 1));
 }
