@@ -2,10 +2,11 @@
 //! `spawn`, and `sync`.
 //!
 //! A [`Proc`] is a Cilk procedure: a series of *sync blocks*, each a list of
-//! statements (stored end to end in one vector, a sync marker closing each).  A statement is either a **step** — one thread of serial work,
-//! a user closure that reads and writes shared memory through
-//! [`StepCtx`] — or a **spawn** of a child procedure that
-//! runs logically in parallel with the rest of the block.
+//! statements (stored end to end in one vector, a sync marker closing each).
+//! A statement is either a **step** — one thread of serial work, a user
+//! closure that reads and writes shared memory through [`StepCtx`] — or a
+//! **spawn** of a child procedure that runs logically in parallel with the
+//! rest of the block.
 //! [`ProcBuilder::sync`] ends the block, joining every procedure spawned in
 //! it.  This is exactly the canonical Cilk form of paper Figure 10
 //! ([`sptree::cilk`]), with closures in place of abstract work counters.

@@ -5,10 +5,11 @@
 //! the cardinal rule — attaching a registry must not change a single
 //! detection result.
 
+use racedet::RaceKind;
 use spmetrics::{
     validate_chrome_trace, CounterId, EventKind, HistId, MetricsHandle, MetricsRegistry,
 };
-use spprog::{build_proc, run_program, Proc, RunConfig};
+use spprog::{build_proc, run_program, LiveRun, Proc, RunConfig};
 
 /// `pairs` parallel write-write races, one per location, in location order.
 fn planted_races(pairs: u32) -> Proc {
@@ -132,8 +133,14 @@ fn attaching_a_registry_never_changes_detection_results() {
     // The cardinal rule of the observability layer: reports are
     // bit-identical with and without a registry attached.  A multi-worker
     // run numbers its threads in the order the schedule starts them, so
-    // there a steal may renumber a race's endpoints between any two runs:
-    // what must agree is which locations race, and how often.
+    // there a steal may renumber a race's endpoints and reorder the merged
+    // report between any two runs: everything else about every race —
+    // its location and its kind — must still agree.
+    fn by_location(run: &LiveRun) -> Vec<(u32, RaceKind)> {
+        let mut races: Vec<_> = run.report.races().iter().map(|r| (r.loc, r.kind)).collect();
+        races.sort_by_key(|&(loc, _)| loc);
+        races
+    }
     for workers in [1usize, 4] {
         let prog = planted_races(4);
         let detached = run_program(&prog, &RunConfig::with_workers(workers, 4));
@@ -143,11 +150,15 @@ fn attaching_a_registry_never_changes_detection_results() {
             assert_eq!(attached.report.races(), detached.report.races());
         }
         assert_eq!(
-            attached.report.racy_locations(),
-            detached.report.racy_locations(),
+            by_location(&attached),
+            by_location(&detached),
             "workers={workers}: attached run diverged from detached run"
         );
-        assert_eq!(attached.report.len(), detached.report.len());
+        assert_eq!(
+            by_location(&attached),
+            (0..4).map(|loc| (loc, RaceKind::WriteWrite)).collect::<Vec<_>>(),
+            "workers={workers}: one write-write race per planted location"
+        );
         assert_eq!(attached.threads, detached.threads);
     }
 }
