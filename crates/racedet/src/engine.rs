@@ -31,8 +31,9 @@
 //!      shard with a counting pass over the few shards the batch touches
 //!      (stable, so same-location accesses keep their program order — all
 //!      that the Feng–Leiserson rules depend on); a batch that lies in one
-//!      shard — common, since consecutive locations share a shard — is
-//!      walked in script order with no index vector built at all;
+//!      shard — common, since consecutive locations share a shard, and
+//!      *every* batch of a store built for one worker, which has one stripe
+//!      — is walked in script order with no index vector built at all;
 //! 2. within a shard group, each access first tries a **lock-free fast
 //!    path**: one atomic snapshot of the packed cell; if the snapshot shows
 //!    the cell is wholly owned by the current thread (the *owner hint* —
@@ -720,27 +721,24 @@ mod tests {
     }
 
     /// The memo asks each SP question once per batch: 4,096 reads of cells
-    /// recorded by 3 earlier threads, across all 8 shards, reach the
-    /// maintainer at most 3 times — through the locked tier and through the
-    /// silent-read tier alike.
-    #[test]
-    fn a_batch_asks_the_maintainer_once_per_recorded_thread() {
+    /// recorded by 3 earlier threads reach the maintainer at most 3 times —
+    /// through the locked tier and through the silent-read tier alike.
+    fn check_one_question_per_recorded_thread(shadow: &ShardedShadowMemory) {
         const CELLS: u32 = 4096;
-        let shadow = ShardedShadowMemory::new(CELLS, 1);
-        assert!(shadow.num_shards() >= 2, "the batch must span shards");
+        assert_eq!(shadow.len(), CELLS as usize);
         let report = Mutex::new(RaceReport::new());
         let detached = MetricsHandle::detached();
         let all_precede = CountingQueries::preceded_by_ids_below(u32::MAX);
         for writer in 0..3u32 {
             let writes: Vec<Access> =
                 (0..CELLS).filter(|loc| loc % 3 == writer).map(Access::write).collect();
-            check_thread_accesses(&all_precede, &shadow, &report, ThreadId(writer), &writes, &detached);
+            check_thread_accesses(&all_precede, shadow, &report, ThreadId(writer), &writes, &detached);
         }
         let reads: Vec<Access> = (0..CELLS).map(Access::read).collect();
 
         // Locked tier: every read fills the empty reader slot.
         let queries = CountingQueries::preceded_by_ids_below(3);
-        check_thread_accesses(&queries, &shadow, &report, ThreadId(3), &reads, &detached);
+        check_thread_accesses(&queries, shadow, &report, ThreadId(3), &reads, &detached);
         assert!(queries.asked.get() <= 3, "asked {} times", queries.asked.get());
         assert_eq!(shadow.load(CELLS - 1).reader, Some(ThreadId(3)));
 
@@ -748,10 +746,28 @@ mod tests {
         // reader 3, so nothing is written — one more recorded thread to ask
         // about, one more question.
         let queries = CountingQueries::preceded_by_ids_below(3);
-        check_thread_accesses(&queries, &shadow, &report, ThreadId(4), &reads, &detached);
+        check_thread_accesses(&queries, shadow, &report, ThreadId(4), &reads, &detached);
         assert!(queries.asked.get() <= 4, "asked {} times", queries.asked.get());
         assert_eq!(shadow.load(CELLS - 1).reader, Some(ThreadId(3)));
         assert!(report.lock().is_empty());
+    }
+
+    /// Across all 16 stripes of a 2-worker store: one memo serves every
+    /// shard group of the batch.
+    #[test]
+    fn a_batch_asks_the_maintainer_once_per_recorded_thread() {
+        let shadow = ShardedShadowMemory::new(4096, 2);
+        assert!(shadow.num_shards() >= 2, "the batch must span shards");
+        check_one_question_per_recorded_thread(&shadow);
+    }
+
+    /// The one-stripe twin: a one-worker store walks the batch as a single
+    /// group, and the memo still asks once per recorded thread.
+    #[test]
+    fn a_one_stripe_batch_asks_the_maintainer_once_per_recorded_thread() {
+        let shadow = ShardedShadowMemory::new(4096, 1);
+        assert_eq!(shadow.num_shards(), 1);
+        check_one_question_per_recorded_thread(&shadow);
     }
 
     /// The memo dies with its batch: the same query object, flipped between
@@ -812,38 +828,65 @@ mod tests {
         }
     }
 
+    /// The racy batch of the two script-order tests below, run through
+    /// `shadow`: thread 0 writes every cell, then thread 1 (parallel with it)
+    /// writes a scramble of them, location 5 twice.
+    const RACY_CELLS: u32 = 1024;
+    const RACY_SCRIPT: [u32; 9] = [900, 5, 400, 6, 901, 130, 5, 1023, 0];
+
+    fn run_racy_batch(shadow: &dyn ShadowStore) -> RaceReport {
+        let script: Vec<Access> = RACY_SCRIPT.into_iter().map(Access::write).collect();
+        let init: Vec<Access> = (0..RACY_CELLS).map(Access::write).collect();
+        let report = Mutex::new(RaceReport::new());
+        let detached = MetricsHandle::detached();
+        let parallel = CountingQueries::preceded_by_ids_below(0);
+        check_thread_accesses(&parallel, shadow, &report, ThreadId(0), &init, &detached);
+        check_thread_accesses(&parallel, shadow, &report, ThreadId(1), &script, &detached);
+        report.into_inner()
+    }
+
+    fn shards_hopped(shadow: &dyn ShadowStore) -> usize {
+        let shards: std::collections::BTreeSet<usize> =
+            RACY_SCRIPT.iter().map(|&loc| shadow.shard_of(loc)).collect();
+        shards.len()
+    }
+
     /// A racy batch that hops between shards is visited shard by shard but
     /// reported in script order — through the standalone store and through
     /// an epoch view alike.
     #[test]
     fn multi_shard_racy_batches_report_in_script_order_through_both_stores() {
         use crate::epoch::EpochShadowArena;
-        const CELLS: u32 = 1024;
-        // Scrambled over all shards; location 5 is written twice.
-        let script: Vec<Access> = [900u32, 5, 400, 6, 901, 130, 5, 1023, 0]
-            .into_iter()
-            .map(Access::write)
-            .collect();
-        let init: Vec<Access> = (0..CELLS).map(Access::write).collect();
-        let run = |shadow: &dyn ShadowStore| {
-            let shards: std::collections::BTreeSet<usize> =
-                script.iter().map(|a| shadow.shard_of(a.loc)).collect();
-            assert!(shards.len() >= 3, "the batch must hop between shards");
-            let report = Mutex::new(RaceReport::new());
-            let detached = MetricsHandle::detached();
-            let parallel = CountingQueries::preceded_by_ids_below(0);
-            check_thread_accesses(&parallel, shadow, &report, ThreadId(0), &init, &detached);
-            check_thread_accesses(&parallel, shadow, &report, ThreadId(1), &script, &detached);
-            report.into_inner()
-        };
-        let sharded = run(&ShardedShadowMemory::new(CELLS, 1));
-        let arena = EpochShadowArena::new(CELLS, 1);
+        let store = ShardedShadowMemory::new(RACY_CELLS, 2);
+        assert!(shards_hopped(&store) >= 3, "the batch must hop between shards");
+        let sharded = run_racy_batch(&store);
+        let mut arena = EpochShadowArena::new(RACY_CELLS);
         arena.reset();
-        let epoch = run(&arena.view());
+        let view = arena.view(2);
+        assert!(shards_hopped(&view) >= 3, "the batch must hop between shards");
+        let epoch = run_racy_batch(&view);
         let reported: Vec<u32> = sharded.races().iter().map(|r| r.loc).collect();
         // The second write of location 5 finds thread 1 itself recorded.
         assert_eq!(reported, vec![900, 5, 400, 6, 901, 130, 1023, 0]);
         assert!(sharded.races().iter().all(|r| r.earlier == ThreadId(0) && r.later == ThreadId(1)));
         assert_eq!(epoch.races(), sharded.races());
+    }
+
+    /// The one-stripe twin: on a one-worker store and a one-worker epoch view
+    /// the same batch is a single group walked in script order, and reports
+    /// bit-identically to the 2-worker stores.
+    #[test]
+    fn one_stripe_racy_batches_report_in_script_order_through_both_stores() {
+        use crate::epoch::EpochShadowArena;
+        let striped = run_racy_batch(&ShardedShadowMemory::new(RACY_CELLS, 2));
+        let store = ShardedShadowMemory::new(RACY_CELLS, 1);
+        assert_eq!(shards_hopped(&store), 1);
+        let mut arena = EpochShadowArena::new(RACY_CELLS);
+        arena.reset();
+        let view = arena.view(1);
+        assert_eq!((view.num_shards(), shards_hopped(&view)), (1, 1));
+        assert_eq!(run_racy_batch(&store).races(), striped.races());
+        assert_eq!(run_racy_batch(&view).races(), striped.races());
+        assert_eq!(striped.len(), RACY_SCRIPT.len() - 1);
     }
 }

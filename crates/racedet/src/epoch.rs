@@ -32,6 +32,10 @@
 //! Sharding, striped locks, and the mutation discipline are identical to
 //! [`ShardedShadowMemory`](crate::shadow::ShardedShadowMemory) — the view implements [`ShadowStore`], so the
 //! generic engine ([`crate::engine::check_thread_accesses`]) drives both.
+//! The cells belong to the arena, the striping to the **lease**: each
+//! [`EpochShadowArena::view`] is striped for the workers of the session it
+//! serves, so a serial session on a recycled arena gets the same single
+//! stripe a standalone serial run gets.
 //! See `ARCHITECTURE.md#detection-as-a-service-spservice`.
 
 use crossbeam_utils::CachePadded;
@@ -39,7 +43,7 @@ use parking_lot::Mutex;
 use sptree::tree::ThreadId;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::shadow::{shard_layout, ShadowCell, ShadowStore};
+use crate::shadow::{shard_layout, shard_of, ShadowCell, ShadowStore};
 
 /// "No recorded thread" in the 24-bit thread field of an epoch cell.
 const NONE24: u32 = 0xFF_FFFF;
@@ -96,8 +100,9 @@ fn empty_word() -> u64 {
 /// detection engine.
 pub struct EpochShadowArena {
     cells: Vec<AtomicU64>,
+    /// Striped locks, as many as the widest lease so far needed; a view uses
+    /// the first [`EpochShadowView::num_shards`] of them.
     locks: Vec<CachePadded<Mutex<()>>>,
-    shard_shift: u32,
     /// Current generation, always `< gen_limit`.
     gen: AtomicU32,
     gen_limit: u32,
@@ -109,27 +114,25 @@ impl EpochShadowArena {
     /// Largest supported generation space: 16 tag bits.
     pub const MAX_GEN_LIMIT: u32 = 1 << 16;
 
-    /// An arena covering `locations` locations with striped locks sized for
-    /// `workers` concurrent workers, using the full 16-bit generation space.
-    pub fn new(locations: u32, workers: usize) -> Self {
-        Self::with_gen_limit(locations, workers, Self::MAX_GEN_LIMIT)
+    /// An arena covering `locations` locations, using the full 16-bit
+    /// generation space.
+    pub fn new(locations: u32) -> Self {
+        Self::with_gen_limit(locations, Self::MAX_GEN_LIMIT)
     }
 
     /// An arena with a deliberately small generation space (`gen_limit`
     /// generations before wraparound) — the wraparound-purge path can then
     /// be exercised in a handful of resets.  `gen_limit` must be a power of
     /// two in `[2, MAX_GEN_LIMIT]`.
-    pub fn with_gen_limit(locations: u32, workers: usize, gen_limit: u32) -> Self {
+    pub fn with_gen_limit(locations: u32, gen_limit: u32) -> Self {
         assert!(
             gen_limit.is_power_of_two() && (2..=Self::MAX_GEN_LIMIT).contains(&gen_limit),
             "gen_limit must be a power of two in [2, {}], got {gen_limit}",
             Self::MAX_GEN_LIMIT
         );
-        let (shard_shift, num_shards) = shard_layout(locations, workers);
         EpochShadowArena {
             cells: (0..locations).map(|_| AtomicU64::new(empty_word())).collect(),
-            locks: (0..num_shards).map(|_| CachePadded::new(Mutex::new(()))).collect(),
-            shard_shift,
+            locks: Vec::new(),
             gen: AtomicU32::new(0),
             gen_limit,
             resets: AtomicU64::new(0),
@@ -145,11 +148,6 @@ impl EpochShadowArena {
     /// True if no locations are shadowed.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
-    }
-
-    /// Number of striped shard locks.
-    pub fn num_shards(&self) -> usize {
-        self.locks.len()
     }
 
     /// The generation a view opened now would be pinned to.
@@ -204,28 +202,44 @@ impl EpochShadowArena {
         1
     }
 
-    /// Grow the arena to cover at least `locations` locations, re-striping
-    /// for `workers` workers.  Requires exclusive access (between sessions);
-    /// existing generation state is preserved, new cells start empty.
-    pub fn ensure_locations(&mut self, locations: u32, workers: usize) {
+    /// Grow the arena to cover at least `locations` locations (between
+    /// sessions); existing generation state is preserved, new cells start
+    /// empty.
+    pub fn ensure_locations(&mut self, locations: u32) {
         if locations as usize <= self.cells.len() {
             return;
         }
-        let (shard_shift, num_shards) = shard_layout(locations, workers);
         // Fresh empty cells: the old cells' tags are at most the current
         // generation, and a view never outlives a lease, so dropping the old
         // contents is equivalent to a purge of the grown range.
         self.cells = (0..locations).map(|_| AtomicU64::new(empty_word())).collect();
-        self.locks = (0..num_shards).map(|_| CachePadded::new(Mutex::new(()))).collect();
-        self.shard_shift = shard_shift;
         // The old generation's cells are gone wholesale, so the tag can keep
         // counting from where it was.
     }
 
-    /// Open the session view of the current generation.
-    pub fn view(&self) -> EpochShadowView<'_> {
+    /// Open the session view of the current generation, striped for a
+    /// session checked by `workers` concurrent workers.
+    ///
+    /// Stripes follow the threads that can contend *within this lease* — the
+    /// session's own worker count, not the size of whatever pool runs
+    /// sessions: a serial (or any one-worker) session gets exactly one
+    /// stripe, a `workers`-worker session the `8 · workers` rule of
+    /// [`ShardedShadowMemory`](crate::shadow::ShardedShadowMemory) over the
+    /// arena's current size.  The layout is the view's alone; cells carry no
+    /// trace of it, so an arena can be leased under a different striping
+    /// every time.  `&mut self`: the lock vector grows here the first time a
+    /// lease needs more stripes than any before it, and the exclusive borrow
+    /// is the "one session at a time" rule stated to the compiler.
+    pub fn view(&mut self, workers: usize) -> EpochShadowView<'_> {
+        // The cells were sized from a `u32`.
+        let (shard_shift, num_shards) = shard_layout(self.cells.len() as u32, workers);
+        if self.locks.len() < num_shards {
+            self.locks.resize_with(num_shards, || CachePadded::new(Mutex::new(())));
+        }
         EpochShadowView {
-            arena: self,
+            cells: &self.cells,
+            locks: &self.locks[..num_shards],
+            shard_shift,
             gen: self.current_gen(),
         }
     }
@@ -246,7 +260,10 @@ impl EpochShadowArena {
 /// the single-word consistency argument are identical to
 /// [`ShardedShadowMemory`](crate::shadow::ShardedShadowMemory).
 pub struct EpochShadowView<'a> {
-    arena: &'a EpochShadowArena,
+    cells: &'a [AtomicU64],
+    /// This lease's stripes.
+    locks: &'a [CachePadded<Mutex<()>>],
+    shard_shift: u32,
     gen: u32,
 }
 
@@ -255,11 +272,16 @@ impl EpochShadowView<'_> {
     pub fn gen(&self) -> u32 {
         self.gen
     }
+
+    /// Number of striped shard locks of this lease.
+    pub fn num_shards(&self) -> usize {
+        self.locks.len()
+    }
 }
 
 impl ShadowStore for EpochShadowView<'_> {
     fn load(&self, loc: u32) -> ShadowCell {
-        let word = self.arena.cells[loc as usize].load(Ordering::Acquire);
+        let word = self.cells[loc as usize].load(Ordering::Acquire);
         let (cell, gen) = unpack_gen(word);
         if gen == self.gen {
             cell
@@ -271,15 +293,15 @@ impl ShadowStore for EpochShadowView<'_> {
     }
 
     fn shard_of(&self, loc: u32) -> usize {
-        (loc >> self.arena.shard_shift) as usize
+        shard_of(loc, self.shard_shift)
     }
 
     fn lock_shard(&self, shard: usize) -> parking_lot::MutexGuard<'_, ()> {
-        self.arena.locks[shard].lock()
+        self.locks[shard].lock()
     }
 
     fn store(&self, loc: u32, cell: ShadowCell) {
-        self.arena.cells[loc as usize].store(pack_gen(cell, self.gen), Ordering::Release);
+        self.cells[loc as usize].store(pack_gen(cell, self.gen), Ordering::Release);
     }
 }
 
@@ -318,16 +340,17 @@ mod tests {
 
     #[test]
     fn reset_makes_old_cells_read_as_empty() {
-        let arena = EpochShadowArena::new(8, 1);
-        let v0 = arena.view();
+        let mut arena = EpochShadowArena::new(8);
+        let v0 = arena.view(1);
+        let gen0 = v0.gen();
         {
             let _g = v0.lock_shard(v0.shard_of(3));
             v0.store(3, ShadowCell { writer: Some(ThreadId(5)), reader: None });
         }
         assert_eq!(v0.load(3).writer, Some(ThreadId(5)));
         arena.reset();
-        let v1 = arena.view();
-        assert_ne!(v1.gen(), v0.gen());
+        let v1 = arena.view(1);
+        assert_ne!(v1.gen(), gen0);
         assert_eq!(v1.load(3), ShadowCell::default(), "stale generation reads as empty");
     }
 
@@ -336,8 +359,8 @@ mod tests {
         // gen_limit 2: generations alternate 0,1,0,1,... — without the
         // purge, a cell written in the first generation 0 would read as live
         // in the second generation 0.
-        let arena = EpochShadowArena::with_gen_limit(4, 1, 2);
-        let v = arena.view();
+        let mut arena = EpochShadowArena::with_gen_limit(4, 2);
+        let v = arena.view(1);
         {
             let _g = v.lock_shard(v.shard_of(0));
             v.store(0, ShadowCell { writer: Some(ThreadId(9)), reader: None });
@@ -345,7 +368,7 @@ mod tests {
         assert_eq!(arena.reset(), 1); // gen 0 -> 1
         assert_eq!(arena.reset(), 0); // gen 1 -> 0: wraparound, purge
         assert_eq!(arena.purges(), 1);
-        let v = arena.view();
+        let v = arena.view(1);
         assert_eq!(v.gen(), 0);
         assert_eq!(v.load(0), ShadowCell::default(), "purge cleared the aliasing cell");
     }
@@ -353,16 +376,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_gen_limit_is_rejected() {
-        EpochShadowArena::with_gen_limit(4, 1, 3);
+        EpochShadowArena::with_gen_limit(4, 3);
     }
 
     #[test]
     fn engine_runs_identically_over_an_epoch_view() {
         // The same parallel write-write race detected through the sharded
         // store and through a (fresh and a recycled) epoch view.
-        let arena = EpochShadowArena::new(4, 2);
+        let mut arena = EpochShadowArena::new(4);
         for round in 0..3 {
-            let view = arena.view();
+            let view = arena.view(2);
             let report = Mutex::new(RaceReport::new());
             check_thread_accesses(&AllParallel, &view, &report, ThreadId(0), &[Access::write(1)], &spmetrics::MetricsHandle::detached());
             check_thread_accesses(&AllParallel, &view, &report, ThreadId(1), &[Access::write(1)], &spmetrics::MetricsHandle::detached());
@@ -376,16 +399,51 @@ mod tests {
 
     #[test]
     fn grow_preserves_generation_and_reads_empty() {
-        let mut arena = EpochShadowArena::new(4, 1);
+        let mut arena = EpochShadowArena::new(4);
         arena.reset();
         let gen = arena.current_gen();
-        arena.ensure_locations(64, 2);
+        arena.ensure_locations(64);
         assert_eq!(arena.current_gen(), gen);
         assert_eq!(arena.len(), 64);
-        let v = arena.view();
+        let v = arena.view(2);
         assert_eq!(v.load(63), ShadowCell::default());
+        assert_eq!(v.num_shards(), 8, "striped over the grown size");
         assert!(arena.space_bytes() > 0);
-        assert!(arena.num_shards() >= 1);
         assert!(!arena.is_empty());
+    }
+
+    /// Stripes belong to the lease: one arena viewed for one worker has one
+    /// stripe, viewed next for four workers the 4-worker layout of a
+    /// standalone store of its size, and then one again — while cells written
+    /// under one striping read back (or read as stale) under another.
+    #[test]
+    fn each_view_is_striped_for_its_own_worker_count() {
+        use crate::shadow::ShardedShadowMemory;
+        const CELLS: u32 = 4096;
+        let mut arena = EpochShadowArena::new(CELLS);
+        let four = ShardedShadowMemory::new(CELLS, 4);
+        let mark = ShadowCell { writer: Some(ThreadId(1)), reader: None };
+
+        let serial = arena.view(1);
+        assert_eq!(serial.num_shards(), 1);
+        assert_eq!(serial.shard_of(CELLS - 1), 0);
+        {
+            let _g = serial.lock_shard(0);
+            serial.store(CELLS - 1, mark);
+        }
+
+        // Same generation, other striping: the cell is where it was.
+        let wide = arena.view(4);
+        assert_eq!(wide.num_shards(), four.num_shards());
+        for loc in [0, 127, 128, CELLS - 1] {
+            assert_eq!(wide.shard_of(loc), four.shard_of(loc));
+        }
+        assert_eq!(wide.load(CELLS - 1), mark);
+        drop(wide.lock_shard(wide.shard_of(CELLS - 1)));
+
+        arena.reset();
+        let serial = arena.view(1);
+        assert_eq!(serial.num_shards(), 1, "the wider lease left nothing behind");
+        assert_eq!(serial.load(CELLS - 1), ShadowCell::default());
     }
 }

@@ -81,8 +81,9 @@ pub struct LiveDetector {
 
 impl LiveDetector {
     /// A detector covering `locations` shared locations, with shadow-memory
-    /// striping sized for `workers` concurrent workers.  All values start
-    /// at 0.
+    /// striping sized for `workers` concurrent workers (one worker: one
+    /// stripe, so its batches are checked in script order, in place).  All
+    /// values start at 0.
     pub fn new(locations: u32, workers: usize) -> Self {
         Self::with_metrics(locations, workers, MetricsHandle::detached())
     }

@@ -99,15 +99,30 @@ pub trait ShadowStore: Sync {
 }
 
 /// Striped-lock layout shared by every sharded shadow store: returns
-/// `(shard_shift, num_shards)` for `locations` locations and `workers`
-/// concurrent workers (see [`ShardedShadowMemory`] for the rationale).
+/// `(shard_shift, num_shards)` for `locations` locations checked by `workers`
+/// concurrent workers; [`shard_of`] maps a location under it.
+///
+/// Stripes exist to keep threads that can contend apart, so they follow the
+/// worker count and nothing else.  **One worker cannot contend with itself**:
+/// it gets exactly one stripe whatever the size (`shard_shift` is the full
+/// width of a location, so every location maps to shard 0), and the engine
+/// then walks every batch in script order under at most one lock acquisition
+/// — no grouping pass, no index vector.  Two or more workers get a
+/// power-of-two lock count comfortably above the worker count
+/// (`8 · workers`, saturating), capped by how many cache-line blocks there
+/// are to guard (see [`ShardedShadowMemory`] for the rationale).
+///
+/// Pure arithmetic, no allocation, total on every `(u32, usize)` input.
 pub(crate) fn shard_layout(locations: u32, workers: usize) -> (u32, usize) {
-    let workers = workers.max(1) as u32;
-    // Target a power-of-two lock count comfortably above the worker
-    // count, capped by how many cache-line blocks there are to guard.
-    let target_shards = (8 * workers).next_power_of_two();
-    let blocks = locations.div_ceil(ShardedShadowMemory::MIN_BLOCK).max(1);
-    let shards = target_shards.min(blocks.next_power_of_two());
+    if workers <= 1 {
+        return (u32::BITS, 1);
+    }
+    let workers = u32::try_from(workers).unwrap_or(u32::MAX);
+    // No more shards than cache-line blocks (at most 2²⁹ of them), which is
+    // also what a saturated target falls back to.
+    let blocks = locations.div_ceil(ShardedShadowMemory::MIN_BLOCK).max(1).next_power_of_two();
+    let target_shards = workers.saturating_mul(8).checked_next_power_of_two().unwrap_or(blocks);
+    let shards = target_shards.min(blocks);
     let cells_per_shard = locations
         .div_ceil(shards)
         .max(ShardedShadowMemory::MIN_BLOCK)
@@ -117,13 +132,23 @@ pub(crate) fn shard_layout(locations: u32, workers: usize) -> (u32, usize) {
     (shard_shift, num_shards)
 }
 
+/// The shard of `loc` under a [`shard_layout`] shift.  Widened before the
+/// shift so the one-stripe layout (`shard_shift == 32`) is an ordinary shift
+/// that yields 0 for every location.
+#[inline]
+pub(crate) fn shard_of(loc: u32, shard_shift: u32) -> usize {
+    (u64::from(loc) >> shard_shift) as usize
+}
+
 /// Sharded, cache-aware shadow memory — the engine's shadow store.
 ///
 /// Cells live in one flat array of packed `AtomicU64` words.  Consecutive
 /// cells are grouped into power-of-two blocks (`cells_per_shard`, at least a
 /// cache line's worth), each guarded by its own cache-padded striped lock;
 /// the number of locks scales with the worker count, so logically concurrent
-/// threads rarely collide on a lock unless they touch nearby locations.
+/// threads rarely collide on a lock unless they touch nearby locations — and
+/// a store built for one worker has exactly one stripe, since one worker
+/// cannot contend with itself (`shard_layout`).
 /// Mapping by *blocks* rather than interleaving means a thread scanning
 /// consecutive locations stays within one shard, which is what lets the
 /// engine amortize a single lock acquisition over a whole run of same-shard
@@ -135,7 +160,7 @@ pub(crate) fn shard_layout(locations: u32, workers: usize) -> (u32, usize) {
 pub struct ShardedShadowMemory {
     cells: Vec<AtomicU64>,
     locks: Vec<CachePadded<Mutex<()>>>,
-    /// `loc >> shard_shift` is the shard of `loc`.
+    /// `shard_of(loc, shard_shift)` is the shard of `loc`.
     shard_shift: u32,
 }
 
@@ -170,14 +195,9 @@ impl ShardedShadowMemory {
         self.locks.len()
     }
 
-    /// Cells per shard (a power of two; consecutive locations share a shard).
-    pub fn cells_per_shard(&self) -> u32 {
-        1 << self.shard_shift
-    }
-
     /// The shard that guards `loc`.
     pub fn shard_of(&self, loc: u32) -> usize {
-        (loc >> self.shard_shift) as usize
+        shard_of(loc, self.shard_shift)
     }
 
     /// Consistent lock-free snapshot of a cell (one atomic load).
@@ -256,10 +276,10 @@ mod tests {
 
     #[test]
     fn sharding_grows_with_workers_and_maps_blocks() {
-        let small = ShardedShadowMemory::new(1 << 12, 1);
+        let small = ShardedShadowMemory::new(1 << 12, 2);
         let big = ShardedShadowMemory::new(1 << 12, 8);
-        assert!(big.num_shards() >= small.num_shards());
-        assert!(big.num_shards().is_power_of_two() || big.num_shards() == 1);
+        assert!(big.num_shards() > small.num_shards());
+        assert!(big.num_shards().is_power_of_two());
         // Block mapping: consecutive locations share a shard...
         assert_eq!(big.shard_of(0), big.shard_of(1));
         // ...and every shard index is within the allocated locks.
@@ -267,8 +287,69 @@ mod tests {
             assert!(big.shard_of(loc) < big.num_shards());
         }
         // Blocks are a power of two and at least a cache line of cells.
-        assert!(big.cells_per_shard().is_power_of_two());
-        assert!(big.cells_per_shard() >= ShardedShadowMemory::MIN_BLOCK);
+        assert!(1 << big.shard_shift >= ShardedShadowMemory::MIN_BLOCK);
+    }
+
+    const SIZES: [u32; 8] = [0, 1, 7, 8, 9, 4096, 300_000, u32::MAX];
+
+    /// One worker cannot contend with itself: one stripe whatever the size,
+    /// and `shard_of` is total on it (the shift is the full location width).
+    #[test]
+    fn one_worker_gets_exactly_one_stripe_at_every_size() {
+        for locations in SIZES {
+            for workers in [0, 1] {
+                let (shift, shards) = shard_layout(locations, workers);
+                assert_eq!(shards, 1, "{locations} locations, {workers} workers");
+                for loc in [0, locations / 2, locations.saturating_sub(1), u32::MAX] {
+                    assert_eq!(shard_of(loc, shift), 0, "{locations} locations, loc {loc}");
+                }
+            }
+        }
+        assert_eq!(ShardedShadowMemory::new(300_000, 1).num_shards(), 1);
+    }
+
+    /// The multi-worker layouts, pinned as literals: `8 · workers` stripes
+    /// rounded up to a power of two, capped by the cache-line blocks there
+    /// are, in power-of-two runs of consecutive cells.
+    #[test]
+    fn multi_worker_layouts_are_pinned() {
+        let table: [(u32, usize, (u32, usize)); 9] = [
+            (4_096, 2, (8, 16)),
+            (4_096, 4, (7, 32)),
+            (4_096, 8, (6, 64)),
+            (300_000, 2, (15, 10)),
+            (300_000, 4, (14, 19)),
+            (300_000, 8, (13, 37)),
+            (2_400_001, 2, (18, 10)),
+            (2_400_001, 4, (17, 19)),
+            (2_400_001, 8, (16, 37)),
+        ];
+        for (locations, workers, layout) in table {
+            assert_eq!(shard_layout(locations, workers), layout, "({locations}, {workers})");
+            assert!(shard_of(locations - 1, layout.0) < layout.1, "({locations}, {workers})");
+        }
+    }
+
+    /// Total on every input: worker counts beyond `u32` and beyond what
+    /// `8 · workers` can hold saturate to "one stripe per cache-line block"
+    /// instead of truncating or overflowing, and the last location always
+    /// maps inside the lock vector.
+    #[test]
+    fn layout_saturates_instead_of_overflowing() {
+        for locations in SIZES {
+            for workers in [2, 3, 1 << 28, (1 << 29) + 1, u32::MAX as usize, usize::MAX] {
+                let (shift, shards) = shard_layout(locations, workers);
+                assert!(shift >= ShardedShadowMemory::MIN_BLOCK.trailing_zeros());
+                assert!(shards >= 1);
+                assert!(
+                    shard_of(locations.saturating_sub(1), shift) < shards,
+                    "({locations}, {workers}) -> ({shift}, {shards})"
+                );
+            }
+        }
+        // Saturated: as many stripes as there are cache-line blocks.
+        assert_eq!(shard_layout(4_096, usize::MAX), (3, 512));
+        assert_eq!(shard_layout(4_096, u32::MAX as usize), shard_layout(4_096, usize::MAX));
     }
 
     #[test]

@@ -126,6 +126,14 @@ pub trait StreamingSpBackend: CurrentSpQuery {
 /// Figure 5's per-node elements and stays the reference this is tested
 /// against.
 ///
+/// Two ways to ask about the current thread.  The [`CurrentSpQuery`] impl on
+/// the structure itself is Figure 5's `SP-PRECEDES` as written — both orders
+/// compared — and is right under *any* unfolding order (the §3 strawman's
+/// workers unfold wherever they are).  A **serial** walk asks through
+/// [`Self::serial_view`] instead, which compares the Hebrew order alone: the
+/// English order *is* the order of the serial execution, so there the
+/// English half of the conjunction is known before it is asked.
+///
 /// ```
 /// use spmaint::stream::{StreamingSpBackend, StreamingSpOrder};
 /// use spmaint::{CurrentSpQuery, SpQuery};
@@ -165,6 +173,15 @@ impl<L: OrderMaintenance> StreamingSpOrder<L> {
         self.threads.iter().filter(|&&t| t != StreamNode::NONE).count()
     }
 
+    /// The view of a serial walk executing the thread at `current` — the
+    /// handle just passed to [`StreamingSpBackend::execute`].  See
+    /// [`SerialSpView`] for the precondition.
+    #[inline]
+    pub fn serial_view(&self, current: StreamNode) -> SerialSpView<'_, L> {
+        SerialSpView { sp: self, current }
+    }
+
+    #[inline]
     fn handles_of(&self, thread: ThreadId) -> (OmNode, OmNode) {
         match self.threads.get(thread.index()) {
             Some(&leaf) if leaf != StreamNode::NONE => leaf.unpack(),
@@ -229,6 +246,44 @@ impl<L: OrderMaintenance> StreamingSpBackend for StreamingSpOrder<L> {
         self.eng.space_bytes()
             + self.heb.space_bytes()
             + self.threads.capacity() * std::mem::size_of::<StreamNode>()
+    }
+}
+
+/// [`StreamingSpOrder`] as seen from the thread a **serial** left-to-right
+/// walk is executing ([`StreamingSpOrder::serial_view`]): `SP-PRECEDES(u,
+/// current)` in one comparison.
+///
+/// Paper §2 defines the English order as the order in which the serial
+/// execution visits the threads, so on such a walk every executed thread
+/// already precedes the current one in English, and Figure 5's
+/// `eng(u) < eng(current) ∧ heb(u) < heb(current)` is its Hebrew half alone
+/// — the same fact SP-bags and the local tier of Figure 9 rest on.  The
+/// current thread's Hebrew element comes from the handle the walk is holding,
+/// so building the view looks nothing up.
+///
+/// **Precondition:** threads have executed in English order up to the current
+/// one (`forkrt::run_live_serial` and [`stream_tree`] guarantee it; the §3
+/// strawman does not, and uses the two-order [`CurrentSpQuery`] impl of the
+/// structure instead).  Debug builds check the implied English comparison on
+/// every query.
+pub struct SerialSpView<'a, L: OrderMaintenance> {
+    sp: &'a StreamingSpOrder<L>,
+    /// The current thread's leaf.
+    current: StreamNode,
+}
+
+impl<L: OrderMaintenance> CurrentSpQuery for SerialSpView<'_, L> {
+    #[inline]
+    fn precedes_current(&self, earlier: ThreadId) -> bool {
+        let (earlier_eng, earlier_heb) = self.sp.handles_of(earlier);
+        let (current_eng, current_heb) = self.current.unpack();
+        debug_assert!(
+            earlier_eng == current_eng || self.sp.eng.precedes(earlier_eng, current_eng),
+            "the serial view needs threads executed in English order, but u{} executed \
+             before the current thread and follows it there",
+            earlier.0
+        );
+        self.sp.heb.precedes(earlier_heb, current_heb)
     }
 }
 
@@ -440,6 +495,82 @@ mod tests {
             check_random_unfolding_order::<TwoLevelList>(seed);
             check_random_unfolding_order::<TagList>(seed);
         }
+    }
+
+    /// An order-maintenance list that counts its `precedes` calls.
+    struct Counting<L> {
+        inner: L,
+        compared: std::cell::Cell<usize>,
+    }
+
+    impl<L: OrderMaintenance> OrderMaintenance for Counting<L> {
+        fn new() -> (Self, OmNode) {
+            let (inner, base) = L::new();
+            (Counting { inner, compared: Default::default() }, base)
+        }
+        fn insert_after(&mut self, x: OmNode) -> OmNode {
+            self.inner.insert_after(x)
+        }
+        fn precedes(&self, a: OmNode, b: OmNode) -> bool {
+            self.compared.set(self.compared.get() + 1);
+            self.inner.precedes(a, b)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn space_bytes(&self) -> usize {
+            self.inner.space_bytes()
+        }
+    }
+
+    /// The serial view is Figure 5 on a serial walk: at every thread of a
+    /// streamed tree it answers, about **every** executed thread, what the
+    /// two-order definition and the oracle answer — with one comparison on
+    /// the Hebrew list and none on the English one (whose comparison exists
+    /// in debug builds only, as the precondition's assertion).
+    fn check_serial_view<L: OrderMaintenance>(tree: &ParseTree, what: &str) {
+        let oracle = SpOracle::new(tree);
+        // `stream_tree` hands out the backend only, so the walk's handles are
+        // read back from the per-thread table.
+        let _: StreamingSpOrder<Counting<L>> = stream_tree(tree, |sp: &StreamingSpOrder<Counting<L>>, current| {
+            let view = sp.serial_view(sp.threads[current.index()]);
+            for earlier in (0..=current.0).map(ThreadId) {
+                let expected = sp.precedes_current(earlier);
+                assert_eq!(expected, oracle.precedes(earlier, current), "{what}: u{} vs u{}", earlier.0, current.0);
+                let (eng, heb) = (sp.eng.compared.get(), sp.heb.compared.get());
+                assert_eq!(view.precedes_current(earlier), expected, "{what}: u{} vs u{}", earlier.0, current.0);
+                assert_eq!(sp.heb.compared.get() - heb, 1, "{what}: one Hebrew comparison per query");
+                let asserted = usize::from(cfg!(debug_assertions) && earlier != current);
+                assert_eq!(sp.eng.compared.get() - eng, asserted, "{what}: no English comparison");
+            }
+        });
+    }
+
+    #[test]
+    fn the_serial_view_is_figure_5_on_a_serial_walk() {
+        use sptree::generate::flat_parallel_loop;
+        let mut trees: Vec<(String, ParseTree)> = (0..8u64)
+            .map(|seed| (format!("random seed {seed}"), random_sp_ast(200, 0.5, seed).build()))
+            .collect();
+        trees.push(("flat parallel loop".into(), flat_parallel_loop(150, 1).build()));
+        trees.push(("serial chain".into(), serial_chain(150, 1).build()));
+        for (what, tree) in &trees {
+            check_serial_view::<TwoLevelList>(tree, what);
+            check_serial_view::<TagList>(tree, what);
+        }
+    }
+
+    /// The precondition is held, not assumed: leaves executed against the
+    /// English order trip the view's assertion in debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "executed in English order")]
+    fn the_serial_view_rejects_an_out_of_order_walk() {
+        let (mut sp, root) = StreamingSpOrder::<TwoLevelList>::stream_new();
+        let (left, right) = sp.expand(root, true);
+        sp.execute(right, ThreadId(0));
+        sp.execute(left, ThreadId(1));
+        let _ = sp.serial_view(left).precedes_current(ThreadId(0));
     }
 
     #[test]

@@ -176,6 +176,18 @@ pub enum SessionMode {
     },
 }
 
+impl SessionMode {
+    /// Worker threads the mode runs on: one for [`SessionMode::Serial`], the
+    /// clamped count for the scheduler modes — what a session's sink should
+    /// stripe its shadow memory for.
+    pub fn workers(self) -> usize {
+        match self {
+            SessionMode::Serial => 1,
+            SessionMode::Hybrid { workers } | SessionMode::NaiveLocked { workers } => workers.max(1),
+        }
+    }
+}
+
 /// Outcome of a sessionized run ([`run_session`]): everything a
 /// [`LiveRun`] reports *except* the race report, which lives in the
 /// caller-owned [`DetectionSink`].
@@ -293,10 +305,13 @@ impl SerialLiveVisitor<LiveCilk> for SerialRunVisitor<'_> {
     fn execute_leaf(&mut self, meta: &Meta, tag: u64) {
         let thread = ThreadId(self.next_thread);
         self.next_thread += 1;
-        self.sp.execute(StreamNode::from_tag(tag), thread);
+        let leaf = StreamNode::from_tag(tag);
+        self.sp.execute(leaf, thread);
         let fold = self.capture.as_deref_mut().map(|c| |rec| c.fold(rec));
         run_leaf(meta, self.sink, &mut self.buf, fold);
-        self.sink.check_thread(&self.sp, thread, &self.buf);
+        // `run_live_serial` executes leaves left to right — the English order
+        // — so the one-comparison serial view applies.
+        self.sink.check_thread(&self.sp.serial_view(leaf), thread, &self.buf);
     }
 }
 
@@ -550,19 +565,20 @@ fn execute<'a>(
     };
     let metrics = sink.metrics();
     let program = LiveCilk::new(prog);
+    let workers = mode.workers();
     let run = match mode {
         SessionMode::Serial => run_serial(&program, sink, ordered),
-        SessionMode::Hybrid { workers } => {
+        SessionMode::Hybrid { .. } => {
             let hybrid = LiveSpHybrid::new(hints);
             if metrics.is_attached() {
                 hybrid.attach_metrics(metrics);
             }
             let root = (0, hybrid.root_trace().to_token());
-            run_parallel(&program, &hybrid, root, workers.max(1), sink, per_worker)
+            run_parallel(&program, &hybrid, root, workers, sink, per_worker)
         }
-        SessionMode::NaiveLocked { workers } => {
+        SessionMode::NaiveLocked { .. } => {
             let (shared, root_tag) = NaiveSharedSpOrder::new();
-            run_parallel(&program, &shared, (root_tag, 0), workers.max(1), sink, per_worker)
+            run_parallel(&program, &shared, (root_tag, 0), workers, sink, per_worker)
         }
     };
     // Whole-run tallies, folded in once per run — never on a per-node path.

@@ -42,20 +42,18 @@ pub struct SessionArena {
     shadow: EpochShadowArena,
     vals: Vec<AtomicU64>,
     val_gens: Vec<AtomicU32>,
-    workers: usize,
 }
 
 impl SessionArena {
-    /// An arena covering `locations` locations, with shadow striping sized
-    /// for `workers` concurrent workers and a generation space of
+    /// An arena covering `locations` locations with a generation space of
     /// `gen_limit` sessions before the amortized wraparound purge (see
-    /// [`EpochShadowArena::with_gen_limit`]).
-    pub fn new(locations: u32, workers: usize, gen_limit: u32) -> Self {
+    /// [`EpochShadowArena::with_gen_limit`]).  Shadow striping is not a
+    /// property of the arena: every lease brings its own ([`Self::sink`]).
+    pub fn new(locations: u32, gen_limit: u32) -> Self {
         SessionArena {
-            shadow: EpochShadowArena::with_gen_limit(locations, workers, gen_limit),
+            shadow: EpochShadowArena::with_gen_limit(locations, gen_limit),
             vals: (0..locations).map(|_| AtomicU64::new(0)).collect(),
             val_gens: (0..locations).map(|_| AtomicU32::new(VAL_GEN_NONE)).collect(),
-            workers,
         }
     }
 
@@ -69,7 +67,7 @@ impl SessionArena {
         if locations as usize <= self.vals.len() {
             return;
         }
-        self.shadow.ensure_locations(locations, self.workers);
+        self.shadow.ensure_locations(locations);
         self.vals = (0..locations).map(|_| AtomicU64::new(0)).collect();
         self.val_gens = (0..locations).map(|_| AtomicU32::new(VAL_GEN_NONE)).collect();
     }
@@ -122,23 +120,29 @@ impl SessionArena {
     }
 
     /// Lease the arena to a session over `locations` locations (must be
-    /// within [`Self::capacity`]; the pool grows arenas before leasing).
+    /// within [`Self::capacity`]; the pool grows arenas before leasing) that
+    /// runs on `workers` workers — the **session's** worker count
+    /// (`spprog::SessionMode::workers`), which is what its shadow stripes
+    /// are sized for ([`EpochShadowArena::view`]): a serial session gets one
+    /// stripe however wide the service's pool is, a 4-worker session the
+    /// 4-worker layout even from a one-worker pool.
     /// The sink is pinned to the current generation; drop it and call
     /// [`Self::recycle`] before the next lease.  Shadow-tier hit counters
     /// and race counters/events are folded into `metrics` once per checked
     /// thread batch, and a run over the sink reports its runtime events
     /// there too; reports are bit-identical whether or not it is attached.
-    pub fn sink(&self, locations: u32, metrics: MetricsHandle) -> SessionSink<'_> {
+    pub fn sink(&mut self, locations: u32, workers: usize, metrics: MetricsHandle) -> SessionSink<'_> {
         assert!(
             locations <= self.capacity(),
             "session wants {locations} locations but the arena holds {}; grow it first",
             self.capacity()
         );
+        let view = self.shadow.view(workers);
         SessionSink {
-            view: self.shadow.view(),
+            gen: view.gen(),
+            view,
             vals: &self.vals,
             val_gens: &self.val_gens,
-            gen: self.shadow.current_gen(),
             locations,
             report: Mutex::new(RaceReport::new()),
             metrics,
@@ -173,6 +177,11 @@ impl SessionSink<'_> {
     /// The generation this lease is pinned to.
     pub fn gen(&self) -> u32 {
         self.gen
+    }
+
+    /// Shadow stripes of this lease (1 for a one-worker session).
+    pub fn num_shards(&self) -> usize {
+        self.view.num_shards()
     }
 
     /// Snapshot of the races found so far.
@@ -235,22 +244,22 @@ mod tests {
 
     #[test]
     fn values_are_fresh_after_recycle() {
-        let arena = SessionArena::new(4, 1, 8);
-        let sink = arena.sink(4, MetricsHandle::detached());
+        let mut arena = SessionArena::new(4, 8);
+        let sink = arena.sink(4, 1, MetricsHandle::detached());
         sink.write(2, 99);
         assert_eq!(sink.read(2), 99);
         drop(sink);
         arena.recycle();
-        let sink = arena.sink(4, MetricsHandle::detached());
+        let sink = arena.sink(4, 1, MetricsHandle::detached());
         assert_eq!(sink.read(2), 0, "stale-generation value reads as fresh memory");
         assert_eq!(arena.resets(), 1);
     }
 
     #[test]
     fn shadow_state_is_fresh_after_recycle() {
-        let arena = SessionArena::new(2, 1, 8);
+        let mut arena = SessionArena::new(2, 8);
         for round in 0..3 {
-            let sink = arena.sink(2, MetricsHandle::detached());
+            let sink = arena.sink(2, 1, MetricsHandle::detached());
             sink.check_thread(&AllParallel, ThreadId(0), &[Access::write(0)]);
             sink.check_thread(&AllParallel, ThreadId(1), &[Access::write(0)]);
             let report = sink.into_report();
@@ -262,9 +271,9 @@ mod tests {
     #[test]
     fn value_plane_survives_generation_wraparound() {
         // gen_limit 2: every second recycle wraps and purges both planes.
-        let arena = SessionArena::new(2, 1, 2);
+        let mut arena = SessionArena::new(2, 2);
         for round in 0..5 {
-            let sink = arena.sink(2, MetricsHandle::detached());
+            let sink = arena.sink(2, 1, MetricsHandle::detached());
             assert_eq!(sink.read(0), 0, "round {round}");
             sink.write(0, round + 1);
             assert_eq!(sink.read(0), round + 1);
@@ -276,29 +285,58 @@ mod tests {
 
     #[test]
     fn growth_between_leases_preserves_recycling() {
-        let mut arena = SessionArena::new(2, 2, 8);
+        let mut arena = SessionArena::new(2, 8);
         arena.ensure_locations(16);
         assert!(arena.capacity() >= 16);
-        let sink = arena.sink(16, MetricsHandle::detached());
+        let sink = arena.sink(16, 2, MetricsHandle::detached());
         sink.write(15, 7);
         assert_eq!(sink.read(15), 7);
         drop(sink);
         arena.recycle();
-        assert_eq!(arena.sink(16, MetricsHandle::detached()).read(15), 0);
+        assert_eq!(arena.sink(16, 2, MetricsHandle::detached()).read(15), 0);
         assert!(arena.space_bytes() > 0);
     }
 
     #[test]
     #[should_panic(expected = "outside the configured shared memory")]
     fn session_bounds_are_enforced_even_on_a_larger_arena() {
-        let arena = SessionArena::new(64, 1, 8);
+        let mut arena = SessionArena::new(64, 8);
         // The arena holds 64 locations but this session asked for 4.
-        arena.sink(4, MetricsHandle::detached()).read(10);
+        arena.sink(4, 1, MetricsHandle::detached()).read(10);
     }
 
     #[test]
     #[should_panic(expected = "grow it first")]
     fn oversized_leases_are_rejected() {
-        SessionArena::new(4, 1, 8).sink(64, MetricsHandle::detached());
+        SessionArena::new(4, 8).sink(64, 1, MetricsHandle::detached());
+    }
+
+    /// Stripes per lease, from the session's own mode: the same recycled
+    /// arena is one stripe under a `Serial` session and the 4-worker layout
+    /// under a `Hybrid { workers: 4 }` one, and the first lease's cells read
+    /// as empty through the second.
+    #[test]
+    fn a_recycled_arena_is_striped_for_each_lease() {
+        use spprog::SessionMode;
+        const CELLS: u32 = 4096;
+        let mut arena = SessionArena::new(CELLS, 8);
+        let serial = arena.sink(CELLS, SessionMode::Serial.workers(), MetricsHandle::detached());
+        assert_eq!(serial.num_shards(), 1);
+        let everywhere: Vec<Access> = (0..CELLS).step_by(97).map(Access::write).collect();
+        serial.check_thread(&AllParallel, ThreadId(0), &everywhere);
+        assert!(serial.into_report().is_empty());
+        arena.recycle();
+
+        let wide_mode = SessionMode::Hybrid { workers: 4 };
+        let wide = arena.sink(CELLS, wide_mode.workers(), MetricsHandle::detached());
+        assert_eq!(wide.num_shards(), 32, "8 · 4 stripes over 4,096 cells");
+        // Stale cells of the serial lease are empty here: writing the same
+        // locations from a thread parallel with everything reports nothing.
+        wide.check_thread(&AllParallel, ThreadId(1), &everywhere);
+        assert!(wide.into_report().is_empty());
+        arena.recycle();
+
+        let serial = arena.sink(CELLS, SessionMode::Serial.workers(), MetricsHandle::detached());
+        assert_eq!(serial.num_shards(), 1, "and back");
     }
 }

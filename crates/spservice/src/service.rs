@@ -73,7 +73,10 @@ const AGING: f64 = 1.0;
 /// Configuration of a [`DetectionService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Detector worker threads draining the admission queue.
+    /// Detector worker threads draining the admission queue — concurrency
+    /// *between* sessions.  It does not size anything inside a session: an
+    /// arena's shadow stripes follow the leased session's own
+    /// [`SessionMode::workers`] ([`SessionArena::sink`]).
     pub workers: usize,
     /// Execution mode of sessions submitted via [`DetectionService::submit`]
     /// ([`DetectionService::submit_with`] overrides per session).  The
@@ -588,7 +591,7 @@ fn admit(state: &mut State, shared: &Shared) -> Option<Admitted> {
         Some(arena) => arena,
         None => {
             state.arenas_created += 1;
-            SessionArena::new(job.locations, shared.config.workers, shared.config.gen_limit)
+            SessionArena::new(job.locations, shared.config.gen_limit)
         }
     };
     arena.ensure_locations(job.locations);
@@ -614,7 +617,7 @@ fn admit(state: &mut State, shared: &Shared) -> Option<Admitted> {
 fn run_one(shared: &Shared, admitted: Admitted) {
     let Admitted {
         job,
-        arena,
+        mut arena,
         estimated_ns,
         sequential,
         queue_wait,
@@ -627,7 +630,8 @@ fn run_one(shared: &Shared, admitted: Admitted) {
     // User closures run inside: a panicking session must not take the
     // detector worker (and every session queued behind it) down with it.
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let sink = arena.sink(job.locations, metrics.clone());
+        // Striped for this session's own workers, not for the pool's.
+        let sink = arena.sink(job.locations, job.mode.workers(), metrics.clone());
         let run = run_session(&job.prog, job.mode, &sink);
         (sink.into_report(), run)
     }));

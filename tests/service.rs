@@ -170,6 +170,63 @@ fn every_deterministic_mode_matches_its_own_standalone_run() {
     service.shutdown();
 }
 
+/// Stripes belong to the lease, not to the pool: a 4-worker service
+/// alternates `Serial` sessions (one stripe) and `Hybrid { workers: 4 }`
+/// sessions (the 4-worker layout) over the same recycled arenas — first one
+/// at a time, so a single arena is re-leased across modes every time, then
+/// all in flight at once — and every report matches its standalone run.
+#[test]
+fn arenas_released_across_modes_match_standalone_runs() {
+    let workloads: Vec<(&str, Proc, u32)> = vec![
+        ("racy-40", planted_races(40), 40),
+        ("clean-300", race_free_sum(300), 300),
+        ("racy-3", planted_races(3), 3),
+    ];
+    let modes = [SessionMode::Serial, SessionMode::Hybrid { workers: 4 }];
+    let standalone = |prog: &Proc, locations: u32, mode: SessionMode| {
+        let detector = LiveDetector::new(locations, mode.workers());
+        run_session(prog, mode, &detector);
+        detector.into_report()
+    };
+    let check = |label: &str, mode: SessionMode, report: &RaceReport, solo: &RaceReport| match mode {
+        SessionMode::Serial => assert_eq!(report.races(), solo.races(), "`{label}`, {mode:?}"),
+        _ => assert_eq!(report.racy_locations(), solo.racy_locations(), "`{label}`, {mode:?}"),
+    };
+    let solos: Vec<Vec<RaceReport>> = workloads
+        .iter()
+        .map(|(_, prog, locations)| modes.iter().map(|&m| standalone(prog, *locations, m)).collect())
+        .collect();
+    assert!(!solos[0][0].is_empty() && solos[1][0].is_empty(), "racy and race-free programs");
+
+    let service = DetectionService::new(ServiceConfig::with_workers(4));
+    // One at a time: the pool holds one arena, leased Serial, Hybrid, Serial, …
+    for round in 0..3 {
+        for (w, (label, prog, locations)) in workloads.iter().enumerate() {
+            for (m, &mode) in modes.iter().enumerate() {
+                let outcome = service.submit_with(prog, *locations, mode).wait();
+                assert_eq!(outcome.mode(), mode);
+                check(&format!("{label} round {round}"), mode, outcome.report(), &solos[w][m]);
+            }
+        }
+    }
+    assert_eq!(service.snapshot().arenas_created, 1, "one arena served every mode");
+    // All at once, modes interleaved in the queue.
+    let mut handles: Vec<(usize, usize, SessionHandle)> = Vec::new();
+    for _ in 0..2 {
+        for (w, (_, prog, locations)) in workloads.iter().enumerate() {
+            for (m, &mode) in modes.iter().enumerate() {
+                handles.push((w, m, service.submit_with(prog, *locations, mode)));
+            }
+        }
+    }
+    for (w, m, handle) in handles {
+        check(workloads[w].0, modes[m], handle.wait().report(), &solos[w][m]);
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.sessions, 18 + 12);
+    assert!(stats.arenas_created <= 4);
+}
+
 #[test]
 fn facade_reexports_the_service_layer() {
     use sp_maintenance::prelude::*;

@@ -12,13 +12,21 @@
 //!   run allocates a constant (detector set-up) plus vector doublings more
 //!   than the bare walk, whatever the program's size.
 //!
+//! And one budget of the serial *check* path: a one-worker detector has one
+//! shadow stripe, so a race-free batch is walked in script order and
+//! allocates **nothing** (a striped store builds an index vector per batch
+//! that spans stripes).
+//!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use sp_maintenance::racedet::{Access, LiveDetector};
+use sp_maintenance::spmaint::CurrentSpQuery;
 use sp_maintenance::spprog::{run_program, run_uninstrumented, Proc, RunConfig};
+use sp_maintenance::sptree::tree::ThreadId;
 use sp_maintenance::workloads::live::live_fib;
 
 thread_local! {
@@ -104,4 +112,37 @@ fn serial_sp_maintenance_allocates_nothing_per_node() {
             "live_fib({depth}): {instrumented} allocations instrumented, {bare} bare"
         );
     }
+}
+
+#[test]
+fn a_one_worker_batch_allocates_nothing() {
+    /// A serial chain: every recorded thread precedes the current one.
+    struct AllPrecede;
+    impl CurrentSpQuery for AllPrecede {
+        fn precedes_current(&self, _earlier: ThreadId) -> bool {
+            true
+        }
+    }
+    const CELLS: u32 = 4096;
+    let detector = LiveDetector::new(CELLS, 1);
+    // 1,000 batches of 64 reads and writes scattered over the whole store
+    // (a multiplicative scramble, so each batch lands all over it).
+    let batches: Vec<Vec<Access>> = (0..1_000u32)
+        .map(|t| {
+            (0..64u32)
+                .map(|k| {
+                    let loc = (t * 64 + k).wrapping_mul(2_654_435_761) % CELLS;
+                    if (t + k) % 3 == 0 { Access::write(loc) } else { Access::read(loc) }
+                })
+                .collect()
+        })
+        .collect();
+    let ((), allocations) = allocations_during(|| {
+        for (t, batch) in batches.iter().enumerate() {
+            detector.check_thread(&AllPrecede, ThreadId(t as u32), batch);
+        }
+    });
+    println!("1,000 scattered 64-access batches on one stripe: {allocations} allocations");
+    assert_eq!(allocations, 0, "a one-stripe batch is walked in script order, in place");
+    assert!(detector.report().is_empty());
 }
