@@ -11,7 +11,10 @@
 //! Figure 5) against it, keeping list elements for the *leaves* only: every
 //! pair of threads is ordered exactly as by the tree-driven
 //! [`crate::SpOrder`], at one element per thread per list instead of one per
-//! node.
+//! node.  [`SerialSpOrder`] is the same algorithm for the one unfolding order
+//! in which half of it is known in advance — the serial left-to-right walk,
+//! whose execution index *is* the English order — and keeps the Hebrew list
+//! alone.
 //!
 //! The adapter [`stream_tree`] replays a materialized tree through the
 //! streaming interface — the bridge used by the equivalence tests: streaming
@@ -29,7 +32,9 @@ use crate::api::{CurrentSpQuery, SpQuery};
 /// Handle of a not-yet-unfolded position in an incrementally unfolding SP
 /// parse tree: the position's (English, Hebrew) list elements packed into one
 /// word, which is exactly the 64-bit tag `forkrt::live` threads down the
-/// walk — a maintainer keeps no per-node table behind it.
+/// walk — a maintainer keeps no per-node table behind it.  A maintainer that
+/// keeps the Hebrew list alone ([`SerialSpOrder`]) leaves the English half
+/// zero.
 ///
 /// The root is handed out by [`StreamingSpBackend::stream_new`]; children
 /// come from [`StreamingSpBackend::expand`].  A handle is spent by the one
@@ -53,6 +58,17 @@ impl StreamNode {
             OmNode::from_index((self.0 >> 32) as u32),
             OmNode::from_index(self.0 as u32),
         )
+    }
+
+    /// The handle of a position known by its Hebrew element alone.
+    #[inline]
+    fn hebrew(heb: OmNode) -> Self {
+        StreamNode(heb.index() as u64)
+    }
+
+    #[inline]
+    fn heb(self) -> OmNode {
+        self.unpack().1
     }
 
     /// Encode as a scheduler tag (the 64-bit value `forkrt::live` threads
@@ -126,13 +142,11 @@ pub trait StreamingSpBackend: CurrentSpQuery {
 /// Figure 5's per-node elements and stays the reference this is tested
 /// against.
 ///
-/// Two ways to ask about the current thread.  The [`CurrentSpQuery`] impl on
-/// the structure itself is Figure 5's `SP-PRECEDES` as written — both orders
-/// compared — and is right under *any* unfolding order (the §3 strawman's
-/// workers unfold wherever they are).  A **serial** walk asks through
-/// [`Self::serial_view`] instead, which compares the Hebrew order alone: the
-/// English order *is* the order of the serial execution, so there the
-/// English half of the conjunction is known before it is asked.
+/// This is the two-list definition, right under *any* unfolding order: its
+/// [`CurrentSpQuery`] impl is Figure 5's `SP-PRECEDES` as written, both
+/// orders compared (the §3 strawman's workers unfold wherever they are).  A
+/// **serial** walk needs only half of it — see [`SerialSpOrder`], which is
+/// tested against this structure thread by thread.
 ///
 /// ```
 /// use spmaint::stream::{StreamingSpBackend, StreamingSpOrder};
@@ -171,14 +185,6 @@ impl<L: OrderMaintenance> StreamingSpOrder<L> {
     /// Number of threads executed so far.
     pub fn num_executed(&self) -> usize {
         self.threads.iter().filter(|&&t| t != StreamNode::NONE).count()
-    }
-
-    /// The view of a serial walk executing the thread at `current` — the
-    /// handle just passed to [`StreamingSpBackend::execute`].  See
-    /// [`SerialSpView`] for the precondition.
-    #[inline]
-    pub fn serial_view(&self, current: StreamNode) -> SerialSpView<'_, L> {
-        SerialSpView { sp: self, current }
     }
 
     #[inline]
@@ -249,41 +255,114 @@ impl<L: OrderMaintenance> StreamingSpBackend for StreamingSpOrder<L> {
     }
 }
 
-/// [`StreamingSpOrder`] as seen from the thread a **serial** left-to-right
-/// walk is executing ([`StreamingSpOrder::serial_view`]): `SP-PRECEDES(u,
-/// current)` in one comparison.
+/// SP-order on a **serial** left-to-right walk: Figure 5 with the English
+/// list replaced by what it equals there, so the Hebrew list alone.
 ///
 /// Paper §2 defines the English order as the order in which the serial
-/// execution visits the threads, so on such a walk every executed thread
-/// already precedes the current one in English, and Figure 5's
-/// `eng(u) < eng(current) ∧ heb(u) < heb(current)` is its Hebrew half alone
-/// — the same fact SP-bags and the local tier of Figure 9 rest on.  The
-/// current thread's Hebrew element comes from the handle the walk is holding,
-/// so building the view looks nothing up.
+/// execution visits the threads.  A serial walk numbers its threads in that
+/// very order, so `eng(u) < eng(v)` *is* `u.index() < v.index()`: the
+/// [`ThreadId`] is the English label, nothing has to be built to hold it, and
+/// every executed thread precedes the current one in it.  Figure 5's
+/// `eng(u) < eng(current) ∧ heb(u) < heb(current)` is then its Hebrew half —
+/// the same fact SP-bags and the local tier of Figure 9 rest on.
 ///
-/// **Precondition:** threads have executed in English order up to the current
-/// one (`forkrt::run_live_serial` and [`stream_tree`] guarantee it; the §3
-/// strawman does not, and uses the two-order [`CurrentSpQuery`] impl of the
-/// structure instead).  Debug builds check the implied English comparison on
-/// every query.
-pub struct SerialSpView<'a, L: OrderMaintenance> {
-    sp: &'a StreamingSpOrder<L>,
-    /// The current thread's leaf.
-    current: StreamNode,
+/// So per fork this does **one** `insert_after` (into the Hebrew list, with
+/// [`StreamingSpOrder`]'s takeover rule: X's first Hebrew child keeps X's
+/// element), per thread it keeps one 16-byte list item and one 4-byte handle
+/// in a table indexed by [`ThreadId`] (≈ 24 B with [`TwoLevelList`], half of
+/// [`StreamingSpOrder`]), and per query it compares once.
+///
+/// **Precondition, asserted in every build:** threads execute in English
+/// order and are numbered by it — [`StreamingSpBackend::execute`] panics
+/// unless `thread` is the next index.  `forkrt::run_live_serial` and
+/// [`stream_tree`] walk that way; an unfolding in any other order (the §3
+/// strawman) needs both lists, i.e. [`StreamingSpOrder`].
+///
+/// ```
+/// use spmaint::stream::{SerialSpOrder, StreamingSpBackend};
+/// use spmaint::CurrentSpQuery;
+/// use sptree::tree::ThreadId;
+///
+/// // Walk S(u0, P(u1, u2)) left to right.
+/// let (mut sp, root) = SerialSpOrder::<om::TwoLevelList>::stream_new();
+/// let (u0, rest) = sp.expand(root, false);
+/// sp.execute(u0, ThreadId(0));
+/// let (u1, u2) = sp.expand(rest, true);
+/// sp.execute(u1, ThreadId(1));
+/// assert!(sp.precedes_current(ThreadId(0))); // serial prefix precedes
+/// sp.execute(u2, ThreadId(2));
+/// assert!(sp.parallel_with_current(ThreadId(1))); // sibling branch is parallel
+/// assert_eq!(sp.num_executed(), 3);
+/// ```
+pub struct SerialSpOrder<L: OrderMaintenance = TwoLevelList> {
+    heb: L,
+    /// Hebrew element of every executed thread's leaf.  The index is the
+    /// [`ThreadId`] — the thread's place in the English order.
+    threads: Vec<OmNode>,
 }
 
-impl<L: OrderMaintenance> CurrentSpQuery for SerialSpView<'_, L> {
+impl<L: OrderMaintenance> SerialSpOrder<L> {
+    /// Number of threads executed so far.
+    pub fn num_executed(&self) -> usize {
+        self.threads.len()
+    }
+}
+
+impl<L: OrderMaintenance> StreamingSpBackend for SerialSpOrder<L> {
+    fn stream_new() -> (Self, StreamNode) {
+        let (mut heb, base) = L::new();
+        let root = StreamNode::hebrew(heb.insert_after(base));
+        (
+            SerialSpOrder {
+                heb,
+                threads: Vec::new(),
+            },
+            root,
+        )
+    }
+
+    fn expand(&mut self, node: StreamNode, parallel: bool) -> (StreamNode, StreamNode) {
+        // Hebrew order ⟨left, right⟩ under an S-node, ⟨right, left⟩ under a
+        // P-node (lines 5–7 of Figure 5): the first of the two takes over X's
+        // element, the other goes right behind it.
+        let first = node;
+        let second = StreamNode::hebrew(self.heb.insert_after(node.heb()));
+        if parallel {
+            (second, first)
+        } else {
+            (first, second)
+        }
+    }
+
+    fn execute(&mut self, node: StreamNode, thread: ThreadId) {
+        assert!(
+            thread.index() == self.threads.len(),
+            "the serial SP-order needs threads executed in English order and numbered by it, \
+             but u{} executes after {} threads",
+            thread.0,
+            self.threads.len()
+        );
+        self.threads.push(node.heb());
+    }
+
+    fn stream_name(&self) -> &'static str {
+        "serial-sp-order"
+    }
+
+    fn stream_space_bytes(&self) -> usize {
+        self.heb.space_bytes() + self.threads.capacity() * std::mem::size_of::<OmNode>()
+    }
+}
+
+impl<L: OrderMaintenance> CurrentSpQuery for SerialSpOrder<L> {
     #[inline]
     fn precedes_current(&self, earlier: ThreadId) -> bool {
-        let (earlier_eng, earlier_heb) = self.sp.handles_of(earlier);
-        let (current_eng, current_heb) = self.current.unpack();
-        debug_assert!(
-            earlier_eng == current_eng || self.sp.eng.precedes(earlier_eng, current_eng),
-            "the serial view needs threads executed in English order, but u{} executed \
-             before the current thread and follows it there",
-            earlier.0
-        );
-        self.sp.heb.precedes(earlier_heb, current_heb)
+        let (Some(&earlier_heb), Some(&current_heb)) =
+            (self.threads.get(earlier.index()), self.threads.last())
+        else {
+            panic!("thread u{} has not executed yet", earlier.0);
+        };
+        self.heb.precedes(earlier_heb, current_heb)
     }
 }
 
@@ -497,18 +576,20 @@ mod tests {
         }
     }
 
-    /// An order-maintenance list that counts its `precedes` calls.
+    /// An order-maintenance list that counts its insertions and comparisons.
     struct Counting<L> {
         inner: L,
+        inserted: usize,
         compared: std::cell::Cell<usize>,
     }
 
     impl<L: OrderMaintenance> OrderMaintenance for Counting<L> {
         fn new() -> (Self, OmNode) {
             let (inner, base) = L::new();
-            (Counting { inner, compared: Default::default() }, base)
+            (Counting { inner, inserted: 0, compared: Default::default() }, base)
         }
         fn insert_after(&mut self, x: OmNode) -> OmNode {
+            self.inserted += 1;
             self.inner.insert_after(x)
         }
         fn precedes(&self, a: OmNode, b: OmNode) -> bool {
@@ -523,31 +604,37 @@ mod tests {
         }
     }
 
-    /// The serial view is Figure 5 on a serial walk: at every thread of a
+    /// The serial SP-order is Figure 5 on a serial walk: at every thread of a
     /// streamed tree it answers, about **every** executed thread, what the
-    /// two-order definition and the oracle answer — with one comparison on
-    /// the Hebrew list and none on the English one (whose comparison exists
-    /// in debug builds only, as the precondition's assertion).
-    fn check_serial_view<L: OrderMaintenance>(tree: &ParseTree, what: &str) {
+    /// two-list definition and the oracle answer — for one insertion per
+    /// fork and one comparison per query.
+    fn check_serial_order<L: OrderMaintenance>(tree: &ParseTree, what: &str) {
         let oracle = SpOracle::new(tree);
-        // `stream_tree` hands out the backend only, so the walk's handles are
-        // read back from the per-thread table.
-        let _: StreamingSpOrder<Counting<L>> = stream_tree(tree, |sp: &StreamingSpOrder<Counting<L>>, current| {
-            let view = sp.serial_view(sp.threads[current.index()]);
+        // `stream_tree` drives one backend at a time: the two-list answers
+        // of every (current, earlier) pair first, then the walk under test.
+        let mut two_lists: Vec<Vec<bool>> = Vec::new();
+        let reference: StreamingSpOrder<L> = stream_tree(tree, |sp: &StreamingSpOrder<L>, current| {
+            two_lists.push((0..=current.0).map(|u| sp.precedes_current(ThreadId(u))).collect());
+        });
+        let serial: SerialSpOrder<Counting<L>> = stream_tree(tree, |sp: &SerialSpOrder<Counting<L>>, current| {
             for earlier in (0..=current.0).map(ThreadId) {
-                let expected = sp.precedes_current(earlier);
-                assert_eq!(expected, oracle.precedes(earlier, current), "{what}: u{} vs u{}", earlier.0, current.0);
-                let (eng, heb) = (sp.eng.compared.get(), sp.heb.compared.get());
-                assert_eq!(view.precedes_current(earlier), expected, "{what}: u{} vs u{}", earlier.0, current.0);
-                assert_eq!(sp.heb.compared.get() - heb, 1, "{what}: one Hebrew comparison per query");
-                let asserted = usize::from(cfg!(debug_assertions) && earlier != current);
-                assert_eq!(sp.eng.compared.get() - eng, asserted, "{what}: no English comparison");
+                let compared = sp.heb.compared.get();
+                let got = sp.precedes_current(earlier);
+                assert_eq!(sp.heb.compared.get() - compared, 1, "{what}: one comparison per query");
+                assert_eq!(got, two_lists[current.index()][earlier.index()], "{what}: u{} vs u{}", earlier.0, current.0);
+                assert_eq!(got, oracle.precedes(earlier, current), "{what}: u{} vs u{}", earlier.0, current.0);
             }
         });
+        assert_eq!(serial.num_executed(), tree.num_threads(), "{what}");
+        // The root's element, then one insertion per unfolded internal node:
+        // the same Hebrew list, element for element, as the two-list walk.
+        let expands = tree.num_nodes() - tree.num_threads();
+        assert_eq!(serial.heb.inserted, 1 + expands, "{what}: one insertion per expand");
+        assert_eq!(serial.heb.len(), reference.heb.len(), "{what}");
     }
 
     #[test]
-    fn the_serial_view_is_figure_5_on_a_serial_walk() {
+    fn the_serial_order_is_figure_5_on_a_serial_walk() {
         use sptree::generate::flat_parallel_loop;
         let mut trees: Vec<(String, ParseTree)> = (0..8u64)
             .map(|seed| (format!("random seed {seed}"), random_sp_ast(200, 0.5, seed).build()))
@@ -555,22 +642,35 @@ mod tests {
         trees.push(("flat parallel loop".into(), flat_parallel_loop(150, 1).build()));
         trees.push(("serial chain".into(), serial_chain(150, 1).build()));
         for (what, tree) in &trees {
-            check_serial_view::<TwoLevelList>(tree, what);
-            check_serial_view::<TagList>(tree, what);
+            check_serial_order::<TwoLevelList>(tree, what);
+            check_serial_order::<TagList>(tree, what);
         }
     }
 
-    /// The precondition is held, not assumed: leaves executed against the
-    /// English order trip the view's assertion in debug builds.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "executed in English order")]
-    fn the_serial_view_rejects_an_out_of_order_walk() {
-        let (mut sp, root) = StreamingSpOrder::<TwoLevelList>::stream_new();
+    fn a_serial_expand_inserts_once_and_the_first_hebrew_child_takes_over() {
+        let (mut sp, root) = SerialSpOrder::<Counting<TwoLevelList>>::stream_new();
+        assert_eq!(sp.heb.inserted, 1);
+        // Hebrew order ⟨right, left⟩ under a P-node, ⟨left, right⟩ under S.
         let (left, right) = sp.expand(root, true);
-        sp.execute(right, ThreadId(0));
-        sp.execute(left, ThreadId(1));
-        let _ = sp.serial_view(left).precedes_current(ThreadId(0));
+        assert_eq!((sp.heb.inserted, right), (2, root));
+        assert!(sp.heb.precedes(right.heb(), left.heb()));
+        let (first, second) = sp.expand(left, false);
+        assert_eq!((sp.heb.inserted, first), (3, left));
+        assert!(sp.heb.precedes(first.heb(), second.heb()));
+        assert_eq!(sp.stream_name(), "serial-sp-order");
+        assert!(sp.stream_space_bytes() > 0);
+    }
+
+    /// The precondition is held, not assumed — in debug **and** release: a
+    /// leaf executed under any thread id but the next one is refused.
+    #[test]
+    #[should_panic(expected = "executed in English order")]
+    fn the_serial_order_rejects_a_thread_out_of_execution_order() {
+        let (mut sp, root) = SerialSpOrder::<TwoLevelList>::stream_new();
+        let (left, right) = sp.expand(root, true);
+        sp.execute(left, ThreadId(0));
+        sp.execute(right, ThreadId(2));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! reported *during* execution and **no parse tree is ever materialized on
 //! the live path**:
 //!
-//! * serial runs (`workers == 1`) drive the streaming SP-order
-//!   ([`spmaint::StreamingSpOrder`]) — deterministic, with reports
-//!   bit-identical to offline serial detection on the equivalent tree;
+//! * serial runs (`workers == 1`) drive the serial SP-order
+//!   ([`spmaint::SerialSpOrder`]: the Hebrew list, thread ids standing for
+//!   the English one) — deterministic, with reports bit-identical to
+//!   offline serial detection on the equivalent tree;
 //! * multi-worker runs drive the live two-tier SP-hybrid
 //!   ([`sphybrid::LiveSpHybrid`]): the scheduler's steal tokens *are* the
 //!   trace splits of paper Figure 8, and queries follow Figure 9.  The §3
@@ -85,7 +86,6 @@ pub use runtime::{
     run_program, run_session, run_uninstrumented, try_run_program,
     LiveMaintainer, LiveRun, RunConfig, SessionMode, SessionRun,
 };
-pub use unfold::Meta;
 
 #[cfg(test)]
 mod tests {
@@ -130,7 +130,10 @@ mod tests {
         assert_eq!(a.report.races(), b.report.races());
         assert_eq!(a.threads, b.threads);
         assert_eq!(a.steals, 0);
-        assert_eq!(a.maintainer, "streaming-sp-order");
+        // The serial maintainer, under whatever name it reports.
+        use spmaint::{SerialSpOrder, StreamingSpBackend};
+        let (serial_sp, _) = <SerialSpOrder>::stream_new();
+        assert_eq!(a.maintainer, serial_sp.stream_name());
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub(crate) enum SpawnBody {
     /// Pre-built procedure (every instantiation shares its body).
     Built(Proc),
     /// Builder closure run by the executing worker at spawn time.
-    Lazy(Arc<SpawnFn>),
+    Lazy(Box<SpawnFn>),
 }
 
 impl SpawnBody {
@@ -136,10 +136,13 @@ impl SpawnBody {
     }
 }
 
-/// One statement of a procedure body.
+/// One statement of a procedure body.  A statement owns its closure: nothing
+/// clones one (bodies are shared whole, through `Arc<Vec<Stmt>>` or the
+/// instance that owns them), so a closure is boxed, not counted — and a
+/// zero-sized one (`|_| {}`) allocates nothing.
 pub(crate) enum Stmt {
     /// Serial work: one thread running the closure.
-    Step(Arc<StepFn>),
+    Step(Box<StepFn>),
     /// Spawn of a child procedure.
     Spawn(SpawnBody),
     /// End of a sync block: joins every procedure spawned since the previous
@@ -212,7 +215,7 @@ impl ProcBuilder {
     /// executes, with a [`StepCtx`] for shared-memory reads
     /// and writes.
     pub fn step(&mut self, f: impl Fn(&mut StepCtx<'_>) + Send + Sync + 'static) -> &mut Self {
-        self.stmts.push(Stmt::Step(Arc::new(f)));
+        self.stmts.push(Stmt::Step(Box::new(f)));
         self
     }
 
@@ -220,7 +223,7 @@ impl ProcBuilder {
     /// is evaluated *when the spawn executes*, on the executing worker — the
     /// program unfolds lazily, which is what recursive programs rely on.
     pub fn spawn(&mut self, body: impl Fn(&mut ProcBuilder) + Send + Sync + 'static) -> &mut Self {
-        self.stmts.push(Stmt::Spawn(SpawnBody::Lazy(Arc::new(body))));
+        self.stmts.push(Stmt::Spawn(SpawnBody::Lazy(Box::new(body))));
         self
     }
 
@@ -308,7 +311,7 @@ mod tests {
 
     #[test]
     fn lazy_spawn_bodies_instantiate_fresh_procedures() {
-        let body = SpawnBody::Lazy(Arc::new(|b: &mut ProcBuilder| {
+        let body = SpawnBody::Lazy(Box::new(|b: &mut ProcBuilder| {
             b.step(|_| {});
         }));
         let a = body.instantiate();

@@ -75,7 +75,7 @@ impl SerialLiveVisitor<LiveCilk> for Recorder<'_> {
         let capture = &mut self.capture;
         run_leaf(meta, self.detector, &mut self.buf, Some(|rec| capture.fold(rec)));
         self.accesses.push(self.buf.clone());
-        self.attach(Ast::leaf(u64::from(meta.step.is_some())));
+        self.attach(Ast::leaf(u64::from(meta.step().is_some())));
     }
 
     fn leave_internal(&mut self, _kind: SpKind, _meta: &Meta) {

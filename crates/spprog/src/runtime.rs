@@ -8,20 +8,25 @@
 //! `unfold` module):
 //!
 //! * **Serial** (`workers == 1`) — [`forkrt::run_live_serial`] on the calling
-//!   thread.  SP maintenance is the leaf-only streaming SP-order
-//!   ([`spmaint::StreamingSpOrder`]): a position's pair of list handles *is*
-//!   the scheduler's 64-bit *tag*, so nothing is stored per unfolded node;
-//!   detection is [`racedet::LiveDetector`] with the
-//!   same per-thread batching as the offline engine.  Deterministic: thread
-//!   ids, query answers, and the race report are bit-identical across runs —
-//!   and bit-identical to offline serial detection on the recorded tree.
+//!   thread.  SP maintenance is the serial SP-order
+//!   ([`spmaint::SerialSpOrder`]): the walk numbers its threads in English
+//!   order, so the thread id *is* the English label and only the Hebrew list
+//!   is built — one insertion per fork, a position's Hebrew handle riding the
+//!   scheduler's 64-bit *tag*, nothing stored per unfolded node; that the
+//!   walk really executes threads in that order is asserted at every thread,
+//!   in every build.  Detection is [`racedet::LiveDetector`] with the same
+//!   per-thread batching as the offline engine.  Deterministic: thread ids,
+//!   query answers, and the race report are bit-identical across runs — and
+//!   bit-identical to offline serial detection on the recorded tree.
 //! * **Parallel, SP-hybrid** — [`forkrt::run_live`] with
 //!   [`sphybrid::LiveSpHybrid`]: tokens carry [`TraceId`]s, steals split the
 //!   victim's trace five ways (the steal token *is* the split input), and
 //!   queries follow paper Figure 9.
 //! * **Parallel, naive-locked** — the §3 strawman live
 //!   ([`sphybrid::NaiveSharedSpOrder`]): one global mutex around a shared
-//!   streaming SP-order.  Kept as the ablation/cross-check backend.
+//!   two-list streaming SP-order ([`spmaint::StreamingSpOrder`] — workers
+//!   unfold in no particular order, so both lists are needed).  Kept as the
+//!   ablation/cross-check backend.
 //!
 //! [`run_uninstrumented`] executes the program with *no* SP maintenance and
 //! no detection (values only) — the denominator of every overhead metric.
@@ -37,7 +42,7 @@ use forkrt::{
 use parking_lot::Mutex;
 use racedet::{Access, DetectionSink, LiveDetector, RaceReport};
 use spmaint::api::CurrentSpQuery;
-use spmaint::stream::{StreamNode, StreamingSpBackend, StreamingSpOrder};
+use spmaint::stream::{SerialSpOrder, StreamNode, StreamingSpBackend};
 use spmetrics::{CounterId, EventKind, HistId, MetricsHandle};
 use sphybrid::live::{LiveHybridConfig, LiveSpHybrid};
 use sphybrid::{NaiveSharedSpOrder, TraceId};
@@ -55,7 +60,7 @@ use crate::unfold::{LiveCilk, Meta};
 // ---------------------------------------------------------------------------
 
 /// Which SP maintainer a multi-worker live run uses (`workers == 1` always
-/// runs the deterministic serial streaming SP-order).
+/// runs the deterministic serial walk under [`spmaint::SerialSpOrder`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LiveMaintainer {
     /// Two-tier live SP-hybrid (paper §4–§7): steal tokens are trace splits.
@@ -70,8 +75,10 @@ pub enum LiveMaintainer {
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Worker threads; 1 means deterministic serial execution on the calling
-    /// thread.  Clamped to ≥ 1 (like [`forkrt::LiveConfig`]) so a
-    /// struct-literal 0 cannot diverge from the tree-driven engines.
+    /// thread, its SP relation kept by [`spmaint::SerialSpOrder`] whatever
+    /// [`RunConfig::maintainer`] says.  Clamped to ≥ 1 (like
+    /// [`forkrt::LiveConfig`]) so a struct-literal 0 cannot diverge from the
+    /// tree-driven engines.
     pub workers: usize,
     /// Number of shared-memory locations (sizes value + shadow memory).
     pub locations: u32,
@@ -159,7 +166,7 @@ impl RunConfig {
 /// [`Serial`]: SessionMode::Serial
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SessionMode {
-    /// Serial elision on the calling thread with the streaming SP-order —
+    /// Serial elision on the calling thread with the serial SP-order —
     /// deterministic, bit-identical to offline serial detection.
     Serial,
     /// Live two-tier SP-hybrid on `workers` workers (deterministic iff
@@ -257,14 +264,15 @@ pub(crate) fn run_leaf(
     fold: Option<impl FnOnce(NodeRecord)>,
 ) {
     buf.clear();
-    if let Some(step) = &meta.step {
+    let step = meta.step();
+    if let Some(step) = step {
         step(&mut StepCtx {
             mem: MemRef::Sink(sink),
             trace: Some(buf),
         });
     }
     if let Some(fold) = fold {
-        fold(leaf_record(meta.path, meta.step.is_some(), buf));
+        fold(leaf_record(meta.path, step.is_some(), buf));
     }
 }
 
@@ -285,7 +293,7 @@ enum Fold<'a> {
 // ---------------------------------------------------------------------------
 
 struct SerialRunVisitor<'a> {
-    sp: StreamingSpOrder,
+    sp: SerialSpOrder,
     sink: &'a dyn DetectionSink,
     next_thread: u32,
     buf: Vec<Access>,
@@ -304,14 +312,17 @@ impl SerialLiveVisitor<LiveCilk> for SerialRunVisitor<'_> {
 
     fn execute_leaf(&mut self, meta: &Meta, tag: u64) {
         let thread = ThreadId(self.next_thread);
-        self.next_thread += 1;
-        let leaf = StreamNode::from_tag(tag);
-        self.sp.execute(leaf, thread);
+        // `ThreadId(u32::MAX)` is the shadow cells' "no thread" word.
+        self.next_thread = self
+            .next_thread
+            .checked_add(1)
+            .expect("the serial run executed u32::MAX threads, which exhausts the thread-id space");
+        // `run_live_serial` executes leaves left to right — the English order
+        // the serial SP-order stands on, and checks here.
+        self.sp.execute(StreamNode::from_tag(tag), thread);
         let fold = self.capture.as_deref_mut().map(|c| |rec| c.fold(rec));
         run_leaf(meta, self.sink, &mut self.buf, fold);
-        // `run_live_serial` executes leaves left to right — the English order
-        // — so the one-comparison serial view applies.
-        self.sink.check_thread(&self.sp.serial_view(leaf), thread, &self.buf);
+        self.sink.check_thread(&self.sp, thread, &self.buf);
     }
 }
 
@@ -320,7 +331,7 @@ fn run_serial<'a>(
     sink: &'a dyn DetectionSink,
     capture: Option<&'a mut (dyn SerialFold + 'a)>,
 ) -> SessionRun {
-    let (sp, root) = StreamingSpOrder::stream_new();
+    let (sp, root) = SerialSpOrder::stream_new();
     let mut visitor = SerialRunVisitor {
         sp,
         sink,
@@ -795,7 +806,7 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
         }
         impl SerialLiveVisitor<LiveCilk> for Bare<'_> {
             fn execute_leaf(&mut self, meta: &Meta, _tag: u64) {
-                if let Some(step) = &meta.step {
+                if let Some(step) = meta.step() {
                     step(&mut StepCtx {
                         mem: MemRef::Raw(self.values),
                         trace: None,
@@ -812,13 +823,14 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
         }
         impl LiveVisitor<LiveCilk> for Bare<'_> {
             fn execute_leaf(&self, _w: usize, meta: &Meta, _tag: u64, _token: Token) {
-                if let Some(step) = &meta.step {
+                if let Some(step) = meta.step() {
                     step(&mut StepCtx {
                         mem: MemRef::Raw(self.values),
                         trace: None,
                     });
                 }
-            }        }
+            }
+        }
         let stats = run_live(
             &program,
             &Bare { values: &values },

@@ -33,7 +33,14 @@
 //! this is the information the live SP-hybrid's local tier keys its bags on,
 //! arriving with the event stream instead of from a materialized tree.  An
 //! instance is one allocation: the `Arc<ProcInst>` its cursors share, which
-//! owns the body a lazy spawn built (or shares a pre-built [`Proc`]'s).
+//! owns the body a lazy spawn built (or shares a pre-built [`Proc`]'s) and,
+//! through it, the boxed closures of its statements.  A step leaf runs its
+//! closure borrowed from the instance: the leaf's [`Meta`] takes over the
+//! count its `Step` cursor held, so nothing is cloned to execute a step.
+//! What is still reference-counted per thread: one `Arc<ProcInst>` clone per
+//! step statement (the `Step` cursor beside the `Rest` one) and per
+//! non-final sync block, the instance's final drop, and `next_proc`'s
+//! `fetch_add` per spawn.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -42,8 +49,7 @@ use forkrt::{LiveNode, LiveProgram, SpKind};
 use sptree::tree::ProcId;
 
 use crate::determinacy::{child_paths, ROOT_PATH};
-use crate::program::{Body, Proc, SpawnBody, Stmt};
-use crate::StepFn;
+use crate::program::{Body, Proc, SpawnBody, StepFn, Stmt};
 
 /// One instantiated procedure: its fresh id plus its body.
 pub(crate) struct ProcInst {
@@ -67,18 +73,18 @@ pub(crate) enum Cursor {
 }
 
 /// Node metadata handed to visitors.
-pub struct Meta {
+pub(crate) struct Meta {
     /// The procedure this node belongs to (for a P-node: the *spawning*
     /// procedure, per the canonical convention).
-    pub proc: ProcId,
+    pub(crate) proc: ProcId,
     /// For a P-node: the procedure spawned into its left subtree.
-    pub spawned: Option<ProcId>,
-    /// For a step leaf: the user closure to run.  `None` for the implicit
-    /// empty threads (block ends, empty procedures).
-    pub step: Option<Arc<StepFn>>,
+    pub(crate) spawned: Option<ProcId>,
+    /// For a step leaf: the instance and the index of the step statement in
+    /// its body — the count the leaf's `Step` cursor held, moved here.
+    step: Option<(Arc<ProcInst>, usize)>,
     /// Schedule-independent structural path of this node — what the
     /// determinacy enforcer hashes (see [`crate::determinacy`]).
-    pub path: u64,
+    pub(crate) path: u64,
 }
 
 impl Meta {
@@ -89,6 +95,18 @@ impl Meta {
             spawned: None,
             step: None,
             path,
+        }
+    }
+
+    /// For a step leaf: the user closure to run, borrowed from the procedure
+    /// instance this metadata keeps alive.  `None` for internal nodes and the
+    /// implicit empty threads (block ends, empty procedures).
+    #[inline]
+    pub(crate) fn step(&self) -> Option<&StepFn> {
+        let (inst, s) = self.step.as_ref()?;
+        match &inst.body[*s] {
+            Stmt::Step(f) => Some(&**f),
+            _ => unreachable!("a Step cursor always points at a step statement"),
         }
     }
 }
@@ -135,6 +153,11 @@ impl LiveProgram for LiveCilk {
         )
     }
 
+    // Forced inline: the walk loops of `forkrt::live` are monomorphic over
+    // this program, and behind an opaque call the 112-byte node crosses
+    // memory three times per fork (return slot, frame, argument slot).  Plain
+    // `#[inline]` is ignored here (measured).
+    #[inline(always)]
     fn unfold(&self, cursor: Cursor) -> LiveNode<Cursor, Meta> {
         let mut cursor = cursor;
         loop {
@@ -192,13 +215,10 @@ impl LiveProgram for LiveCilk {
                     };
                 }
                 Cursor::Step(p, s, path) => {
-                    let Stmt::Step(f) = &p.body[s] else {
-                        unreachable!("a Step cursor always points at a step statement");
-                    };
                     return LiveNode::Leaf(Meta {
                         proc: p.id,
                         spawned: None,
-                        step: Some(Arc::clone(f)),
+                        step: Some((p, s)),
                         path,
                     });
                 }

@@ -181,30 +181,38 @@ fn theorem_5_sp_order_cost_per_node_is_flat() {
     assert!(label_len.windows(2).all(|w| w[1] >= 3.0 * w[0]), "label entries/thread: {label_len:?}");
 }
 
-/// The same count for the streaming SP-order a live serial run maintains:
-/// it keeps list elements for the leaves only (two 16-byte items and one
-/// 8-byte handle pair per thread, before vector slack), so its space per
-/// *thread* is small and flat from 10³ to 10⁵ threads.
+/// The same count for the streaming SP-orders, which keep list elements for
+/// the leaves only, so their space per *thread* is small and flat from 10³
+/// to 10⁵ threads: the two-list `StreamingSpOrder` (two 16-byte items and one
+/// 8-byte handle pair per thread, before vector slack) and, at half of it,
+/// the `SerialSpOrder` a live serial run maintains (one item and one 4-byte
+/// handle: 24 B measured, the English order being the thread ids).
 #[test]
 fn theorem_5_streaming_sp_order_space_per_thread_is_small_and_flat() {
-    use sp_maintenance::spmaint::stream::{stream_tree, StreamingSpBackend, StreamingSpOrder};
+    use sp_maintenance::spmaint::stream::{
+        stream_tree, SerialSpOrder, StreamingSpBackend, StreamingSpOrder,
+    };
     use sp_maintenance::sptree::generate::{flat_parallel_loop, random_sp_ast};
 
-    const MAX_BYTES_PER_THREAD: f64 = 96.0;
-    fn assert_small_and_flat(shape: &str, ast: impl Fn(usize) -> Ast) {
+    fn assert_small_and_flat<B: StreamingSpBackend>(
+        shape: &str,
+        max_bytes_per_thread: f64,
+        ast: impl Fn(usize) -> Ast,
+    ) {
         let bytes: Vec<f64> = SIZES
             .iter()
             .map(|&n| {
                 let tree = ast(n).build();
-                let sp: StreamingSpOrder = stream_tree(&tree, |_, _| {});
-                assert_eq!(sp.num_nodes(), tree.num_nodes(), "{shape}");
+                let sp: B = stream_tree(&tree, |_, _| {});
                 sp.stream_space_bytes() as f64 / tree.num_threads() as f64
             })
             .collect();
-        println!("{shape}: streaming bytes/thread {bytes:.1?}");
-        assert!(bytes.iter().all(|&b| b <= MAX_BYTES_PER_THREAD), "{shape}: {bytes:?}");
+        println!("{shape}: bytes/thread {bytes:.1?}");
+        assert!(bytes.iter().all(|&b| b <= max_bytes_per_thread), "{shape}: {bytes:?}");
         assert!(spread(&bytes) <= 2.0, "{shape}: bytes/thread grow with n: {bytes:?}");
     }
-    assert_small_and_flat("random", |n| random_sp_ast(n, 0.5, 42));
-    assert_small_and_flat("spawn-loop", |n| flat_parallel_loop(n, 1));
+    assert_small_and_flat::<StreamingSpOrder>("streaming, random", 96.0, |n| random_sp_ast(n, 0.5, 42));
+    assert_small_and_flat::<StreamingSpOrder>("streaming, spawn-loop", 96.0, |n| flat_parallel_loop(n, 1));
+    assert_small_and_flat::<SerialSpOrder>("serial, random", 48.0, |n| random_sp_ast(n, 0.5, 42));
+    assert_small_and_flat::<SerialSpOrder>("serial, spawn-loop", 48.0, |n| flat_parallel_loop(n, 1));
 }

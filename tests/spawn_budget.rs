@@ -4,11 +4,14 @@
 //! parts of that cost are exact allocation counts, so they are asserted here
 //! instead of being read off a timer:
 //!
-//! * unfolding a lazily spawned procedure takes **two** allocations per
-//!   executed thread on `live_fib` — the closures' `Arc`s and one statement
-//!   vector per instance, owned by the instance's one `Arc<ProcInst>`;
+//! * unfolding a lazily spawned procedure takes **1.75** allocations per
+//!   executed thread on `live_fib` — per instance (two threads each) one
+//!   statement vector and the one `Arc<ProcInst>` that owns it, plus a box
+//!   per closure that captures something: two spawn bodies in an inner
+//!   instance (4 allocations; its zero-sized join step takes none), one step
+//!   in a leaf instance (3);
 //! * serial SP maintenance and detection add **no** per-node allocation on
-//!   top of that: a handle pair rides the scheduler's tag, so an instrumented
+//!   top of that: a list handle rides the scheduler's tag, so an instrumented
 //!   run allocates a constant (detector set-up) plus vector doublings more
 //!   than the bare walk, whatever the program's size.
 //!
@@ -78,7 +81,7 @@ fn bare_walk(prog: &Proc) -> (u64, u64) {
 }
 
 #[test]
-fn a_lazily_spawned_thread_costs_two_allocations() {
+fn a_lazily_spawned_thread_costs_seven_quarters_of_an_allocation() {
     // Value memory, the walk's stack doublings, the root instance.
     const PER_RUN: u64 = 32;
     let (threads, allocations) = bare_walk(&live_fib(16, false).prog);
@@ -88,15 +91,15 @@ fn a_lazily_spawned_thread_costs_two_allocations() {
     );
     assert!(threads > 1_000, "the constant must be small beside the run");
     assert!(
-        allocations <= 2 * threads + PER_RUN,
+        4 * allocations <= 7 * threads + 4 * PER_RUN,
         "{allocations} allocations for {threads} threads"
     );
 }
 
 #[test]
 fn serial_sp_maintenance_allocates_nothing_per_node() {
-    // Detector set-up plus the doublings of a handful of vectors (two
-    // order-maintenance lists, the thread table, the access buffer): grows
+    // Detector set-up plus the doublings of a handful of vectors (the Hebrew
+    // order-maintenance list, the thread table, the access buffer): grows
     // with the logarithm of the run, not with the run.
     const MAX_EXTRA: u64 = 128;
     for depth in [16, 20] {
