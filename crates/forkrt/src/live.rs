@@ -104,16 +104,24 @@ pub enum LiveNode<C, M> {
 
 /// A computation whose SP structure is revealed on demand.
 ///
-/// `unfold` is called exactly once per node, by the worker about to walk it,
-/// so it may allocate (procedure instances, fresh ids) as a real runtime
+/// `unfold` is called exactly once per node, by the walker about to visit
+/// it, so it may allocate (procedure instances, fresh ids) as a real runtime
 /// would.  The structure revealed must not depend on the schedule: two runs
 /// of the same program must unfold the same tree (accesses to *data* may
 /// race; the fork-join *shape* may not — the usual determinacy assumption).
-pub trait LiveProgram: Sync {
+///
+/// The trait asks nothing about threads: the bounds belong to the walk.
+/// [`run_live_serial`] keeps every cursor and every node's metadata on the
+/// calling thread, so a program whose cursors share state through `Rc` runs
+/// there as it is.  [`run_live`] hands continuations to thieves, so it alone
+/// requires the program `Sync`, its cursors `Send` and its metadata
+/// `Send + Sync` (both walks' documentation show the same `Rc` program
+/// accepted by one and rejected by the other).
+pub trait LiveProgram {
     /// Position in the unfolding computation.
-    type Cursor: Send;
+    type Cursor;
     /// Per-node metadata handed to the visitor.
-    type Meta: Send + Sync;
+    type Meta;
 
     /// The root position.
     fn root(&self) -> Self::Cursor;
@@ -184,10 +192,11 @@ pub trait SerialLiveVisitor<P: LiveProgram> {
     }
     /// A leaf executes, carrying the tag its parent assigned.
     fn execute_leaf(&mut self, meta: &P::Meta, tag: u64);
-    /// The left subtree finished; the right subtree follows.
-    fn between_children(&mut self, kind: SpKind, meta: &P::Meta) {}
+    /// The left subtree finished; the right subtree follows.  The node's
+    /// metadata was handed over at `enter_internal` and is gone by now.
+    fn between_children(&mut self, kind: SpKind) {}
     /// Both subtrees finished.
-    fn leave_internal(&mut self, kind: SpKind, meta: &P::Meta) {}
+    fn leave_internal(&mut self, kind: SpKind) {}
 }
 
 /// Configuration of a live run.
@@ -294,6 +303,52 @@ impl<C, M> WorkerCtx<C, M> {
 /// work-execution hot loop (steals and idling only), so an attached registry
 /// stays within the measured ≤5% overhead bar and a detached handle costs
 /// nothing.
+///
+/// Workers share the program, a thief walks a cursor another worker
+/// unfolded, and every open frame's metadata is reachable from the frames
+/// below it on any worker — hence the bounds.  A program whose cursors count
+/// through `Rc` is rejected here (it runs under [`run_live_serial`]):
+///
+/// ```compile_fail
+/// use std::rc::Rc;
+/// use forkrt::{run_live, LiveConfig, LiveNode, LiveProgram, LiveVisitor, Token};
+/// use spmetrics::MetricsHandle;
+///
+/// /// `depth` levels of binary forks; a cursor is the depth left, counted.
+/// struct Forks {
+///     depth: u32,
+/// }
+///
+/// impl LiveProgram for Forks {
+///     type Cursor = Rc<u32>;
+///     type Meta = ();
+///
+///     fn root(&self) -> Rc<u32> {
+///         Rc::new(self.depth)
+///     }
+///
+///     fn unfold(&self, cursor: Rc<u32>) -> LiveNode<Rc<u32>, ()> {
+///         match *cursor {
+///             0 => LiveNode::Leaf(()),
+///             d => LiveNode::Internal {
+///                 kind: forkrt::SpKind::Parallel,
+///                 meta: (),
+///                 left: Rc::new(d - 1),
+///                 right: Rc::new(d - 1),
+///             },
+///         }
+///     }
+/// }
+///
+/// struct Nothing;
+///
+/// impl LiveVisitor<Forks> for Nothing {
+///     fn execute_leaf(&self, _worker: usize, _meta: &(), _tag: u64, _token: Token) {}
+/// }
+///
+/// let config = LiveConfig::with_workers(2);
+/// run_live(&Forks { depth: 3 }, &Nothing, config, 0, 0, &MetricsHandle::detached());
+/// ```
 pub fn run_live<P, V>(
     program: &P,
     visitor: &V,
@@ -303,7 +358,9 @@ pub fn run_live<P, V>(
     metrics: &MetricsHandle,
 ) -> RunStats
 where
-    P: LiveProgram,
+    P: LiveProgram + Sync,
+    P::Cursor: Send,
+    P::Meta: Send + Sync,
     V: LiveVisitor<P>,
 {
     let workers = config.workers.max(1);
@@ -614,17 +671,60 @@ fn join_stolen<P: LiveProgram, V: LiveVisitor<P>>(
 /// to `visitor`.  Returns the number of leaves executed.  This is the serial
 /// elision of [`run_live`]: same unfolding, same event order as a one-worker
 /// parallel run, but deterministic, steal-free, and allocation-light.
+///
+/// Nothing leaves the calling thread, so nothing here needs `Send` or
+/// `Sync`: the `Rc`-cursor program [`run_live`] rejects runs as it is.  An
+/// open frame keeps only the node's kind and its pending right subtree — a
+/// node's metadata is dropped once `enter_internal` has seen it.
+///
+/// ```
+/// use std::rc::Rc;
+/// use forkrt::{run_live_serial, LiveNode, LiveProgram, SerialLiveVisitor};
+///
+/// /// `depth` levels of binary forks; a cursor is the depth left, counted.
+/// struct Forks {
+///     depth: u32,
+/// }
+///
+/// impl LiveProgram for Forks {
+///     type Cursor = Rc<u32>;
+///     type Meta = ();
+///
+///     fn root(&self) -> Rc<u32> {
+///         Rc::new(self.depth)
+///     }
+///
+///     fn unfold(&self, cursor: Rc<u32>) -> LiveNode<Rc<u32>, ()> {
+///         match *cursor {
+///             0 => LiveNode::Leaf(()),
+///             d => LiveNode::Internal {
+///                 kind: forkrt::SpKind::Parallel,
+///                 meta: (),
+///                 left: Rc::new(d - 1),
+///                 right: Rc::new(d - 1),
+///             },
+///         }
+///     }
+/// }
+///
+/// struct Nothing;
+///
+/// impl SerialLiveVisitor<Forks> for Nothing {
+///     fn execute_leaf(&mut self, _meta: &(), _tag: u64) {}
+/// }
+///
+/// assert_eq!(run_live_serial(&Forks { depth: 3 }, &mut Nothing, 0), 8);
+/// ```
 pub fn run_live_serial<P, V>(program: &P, visitor: &mut V, root_tag: u64) -> u64
 where
     P: LiveProgram,
     V: SerialLiveVisitor<P>,
 {
-    struct SFrame<C, M> {
+    struct SFrame<C> {
         kind: SpKind,
-        meta: M,
         right: Option<(C, u64)>,
     }
-    let mut stack: Vec<SFrame<P::Cursor, P::Meta>> = Vec::new();
+    let mut stack: Vec<SFrame<P::Cursor>> = Vec::new();
     let mut threads = 0u64;
     let mut down = Some((program.root(), root_tag));
     loop {
@@ -644,7 +744,6 @@ where
                     let (ltag, rtag) = visitor.enter_internal(kind, &meta, tag);
                     stack.push(SFrame {
                         kind,
-                        meta,
                         right: Some((right, rtag)),
                     });
                     down = Some((left, ltag));
@@ -658,12 +757,12 @@ where
                 return threads;
             };
             if let Some((right, rtag)) = top.right.take() {
-                visitor.between_children(top.kind, &top.meta);
+                visitor.between_children(top.kind);
                 down = Some((right, rtag));
                 break;
             }
             let frame = stack.pop().expect("stack top exists");
-            visitor.leave_internal(frame.kind, &frame.meta);
+            visitor.leave_internal(frame.kind);
         }
     }
 }

@@ -456,16 +456,18 @@ pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
     // Stability preserves program order within a shard, and same-location
     // accesses always share a shard, so every cell still sees its updates in
     // program order.
-    match ShardGroups::new(accesses, |loc| shadow.shard_of(loc)) {
+    let regrouped = match ShardGroups::new(accesses, |loc| shadow.shard_of(loc)) {
         ShardGroups::Single(shard) => {
-            batch.check_group(shard, 0..batch_index_count(accesses.len()))
+            batch.check_group(shard, 0..batch_index_count(accesses.len()));
+            false
         }
         ShardGroups::Many(grouped) => {
             for (shard, run) in grouped.runs() {
                 batch.check_group(shard, run.iter().copied());
             }
+            true
         }
-    }
+    };
     let Batch { owner_hits, silent_hits, locked, mut found, .. } = batch;
 
     if metrics.is_attached() {
@@ -479,12 +481,17 @@ pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
         // Shard grouping visited accesses out of script order; restore it so
         // the report lists this thread's races exactly as the unbatched
         // engine did (sort is stable: ties keep writer-before-reader order).
-        found.sort_by_key(|&(idx, _)| idx);
-        let mut report = report.lock();
-        for (idx, race) in found {
-            metrics.event(EventKind::RaceFound, u64::from(race.loc), u64::from(idx));
-            report.push(race);
+        // A single group was walked in script order and is appended as is.
+        if regrouped {
+            found.sort_by_key(|&(idx, _)| idx);
         }
+        let mut report = report.lock();
+        if metrics.is_attached() {
+            for &(idx, race) in &found {
+                metrics.event(EventKind::RaceFound, u64::from(race.loc), u64::from(idx));
+            }
+        }
+        report.extend(found.into_iter().map(|(_, race)| race));
     }
 }
 

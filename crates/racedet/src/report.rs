@@ -72,6 +72,13 @@ impl RaceReport {
     }
 }
 
+impl Extend<Race> for RaceReport {
+    /// Record races in iteration order.
+    fn extend<I: IntoIterator<Item = Race>>(&mut self, races: I) {
+        self.races.extend(races);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

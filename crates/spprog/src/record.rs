@@ -24,7 +24,7 @@ use sptree::tree::{ParseTree, ThreadId};
 use crate::determinacy::{internal_record, SerialCapture, SerialFold};
 use crate::program::Proc;
 use crate::runtime::run_leaf;
-use crate::unfold::{LiveCilk, Meta};
+use crate::unfold::{SerialCilk, SerialMeta};
 
 /// The offline artifacts of one recorded serial execution.
 pub struct Recorded {
@@ -64,21 +64,21 @@ impl Recorder<'_> {
     }
 }
 
-impl SerialLiveVisitor<LiveCilk> for Recorder<'_> {
-    fn enter_internal(&mut self, kind: SpKind, meta: &Meta, _tag: u64) -> (u64, u64) {
+impl SerialLiveVisitor<SerialCilk> for Recorder<'_> {
+    fn enter_internal(&mut self, kind: SpKind, meta: &SerialMeta, _tag: u64) -> (u64, u64) {
         self.capture.fold(internal_record(meta.path, kind));
         self.stack.push((kind, Vec::with_capacity(2)));
         (0, 0)
     }
 
-    fn execute_leaf(&mut self, meta: &Meta, _tag: u64) {
+    fn execute_leaf(&mut self, meta: &SerialMeta, _tag: u64) {
         let capture = &mut self.capture;
         run_leaf(meta, self.detector, &mut self.buf, Some(|rec| capture.fold(rec)));
         self.accesses.push(self.buf.clone());
         self.attach(Ast::leaf(u64::from(meta.step().is_some())));
     }
 
-    fn leave_internal(&mut self, _kind: SpKind, _meta: &Meta) {
+    fn leave_internal(&mut self, _kind: SpKind) {
         let (kind, children) = self.stack.pop().expect("leave matches an enter");
         debug_assert_eq!(children.len(), 2, "internal nodes are binary");
         let node = match kind {
@@ -93,7 +93,7 @@ impl SerialLiveVisitor<LiveCilk> for Recorder<'_> {
 /// access script (see the module documentation).  `locations` sizes the
 /// shared value memory the steps run against.
 pub fn record_program(prog: &Proc, locations: u32) -> Recorded {
-    let program = LiveCilk::new(prog);
+    let program = SerialCilk::new(prog);
     // Value memory only — the recorder performs no shadow checks, so the
     // detector is used purely as the atomic value store.
     let detector = LiveDetector::new(locations, 1);

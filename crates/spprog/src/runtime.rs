@@ -53,7 +53,7 @@ use crate::determinacy::{
     SerialCheck, SerialFold, SerialReference, SharedCapture,
 };
 use crate::program::{MemRef, Proc, StepCtx};
-use crate::unfold::{LiveCilk, Meta};
+use crate::unfold::{InstRef, Meta, SerialCilk, SerialMeta, SharedCilk, SharedMeta};
 
 // ---------------------------------------------------------------------------
 // Configuration and outcome
@@ -257,8 +257,8 @@ pub struct LiveRun {
 /// recorded into `buf`, then — on a hashed walk — hand the leaf's structural
 /// record to `fold`.
 #[inline]
-pub(crate) fn run_leaf(
-    meta: &Meta,
+pub(crate) fn run_leaf<R: InstRef>(
+    meta: &Meta<R>,
     sink: &dyn DetectionSink,
     buf: &mut Vec<Access>,
     fold: Option<impl FnOnce(NodeRecord)>,
@@ -301,8 +301,8 @@ struct SerialRunVisitor<'a> {
     capture: Option<&'a mut dyn SerialFold>,
 }
 
-impl SerialLiveVisitor<LiveCilk> for SerialRunVisitor<'_> {
-    fn enter_internal(&mut self, kind: SpKind, meta: &Meta, tag: u64) -> (u64, u64) {
+impl SerialLiveVisitor<SerialCilk> for SerialRunVisitor<'_> {
+    fn enter_internal(&mut self, kind: SpKind, meta: &SerialMeta, tag: u64) -> (u64, u64) {
         if let Some(c) = self.capture.as_deref_mut() {
             c.fold(internal_record(meta.path, kind));
         }
@@ -310,7 +310,7 @@ impl SerialLiveVisitor<LiveCilk> for SerialRunVisitor<'_> {
         (l.to_tag(), r.to_tag())
     }
 
-    fn execute_leaf(&mut self, meta: &Meta, tag: u64) {
+    fn execute_leaf(&mut self, meta: &SerialMeta, tag: u64) {
         let thread = ThreadId(self.next_thread);
         // `ThreadId(u32::MAX)` is the shadow cells' "no thread" word.
         self.next_thread = self
@@ -326,11 +326,14 @@ impl SerialLiveVisitor<LiveCilk> for SerialRunVisitor<'_> {
     }
 }
 
+/// Run `prog` on the calling thread; returns the run and the number of
+/// procedures it spawned.
 fn run_serial<'a>(
-    program: &LiveCilk,
+    prog: &Proc,
     sink: &'a dyn DetectionSink,
     capture: Option<&'a mut (dyn SerialFold + 'a)>,
-) -> SessionRun {
+) -> (SessionRun, u64) {
+    let program = SerialCilk::new(prog);
     let (sp, root) = SerialSpOrder::stream_new();
     let mut visitor = SerialRunVisitor {
         sp,
@@ -341,9 +344,9 @@ fn run_serial<'a>(
     };
     sink.metrics().event(EventKind::RunStarted, 0, 0);
     let start = Instant::now();
-    let threads = run_live_serial(program, &mut visitor, root.to_tag());
+    let threads = run_live_serial(&program, &mut visitor, root.to_tag());
     let elapsed = start.elapsed();
-    SessionRun {
+    let run = SessionRun {
         threads,
         steals: 0,
         traces: 1,
@@ -352,7 +355,8 @@ fn run_serial<'a>(
         sp_space_bytes: visitor.sp.stream_space_bytes(),
         sp_grow_events: 0,
         elapsed,
-    }
+    };
+    (run, program.spawns())
 }
 
 // ---------------------------------------------------------------------------
@@ -375,22 +379,22 @@ trait ParallelSp: Sync {
     /// its accesses are checked under.
     fn started(
         &self,
-        meta: &Meta,
+        meta: &SharedMeta,
         tag: u64,
         token: Token,
         thread: ThreadId,
     ) -> impl CurrentSpQuery + '_;
 
     /// A spawned child returned with its continuation unstolen.
-    fn child_returned(&self, _meta: &Meta, _token: Token) {}
+    fn child_returned(&self, _meta: &SharedMeta, _token: Token) {}
 
     /// A spawn completed unstolen through its join point.
-    fn joined(&self, _meta: &Meta, _token: Token) {}
+    fn joined(&self, _meta: &SharedMeta, _token: Token) {}
 
     /// The continuation of the spawn at `meta` was stolen from the trace
     /// `token`: the tokens of the stolen subtree and of the code after the
     /// join.
-    fn stolen(&self, _meta: &Meta, token: Token) -> StealTokens {
+    fn stolen(&self, _meta: &SharedMeta, token: Token) -> StealTokens {
         StealTokens {
             right: token,
             after: token,
@@ -409,7 +413,7 @@ impl ParallelSp for LiveSpHybrid {
 
     fn started(
         &self,
-        meta: &Meta,
+        meta: &SharedMeta,
         _tag: u64,
         token: Token,
         thread: ThreadId,
@@ -420,16 +424,16 @@ impl ParallelSp for LiveSpHybrid {
         self.view(trace)
     }
 
-    fn child_returned(&self, meta: &Meta, token: Token) {
+    fn child_returned(&self, meta: &SharedMeta, token: Token) {
         let spawned = meta.spawned.expect("P-nodes carry their spawned procedure");
         LiveSpHybrid::child_returned(self, meta.proc, spawned, TraceId::from_token(token));
     }
 
-    fn joined(&self, meta: &Meta, token: Token) {
+    fn joined(&self, meta: &SharedMeta, token: Token) {
         self.synced(meta.proc, TraceId::from_token(token));
     }
 
-    fn stolen(&self, meta: &Meta, token: Token) -> StealTokens {
+    fn stolen(&self, meta: &SharedMeta, token: Token) -> StealTokens {
         self.split(meta.proc, TraceId::from_token(token)).tokens()
     }
 
@@ -447,7 +451,7 @@ impl ParallelSp for NaiveSharedSpOrder {
 
     fn started(
         &self,
-        _meta: &Meta,
+        _meta: &SharedMeta,
         tag: u64,
         _token: Token,
         thread: ThreadId,
@@ -478,12 +482,12 @@ struct ParallelRunVisitor<'a, S> {
     capture: Option<&'a SharedCapture>,
 }
 
-impl<S: ParallelSp> LiveVisitor<LiveCilk> for ParallelRunVisitor<'_, S> {
+impl<S: ParallelSp> LiveVisitor<SharedCilk> for ParallelRunVisitor<'_, S> {
     fn enter_internal(
         &self,
         worker: usize,
         kind: SpKind,
-        meta: &Meta,
+        meta: &SharedMeta,
         tag: u64,
         _token: Token,
     ) -> (u64, u64) {
@@ -493,7 +497,7 @@ impl<S: ParallelSp> LiveVisitor<LiveCilk> for ParallelRunVisitor<'_, S> {
         self.sp.unfolded(kind, tag)
     }
 
-    fn execute_leaf(&self, worker: usize, meta: &Meta, tag: u64, token: Token) {
+    fn execute_leaf(&self, worker: usize, meta: &SharedMeta, tag: u64, token: Token) {
         let thread = ThreadId(self.next_thread.fetch_add(1, Ordering::Relaxed));
         let view = self.sp.started(meta, tag, token, thread);
         let mut buf = self.bufs[worker].lock();
@@ -502,33 +506,35 @@ impl<S: ParallelSp> LiveVisitor<LiveCilk> for ParallelRunVisitor<'_, S> {
         self.sink.check_thread(&view, thread, &buf);
     }
 
-    fn between_children(&self, _worker: usize, kind: SpKind, meta: &Meta, token: Token) {
+    fn between_children(&self, _worker: usize, kind: SpKind, meta: &SharedMeta, token: Token) {
         if kind.is_parallel() {
             self.sp.child_returned(meta, token);
         }
     }
 
-    fn leave_internal(&self, _worker: usize, kind: SpKind, meta: &Meta, token: Token) {
+    fn leave_internal(&self, _worker: usize, kind: SpKind, meta: &SharedMeta, token: Token) {
         if kind.is_parallel() {
             self.sp.joined(meta, token);
         }
     }
 
-    fn steal(&self, _thief: usize, _victim: usize, meta: &Meta, token: Token) -> StealTokens {
+    fn steal(&self, _thief: usize, _victim: usize, meta: &SharedMeta, token: Token) -> StealTokens {
         self.sp.stolen(meta, token)
     }
 }
 
 /// Run `prog` on `workers` workers under maintainer `sp`, whose root position
-/// is `(root_tag, root_token)`.
+/// is `(root_tag, root_token)`; returns the run and the number of procedures
+/// it spawned.
 fn run_parallel<S: ParallelSp>(
-    program: &LiveCilk,
+    prog: &Proc,
     sp: &S,
     (root_tag, root_token): (u64, Token),
     workers: usize,
     sink: &dyn DetectionSink,
     capture: Option<&SharedCapture>,
-) -> SessionRun {
+) -> (SessionRun, u64) {
+    let program = SharedCilk::new(prog);
     let metrics = sink.metrics();
     let visitor = ParallelRunVisitor {
         sp,
@@ -539,9 +545,9 @@ fn run_parallel<S: ParallelSp>(
     };
     metrics.event(EventKind::RunStarted, workers as u64, 0);
     let config = LiveConfig::with_workers(workers);
-    let stats = run_live(program, &visitor, config, root_tag, root_token, metrics);
+    let stats = run_live(&program, &visitor, config, root_tag, root_token, metrics);
     let (traces, sp_space_bytes, sp_grow_events) = sp.footprint();
-    SessionRun {
+    let run = SessionRun {
         threads: stats.total_threads(),
         steals: stats.steals,
         traces,
@@ -550,7 +556,8 @@ fn run_parallel<S: ParallelSp>(
         sp_space_bytes,
         sp_grow_events,
         elapsed: stats.elapsed,
-    }
+    };
+    (run, program.spawns())
 }
 
 // ---------------------------------------------------------------------------
@@ -575,27 +582,26 @@ fn execute<'a>(
         Fold::PerWorker(c) => (None, Some(c)),
     };
     let metrics = sink.metrics();
-    let program = LiveCilk::new(prog);
     let workers = mode.workers();
-    let run = match mode {
-        SessionMode::Serial => run_serial(&program, sink, ordered),
+    let (run, spawns) = match mode {
+        SessionMode::Serial => run_serial(prog, sink, ordered),
         SessionMode::Hybrid { .. } => {
             let hybrid = LiveSpHybrid::new(hints);
             if metrics.is_attached() {
                 hybrid.attach_metrics(metrics);
             }
             let root = (0, hybrid.root_trace().to_token());
-            run_parallel(&program, &hybrid, root, workers, sink, per_worker)
+            run_parallel(prog, &hybrid, root, workers, sink, per_worker)
         }
         SessionMode::NaiveLocked { .. } => {
             let (shared, root_tag) = NaiveSharedSpOrder::new();
-            run_parallel(&program, &shared, (root_tag, 0), workers, sink, per_worker)
+            run_parallel(prog, &shared, (root_tag, 0), workers, sink, per_worker)
         }
     };
     // Whole-run tallies, folded in once per run — never on a per-node path.
     if metrics.is_attached() {
         metrics.add(CounterId::Threads, run.threads);
-        metrics.add(CounterId::Spawns, program.spawns());
+        metrics.add(CounterId::Spawns, spawns);
         metrics.record(
             HistId::RunElapsedNs,
             u64::try_from(run.elapsed.as_nanos()).unwrap_or(u64::MAX),
@@ -797,15 +803,14 @@ pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, Deter
 /// atomic value memory on the scheduler.  The denominator of every overhead
 /// metric.  Returns `(threads, steals, elapsed)`.
 pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, u64, Duration) {
-    let program = LiveCilk::new(prog);
     let values: Vec<AtomicU64> = (0..locations).map(|_| AtomicU64::new(0)).collect();
     let workers = workers.max(1);
     if workers == 1 {
         struct Bare<'a> {
             values: &'a [AtomicU64],
         }
-        impl SerialLiveVisitor<LiveCilk> for Bare<'_> {
-            fn execute_leaf(&mut self, meta: &Meta, _tag: u64) {
+        impl SerialLiveVisitor<SerialCilk> for Bare<'_> {
+            fn execute_leaf(&mut self, meta: &SerialMeta, _tag: u64) {
                 if let Some(step) = meta.step() {
                     step(&mut StepCtx {
                         mem: MemRef::Raw(self.values),
@@ -814,6 +819,7 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
                 }
             }
         }
+        let program = SerialCilk::new(prog);
         let start = Instant::now();
         let threads = run_live_serial(&program, &mut Bare { values: &values }, 0);
         (threads, 0, start.elapsed())
@@ -821,8 +827,8 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
         struct Bare<'a> {
             values: &'a [AtomicU64],
         }
-        impl LiveVisitor<LiveCilk> for Bare<'_> {
-            fn execute_leaf(&self, _w: usize, meta: &Meta, _tag: u64, _token: Token) {
+        impl LiveVisitor<SharedCilk> for Bare<'_> {
+            fn execute_leaf(&self, _w: usize, meta: &SharedMeta, _tag: u64, _token: Token) {
                 if let Some(step) = meta.step() {
                     step(&mut StepCtx {
                         mem: MemRef::Raw(self.values),
@@ -831,6 +837,7 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
                 }
             }
         }
+        let program = SharedCilk::new(prog);
         let stats = run_live(
             &program,
             &Bare { values: &values },

@@ -32,16 +32,26 @@
 //! Procedure instances get fresh [`ProcId`]s when their spawn executes —
 //! this is the information the live SP-hybrid's local tier keys its bags on,
 //! arriving with the event stream instead of from a materialized tree.  An
-//! instance is one allocation: the `Arc<ProcInst>` its cursors share, which
-//! owns the body a lazy spawn built (or shares a pre-built [`Proc`]'s) and,
-//! through it, the boxed closures of its statements.  A step leaf runs its
-//! closure borrowed from the instance: the leaf's [`Meta`] takes over the
+//! instance is one allocation: the counted [`ProcInst`] its cursors share,
+//! which owns the body a lazy spawn built (or shares a pre-built [`Proc`]'s)
+//! and, through it, the boxed closures of its statements.  A step leaf runs
+//! its closure borrowed from the instance: the leaf's [`Meta`] takes over the
 //! count its `Step` cursor held, so nothing is cloned to execute a step.
-//! What is still reference-counted per thread: one `Arc<ProcInst>` clone per
-//! step statement (the `Step` cursor beside the `Rest` one) and per
-//! non-final sync block, the instance's final drop, and `next_proc`'s
-//! `fetch_add` per spawn.
+//!
+//! How the instance is counted is the one type parameter of the unfolding
+//! ([`InstRef`]), and the grammar above is written once over it.  The serial
+//! walk ([`SerialCilk`]) shares instances through `Rc`: `run_live_serial`
+//! keeps every cursor on the calling thread, so the counts it still takes
+//! per thread — one clone per step statement (the `Step` cursor beside the
+//! `Rest` one) and per non-final sync block, the instance's final drop — are
+//! plain adds.  The scheduler ([`SharedCilk`]) shares them through `Arc`,
+//! because a thief takes a continuation's cursor to another worker, and pays
+//! atomic counts for it.  `next_proc`'s `fetch_add` per spawn is atomic on
+//! both.
 
+use std::marker::PhantomData;
+use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -57,23 +67,56 @@ pub(crate) struct ProcInst {
     pub(crate) body: Body,
 }
 
+/// How the cursors of one walk share a procedure instance: `Rc` on the
+/// calling thread, `Arc` on the scheduler (see the module documentation).
+pub(crate) trait InstRef: Clone + Deref<Target = ProcInst> {
+    fn new(inst: ProcInst) -> Self;
+}
+
+impl InstRef for Rc<ProcInst> {
+    #[inline]
+    fn new(inst: ProcInst) -> Self {
+        Rc::new(inst)
+    }
+}
+
+impl InstRef for Arc<ProcInst> {
+    #[inline]
+    fn new(inst: ProcInst) -> Self {
+        Arc::new(inst)
+    }
+}
+
+/// The unfolding [`forkrt::run_live_serial`] walks: plain counts.
+pub(crate) type SerialCilk = LiveCilk<Rc<ProcInst>>;
+
+/// The unfolding [`forkrt::run_live`] walks: atomic counts, so cursors and
+/// metadata may cross workers.
+pub(crate) type SharedCilk = LiveCilk<Arc<ProcInst>>;
+
+/// A [`SerialCilk`] node's metadata.
+pub(crate) type SerialMeta = Meta<Rc<ProcInst>>;
+
+/// A [`SharedCilk`] node's metadata.
+pub(crate) type SharedMeta = Meta<Arc<ProcInst>>;
+
 /// Position in the unfolding computation.  The trailing `u64` of every
 /// variant is the node's structural *path* (see [`crate::determinacy`]):
 /// derived purely from the position in the tree, identical on every
 /// schedule, unlike the `fetch_add`-allocated [`ProcId`]s.
-pub(crate) enum Cursor {
+pub(crate) enum Cursor<R> {
     /// The series of sync blocks of a procedure from the block that starts
     /// at statement `s` on.
-    Blocks(Arc<ProcInst>, usize, u64),
+    Blocks(R, usize, u64),
     /// The statements from `s` to the end of their block (the implicit empty
     /// thread that reaches the sync).
-    Rest(Arc<ProcInst>, usize, u64),
+    Rest(R, usize, u64),
     /// The single step leaf at statement `s`.
-    Step(Arc<ProcInst>, usize, u64),
+    Step(R, usize, u64),
 }
 
 /// Node metadata handed to visitors.
-pub(crate) struct Meta {
+pub(crate) struct Meta<R> {
     /// The procedure this node belongs to (for a P-node: the *spawning*
     /// procedure, per the canonical convention).
     pub(crate) proc: ProcId,
@@ -81,15 +124,15 @@ pub(crate) struct Meta {
     pub(crate) spawned: Option<ProcId>,
     /// For a step leaf: the instance and the index of the step statement in
     /// its body — the count the leaf's `Step` cursor held, moved here.
-    step: Option<(Arc<ProcInst>, usize)>,
+    step: Option<(R, usize)>,
     /// Schedule-independent structural path of this node — what the
     /// determinacy enforcer hashes (see [`crate::determinacy`]).
     pub(crate) path: u64,
 }
 
-impl Meta {
+impl<R: InstRef> Meta<R> {
     /// Metadata of a node of `proc` that neither spawns nor steps.
-    fn plain(proc: ProcId, path: u64) -> Meta {
+    fn plain(proc: ProcId, path: u64) -> Self {
         Meta {
             proc,
             spawned: None,
@@ -113,16 +156,18 @@ impl Meta {
 
 /// A [`Proc`] wrapped for one live run: allocates procedure ids as spawns
 /// unfold.  Create one per run — ids restart at the root for every run.
-pub(crate) struct LiveCilk {
+pub(crate) struct LiveCilk<R> {
     root: Arc<Vec<Stmt>>,
     next_proc: AtomicU32,
+    inst: PhantomData<R>,
 }
 
-impl LiveCilk {
+impl<R: InstRef> LiveCilk<R> {
     pub(crate) fn new(root: &Proc) -> Self {
         LiveCilk {
             root: Arc::clone(&root.body),
             next_proc: AtomicU32::new(1),
+            inst: PhantomData,
         }
     }
 
@@ -131,20 +176,20 @@ impl LiveCilk {
         u64::from(self.next_proc.load(Ordering::Relaxed)) - 1
     }
 
-    fn instantiate(&self, body: &SpawnBody) -> Arc<ProcInst> {
+    fn instantiate(&self, body: &SpawnBody) -> R {
         let body = body.instantiate();
         let id = ProcId(self.next_proc.fetch_add(1, Ordering::Relaxed));
-        Arc::new(ProcInst { id, body })
+        R::new(ProcInst { id, body })
     }
 }
 
-impl LiveProgram for LiveCilk {
-    type Cursor = Cursor;
-    type Meta = Meta;
+impl<R: InstRef> LiveProgram for LiveCilk<R> {
+    type Cursor = Cursor<R>;
+    type Meta = Meta<R>;
 
-    fn root(&self) -> Cursor {
+    fn root(&self) -> Cursor<R> {
         Cursor::Blocks(
-            Arc::new(ProcInst {
+            R::new(ProcInst {
                 id: ProcId(0),
                 body: Body::Shared(Arc::clone(&self.root)),
             }),
@@ -158,7 +203,7 @@ impl LiveProgram for LiveCilk {
     // memory three times per fork (return slot, frame, argument slot).  Plain
     // `#[inline]` is ignored here (measured).
     #[inline(always)]
-    fn unfold(&self, cursor: Cursor) -> LiveNode<Cursor, Meta> {
+    fn unfold(&self, cursor: Cursor<R>) -> LiveNode<Cursor<R>, Meta<R>> {
         let mut cursor = cursor;
         loop {
             match cursor {
@@ -180,7 +225,7 @@ impl LiveProgram for LiveCilk {
                     return LiveNode::Internal {
                         kind: SpKind::Series,
                         meta: Meta::plain(p.id, path),
-                        left: Cursor::Rest(Arc::clone(&p), s, lp),
+                        left: Cursor::Rest(p.clone(), s, lp),
                         right: Cursor::Blocks(p, end + 1, rp),
                     };
                 }
@@ -193,7 +238,7 @@ impl LiveProgram for LiveCilk {
                             LiveNode::Internal {
                                 kind: SpKind::Series,
                                 meta: Meta::plain(p.id, path),
-                                left: Cursor::Step(Arc::clone(&p), s, lp),
+                                left: Cursor::Step(p.clone(), s, lp),
                                 right: Cursor::Rest(p, s + 1, rp),
                             }
                         }
@@ -224,5 +269,116 @@ impl LiveProgram for LiveCilk {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::{build_proc, ProcBuilder};
+    use forkrt::{run_live_serial, SerialLiveVisitor};
+
+    /// One unfolded node as a visitor sees it (`kind` is `None` at a leaf).
+    #[derive(Debug, PartialEq)]
+    struct Node {
+        kind: Option<SpKind>,
+        proc: ProcId,
+        spawned: Option<ProcId>,
+        path: u64,
+        step: bool,
+    }
+
+    impl Node {
+        fn of<R: InstRef>(kind: Option<SpKind>, meta: &Meta<R>) -> Node {
+            Node {
+                kind,
+                proc: meta.proc,
+                spawned: meta.spawned,
+                path: meta.path,
+                step: meta.step().is_some(),
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct Nodes(Vec<Node>);
+
+    impl<R: InstRef> SerialLiveVisitor<LiveCilk<R>> for Nodes {
+        fn enter_internal(&mut self, kind: SpKind, meta: &Meta<R>, _tag: u64) -> (u64, u64) {
+            self.0.push(Node::of(Some(kind), meta));
+            (0, 0)
+        }
+
+        fn execute_leaf(&mut self, meta: &Meta<R>, _tag: u64) {
+            self.0.push(Node::of(None, meta));
+        }
+    }
+
+    /// Every node of one serial walk of `prog` shared through `R`, in visit
+    /// order.
+    fn unfolded<R: InstRef>(prog: &Proc) -> Vec<Node> {
+        let mut nodes = Nodes::default();
+        let threads = run_live_serial(&LiveCilk::<R>::new(prog), &mut nodes, 0);
+        let leaves = nodes.0.iter().filter(|n| n.kind.is_none()).count();
+        assert_eq!(threads as usize, leaves);
+        nodes.0
+    }
+
+    /// `live_fib`'s recursion: lazy spawn bodies, unfolded at spawn time.
+    fn fib(n: u32) -> impl Fn(&mut ProcBuilder) + Send + Sync {
+        move |p: &mut ProcBuilder| {
+            if n < 2 {
+                p.step(|m| m.write(0, 1));
+                return;
+            }
+            p.spawn(fib(n - 1));
+            p.spawn(fib(n - 2));
+            p.step(|_| {});
+        }
+    }
+
+    /// The serial and the scheduler instantiation are one grammar: the same
+    /// program unfolds the same nodes — kind, procedure, spawned child, path
+    /// and step-or-not — in the same order under `Rc` and under `Arc`.
+    #[test]
+    fn serial_and_shared_instances_unfold_the_same_nodes() {
+        let shared_child = build_proc(|c| {
+            c.step(|m| m.write(1, 2)).spawn(|_| {});
+        });
+        let programs = [
+            ("lazy fib", build_proc(|p| fib(6)(p))),
+            ("empty procedure", build_proc(|_| {})),
+            (
+                "prebuilt child, empty spawn, multi-block body with an empty block",
+                build_proc(|p| {
+                    p.step(|m| m.write(0, 1))
+                        .spawn_proc(shared_child.clone())
+                        .sync();
+                    p.sync();
+                    p.spawn(|_| {})
+                        .spawn_proc(shared_child.clone())
+                        .step(|_| {});
+                    p.sync();
+                    p.step(|m| m.write(0, 3));
+                }),
+            ),
+        ];
+        for (name, prog) in &programs {
+            let serial = unfolded::<Rc<ProcInst>>(prog);
+            let shared = unfolded::<Arc<ProcInst>>(prog);
+            assert!(!serial.is_empty(), "{name}");
+            assert_eq!(serial, shared, "{name}");
+        }
+        // The walks really covered each case: leaves that step and leaves
+        // that do not, fresh procedure ids per spawn, both node kinds.
+        let mixed = unfolded::<Rc<ProcInst>>(&programs[2].1);
+        assert!(mixed.iter().any(|n| n.kind.is_none() && n.step));
+        assert!(mixed.iter().any(|n| n.kind.is_none() && !n.step));
+        // Two instances of the pre-built child, each spawning one, plus one.
+        let spawned: Vec<ProcId> = mixed.iter().filter_map(|n| n.spawned).collect();
+        assert_eq!(spawned, (1..=5).map(ProcId).collect::<Vec<_>>());
+        assert!(mixed.iter().any(|n| n.kind == Some(SpKind::Series)));
+        let empty = unfolded::<Arc<ProcInst>>(&programs[1].1);
+        assert_eq!(empty.len(), 1, "one empty thread");
     }
 }

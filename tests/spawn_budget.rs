@@ -6,7 +6,7 @@
 //!
 //! * unfolding a lazily spawned procedure takes **1.75** allocations per
 //!   executed thread on `live_fib` — per instance (two threads each) one
-//!   statement vector and the one `Arc<ProcInst>` that owns it, plus a box
+//!   statement vector and the one `Rc<ProcInst>` that owns it, plus a box
 //!   per closure that captures something: two spawn bodies in an inner
 //!   instance (4 allocations; its zero-sized join step takes none), one step
 //!   in a leaf instance (3);
