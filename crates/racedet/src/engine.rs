@@ -45,27 +45,35 @@
 //! 3. the first access that must mutate (or report) acquires the shard's
 //!    striped lock **once**, and the rest of the group is processed under
 //!    that single acquisition;
-//! 4. detected races are re-sorted by the access's original script index
-//!    before being pushed, so the report lists each thread's races in
-//!    program order — serial backend runs therefore stay **bit-identical**
-//!    to the unbatched per-cell engine, which is what lets the conformance
-//!    harness demand identical reports across serial backends.
+//! 4. a race found under the lock is kept only if it is the first on its
+//!    location: the run's [`RaceCollector`] holds one claim bit per
+//!    location, and a race whose `claim` does not flip the bit is dropped
+//!    where it is found — one bit test, nothing stored, no report lock, no
+//!    `RacesFound` count and no `RaceFound` event.  The report is thus one
+//!    entry per racy location, the guarantee SP-bags states per location.
+//!    Kept races are re-sorted by the access's original script index before
+//!    being appended, so the report lists each thread's first races in
+//!    program order — serial backend runs therefore report exactly the
+//!    unbatched per-cell engine's races compacted to the first per location,
+//!    order kept, which is what lets the conformance harness demand
+//!    identical reports across serial backends.
 //!
 //! The fast path is sound because a packed cell is one atomic word: the
 //! snapshot is a linearization point, and the locked path given the same
 //! snapshot would have reported nothing and written nothing.  The report is
-//! behind a mutex so the *same* engine code is correct for concurrent
-//! backends; for serial backends all locks are uncontended.
+//! behind a mutex and a claim is one atomic `fetch_or`, so the *same* engine
+//! code is correct for concurrent backends; for serial backends all locks
+//! are uncontended.  The claim plane is allocated on the first race, so a
+//! race-free run never touches it.
 
 use std::cell::Cell;
 
-use parking_lot::Mutex;
 use spmaint::api::{BackendConfig, CurrentSpQuery, SpBackend};
 use spmetrics::{CounterId, EventKind, MetricsHandle};
 use sptree::tree::{ParseTree, ThreadId};
 
 use crate::access::{Access, AccessKind, AccessScript};
-use crate::report::{Race, RaceKind, RaceReport};
+use crate::report::{Race, RaceCollector, RaceKind, RaceReport};
 use crate::shadow::{ShadowCell, ShadowStore, ShardedShadowMemory};
 
 /// Run race detection over `tree` with backend `B` built under `config`.
@@ -95,13 +103,13 @@ pub fn detect_races<'t, B: SpBackend<'t>>(
         "access script must cover every thread of the program"
     );
     let shadow = ShardedShadowMemory::new(script.num_locations(), config.workers);
-    let report = Mutex::new(RaceReport::new());
+    let races = RaceCollector::new(script.num_locations());
     let mut backend = B::build(tree, config);
     let metrics = MetricsHandle::detached();
     backend.run_with_queries(tree, |queries, current| {
-        check_thread_accesses(queries, &shadow, &report, current, script.of(current), &metrics);
+        check_thread_accesses(queries, &shadow, &races, current, script.of(current), &metrics);
     });
-    (report.into_inner(), backend)
+    (races.into_report(), backend)
 }
 
 /// Shadow-memory update for one access (the Feng–Leiserson rules).  Races
@@ -364,12 +372,14 @@ impl ShardGroups {
 struct Batch<'a, S: ?Sized> {
     queries: BatchMemo<'a>,
     shadow: &'a S,
+    races: &'a RaceCollector,
     current: ThreadId,
     accesses: &'a [Access],
     owner_hits: u64,
     silent_hits: u64,
     locked: u64,
-    /// Races with the script index of the access that found them.
+    /// First races on their locations, with the script index of the access
+    /// that found them.
     found: Vec<(u32, Race)>,
 }
 
@@ -400,9 +410,9 @@ impl<S: ShadowStore + ?Sized> Batch<'_, S> {
             self.locked += 1;
             let mut cell = self.shadow.load(access.loc);
             let before = cell;
-            let found = &mut self.found;
+            let (races, found) = (self.races, &mut self.found);
             apply_access(&self.queries, self.current, access.loc, access.kind, &mut cell, &mut |race| {
-                found.push((idx, race))
+                keep_if_first(races, found, idx, race)
             });
             if cell != before {
                 self.shadow.store(access.loc, cell);
@@ -411,10 +421,23 @@ impl<S: ShadowStore + ?Sized> Batch<'_, S> {
     }
 }
 
+/// Keep `race`, found by the access at script index `idx`, if it is the first
+/// on its location.  Out of line, so that the closure `apply_access` calls on
+/// a race stays one call and inlines into the locked loop: a race-free run
+/// pays nothing for the claim, and a racy one a call per race.
+#[cold]
+#[inline(never)]
+fn keep_if_first(races: &RaceCollector, found: &mut Vec<(u32, Race)>, idx: u32, race: Race) {
+    if races.claim(race.loc) {
+        found.push((idx, race));
+    }
+}
+
 /// Check one thread's scripted accesses against the sharded shadow memory:
 /// SP queries memoised for the batch, accesses stable-grouped by shard,
 /// lock-free fast path first, at most one striped lock acquisition per shard
-/// group, races reported in program order.
+/// group, the first race of each location reported to `races` in program
+/// order.
 ///
 /// This is the per-thread body of [`detect_races`], public so benchmarks and
 /// stress tests can drive the exact engine path against hand-built queries.
@@ -429,11 +452,12 @@ impl<S: ShadowStore + ?Sized> Batch<'_, S> {
 /// registry costs one `is_attached` check plus a handful of relaxed adds per
 /// batch, never per-access atomics, which is what keeps the measured
 /// overhead within the ≤5% bar; a detached handle costs nothing.  Race
-/// events are published in script order, matching the report.
+/// counts and events cover the races the report keeps, and events are
+/// published in script order, matching the report.
 pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
     queries: &dyn CurrentSpQuery,
     shadow: &S,
-    report: &Mutex<RaceReport>,
+    races: &RaceCollector,
     current: ThreadId,
     accesses: &[Access],
     metrics: &MetricsHandle,
@@ -446,6 +470,7 @@ pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
     let mut batch = Batch {
         queries: BatchMemo::new(queries),
         shadow,
+        races,
         current,
         accesses,
         owner_hits: 0,
@@ -485,7 +510,7 @@ pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
         if regrouped {
             found.sort_by_key(|&(idx, _)| idx);
         }
-        let mut report = report.lock();
+        let mut report = races.lock();
         if metrics.is_attached() {
             for &(idx, race) in &found {
                 metrics.event(EventKind::RaceFound, u64::from(race.loc), u64::from(idx));
@@ -508,6 +533,7 @@ fn batch_index_count(len: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::access::Access;
+    use parking_lot::Mutex;
     use sphybrid::{HybridBackend, NaiveBackend};
 
     #[test]
@@ -578,9 +604,63 @@ mod tests {
         }
     }
 
+    /// main spawns `children` children that each write and read every one of
+    /// `locations` locations, so every location races many times over.
+    fn contended_cilk_program(children: u64, locations: u32) -> (ParseTree, AccessScript) {
+        let spawns = (1..=children).fold(SyncBlock::new(), |block, id| {
+            block.spawn(Procedure::single(SyncBlock::new().work(id)))
+        });
+        let tree = CilkProgram::new(Procedure::single(spawns.work(children + 1))).build_tree();
+        let mut script = AccessScript::new(tree.num_threads(), locations);
+        let children = tree
+            .thread_ids()
+            .filter(|&t| (1..=children).contains(&tree.work_of(t)));
+        for t in children {
+            for loc in 0..locations {
+                script.push(t, Access::write(loc));
+                script.push(t, Access::read(loc));
+            }
+        }
+        (tree, script)
+    }
+
+    /// Many writers racing on every location, checked concurrently by 2 and
+    /// 4 workers: the claim lets exactly one race per location into the
+    /// report, whichever worker finds it first.
+    #[test]
+    fn concurrent_racing_writers_report_each_location_once() {
+        let (tree, script) = contended_cilk_program(16, 8);
+        for workers in [2usize, 4] {
+            let cfg = BackendConfig::with_workers(workers);
+            for (name, report) in [
+                ("hybrid", detect_races::<HybridBackend>(&tree, &script, cfg).0),
+                ("naive", detect_races::<NaiveBackend>(&tree, &script, cfg).0),
+            ] {
+                let locations = report.racy_locations();
+                assert_eq!(
+                    locations,
+                    (0..8).collect::<Vec<u32>>(),
+                    "{name}, workers={workers}"
+                );
+                assert_eq!(report.len(), locations.len(), "{name}, workers={workers}");
+            }
+        }
+    }
+
+    /// The first race of every location, in report order.
+    fn compact(report: &RaceReport) -> Vec<Race> {
+        let mut seen = std::collections::HashSet::new();
+        report
+            .races()
+            .iter()
+            .copied()
+            .filter(|race| seen.insert(race.loc))
+            .collect()
+    }
+
     /// Reference engine: the pre-sharding loop — one access at a time, one
-    /// lock per cell, no batching, no fast path — used to pin down
-    /// bit-identical serial behaviour of the batched path.
+    /// lock per cell, no batching, no fast path, every race kept — used to
+    /// pin down the serial behaviour of the batched path.
     fn detect_per_cell<'t, B: SpBackend<'t>>(
         tree: &'t ParseTree,
         script: &AccessScript,
@@ -594,7 +674,7 @@ mod tests {
             for access in script.of(current) {
                 let mut cell = cells[access.loc as usize].lock();
                 apply_access(queries, current, access.loc, access.kind, &mut cell, &mut |race| {
-                    report.lock().push(race)
+                    report.lock().extend([race])
                 });
             }
         });
@@ -626,8 +706,15 @@ mod tests {
         let cfg = BackendConfig::serial();
         let (batched, _) = detect_races::<SpOrder>(&tree, &script, cfg);
         let reference = detect_per_cell::<SpOrder>(&tree, &script, cfg);
-        assert!(!reference.is_empty(), "workload must actually race");
-        assert_eq!(batched.races(), reference.races(), "bit-identical serial reports");
+        assert!(
+            reference.len() > reference.racy_locations().len(),
+            "workload must race more than once on some location"
+        );
+        assert_eq!(
+            batched.races(),
+            compact(&reference),
+            "the per-cell report, first race per location"
+        );
     }
 
     #[test]
@@ -636,7 +723,7 @@ mod tests {
         // S(u0, P(u1, u2)): u0 precedes both; u1 ∥ u2.
         let tree = Ast::seq(vec![Ast::leaf(1), Ast::par(vec![Ast::leaf(1), Ast::leaf(1)])]).build();
         let shadow = ShardedShadowMemory::new(4, 1);
-        let report = Mutex::new(RaceReport::new());
+        let report = RaceCollector::new(4);
         struct Oracle<'t>(sptree::oracle::SpOracle<'t>, ThreadId);
         impl CurrentSpQuery for Oracle<'_> {
             fn precedes_current(&self, earlier: ThreadId) -> bool {
@@ -657,7 +744,7 @@ mod tests {
         assert!(silent_fast_path(&q2, &shadow, ThreadId(2), Access::read(0)), "parallel reader stays");
         check_thread_accesses(&q2, &shadow, &report, ThreadId(2), &[Access::read(0)], &MetricsHandle::detached());
         assert_eq!(shadow.load(0).reader, Some(ThreadId(1)), "fast path left the cell untouched");
-        assert!(report.lock().is_empty(), "read-shared data after a preceding write is race-free");
+        assert!(report.into_report().is_empty(), "read-shared data after a preceding write is race-free");
     }
 
     /// The owner-hint tier: a thread re-writing (and re-reading) its own
@@ -666,7 +753,7 @@ mod tests {
     #[test]
     fn owner_hint_covers_private_write_runs() {
         let shadow = ShardedShadowMemory::new(2, 2);
-        let report = Mutex::new(RaceReport::new());
+        let report = RaceCollector::new(2);
 
         /// Queries that panic if consulted: the owner hint must answer alone.
         struct NoQueries;
@@ -701,7 +788,7 @@ mod tests {
             t,
             &[Access::read(0), Access::write(0), Access::read(0), Access::write(0)], &MetricsHandle::detached());
         assert_eq!(shadow.load(0), ShadowCell { writer: Some(t), reader: Some(t) });
-        assert!(report.lock().is_empty());
+        assert!(report.into_report().is_empty());
         // A *different* thread's write must not be owner-silent.
         assert!(!silent_fast_path(&NoQueries, &shadow, ThreadId(1), Access::write(1)));
     }
@@ -733,7 +820,7 @@ mod tests {
     fn check_one_question_per_recorded_thread(shadow: &ShardedShadowMemory) {
         const CELLS: u32 = 4096;
         assert_eq!(shadow.len(), CELLS as usize);
-        let report = Mutex::new(RaceReport::new());
+        let report = RaceCollector::new(CELLS);
         let detached = MetricsHandle::detached();
         let all_precede = CountingQueries::preceded_by_ids_below(u32::MAX);
         for writer in 0..3u32 {
@@ -756,7 +843,7 @@ mod tests {
         check_thread_accesses(&queries, shadow, &report, ThreadId(4), &reads, &detached);
         assert!(queries.asked.get() <= 4, "asked {} times", queries.asked.get());
         assert_eq!(shadow.load(CELLS - 1).reader, Some(ThreadId(3)));
-        assert!(report.lock().is_empty());
+        assert!(report.into_report().is_empty());
     }
 
     /// Across all 16 stripes of a 2-worker store: one memo serves every
@@ -778,7 +865,8 @@ mod tests {
     }
 
     /// The memo dies with its batch: the same query object, flipped between
-    /// two `check_thread` calls on one detector, is believed afresh.
+    /// two `check_thread` calls on one detector, is believed afresh — thread
+    /// 2's reads race, and the location's one entry is the first of them.
     #[test]
     fn the_memo_does_not_outlive_a_batch() {
         use crate::live::LiveDetector;
@@ -796,7 +884,7 @@ mod tests {
             later: ThreadId(2),
             kind: RaceKind::WriteRead,
         };
-        assert_eq!(report.races(), &[race, race]);
+        assert_eq!(report.races(), &[race]);
     }
 
     /// `(shard, script index)` in the order `check_thread_accesses` visits a
@@ -844,12 +932,12 @@ mod tests {
     fn run_racy_batch(shadow: &dyn ShadowStore) -> RaceReport {
         let script: Vec<Access> = RACY_SCRIPT.into_iter().map(Access::write).collect();
         let init: Vec<Access> = (0..RACY_CELLS).map(Access::write).collect();
-        let report = Mutex::new(RaceReport::new());
+        let report = RaceCollector::new(RACY_CELLS);
         let detached = MetricsHandle::detached();
         let parallel = CountingQueries::preceded_by_ids_below(0);
         check_thread_accesses(&parallel, shadow, &report, ThreadId(0), &init, &detached);
         check_thread_accesses(&parallel, shadow, &report, ThreadId(1), &script, &detached);
-        report.into_inner()
+        report.into_report()
     }
 
     fn shards_hopped(shadow: &dyn ShadowStore) -> usize {

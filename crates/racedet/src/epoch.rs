@@ -310,7 +310,7 @@ mod tests {
     use super::*;
     use crate::access::Access;
     use crate::engine::check_thread_accesses;
-    use crate::report::RaceReport;
+    use crate::report::RaceCollector;
     use spmaint::api::CurrentSpQuery;
 
     struct AllParallel;
@@ -386,10 +386,10 @@ mod tests {
         let mut arena = EpochShadowArena::new(4);
         for round in 0..3 {
             let view = arena.view(2);
-            let report = Mutex::new(RaceReport::new());
+            let report = RaceCollector::new(4);
             check_thread_accesses(&AllParallel, &view, &report, ThreadId(0), &[Access::write(1)], &spmetrics::MetricsHandle::detached());
             check_thread_accesses(&AllParallel, &view, &report, ThreadId(1), &[Access::write(1)], &spmetrics::MetricsHandle::detached());
-            let report = report.into_inner();
+            let report = report.into_report();
             assert_eq!(report.racy_locations(), vec![1], "round {round}");
             assert_eq!(report.len(), 1, "round {round}: no stale state leaked in");
             arena.reset();

@@ -46,5 +46,5 @@ pub use access::{Access, AccessKind, AccessScript};
 pub use engine::{check_thread_accesses, detect_races};
 pub use epoch::{EpochShadowArena, EpochShadowView};
 pub use live::{DetectionSink, LiveDetector};
-pub use report::{Race, RaceKind, RaceReport};
+pub use report::{Race, RaceCollector, RaceKind, RaceReport};
 pub use shadow::{ShadowCell, ShadowStore, ShardedShadowMemory};

@@ -23,7 +23,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use spmaint::api::CurrentSpQuery;
 use sptree::tree::ThreadId;
 
@@ -31,7 +30,7 @@ use spmetrics::MetricsHandle;
 
 use crate::access::Access;
 use crate::engine::check_thread_accesses;
-use crate::report::RaceReport;
+use crate::report::{RaceCollector, RaceReport};
 use crate::shadow::ShardedShadowMemory;
 
 /// The detection surface a live run needs from its environment: value
@@ -68,14 +67,14 @@ pub trait DetectionSink: Sync {
 }
 
 /// Shared state of an online race-detection run: value memory, sharded
-/// shadow memory, and the report.
+/// shadow memory, and the race collector.
 ///
 /// One instance is shared by all workers of a live run; every method is
 /// callable concurrently.
 pub struct LiveDetector {
     values: Vec<AtomicU64>,
     shadow: ShardedShadowMemory,
-    report: Mutex<RaceReport>,
+    races: RaceCollector,
     metrics: MetricsHandle,
 }
 
@@ -95,7 +94,7 @@ impl LiveDetector {
         LiveDetector {
             values: (0..locations).map(|_| AtomicU64::new(0)).collect(),
             shadow: ShardedShadowMemory::new(locations, workers),
-            report: Mutex::new(RaceReport::new()),
+            races: RaceCollector::new(locations),
             metrics,
         }
     }
@@ -136,17 +135,17 @@ impl LiveDetector {
         thread: ThreadId,
         accesses: &[Access],
     ) {
-        check_thread_accesses(queries, &self.shadow, &self.report, thread, accesses, &self.metrics);
+        check_thread_accesses(queries, &self.shadow, &self.races, thread, accesses, &self.metrics);
     }
 
     /// Snapshot of the races found so far.
     pub fn report(&self) -> RaceReport {
-        self.report.lock().clone()
+        self.races.report()
     }
 
     /// Consume the detector and return the final report.
     pub fn into_report(self) -> RaceReport {
-        self.report.into_inner()
+        self.races.into_report()
     }
 
     /// Approximate heap bytes used (value + shadow memory).

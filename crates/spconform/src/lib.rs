@@ -48,7 +48,7 @@
 //! ```
 
 use parking_lot::Mutex;
-use racedet::detect_races;
+use racedet::{detect_races, RaceReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spmaint::api::{BackendConfig, SpBackend};
@@ -624,10 +624,31 @@ fn check_backend_queries(
     Ok(stats)
 }
 
+/// Every report holds one entry per racy location, whatever produced it —
+/// the engine keeps the first race of each location and drops the rest.
+pub(crate) fn one_entry_per_location(
+    backend: &'static str,
+    report: &RaceReport,
+) -> Result<(), Discrepancy> {
+    let locations = report.racy_locations().len();
+    if report.len() == locations {
+        return Ok(());
+    }
+    Err(Discrepancy {
+        backend,
+        detail: format!(
+            "{} report entries on {locations} racy locations: {:?}",
+            report.len(),
+            report.races()
+        ),
+    })
+}
+
 /// Race-report conformance: inject known races, then require every serial
 /// backend instantiation of the generic engine to produce the **identical**
 /// report, and every backend (including multi-worker parallel runs) to flag
-/// exactly the injected locations.  Returns the number of injected races.
+/// exactly the injected locations, one entry per location.  Returns the
+/// number of injected races.
 /// Public so the tier-1 suite can reuse the exact backend list the sweep
 /// covers instead of duplicating it.
 pub fn check_races(
@@ -642,6 +663,7 @@ pub fn check_races(
     let serial = BackendConfig::serial();
 
     let (reference, _) = detect_races::<SpOrder>(tree, &script, serial);
+    one_entry_per_location("sp-order", &reference)?;
     if reference.racy_locations() != expected {
         return Err(Discrepancy {
             backend: "sp-order",
@@ -667,6 +689,7 @@ pub fn check_races(
         ("naive-locked", detect_races::<NaiveBackend>(tree, &script, serial).0),
     ];
     for (name, report) in &serial_reports {
+        one_entry_per_location(name, report)?;
         if report.races() != reference.races() {
             return Err(Discrepancy {
                 backend: name,
@@ -680,6 +703,7 @@ pub fn check_races(
     }
     if shape.is_cilk_form() {
         let (report, _) = detect_races::<HybridBackend>(tree, &script, serial);
+        one_entry_per_location("sp-hybrid", &report)?;
         if report.races() != reference.races() {
             return Err(Discrepancy {
                 backend: "sp-hybrid",
@@ -698,6 +722,7 @@ pub fn check_races(
     if workers > 1 {
         let cfg = BackendConfig::with_workers(workers);
         let (report, _) = detect_races::<NaiveBackend>(tree, &script, cfg);
+        one_entry_per_location("naive-locked", &report)?;
         if report.racy_locations() != expected {
             return Err(Discrepancy {
                 backend: "naive-locked",
@@ -710,6 +735,7 @@ pub fn check_races(
         }
         if shape.is_cilk_form() {
             let (report, _) = detect_races::<HybridBackend>(tree, &script, cfg);
+            one_entry_per_location("sp-hybrid", &report)?;
             if report.racy_locations() != expected {
                 return Err(Discrepancy {
                     backend: "sp-hybrid",
@@ -747,6 +773,7 @@ pub fn check_random_scripts(
     let serial = BackendConfig::serial();
 
     let (reference, _) = detect_races::<SpOrder>(tree, &script, serial);
+    one_entry_per_location("sp-order", &reference)?;
     if reference.racy_locations() != truth {
         return Err(Discrepancy {
             backend: "sp-order",
@@ -771,6 +798,7 @@ pub fn check_random_scripts(
         ("naive-locked", detect_races::<NaiveBackend>(tree, &script, serial).0),
     ];
     for (name, report) in &serial_reports {
+        one_entry_per_location(name, report)?;
         if report.races() != reference.races() {
             return Err(Discrepancy {
                 backend: name,
@@ -784,6 +812,7 @@ pub fn check_random_scripts(
     }
     if shape.is_cilk_form() {
         let (report, _) = detect_races::<HybridBackend>(tree, &script, serial);
+        one_entry_per_location("sp-hybrid", &report)?;
         if report.races() != reference.races() {
             return Err(Discrepancy {
                 backend: "sp-hybrid",
@@ -807,6 +836,7 @@ pub fn check_random_scripts(
             parallel_runs.push(("sp-hybrid", detect_races::<HybridBackend>(tree, &script, cfg).0));
         }
         for (name, report) in &parallel_runs {
+            one_entry_per_location(name, report)?;
             for race in report.races() {
                 let genuine = race.earlier != race.later
                     && oracle.parallel(race.earlier, race.later)

@@ -32,7 +32,10 @@ use sptree::oracle::SpOracle;
 use sptree::tree::{ParseTree, ThreadId};
 use workloads::{live_from_cilk, racy_locations_oracle};
 
-use crate::{minimize, sweep, tree_sexpr, Discrepancy, Failure, ShapeKind, SweepConfig, SweepKind};
+use crate::{
+    minimize, one_entry_per_location, sweep, tree_sexpr, Discrepancy, Failure, ShapeKind,
+    SweepConfig, SweepKind,
+};
 
 /// What one live differential case covered.
 #[derive(Clone, Copy, Debug, Default)]
@@ -147,6 +150,7 @@ pub fn check_live_case(
     }
     let serial_cfg = BackendConfig::serial();
     let (reference, _) = detect_races::<SpOrder>(&tree, &script, serial_cfg);
+    one_entry_per_location("sp-order", &reference)?;
     if reference.racy_locations() != truth {
         return Err(err(
             "sp-order",
@@ -184,6 +188,7 @@ pub fn check_live_case(
     // reference for the multi-worker runs below): bit-identical to offline
     // serial detection, and its structural hash must equal the recorder's.
     let serial_run = run_program(&live, &RunConfig::serial(locations).enforced());
+    one_entry_per_location("spprog-serial", &serial_run.report)?;
     if serial_run.report.races() != reference.races() {
         return Err(err(
             "spprog-serial",
@@ -240,6 +245,7 @@ pub fn check_live_case(
                     ),
                 ));
             }
+            one_entry_per_location(name, &run.report)?;
             let locs = run.report.racy_locations();
             if let Some(bogus) = locs.iter().find(|l| !truth.contains(l)) {
                 return Err(err(

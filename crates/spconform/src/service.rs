@@ -34,7 +34,10 @@ use sptree::oracle::SpOracle;
 use workloads::live_from_cilk;
 
 use crate::live::planted_script;
-use crate::{minimize, sweep, Discrepancy, Failure, ShapeKind, SweepConfig, SweepKind};
+use crate::{
+    minimize, one_entry_per_location, sweep, Discrepancy, Failure, ShapeKind, SweepConfig,
+    SweepKind,
+};
 
 /// Programs per batch: enough that sessions outnumber any worker pool's
 /// arenas (forcing recycling) while a single case stays cheap.
@@ -113,6 +116,7 @@ fn build_program(
         let detector = LiveDetector::new(locations, 1);
         run_session(&live, mode, &detector);
         let report = detector.into_report();
+        one_entry_per_location(name, &report)?;
         // Non-vacuity anchor: the planted pairs sit alone on fresh
         // locations, so every deterministic standalone run must flag them —
         // otherwise the bit-identity comparison below would compare silence
@@ -193,6 +197,7 @@ pub fn check_service_case(
         for (pi, mi, name, handle) in handles {
             let outcome = handle.wait();
             let expected = &batch[pi].references[mi];
+            one_entry_per_location(name, outcome.report())?;
             if outcome.report().races() != expected.races() {
                 return Err(err(
                     name,

@@ -24,9 +24,8 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use racedet::epoch::{EpochShadowArena, EpochShadowView};
-use racedet::{check_thread_accesses, Access, DetectionSink, RaceReport};
+use racedet::{check_thread_accesses, Access, DetectionSink, RaceCollector, RaceReport};
 use spmaint::api::CurrentSpQuery;
 use spmetrics::MetricsHandle;
 use sptree::tree::ThreadId;
@@ -144,7 +143,7 @@ impl SessionArena {
             vals: &self.vals,
             val_gens: &self.val_gens,
             locations,
-            report: Mutex::new(RaceReport::new()),
+            races: RaceCollector::new(locations),
             metrics,
         }
     }
@@ -162,14 +161,15 @@ impl SessionArena {
 /// Reads and writes go to the generation-tagged value plane (stale
 /// generations read as 0, like fresh memory); per-thread batches run the
 /// generic engine over the arena's epoch shadow view; races accumulate in a
-/// session-private report.
+/// session-private collector, so a location claimed in one lease is
+/// unclaimed in the next.
 pub struct SessionSink<'a> {
     view: EpochShadowView<'a>,
     vals: &'a [AtomicU64],
     val_gens: &'a [AtomicU32],
     gen: u32,
     locations: u32,
-    report: Mutex<RaceReport>,
+    races: RaceCollector,
     metrics: MetricsHandle,
 }
 
@@ -186,12 +186,12 @@ impl SessionSink<'_> {
 
     /// Snapshot of the races found so far.
     pub fn report(&self) -> RaceReport {
-        self.report.lock().clone()
+        self.races.report()
     }
 
     /// Consume the sink and return the session's final report.
     pub fn into_report(self) -> RaceReport {
-        self.report.into_inner()
+        self.races.into_report()
     }
 
     fn slot(&self, loc: u32) -> usize {
@@ -223,7 +223,7 @@ impl DetectionSink for SessionSink<'_> {
     }
 
     fn check_thread(&self, queries: &dyn CurrentSpQuery, thread: ThreadId, accesses: &[Access]) {
-        check_thread_accesses(queries, &self.view, &self.report, thread, accesses, &self.metrics);
+        check_thread_accesses(queries, &self.view, &self.races, thread, accesses, &self.metrics);
     }
 
     fn metrics(&self) -> &MetricsHandle {
@@ -264,6 +264,33 @@ mod tests {
             sink.check_thread(&AllParallel, ThreadId(1), &[Access::write(0)]);
             let report = sink.into_report();
             assert_eq!(report.len(), 1, "round {round}: exactly the fresh-arena race");
+            arena.recycle();
+        }
+    }
+
+    /// A claimed location belongs to its lease: two consecutive sessions on
+    /// one recycled arena, each with eight writers racing on the same two
+    /// locations, both report each location once.
+    #[test]
+    fn race_claims_do_not_leak_across_leases() {
+        let mut arena = SessionArena::new(4, 8);
+        let racing = [Access::write(1), Access::write(3)];
+        for session in 0..2 {
+            let sink = arena.sink(4, 2, MetricsHandle::detached());
+            for writer in 0..8 {
+                sink.check_thread(&AllParallel, ThreadId(writer), &racing);
+            }
+            let report = sink.into_report();
+            let entries: Vec<(u32, ThreadId, ThreadId)> = report
+                .races()
+                .iter()
+                .map(|r| (r.loc, r.earlier, r.later))
+                .collect();
+            assert_eq!(
+                entries,
+                [(1, ThreadId(0), ThreadId(1)), (3, ThreadId(0), ThreadId(1))],
+                "session {session}"
+            );
             arena.recycle();
         }
     }

@@ -46,6 +46,11 @@ fn main() {
             report.racy_locations()
         );
         assert_eq!(report.racy_locations(), injected);
+        assert_eq!(
+            report.len(),
+            injected.len(),
+            "one report entry per racy location"
+        );
     }
 
     // Parallel detection with SP-hybrid on several worker counts.
@@ -63,6 +68,11 @@ fn main() {
             stats.run.elapsed.as_secs_f64() * 1e3
         );
         assert_eq!(report.racy_locations(), injected);
+        assert_eq!(
+            report.len(),
+            injected.len(),
+            "one report entry per racy location"
+        );
     }
-    println!("every detector found exactly the injected races ✓");
+    println!("every detector found exactly the injected races, one report each ✓");
 }

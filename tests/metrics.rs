@@ -26,6 +26,19 @@ fn planted_races(pairs: u32) -> Proc {
     })
 }
 
+/// `writers` spawned children that each write every one of `locations`
+/// locations: each location races `writers - 1` times or more.
+fn contended_races(locations: u32, writers: u64) -> Proc {
+    build_proc(move |p| {
+        for w in 0..writers {
+            p.spawn(move |c| {
+                c.step(move |m| (0..locations).for_each(|loc| m.write(loc, w)));
+            });
+        }
+        p.sync();
+    })
+}
+
 /// Race-free fork-join fib(n): every internal call spawns its two
 /// recursive children.
 fn fib_prog(n: u32) -> Proc {
@@ -126,6 +139,32 @@ fn parallel_snapshot_agrees_with_run_stats() {
         );
     }
     assert_eq!(snap.counter(CounterId::RacesFound), run.report.len() as u64);
+}
+
+#[test]
+fn race_counters_and_events_see_one_race_per_location() {
+    // Six writers per location find at least five races on each; the
+    // report, the RacesFound counter and the RaceFound events all see the
+    // first one only.
+    for workers in [1usize, 4] {
+        let (config, registry) = attached_config(8, workers);
+        let run = run_program(&contended_races(8, 6), &config);
+        let snap = registry.snapshot();
+        let entries = run.report.len();
+        let locations = run.report.racy_locations();
+        assert_eq!(locations, (0..8).collect::<Vec<u32>>(), "workers={workers}");
+        assert_eq!(entries, 8, "workers={workers}: one entry per location");
+        let counted = snap.counter(CounterId::RacesFound);
+        assert_eq!(counted, entries as u64, "workers={workers}");
+        if snap.events_dropped == 0 {
+            // As above: events are only comparable when no ring wrapped.
+            assert_eq!(
+                snap.events_of(EventKind::RaceFound).count(),
+                entries,
+                "workers={workers}: one RaceFound event per report entry"
+            );
+        }
+    }
 }
 
 #[test]
