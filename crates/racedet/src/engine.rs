@@ -12,7 +12,7 @@
 //! ## Batched, mostly lock-free shadow access
 //!
 //! The shadow store is the sharded [`ShardedShadowMemory`]; per-thread
-//! accesses are processed in *batches* by [`check_thread_accesses`]:
+//! accesses are processed in *batches* by `check_thread_accesses`:
 //!
 //! 1. batch-constant work is done once per batch:
 //!    * **each SP question once** — the backend's [`CurrentSpQuery`] view is
@@ -46,7 +46,7 @@
 //!    striped lock **once**, and the rest of the group is processed under
 //!    that single acquisition;
 //! 4. a race found under the lock is kept only if it is the first on its
-//!    location: the run's [`RaceCollector`] holds one claim bit per
+//!    location: the run's `RaceCollector` holds one claim bit per
 //!    location, and a race whose `claim` does not flip the bit is dropped
 //!    where it is found — one bit test, nothing stored, no report lock, no
 //!    `RacesFound` count and no `RaceFound` event.  The report is thus one
@@ -74,7 +74,7 @@ use sptree::tree::{ParseTree, ThreadId};
 
 use crate::access::{Access, AccessKind, AccessScript};
 use crate::report::{Race, RaceCollector, RaceKind, RaceReport};
-use crate::shadow::{ShadowCell, ShadowStore, ShardedShadowMemory};
+use crate::shadow::{ShadowCell, ShardedShadowMemory};
 
 /// Run race detection over `tree` with backend `B` built under `config`.
 /// Returns the race report and the fully built backend (useful for space
@@ -199,9 +199,9 @@ fn apply_access<Q: CurrentSpQuery + ?Sized>(
 /// word, the snapshot is a linearization point, and the locked path given
 /// the same snapshot would have reported nothing and written nothing.
 #[cfg(test)]
-fn silent_fast_path<S: ShadowStore + ?Sized>(
+fn silent_fast_path(
     queries: &dyn CurrentSpQuery,
-    shadow: &S,
+    shadow: &ShardedShadowMemory,
     current: ThreadId,
     access: Access,
 ) -> bool {
@@ -220,9 +220,9 @@ enum FastTier {
 
 /// Tier-attributing body of [`silent_fast_path`]; `None` means the access
 /// needs the shard lock.
-fn fast_path_tier<S: ShadowStore + ?Sized, Q: CurrentSpQuery + ?Sized>(
+fn fast_path_tier<Q: CurrentSpQuery + ?Sized>(
     queries: &Q,
-    shadow: &S,
+    shadow: &ShardedShadowMemory,
     current: ThreadId,
     access: Access,
 ) -> Option<FastTier> {
@@ -369,9 +369,9 @@ impl ShardGroups {
 
 /// The running state of one thread batch: what every shard group reads, and
 /// the per-batch tallies it adds to.
-struct Batch<'a, S: ?Sized> {
+struct Batch<'a> {
     queries: BatchMemo<'a>,
-    shadow: &'a S,
+    shadow: &'a ShardedShadowMemory,
     races: &'a RaceCollector,
     current: ThreadId,
     accesses: &'a [Access],
@@ -383,7 +383,7 @@ struct Batch<'a, S: ?Sized> {
     found: Vec<(u32, Race)>,
 }
 
-impl<S: ShadowStore + ?Sized> Batch<'_, S> {
+impl Batch<'_> {
     /// Check the accesses `indices` (script order, all guarded by `shard`):
     /// lock-free while they stay silent, under one acquisition of the shard
     /// lock from the first access that must mutate or report.
@@ -439,12 +439,11 @@ fn keep_if_first(races: &RaceCollector, found: &mut Vec<(u32, Race)>, idx: u32, 
 /// group, the first race of each location reported to `races` in program
 /// order.
 ///
-/// This is the per-thread body of [`detect_races`], public so benchmarks and
-/// stress tests can drive the exact engine path against hand-built queries.
-/// Generic over the shadow store: the standalone [`ShardedShadowMemory`] and
-/// the multi-session epoch view ([`crate::epoch::EpochShadowView`]) run the
-/// very same loop, which is what makes service-session reports bit-identical
-/// to standalone runs by construction.
+/// This is the per-thread body of [`detect_races`] and of
+/// [`LiveDetector::check_thread`](crate::live::LiveDetector::check_thread),
+/// so script replays, live runs and service sessions all run the very same
+/// loop over the same store — which is what makes service-session reports
+/// bit-identical to standalone runs by construction.
 ///
 /// Per-access tier attribution (owner-hint / lock-free silent read /
 /// striped-lock) and found races are tallied in plain locals during the
@@ -454,9 +453,14 @@ fn keep_if_first(races: &RaceCollector, found: &mut Vec<(u32, Race)>, idx: u32, 
 /// overhead within the ≤5% bar; a detached handle costs nothing.  Race
 /// counts and events cover the races the report keeps, and events are
 /// published in script order, matching the report.
-pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
+///
+/// `#[inline]`: it runs once per executed thread, mostly on an empty batch,
+/// and a copy in each calling codegen unit makes that a direct call (or
+/// none) instead of a call through the global offset table.
+#[inline]
+pub(crate) fn check_thread_accesses(
     queries: &dyn CurrentSpQuery,
-    shadow: &S,
+    shadow: &ShardedShadowMemory,
     races: &RaceCollector,
     current: ThreadId,
     accesses: &[Access],
@@ -923,65 +927,79 @@ mod tests {
         }
     }
 
-    /// The racy batch of the two script-order tests below, run through
-    /// `shadow`: thread 0 writes every cell, then thread 1 (parallel with it)
-    /// writes a scramble of them, location 5 twice.
+    /// The racy batch of the two script-order tests below, handed to `check`:
+    /// thread 0 writes every cell, then thread 1 (parallel with it) writes a
+    /// scramble of them, location 5 twice.
     const RACY_CELLS: u32 = 1024;
     const RACY_SCRIPT: [u32; 9] = [900, 5, 400, 6, 901, 130, 5, 1023, 0];
 
-    fn run_racy_batch(shadow: &dyn ShadowStore) -> RaceReport {
+    fn racy_batch(mut check: impl FnMut(&dyn CurrentSpQuery, ThreadId, &[Access])) {
         let script: Vec<Access> = RACY_SCRIPT.into_iter().map(Access::write).collect();
         let init: Vec<Access> = (0..RACY_CELLS).map(Access::write).collect();
+        let parallel = CountingQueries::preceded_by_ids_below(0);
+        check(&parallel, ThreadId(0), &init);
+        check(&parallel, ThreadId(1), &script);
+    }
+
+    /// The racy batch through a fresh store.
+    fn run_racy_batch(shadow: &ShardedShadowMemory) -> RaceReport {
         let report = RaceCollector::new(RACY_CELLS);
         let detached = MetricsHandle::detached();
-        let parallel = CountingQueries::preceded_by_ids_below(0);
-        check_thread_accesses(&parallel, shadow, &report, ThreadId(0), &init, &detached);
-        check_thread_accesses(&parallel, shadow, &report, ThreadId(1), &script, &detached);
+        racy_batch(|queries, thread, accesses| {
+            check_thread_accesses(queries, shadow, &report, thread, accesses, &detached)
+        });
         report.into_report()
     }
 
-    fn shards_hopped(shadow: &dyn ShadowStore) -> usize {
+    /// The racy batch through a detector reset for it: the previous lease
+    /// was four times larger, striped for the other worker count, and left
+    /// a race and a written cell everywhere.
+    fn run_racy_batch_on_a_reset_detector(workers: usize) -> RaceReport {
+        use crate::live::LiveDetector;
+        let mut det = LiveDetector::new(4 * RACY_CELLS, 3 - workers);
+        let everywhere: Vec<Access> = (0..4 * RACY_CELLS).map(Access::write).collect();
+        let parallel = CountingQueries::preceded_by_ids_below(0);
+        det.check_thread(&parallel, ThreadId(7), &everywhere);
+        det.check_thread(&parallel, ThreadId(8), &everywhere);
+        assert_eq!(det.take_report().len(), everywhere.len());
+        det.reset(RACY_CELLS, workers, MetricsHandle::detached());
+        racy_batch(|queries, thread, accesses| det.check_thread(queries, thread, accesses));
+        det.take_report()
+    }
+
+    fn shards_hopped(shadow: &ShardedShadowMemory) -> usize {
         let shards: std::collections::BTreeSet<usize> =
             RACY_SCRIPT.iter().map(|&loc| shadow.shard_of(loc)).collect();
         shards.len()
     }
 
     /// A racy batch that hops between shards is visited shard by shard but
-    /// reported in script order — through the standalone store and through
-    /// an epoch view alike.
+    /// reported in script order — through a fresh store and through a
+    /// detector reset from a larger lease alike.
     #[test]
     fn multi_shard_racy_batches_report_in_script_order_through_both_stores() {
-        use crate::epoch::EpochShadowArena;
         let store = ShardedShadowMemory::new(RACY_CELLS, 2);
         assert!(shards_hopped(&store) >= 3, "the batch must hop between shards");
         let sharded = run_racy_batch(&store);
-        let mut arena = EpochShadowArena::new(RACY_CELLS);
-        arena.reset();
-        let view = arena.view(2);
-        assert!(shards_hopped(&view) >= 3, "the batch must hop between shards");
-        let epoch = run_racy_batch(&view);
+        let reset = run_racy_batch_on_a_reset_detector(2);
         let reported: Vec<u32> = sharded.races().iter().map(|r| r.loc).collect();
         // The second write of location 5 finds thread 1 itself recorded.
         assert_eq!(reported, vec![900, 5, 400, 6, 901, 130, 1023, 0]);
         assert!(sharded.races().iter().all(|r| r.earlier == ThreadId(0) && r.later == ThreadId(1)));
-        assert_eq!(epoch.races(), sharded.races());
+        assert_eq!(reset.races(), sharded.races());
     }
 
-    /// The one-stripe twin: on a one-worker store and a one-worker epoch view
-    /// the same batch is a single group walked in script order, and reports
-    /// bit-identically to the 2-worker stores.
+    /// The one-stripe twin: on a one-worker store and a detector reset for
+    /// one worker the same batch is a single group walked in script order,
+    /// and reports bit-identically to the 2-worker stores.
     #[test]
     fn one_stripe_racy_batches_report_in_script_order_through_both_stores() {
-        use crate::epoch::EpochShadowArena;
         let striped = run_racy_batch(&ShardedShadowMemory::new(RACY_CELLS, 2));
         let store = ShardedShadowMemory::new(RACY_CELLS, 1);
         assert_eq!(shards_hopped(&store), 1);
-        let mut arena = EpochShadowArena::new(RACY_CELLS);
-        arena.reset();
-        let view = arena.view(1);
-        assert_eq!((view.num_shards(), shards_hopped(&view)), (1, 1));
+        let reset = run_racy_batch_on_a_reset_detector(1);
         assert_eq!(run_racy_batch(&store).races(), striped.races());
-        assert_eq!(run_racy_batch(&view).races(), striped.races());
+        assert_eq!(reset.races(), striped.races());
         assert_eq!(striped.len(), RACY_SCRIPT.len() - 1);
     }
 }

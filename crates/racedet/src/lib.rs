@@ -20,11 +20,14 @@
 //! `sphybrid::HybridBackend` it is the parallel detector on the `forkrt`
 //! work-stealing runtime.
 //!
-//! The shadow store is the sharded, cache-aware
+//! There is likewise **one** shadow store, the sharded, cache-aware
 //! [`shadow::ShardedShadowMemory`]: packed atomic cells under striped locks
 //! sized to the worker count, with a lock-free fast path and per-thread
 //! shard batching in the engine (see [`engine`] and the repository-root
-//! `ARCHITECTURE.md#race-detection-racedet` for the design).
+//! `ARCHITECTURE.md#race-detection-racedet` for the design).  A standalone
+//! run builds a fresh one; a detection-service session leases a pooled
+//! [`LiveDetector`] and [`LiveDetector::reset`]s it, which refills the leased
+//! range in place.
 //!
 //! Memory accesses are provided as per-thread *access scripts*
 //! ([`access::AccessScript`]), the synthetic stand-in for instrumenting a real
@@ -33,7 +36,6 @@
 
 pub mod access;
 pub mod engine;
-pub mod epoch;
 pub mod live;
 #[cfg(test)]
 mod parallel;
@@ -43,8 +45,7 @@ mod serial;
 pub mod shadow;
 
 pub use access::{Access, AccessKind, AccessScript};
-pub use engine::{check_thread_accesses, detect_races};
-pub use epoch::{EpochShadowArena, EpochShadowView};
+pub use engine::detect_races;
 pub use live::{DetectionSink, LiveDetector};
-pub use report::{Race, RaceCollector, RaceKind, RaceReport};
-pub use shadow::{ShadowCell, ShadowStore, ShardedShadowMemory};
+pub use report::{Race, RaceKind, RaceReport};
+pub use shadow::{ShadowCell, ShardedShadowMemory};

@@ -5,9 +5,8 @@
 //! closures run on the work-stealing scheduler, perform reads and writes as
 //! they go, and the SP structure unfolds underneath them.  [`LiveDetector`]
 //! is the engine for that mode — the *same* sharded shadow memory and the
-//! *same* batched per-thread checking path
-//! ([`check_thread_accesses`]), fed from the
-//! event stream instead of a script:
+//! *same* batched per-thread checking path as the script engine, fed from
+//! the event stream instead of a script:
 //!
 //! * [`LiveDetector::read`] / [`LiveDetector::write`] serve the program's
 //!   *values* from an atomic value memory (racy programs really do race on
@@ -18,6 +17,12 @@
 //!   provides.  Batching at thread granularity is exactly what the offline
 //!   engine does, which is why serial live runs produce **bit-identical**
 //!   reports to offline serial detection on the equivalent tree.
+//!
+//! A detector is also reusable: [`LiveDetector::reset`] makes it the
+//! detector [`LiveDetector::new`] would build for the next run's size and
+//! worker count, refilling only that many locations in the memory it
+//! already holds.  The `spservice` detection service pools detectors that
+//! way and resets one per session lease.
 //!
 //! See `ARCHITECTURE.md#live-execution-spprog` for the subsystem overview.
 
@@ -37,12 +42,12 @@ use crate::shadow::ShardedShadowMemory;
 /// memory for the program's reads and writes, plus per-thread batched
 /// shadow checking.
 ///
-/// [`LiveDetector`] is the standalone implementor (it owns a fresh value
-/// array and [`ShardedShadowMemory`]); the `spservice` session sink is the
-/// multiplexed one, backing both planes with leased generation-tagged
-/// arenas recycled across sessions.  `spprog`'s run paths take
-/// `&dyn DetectionSink`, which is what makes them reentrant per-session
-/// instead of tied to one detector for the process's life.
+/// [`LiveDetector`] is the one detecting implementor — a standalone run and
+/// a detection-service session alike run over one (the service's are pooled
+/// and reset per lease).  `spprog`'s run paths take `&dyn DetectionSink`,
+/// which is what makes them reentrant per-session instead of tied to one
+/// detector for the process's life, and what lets tests and benchmarks wrap
+/// a detector in their own sink.
 pub trait DetectionSink: Sync {
     /// Current value of a location (program-visible memory, not shadow).
     fn read(&self, loc: u32) -> u64;
@@ -69,8 +74,9 @@ pub trait DetectionSink: Sync {
 /// Shared state of an online race-detection run: value memory, sharded
 /// shadow memory, and the race collector.
 ///
-/// One instance is shared by all workers of a live run; every method is
-/// callable concurrently.
+/// One instance is shared by all workers of a live run; every `&self`
+/// method is callable concurrently.  Between runs, [`Self::reset`] recycles
+/// it for the next one.
 pub struct LiveDetector {
     values: Vec<AtomicU64>,
     shadow: ShardedShadowMemory,
@@ -97,6 +103,21 @@ impl LiveDetector {
             races: RaceCollector::new(locations),
             metrics,
         }
+    }
+
+    /// Make this the detector [`Self::with_metrics`] would build for
+    /// `locations`, `workers` and `metrics`, keeping the memory it holds:
+    /// values and shadow cells are refilled for the first `locations`
+    /// locations only (16 bytes each), the shadow stripes are re-laid for
+    /// `workers`, and races are collected afresh.  A location beyond
+    /// `locations` is rejected as on a new detector, however much memory an
+    /// earlier, larger run left allocated.
+    pub fn reset(&mut self, locations: u32, workers: usize, metrics: MetricsHandle) {
+        self.values.clear();
+        self.values.resize_with(locations as usize, || AtomicU64::new(0));
+        self.shadow.reset(locations, workers);
+        self.races = RaceCollector::new(locations);
+        self.metrics = metrics;
     }
 
     /// Number of shared locations.
@@ -146,6 +167,13 @@ impl LiveDetector {
     /// Consume the detector and return the final report.
     pub fn into_report(self) -> RaceReport {
         self.races.into_report()
+    }
+
+    /// Take the final report and keep the detector for a [`Self::reset`]:
+    /// races are collected afresh from here on.
+    pub fn take_report(&mut self) -> RaceReport {
+        let fresh = RaceCollector::new(self.num_locations());
+        std::mem::replace(&mut self.races, fresh).into_report()
     }
 
     /// Approximate heap bytes used (value + shadow memory).
@@ -239,5 +267,68 @@ mod tests {
         let report = det.report();
         assert_eq!(report.len(), 1);
         assert_eq!(report.races()[0].kind, crate::report::RaceKind::WriteRead);
+    }
+
+    /// The leases of the reuse tests below, as `(locations, workers,
+    /// stripes)`: one detector grows, shrinks and grows again, and is
+    /// re-striped for one and four workers (16 locations hold only two
+    /// cache-line blocks, so four workers get two stripes there).
+    const LEASES: [(u32, usize, usize); 4] = [(4096, 1, 1), (16, 4, 2), (4096, 4, 32), (4096, 1, 1)];
+
+    /// Every lease starts from fresh memory — values read 0, shadow cells
+    /// are empty — and from the stripes a new detector of its shape has,
+    /// although the lease before it wrote every value and cell.
+    #[test]
+    fn a_reset_detector_is_fresh_and_striped_for_each_lease() {
+        let mut det = LiveDetector::new(LEASES[0].0, LEASES[0].1);
+        for (locations, workers, stripes) in LEASES {
+            det.reset(locations, workers, MetricsHandle::detached());
+            assert_eq!(det.num_locations(), locations);
+            assert_eq!(det.shadow.num_shards(), stripes, "{locations} locations, {workers} workers");
+            assert_eq!(stripes, ShardedShadowMemory::new(locations, workers).num_shards());
+            for loc in 0..locations {
+                assert_eq!(det.read(loc), 0, "value of {loc}");
+                assert_eq!(det.shadow.load(loc), crate::shadow::ShadowCell::default(), "cell {loc}");
+            }
+            let everywhere: Vec<Access> =
+                (0..locations).flat_map(|loc| [Access::write(loc), Access::read(loc)]).collect();
+            det.check_thread(&AllSerial, ThreadId(0), &everywhere);
+            for loc in 0..locations {
+                det.write(loc, u64::from(loc) + 1);
+            }
+            assert!(det.take_report().is_empty());
+        }
+        assert!(det.space_bytes() >= 4096 * 16, "the largest lease's memory is kept");
+    }
+
+    /// A claimed location belongs to its lease: in every lease of one
+    /// detector, eight writers racing on the same locations report each
+    /// location once, the first race found there.
+    #[test]
+    fn race_claims_do_not_leak_across_leases() {
+        let mut det = LiveDetector::new(LEASES[0].0, LEASES[0].1);
+        for (lease, (locations, workers, _)) in LEASES.into_iter().enumerate() {
+            det.reset(locations, workers, MetricsHandle::detached());
+            let racing = [Access::write(1), Access::write(locations - 1)];
+            for writer in 0..8 {
+                det.check_thread(&AllParallel, ThreadId(writer), &racing);
+            }
+            let entries: Vec<(u32, ThreadId, ThreadId)> =
+                det.take_report().races().iter().map(|r| (r.loc, r.earlier, r.later)).collect();
+            assert_eq!(
+                entries,
+                [(1, ThreadId(0), ThreadId(1)), (locations - 1, ThreadId(0), ThreadId(1))],
+                "lease {lease}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the configured shared memory")]
+    fn session_bounds_are_enforced_even_on_a_larger_allocation() {
+        let mut det = LiveDetector::new(4096, 1);
+        // The detector holds 4,096 locations but this lease asked for 16.
+        det.reset(16, 4, MetricsHandle::detached());
+        det.read(100);
     }
 }

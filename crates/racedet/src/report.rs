@@ -5,7 +5,7 @@
 //! Feng–Leiserson's SP-bags Nondeterminator, which is stated per location —
 //! a race is reported on a location iff the program has one there on this
 //! input — and it is decided where the race is found, by one claim bit per
-//! location in the run's [`RaceCollector`]: later races on a claimed
+//! location in the run's `RaceCollector`: later races on a claimed
 //! location cost one bit test and are never stored.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,8 +91,8 @@ impl RaceReport {
 ///
 /// The claim plane is `AtomicU64` words, allocated on the first race, so a
 /// race-free run never touches it.  One collector serves one run (or one
-/// service session): a fresh collector has every location unclaimed.
-pub struct RaceCollector {
+/// service lease): a fresh collector has every location unclaimed.
+pub(crate) struct RaceCollector {
     report: Mutex<RaceReport>,
     claimed: OnceLock<Box<[AtomicU64]>>,
     locations: u32,
@@ -100,7 +100,7 @@ pub struct RaceCollector {
 
 impl RaceCollector {
     /// A collector for a run over `locations` shared locations.
-    pub fn new(locations: u32) -> Self {
+    pub(crate) fn new(locations: u32) -> Self {
         RaceCollector {
             report: Mutex::new(RaceReport::new()),
             claimed: OnceLock::new(),
@@ -131,12 +131,12 @@ impl RaceCollector {
     }
 
     /// Snapshot of the races reported so far.
-    pub fn report(&self) -> RaceReport {
+    pub(crate) fn report(&self) -> RaceReport {
         self.report.lock().clone()
     }
 
     /// Consume the collector and return the final report.
-    pub fn into_report(self) -> RaceReport {
+    pub(crate) fn into_report(self) -> RaceReport {
         self.report.into_inner()
     }
 }

@@ -27,6 +27,11 @@
 //! which is precisely when a race exists and must still be reported, not
 //! missed or corrupted.  Serial backend runs take the same (uncontended)
 //! paths, which keeps one engine code path for all six backends.
+//!
+//! It is the repository's one shadow store.  A standalone run builds a fresh
+//! one; a detection-service session leases a pooled
+//! [`LiveDetector`](crate::live::LiveDetector), whose reset refills the
+//! leased range with empty cells in place (`ShardedShadowMemory::reset`).
 
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
@@ -71,34 +76,7 @@ fn unpack(word: u64) -> ShadowCell {
     }
 }
 
-/// The surface the detection engine needs from a shadow store: consistent
-/// lock-free snapshots, a location→shard map, one striped lock per shard,
-/// and release-published cell updates.
-///
-/// Two implementors exist: [`ShardedShadowMemory`] (the standalone engines'
-/// store) and the generation-tagged epoch view of
-/// [`crate::epoch::EpochShadowArena`] (the multi-session service's store,
-/// where "empty" is a generation mismatch instead of a zeroed word).  The
-/// engine ([`crate::engine::check_thread_accesses`]) is generic over this
-/// trait, which is what lets one detection loop serve both.
-pub trait ShadowStore: Sync {
-    /// Consistent lock-free snapshot of a cell (one atomic load).
-    fn load(&self, loc: u32) -> ShadowCell;
-
-    /// The shard that guards `loc`.
-    fn shard_of(&self, loc: u32) -> usize;
-
-    /// Acquire the striped lock of one shard.  Mutating any cell of the
-    /// shard ([`Self::store`]) requires holding this.
-    fn lock_shard(&self, shard: usize) -> parking_lot::MutexGuard<'_, ()>;
-
-    /// Publish a new cell value; the caller must hold the shard lock of
-    /// `shard_of(loc)`.  The store itself must be a single atomic release so
-    /// unlocked [`Self::load`]s always see a consistent value.
-    fn store(&self, loc: u32, cell: ShadowCell);
-}
-
-/// Striped-lock layout shared by every sharded shadow store: returns
+/// Striped-lock layout of a [`ShardedShadowMemory`]: returns
 /// `(shard_shift, num_shards)` for `locations` locations checked by `workers`
 /// concurrent workers; [`shard_of`] maps a location under it.
 ///
@@ -113,7 +91,7 @@ pub trait ShadowStore: Sync {
 /// are to guard (see [`ShardedShadowMemory`] for the rationale).
 ///
 /// Pure arithmetic, no allocation, total on every `(u32, usize)` input.
-pub(crate) fn shard_layout(locations: u32, workers: usize) -> (u32, usize) {
+fn shard_layout(locations: u32, workers: usize) -> (u32, usize) {
     if workers <= 1 {
         return (u32::BITS, 1);
     }
@@ -136,7 +114,7 @@ pub(crate) fn shard_layout(locations: u32, workers: usize) -> (u32, usize) {
 /// shift so the one-stripe layout (`shard_shift == 32`) is an ordinary shift
 /// that yields 0 for every location.
 #[inline]
-pub(crate) fn shard_of(loc: u32, shard_shift: u32) -> usize {
+fn shard_of(loc: u32, shard_shift: u32) -> usize {
     (u64::from(loc) >> shard_shift) as usize
 }
 
@@ -180,6 +158,19 @@ impl ShardedShadowMemory {
         }
     }
 
+    /// Make this the empty store [`Self::new`] would build for `locations`
+    /// and `workers`, keeping the allocations: the first `locations` cells
+    /// are refilled with the empty word and the stripes re-laid for
+    /// `workers`.  The length becomes `locations` even when more is
+    /// allocated, so a location beyond it still fails the bounds check.
+    pub(crate) fn reset(&mut self, locations: u32, workers: usize) {
+        let (shard_shift, num_shards) = shard_layout(locations, workers);
+        self.cells.clear();
+        self.cells.resize_with(locations as usize, || AtomicU64::new(pack(ShadowCell::default())));
+        self.locks.resize_with(num_shards, || CachePadded::new(Mutex::new(())));
+        self.shard_shift = shard_shift;
+    }
+
     /// Number of shadowed locations.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -217,24 +208,6 @@ impl ShardedShadowMemory {
     /// see a consistent value.
     pub(crate) fn store(&self, loc: u32, cell: ShadowCell) {
         self.cells[loc as usize].store(pack(cell), Ordering::Release);
-    }
-}
-
-impl ShadowStore for ShardedShadowMemory {
-    fn load(&self, loc: u32) -> ShadowCell {
-        ShardedShadowMemory::load(self, loc)
-    }
-
-    fn shard_of(&self, loc: u32) -> usize {
-        ShardedShadowMemory::shard_of(self, loc)
-    }
-
-    fn lock_shard(&self, shard: usize) -> parking_lot::MutexGuard<'_, ()> {
-        ShardedShadowMemory::lock_shard(self, shard)
-    }
-
-    fn store(&self, loc: u32, cell: ShadowCell) {
-        ShardedShadowMemory::store(self, loc, cell)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Service-vs-standalone differential conformance: random *batches* of Cilk
 //! programs run both as concurrent [`spservice::DetectionService`] sessions
-//! (multiplexed over pooled epoch-reset arenas) and as standalone
+//! (multiplexed over pooled detectors reset per lease) and as standalone
 //! [`spprog::run_session`] runs over fresh detectors — and every session's
 //! race report must be **bit-identical** to its standalone twin (same races,
 //! same order, same thread ids).
@@ -13,11 +13,10 @@
 //! * **both live SP maintainers** plus the serial elision, via the
 //!   deterministic one-worker [`SessionMode`]s (`Serial`, `Hybrid`,
 //!   `NaiveLocked` — determinism is what makes bit-identity well-defined),
-//! * arena **recycling and growth** (an arena is created at its first
-//!   session's size, so the batch's differently-sized programs force
-//!   `ensure_locations` growth; more sessions than workers forces epoch
-//!   resets), and on even seeds a deliberately tiny generation space so the
-//!   batch crosses the **wraparound purge** mid-stream.
+//! * detector **recycling, growth and shrinking** (more sessions than
+//!   workers, so every detector is reset for several leases, and the
+//!   batch's differently-sized programs make a lease grow or shrink the
+//!   range the previous one used).
 //!
 //! Scripts reuse the live sweep's planting machinery: every program carries
 //! parallel write-write pairs on dedicated locations (odd seeds add a random
@@ -60,11 +59,8 @@ pub struct ServiceCaseStats {
     pub sessions: u64,
     /// Planted parallel write-write races across the batch's programs.
     pub planted: u64,
-    /// Epoch resets the services performed (arena recycling, not realloc).
+    /// Detector resets the services performed (one per session lease).
     pub epoch_resets: u64,
-    /// Wraparound purges the services performed (even seeds use a tiny
-    /// generation space precisely to force these).
-    pub epoch_purges: u64,
 }
 
 /// A [`Failure`] of the service sweep (`workers` is the detector-worker
@@ -147,9 +143,7 @@ fn build_program(
 /// `service_workers` detector workers (and, always, to a 1-worker service —
 /// the sequential fast path), and require every session outcome to be
 /// bit-identical to the standalone reference of the same program and mode.
-/// Even seeds run both services with a generation space of 4, so the batch
-/// crosses an epoch wraparound purge; shapes without a Cilk form are
-/// skipped.
+/// Shapes without a Cilk form are skipped.
 pub fn check_service_case(
     shape: ShapeKind,
     size: u32,
@@ -168,25 +162,12 @@ pub fn check_service_case(
         sessions: 0,
         planted: batch.iter().map(|p| p.planted).sum(),
         epoch_resets: 0,
-        epoch_purges: 0,
-    };
-
-    // Even seeds: a 4-generation arena space, so ~half the recycles in a
-    // 9-session batch happen *after* a wraparound purge.
-    let gen_limit = if seed % 2 == 0 {
-        4
-    } else {
-        racedet::EpochShadowArena::MAX_GEN_LIMIT
     };
 
     for workers in [1, service_workers.max(2)] {
-        let service = DetectionService::new(ServiceConfig {
-            workers,
-            gen_limit,
-            ..ServiceConfig::default()
-        });
+        let service = DetectionService::new(ServiceConfig::with_workers(workers));
         // Submit the whole batch up front so multi-worker pools genuinely
-        // interleave sessions over the shared arena pool.
+        // interleave sessions over the shared detector pool.
         let mut handles: Vec<(usize, usize, &'static str, SessionHandle)> = Vec::new();
         for (pi, program) in batch.iter().enumerate() {
             for (mi, &(name, mode)) in MODES.iter().enumerate() {
@@ -203,7 +184,7 @@ pub fn check_service_case(
                     name,
                     format!(
                         "session report diverges from the standalone run \
-                         (program {pi}, {workers}-worker service, gen_limit {gen_limit}): \
+                         (program {pi}, {workers}-worker service): \
                          {:?} vs {:?}",
                         outcome.report().races(),
                         expected.races()
@@ -227,24 +208,13 @@ pub fn check_service_case(
             return Err(err(
                 "service-lifecycle",
                 format!(
-                    "every session must recycle its arena exactly once: \
+                    "every session must reset its detector exactly once: \
                      {} resets for {submitted} sessions",
                     service_stats.epoch_resets
                 ),
             ));
         }
         stats.epoch_resets += service_stats.epoch_resets;
-        stats.epoch_purges += service_stats.epoch_purges;
-    }
-
-    if gen_limit == 4 && stats.epoch_purges == 0 {
-        return Err(err(
-            "service-lifecycle",
-            format!(
-                "a gen_limit-4 service ran {} sessions without one wraparound purge",
-                stats.sessions
-            ),
-        ));
     }
     Ok(stats)
 }
@@ -258,10 +228,8 @@ pub struct ServiceSweepStats {
     pub sessions: u64,
     /// Planted races across all batch programs.
     pub planted: u64,
-    /// Epoch resets across all services (recycles, not reallocations).
+    /// Detector resets across all services (one per session lease).
     pub epoch_resets: u64,
-    /// Wraparound purges across all services.
-    pub epoch_purges: u64,
 }
 
 /// Run `cases_per_shape` service differential cases for every Cilk-form
@@ -284,7 +252,6 @@ pub fn run_service_sweep(config: &SweepConfig) -> Result<ServiceSweepStats, Box<
         stats.sessions += s.sessions;
         stats.planted += s.planted;
         stats.epoch_resets += s.epoch_resets;
-        stats.epoch_purges += s.epoch_purges;
     };
     sweep(SweepKind::Service, config, env_override, check_service_case, add)
 }
@@ -314,8 +281,7 @@ mod tests {
             if shape.build_procedure(1, 1).is_none() {
                 continue;
             }
-            // Even seed: tiny gen space (wraparound purges mid-batch);
-            // odd seed: full gen space, mixed scripts.
+            // Two seeds per shape.
             for seed in [42u64, 43] {
                 let stats = check_service_case(shape, 8, seed, 2).unwrap_or_else(|d| {
                     panic!("{} seed {seed}: {} — {}", shape.name(), d.backend, d.detail)
@@ -325,12 +291,6 @@ mod tests {
             }
         }
         assert!(planted > 0, "the batches must actually plant races");
-    }
-
-    #[test]
-    fn even_seeds_actually_cross_wraparound() {
-        let stats = check_service_case(ShapeKind::ParallelLoop, 8, 42, 2).expect("case is green");
-        assert!(stats.epoch_purges > 0, "gen_limit 4 must purge mid-batch");
     }
 
     #[test]
@@ -348,6 +308,6 @@ mod tests {
         let stats = run_service_sweep(&config).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(stats.cases, 18, "9 Cilk shapes × 2 cases");
         assert!(stats.planted > 0);
-        assert_eq!(stats.epoch_resets, stats.sessions, "one recycle per session");
+        assert_eq!(stats.epoch_resets, stats.sessions, "one reset per session");
     }
 }

@@ -47,8 +47,8 @@ fn differential_sweep_all_shapes() {
 
 /// The service differential sweep: random batches of planted-race programs
 /// submitted as concurrent `spservice` sessions (1-worker and multi-worker
-/// pools, all three deterministic session modes, pooled epoch-reset arenas
-/// with wraparound forced on even seeds) — every session report must be
+/// pools, all three deterministic session modes, pooled detectors reset per
+/// lease) — every session report must be
 /// bit-identical to a standalone run of the same program and mode.  Honors
 /// the same environment variables as the main sweep, so CI covers it under
 /// every seed of the matrix.
@@ -67,21 +67,20 @@ fn service_differential_sweep_all_cilk_shapes() {
                 "every Cilk-form case must run through the service"
             );
             assert!(
-                cilk_shapes == 0 || (stats.planted > 0 && stats.epoch_purges > 0),
-                "planted-race and wraparound checks must not be vacuous"
+                cilk_shapes == 0 || stats.planted > 0,
+                "planted-race checks must not be vacuous"
             );
             assert_eq!(
                 stats.epoch_resets, stats.sessions,
-                "every session must recycle its arena exactly once"
+                "every session must reset its detector exactly once"
             );
             println!(
                 "service conformance sweep green: {} cases, {} sessions, {} planted races, \
-                 {} epoch resets, {} wraparound purges (seed {:#x})",
+                 {} detector resets (seed {:#x})",
                 stats.cases,
                 stats.sessions,
                 stats.planted,
                 stats.epoch_resets,
-                stats.epoch_purges,
                 config.base_seed
             );
         }

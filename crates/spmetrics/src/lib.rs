@@ -201,16 +201,14 @@ id_enum! {
         RacesFound => "races_found",
         /// Sessions submitted to the detection service.
         SessionsSubmitted => "sessions_submitted",
-        /// Sessions admitted (leased an arena, left the queue).
+        /// Sessions admitted (leased a detector, left the queue).
         SessionsAdmitted => "sessions_admitted",
         /// Sessions completed with a report.
         SessionsCompleted => "sessions_completed",
         /// Sessions quarantined after a panicking user closure.
         SessionsQuarantined => "sessions_quarantined",
-        /// Epoch-arena generation bumps (session recycles).
+        /// Pooled detectors reset for a session that completed.
         ArenaResets => "arena_resets",
-        /// Epoch-arena full purges (generation wraparound or quarantine).
-        ArenaPurges => "arena_purges",
         /// Determinacy-enforcement hash mismatches.
         EnforcementMismatches => "enforcement_mismatches",
     }
@@ -237,7 +235,7 @@ id_enum! {
         SessionSubmitted => "session_submitted",
         /// Session admitted; `a` = session id, `b` = queue wait (ns).
         SessionAdmitted => "session_admitted",
-        /// Session started running; `a` = session id, `b` = arena generation.
+        /// Session started running; `a` = the session's locations.
         SessionStarted => "session_started",
         /// Session finished; `a` = session id, `b` = races found.
         SessionFinished => "session_finished",
@@ -245,10 +243,9 @@ id_enum! {
         Steal => "steal",
         /// Idle park/snooze episode; `a` = worker, `b` = snoozes so far.
         Park => "park",
-        /// Epoch arena recycled; `a` = new generation, `b` = arena locations.
+        /// A completed session's detector went back to the pool; `a` = the
+        /// locations it was reset for.
         ArenaRecycle => "arena_recycle",
-        /// Epoch arena purged; `a` = generation at purge, `b` = locations.
-        ArenaPurge => "arena_purge",
         /// OM slab grew; `a` = new capacity (slots).
         OmGrow => "om_grow",
         /// Union-find slab grew; `a` = new capacity (elements).

@@ -627,8 +627,8 @@ fn session_mode(config: &RunConfig) -> SessionMode {
 ///
 /// [`run_program`] owns its detector for the life of one run; this function
 /// instead borrows whatever sink the caller hands it (a fresh
-/// [`LiveDetector`], or a service sink multiplexing recycled epoch-reset
-/// arenas), so any number of sessions can execute back to back — or
+/// [`LiveDetector`], or a pooled one the service reset for this session),
+/// so any number of sessions can execute back to back — or
 /// concurrently, each over its own sink — in one process.  Races land in
 /// the sink; everything else about the run comes back as a [`SessionRun`].
 ///

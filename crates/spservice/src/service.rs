@@ -1,14 +1,16 @@
 //! The [`DetectionService`]: a pool of detector workers draining an
-//! admission queue of [`spprog`] sessions over pooled recycled arenas.
+//! admission queue of [`spprog`] sessions over pooled detectors.
 //!
 //! Life of a session: [`DetectionService::submit`] computes its
 //! [`WorkloadSignature`] and enqueues it; a detector worker admits it
 //! (shortest-job-first with aging when ≥ 2 sessions are pending, the
-//! sequential fast path otherwise), leases a [`SessionArena`] from the pool
-//! (growing or creating one only on a pool miss), executes the program via
-//! [`spprog::run_session`] over the arena-backed sink, folds the observed
-//! runtime into the P² estimator for its signature, recycles the arena with
-//! one generation bump, and fulfills the caller's [`SessionHandle`].
+//! sequential fast path otherwise), leases a [`LiveDetector`] from the pool
+//! (creating one only on a pool miss), resets it for the session
+//! ([`LiveDetector::reset`]: the session's locations refilled in place, its
+//! own worker count's stripes), executes the program via
+//! [`spprog::run_session`] over it, takes the report, folds the observed
+//! runtime into the P² estimator for its signature, returns the detector to
+//! the pool, and fulfills the caller's [`SessionHandle`].
 //!
 //! Per-session execution is deterministic ([`SessionMode::Serial`] by
 //! default), so every session's race report is **bit-identical** to a
@@ -17,17 +19,17 @@
 //! service sweep enforces exactly that equivalence on randomized batches.
 //!
 //! Sessions are **quarantined**, not fatal: a user closure that panics
-//! mid-run unwinds into the detector worker, which catches it, hard-scrubs
-//! the leased arena ([`SessionArena::quarantine_purge`] — its generation
-//! tags are untrusted after an interrupted run), and fulfills the handle
-//! with [`SessionOutcome::Panicked`] carrying the panic message.  The pool
-//! keeps serving; [`ServiceStats::sessions_quarantined`] counts the
-//! casualties.
+//! mid-run unwinds into the detector worker, which catches it, returns the
+//! detector to the pool as it is, and fulfills the handle with
+//! [`SessionOutcome::Panicked`] carrying the panic message.  Nothing needs
+//! scrubbing: the next lease's reset refills every location that lease can
+//! touch.  The pool keeps serving; [`ServiceStats::sessions_quarantined`]
+//! counts the casualties.
 //!
 //! Observability: attach a [`spmetrics::MetricsHandle`] via
 //! [`ServiceConfig::metrics`] and the service emits session lifecycle
-//! events (submitted/admitted/started/finished), arena recycle/purge
-//! events, and queue-wait / run-time histograms — and every
+//! events (submitted/admitted/started/finished), detector recycle events,
+//! and queue-wait / run-time histograms — and every
 //! [`SessionOutcome`] carries a per-session [`SessionMetrics`].
 //! [`DetectionService::snapshot`] reads live [`ServiceStats`] at any time,
 //! mid-flight, without shutting the service down.
@@ -39,11 +41,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use racedet::RaceReport;
+use racedet::{LiveDetector, RaceReport};
 use spmetrics::{CounterId, EnvKnob, EventKind, HistId, MetricsHandle};
 use spprog::{run_session, Proc, SessionMode, SessionRun};
 
-use crate::arena::SessionArena;
 use crate::sched::{select_session, RuntimeEstimator, WorkloadSignature};
 
 /// Environment knob naming the detector worker count.
@@ -74,19 +75,15 @@ const AGING: f64 = 1.0;
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Detector worker threads draining the admission queue — concurrency
-    /// *between* sessions.  It does not size anything inside a session: an
-    /// arena's shadow stripes follow the leased session's own
-    /// [`SessionMode::workers`] ([`SessionArena::sink`]).
+    /// *between* sessions.  It does not size anything inside a session: a
+    /// leased detector's shadow stripes follow the session's own
+    /// [`SessionMode::workers`] ([`LiveDetector::reset`]).
     pub workers: usize,
     /// Execution mode of sessions submitted via [`DetectionService::submit`]
     /// ([`DetectionService::submit_with`] overrides per session).  The
     /// default, [`SessionMode::Serial`], is deterministic — required for the
     /// bit-identical-to-standalone guarantee.
     pub mode: SessionMode,
-    /// Epoch generation space per arena: recycles before a wraparound purge.
-    /// Tests use tiny values to exercise wraparound; keep the default
-    /// otherwise.
-    pub gen_limit: u32,
     /// Observability sink.  Detached (the default) compiles every
     /// instrumentation site down to an inlined no-op; attached, the service
     /// emits lifecycle events and histograms into the shared registry.
@@ -98,7 +95,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 1,
             mode: SessionMode::Serial,
-            gen_limit: racedet::EpochShadowArena::MAX_GEN_LIMIT,
             metrics: MetricsHandle::detached(),
         }
     }
@@ -143,8 +139,6 @@ pub struct SessionMetrics {
     pub steals: u64,
     /// Threads (SP parse-tree leaves) the session executed.
     pub threads: u64,
-    /// The arena generation the session's lease was pinned to.
-    pub arena_gen: u32,
     /// The scheduler's P² cost estimate at admission (0 for unknown
     /// signatures), in nanoseconds.
     pub estimated_ns: f64,
@@ -189,7 +183,7 @@ pub struct SessionPanicked {
 pub enum SessionOutcome {
     /// The session ran to completion.
     Completed(SessionCompleted),
-    /// The session's user code panicked; its arena was purged and the
+    /// The session's user code panicked; its report was discarded and the
     /// worker kept serving.
     Panicked(SessionPanicked),
 }
@@ -297,13 +291,12 @@ struct OutcomeSlot {
 pub struct ServiceStats {
     /// Sessions completed (quarantined sessions are counted separately).
     pub sessions: u64,
-    /// O(1) epoch resets that recycled an arena (vs. allocating a fresh one).
+    /// Recycled leases: pooled detectors reset for a session that then
+    /// completed, one per completed session.  (The name predates the
+    /// reset-per-lease store; the benchmark reads it.)
     pub epoch_resets: u64,
-    /// Amortized wraparound purges across all arenas (quarantine purges are
-    /// counted in [`Self::sessions_quarantined`], not here).
-    pub epoch_purges: u64,
-    /// Arenas actually allocated (pool misses — the service's whole point is
-    /// keeping this far below `sessions`).
+    /// Detectors actually allocated (pool misses — the service's whole point
+    /// is keeping this far below `sessions`).
     pub arenas_created: u64,
     /// Sessions admitted via the ≤1-pending sequential fast path.
     pub sequential_admissions: u64,
@@ -311,8 +304,8 @@ pub struct ServiceStats {
     pub scheduled_admissions: u64,
     /// Distinct workload signatures with runtime history.
     pub signatures: usize,
-    /// Sessions whose user code panicked and were quarantined (arena
-    /// purged, handle fulfilled with [`SessionOutcome::Panicked`]).
+    /// Sessions whose user code panicked and were quarantined (report
+    /// discarded, handle fulfilled with [`SessionOutcome::Panicked`]).
     pub sessions_quarantined: u64,
 }
 
@@ -328,16 +321,12 @@ struct Queued {
 struct State {
     queue: VecDeque<Queued>,
     estimator: RuntimeEstimator,
-    /// Free arenas, largest last (so the pool reuses the roomiest first).
-    pool: Vec<SessionArena>,
+    /// Free detectors, reset by whichever session leases one next.
+    pool: Vec<LiveDetector>,
     arenas_created: u64,
     sequential_admissions: u64,
     scheduled_admissions: u64,
-    /// Recycles / wraparound purges, counted here (not summed over pool
-    /// arenas) so a mid-flight [`DetectionService::snapshot`] sees leased
-    /// arenas too.
     epoch_resets: u64,
-    epoch_purges: u64,
     quarantined: u64,
     shutdown: bool,
 }
@@ -373,7 +362,7 @@ struct Shared {
 /// }
 /// let stats = service.shutdown();
 /// assert_eq!(stats.sessions, 4);
-/// assert!(stats.arenas_created <= 2, "arenas are recycled, not reallocated");
+/// assert!(stats.arenas_created <= 2, "detectors are recycled, not reallocated");
 /// ```
 pub struct DetectionService {
     shared: Arc<Shared>,
@@ -382,20 +371,7 @@ pub struct DetectionService {
 
 impl DetectionService {
     /// Start a service: spawns `config.workers` detector worker threads.
-    ///
-    /// # Panics
-    /// If `config.gen_limit` is not a power of two in
-    /// `[2, EpochShadowArena::MAX_GEN_LIMIT]` — validated here, in the
-    /// caller's thread, so a misconfiguration cannot take down a detector
-    /// worker mid-admission instead.
     pub fn new(config: ServiceConfig) -> Self {
-        assert!(
-            config.gen_limit.is_power_of_two()
-                && (2..=racedet::EpochShadowArena::MAX_GEN_LIMIT).contains(&config.gen_limit),
-            "ServiceConfig.gen_limit must be a power of two in [2, {}], got {}",
-            racedet::EpochShadowArena::MAX_GEN_LIMIT,
-            config.gen_limit
-        );
         let worker_count = config.workers.max(1);
         let config = ServiceConfig {
             workers: worker_count,
@@ -410,7 +386,6 @@ impl DetectionService {
                 sequential_admissions: 0,
                 scheduled_admissions: 0,
                 epoch_resets: 0,
-                epoch_purges: 0,
                 quarantined: 0,
                 shutdown: false,
             }),
@@ -490,7 +465,6 @@ impl DetectionService {
         ServiceStats {
             sessions: self.shared.sessions.load(Ordering::Relaxed),
             epoch_resets: state.epoch_resets,
-            epoch_purges: state.epoch_purges,
             arenas_created: state.arenas_created,
             sequential_admissions: state.sequential_admissions,
             scheduled_admissions: state.scheduled_admissions,
@@ -531,10 +505,10 @@ impl Drop for DetectionService {
     }
 }
 
-/// One admitted session plus the arena leased for it.
+/// One admitted session plus the detector leased for it.
 struct Admitted {
     job: Queued,
-    arena: SessionArena,
+    detector: LiveDetector,
     estimated_ns: f64,
     sequential: bool,
     queue_wait: Duration,
@@ -559,7 +533,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Pop the next session (sequential fast path or scored SJF walk) and lease
-/// it an arena.  Called under the state lock; `None` if the queue is empty.
+/// it a detector.  Called under the state lock; `None` if the queue is empty.
 fn admit(state: &mut State, shared: &Shared) -> Option<Admitted> {
     if state.queue.is_empty() {
         return None;
@@ -585,16 +559,12 @@ fn admit(state: &mut State, shared: &Shared) -> Option<Admitted> {
     let estimated_ns = state.estimator.estimate_ns(job.sig);
     let queue_wait = job.enqueued.elapsed();
 
-    // Lease an arena: reuse the roomiest free one; on a pool miss create one
-    // at this session's size (later leases grow it on demand).
-    let mut arena = match state.pool.pop() {
-        Some(arena) => arena,
-        None => {
-            state.arenas_created += 1;
-            SessionArena::new(job.locations, shared.config.gen_limit)
-        }
-    };
-    arena.ensure_locations(job.locations);
+    // Lease a detector: reuse a free one; on a pool miss create an empty one
+    // (the session's reset sizes it, later leases grow it on demand).
+    let detector = state.pool.pop().unwrap_or_else(|| {
+        state.arenas_created += 1;
+        LiveDetector::new(0, 1)
+    });
     let metrics = &shared.config.metrics;
     metrics.add(CounterId::SessionsAdmitted, 1);
     metrics.event(
@@ -604,36 +574,35 @@ fn admit(state: &mut State, shared: &Shared) -> Option<Admitted> {
     );
     Some(Admitted {
         job,
-        arena,
+        detector,
         estimated_ns,
         sequential,
         queue_wait,
     })
 }
 
-/// Execute one admitted session outside the state lock, then recycle (or,
-/// after a panic, quarantine-purge) the arena, feed the estimator, and
+/// Execute one admitted session outside the state lock on its reset
+/// detector, then return the detector to the pool, feed the estimator, and
 /// fulfill the handle.
 fn run_one(shared: &Shared, admitted: Admitted) {
     let Admitted {
         job,
-        mut arena,
+        mut detector,
         estimated_ns,
         sequential,
         queue_wait,
     } = admitted;
     let metrics = &shared.config.metrics;
-    let arena_gen = arena.current_gen();
-    metrics.event(EventKind::SessionStarted, u64::from(arena_gen), 0);
+    metrics.event(EventKind::SessionStarted, u64::from(job.locations), 0);
 
     let started = Instant::now();
     // User closures run inside: a panicking session must not take the
     // detector worker (and every session queued behind it) down with it.
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         // Striped for this session's own workers, not for the pool's.
-        let sink = arena.sink(job.locations, job.mode.workers(), metrics.clone());
-        let run = run_session(&job.prog, job.mode, &sink);
-        (sink.into_report(), run)
+        detector.reset(job.locations, job.mode.workers(), metrics.clone());
+        let run = run_session(&job.prog, job.mode, &detector);
+        (detector.take_report(), run)
     }));
     let run_time = started.elapsed();
     if metrics.is_attached() {
@@ -647,7 +616,6 @@ fn run_one(shared: &Shared, admitted: Admitted) {
         races,
         steals,
         threads,
-        arena_gen,
         estimated_ns,
         actual_ns,
         sequential_admission: sequential,
@@ -655,23 +623,14 @@ fn run_one(shared: &Shared, admitted: Admitted) {
 
     let outcome = match result {
         Ok((report, run)) => {
-            let next_gen = arena.recycle();
-            let wrapped = next_gen == 0;
             metrics.add(CounterId::ArenaResets, 1);
-            metrics.event(EventKind::ArenaRecycle, u64::from(next_gen), 0);
-            if wrapped {
-                metrics.add(CounterId::ArenaPurges, 1);
-                metrics.event(EventKind::ArenaPurge, 0, 0);
-            }
+            metrics.event(EventKind::ArenaRecycle, u64::from(job.locations), 0);
             let actual_ns = run.elapsed.as_nanos() as f64;
             {
                 let mut state = shared.state.lock().expect("service state mutex poisoned");
                 state.estimator.observe(job.sig, actual_ns);
                 state.epoch_resets += 1;
-                if wrapped {
-                    state.epoch_purges += 1;
-                }
-                reinsert_arena(&mut state, arena);
+                state.pool.push(detector);
             }
             shared.sessions.fetch_add(1, Ordering::Relaxed);
             metrics.add(CounterId::SessionsCompleted, 1);
@@ -689,20 +648,17 @@ fn run_one(shared: &Shared, admitted: Admitted) {
             })
         }
         Err(payload) => {
-            // Quarantine: the interrupted run's shadow and value writes are
-            // untrusted, so scrub the arena physically before it rejoins
-            // the pool.  The estimator is NOT fed (a truncated runtime
-            // would poison the signature's estimate) and the partial
-            // report is discarded.
+            // Quarantine: the partial report is discarded and the estimator
+            // is NOT fed (a truncated runtime would poison the signature's
+            // estimate).  The detector rejoins the pool as it is: the next
+            // lease's reset refills everything that lease can touch.
             let message = panic_message(payload.as_ref());
-            arena.quarantine_purge();
             metrics.add(CounterId::SessionsQuarantined, 1);
-            metrics.event(EventKind::ArenaPurge, 1, 0);
             metrics.event(EventKind::SessionFinished, 0, duration_ns(run_time));
             {
                 let mut state = shared.state.lock().expect("service state mutex poisoned");
                 state.quarantined += 1;
-                reinsert_arena(&mut state, arena);
+                state.pool.push(detector);
             }
             let m = session_metrics(0, 0, 0, 0.0);
             SessionOutcome::Panicked(SessionPanicked {
@@ -715,15 +671,6 @@ fn run_one(shared: &Shared, admitted: Admitted) {
 
     *job.slot.done.lock().expect("outcome mutex poisoned") = Some(outcome);
     job.slot.cv.notify_all();
-}
-
-/// Roomiest-last: keep the pool sorted by capacity so big sessions find big
-/// arenas.
-fn reinsert_arena(state: &mut State, arena: SessionArena) {
-    let pos = state
-        .pool
-        .partition_point(|a| a.capacity() <= arena.capacity());
-    state.pool.insert(pos, arena);
 }
 
 fn duration_ns(d: Duration) -> u64 {
@@ -838,23 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_gen_limit_services_survive_wraparound() {
-        let service = DetectionService::new(ServiceConfig {
-            workers: 1,
-            gen_limit: 2,
-            ..ServiceConfig::default()
-        });
-        let racy = racy_pair();
-        let solo = run_program(&racy, &RunConfig::serial(1));
-        for round in 0..9 {
-            let outcome = service.submit(&racy, 1).wait();
-            assert_eq!(outcome.report().races(), solo.report.races(), "round {round}");
-        }
-        let stats = service.shutdown();
-        assert!(stats.epoch_purges >= 4, "gen_limit 2 wraps every other recycle");
-    }
-
-    #[test]
     fn dropping_a_service_joins_its_workers() {
         let service = DetectionService::new(ServiceConfig::with_workers(2));
         let handle = service.submit(&race_free(2), 2);
@@ -873,8 +803,8 @@ mod tests {
         assert_eq!(poisoned.panic_message(), Some("planted session panic"));
         assert_eq!(poisoned.metrics().races, 0);
 
-        // The same worker (and possibly the same, now-purged arena) keeps
-        // serving, bit-identically.
+        // The same worker (and the same detector, reset for each lease)
+        // keeps serving, bit-identically.
         for _ in 0..3 {
             let outcome = service.submit(&racy, 1).wait();
             assert!(!outcome.is_panicked());
@@ -883,6 +813,41 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.sessions, 3, "panicked sessions are not 'completed'");
         assert_eq!(stats.sessions_quarantined, 1);
+    }
+
+    /// A quarantined session leaks nothing into the next lease of its
+    /// detector: on a one-worker service (one detector) a session writes
+    /// location 0 and panics, and the next session still reads 0 there and
+    /// reports its standalone races.
+    #[test]
+    fn a_panicked_session_leaks_no_values_or_races_into_the_next_lease() {
+        let service = DetectionService::new(ServiceConfig::with_workers(1));
+        let poisoned = build_proc(|p| {
+            p.step(|m| m.write(0, 41));
+            p.spawn(|c| {
+                c.step(|m| m.write(0, 42));
+            });
+            p.step(|_| panic!("planted session panic"));
+        });
+        let fresh = build_proc(|p| {
+            p.step(|m| assert_eq!(m.read(0), 0, "a value leaked from the panicked lease"));
+            p.spawn(|c| {
+                c.step(|m| m.write(0, 1));
+            });
+            p.spawn(|c| {
+                c.step(|m| m.write(0, 2));
+            });
+            p.sync();
+        });
+        let solo = run_program(&fresh, &RunConfig::serial(1));
+        assert_eq!(solo.report.len(), 1);
+
+        assert!(service.submit(&poisoned, 1).wait().is_panicked());
+        let outcome = service.submit(&fresh, 1).wait();
+        assert!(!outcome.is_panicked(), "{:?}", outcome.panic_message());
+        assert_eq!(outcome.report().races(), solo.report.races());
+        let stats = service.shutdown();
+        assert_eq!((stats.arenas_created, stats.sessions_quarantined), (1, 1));
     }
 
     #[test]
@@ -934,15 +899,6 @@ mod tests {
         assert_eq!(snap.histogram_count(HistId::QueueWaitNs), 1);
         assert_eq!(snap.events_of(EventKind::SessionSubmitted).count(), 1);
         assert_eq!(snap.events_of(EventKind::SessionFinished).count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "gen_limit must be a power of two")]
-    fn invalid_gen_limit_fails_in_the_caller_not_a_worker() {
-        DetectionService::new(ServiceConfig {
-            gen_limit: 3,
-            ..ServiceConfig::default()
-        });
     }
 
     #[test]

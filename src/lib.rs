@@ -26,8 +26,8 @@
 //!   materialized tree on the live path,
 //! * [`spservice`] — detection as a service: many concurrent
 //!   [`spprog`]-program *sessions* on a shared pool of detector workers,
-//!   multiplexed over epoch-reset shadow arenas (recycling is one
-//!   generation bump, not a reallocation), admitted shortest-job-first on
+//!   multiplexed over pooled detectors (each lease resets one in place,
+//!   not a reallocation), admitted shortest-job-first on
 //!   streaming P² runtime estimates (see
 //!   `ARCHITECTURE.md#detection-as-a-service-spservice`).
 //!

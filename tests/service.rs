@@ -1,9 +1,9 @@
 //! Tier-1 end-to-end checks of the detection service (`spservice`): many
 //! concurrent sessions — a mix of race-free and planted-race programs —
-//! multiplexed over pooled epoch-reset arenas, with every session's race
-//! report required to be **bit-identical** to a standalone run of the same
-//! program, including after the generation tag of a deliberately tiny epoch
-//! counter wraps around.
+//! multiplexed over pooled detectors reset per lease, with every session's
+//! race report required to be **bit-identical** to a standalone run of the
+//! same program, including after one detector has served many leases of
+//! different sizes.
 
 use racedet::{LiveDetector, RaceReport};
 use spprog::{build_proc, run_program, run_session, Proc, RunConfig, SessionMode};
@@ -106,7 +106,7 @@ fn concurrent_sessions_match_solo_runs_bit_for_bit() {
     assert_eq!(stats.sessions, 12);
     assert!(
         stats.arenas_created <= 4,
-        "12 sessions must share ≤4 pooled arenas, not allocate 12"
+        "12 sessions must share ≤4 pooled detectors, not allocate 12"
     );
     assert!(
         stats.epoch_resets >= stats.sessions - stats.arenas_created,
@@ -115,14 +115,11 @@ fn concurrent_sessions_match_solo_runs_bit_for_bit() {
 }
 
 #[test]
-fn sessions_stay_identical_across_generation_wraparound() {
-    // gen_limit 4: the tag space wraps every 4 recycles, so a 20-session
-    // stream on one arena crosses ~5 wraparound purges.
-    let service = DetectionService::new(ServiceConfig {
-        workers: 1,
-        gen_limit: 4,
-        ..ServiceConfig::default()
-    });
+fn sessions_stay_identical_across_twenty_leases_of_one_detector() {
+    // One worker, one pooled detector: a 20-session stream of four
+    // differently-sized workloads resets it 20 times, growing and shrinking
+    // the leased range as it goes.
+    let service = DetectionService::new(ServiceConfig::with_workers(1));
     let workloads = mixed_workloads();
     let solos: Vec<RaceReport> = workloads
         .iter()
@@ -140,11 +137,7 @@ fn sessions_stay_identical_across_generation_wraparound() {
     }
     let stats = service.shutdown();
     assert_eq!(stats.sessions, 20);
-    assert!(
-        stats.epoch_purges >= 4,
-        "a gen_limit-4 service must purge on wraparound; got {} purges",
-        stats.epoch_purges
-    );
+    assert_eq!((stats.arenas_created, stats.epoch_resets), (1, 20));
 }
 
 #[test]
@@ -172,8 +165,8 @@ fn every_deterministic_mode_matches_its_own_standalone_run() {
 
 /// Stripes belong to the lease, not to the pool: a 4-worker service
 /// alternates `Serial` sessions (one stripe) and `Hybrid { workers: 4 }`
-/// sessions (the 4-worker layout) over the same recycled arenas — first one
-/// at a time, so a single arena is re-leased across modes every time, then
+/// sessions (the 4-worker layout) over the same pooled detectors — first one
+/// at a time, so a single detector is re-leased across modes every time, then
 /// all in flight at once — and every report matches its standalone run.
 #[test]
 fn arenas_released_across_modes_match_standalone_runs() {
@@ -199,7 +192,7 @@ fn arenas_released_across_modes_match_standalone_runs() {
     assert!(!solos[0][0].is_empty() && solos[1][0].is_empty(), "racy and race-free programs");
 
     let service = DetectionService::new(ServiceConfig::with_workers(4));
-    // One at a time: the pool holds one arena, leased Serial, Hybrid, Serial, …
+    // One at a time: the pool holds one detector, leased Serial, Hybrid, Serial, …
     for round in 0..3 {
         for (w, (label, prog, locations)) in workloads.iter().enumerate() {
             for (m, &mode) in modes.iter().enumerate() {
@@ -209,7 +202,7 @@ fn arenas_released_across_modes_match_standalone_runs() {
             }
         }
     }
-    assert_eq!(service.snapshot().arenas_created, 1, "one arena served every mode");
+    assert_eq!(service.snapshot().arenas_created, 1, "one detector served every mode");
     // All at once, modes interleaved in the queue.
     let mut handles: Vec<(usize, usize, SessionHandle)> = Vec::new();
     for _ in 0..2 {

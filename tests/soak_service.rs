@@ -1,7 +1,7 @@
 //! Adversarial soak of the detection service: a mixed batch of panicking
-//! sessions, oversized sessions (forcing arena growth), and a deliberately
-//! tiny generation space (forcing wraparound purges mid-batch), on 1 and 4
-//! detector workers.  Every surviving session's report must stay
+//! sessions and oversized sessions (forcing pooled detectors to grow, and
+//! the next small lease to shrink the range again), on 1 and 4 detector
+//! workers.  Every surviving session's report must stay
 //! bit-identical to a standalone run, and the quarantine count must equal
 //! exactly the number of planted panics.
 //!
@@ -50,8 +50,8 @@ fn planted(pairs: u32) -> Proc {
 }
 
 /// A "huge" session: `n` race-free writers over `n` locations, far past
-/// the small sessions the pooled arenas were created for, forcing
-/// `ensure_locations` growth.
+/// the small sessions the pooled detectors were created for, forcing their
+/// reset to grow them.
 fn huge(n: u32) -> Proc {
     build_proc(move |p| {
         for i in 0..n {
@@ -101,13 +101,7 @@ fn run_soak(workers: usize, rounds: usize) {
         .collect();
     let bad = poisoned();
 
-    // Tiny gen_limit: the 4-generation tag space wraps continuously under
-    // the batch, interleaving wraparound purges with quarantine purges.
-    let service = DetectionService::new(ServiceConfig {
-        workers,
-        gen_limit: 4,
-        ..ServiceConfig::default()
-    });
+    let service = DetectionService::new(ServiceConfig::with_workers(workers));
 
     let mut handles: Vec<(Expect, SessionHandle)> = Vec::new();
     let mut planted_panics = 0u64;
@@ -154,7 +148,6 @@ fn run_soak(workers: usize, rounds: usize) {
         "quarantine count == planted panics, exactly"
     );
     assert_eq!(stats.sessions, (rounds * workloads.len()) as u64);
-    assert!(stats.epoch_purges > 0, "gen_limit 4 must wrap during the batch");
 }
 
 #[test]
