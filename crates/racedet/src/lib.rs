@@ -36,6 +36,8 @@
 
 pub mod access;
 pub mod engine;
+#[cfg(test)]
+mod epoch;
 pub mod live;
 #[cfg(test)]
 mod parallel;

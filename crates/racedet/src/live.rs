@@ -125,6 +125,12 @@ impl LiveDetector {
         self.values.len() as u32
     }
 
+    /// Number of shadow-memory stripes, as laid out for the worker count of
+    /// the last [`Self::new`] or [`Self::reset`].
+    pub fn num_shards(&self) -> usize {
+        self.shadow.num_shards()
+    }
+
     /// Current value of a location (the program-visible memory, not the
     /// shadow state).
     pub fn read(&self, loc: u32) -> u64 {

@@ -34,6 +34,8 @@
 //! and `ARCHITECTURE.md#benchmarks-and-experiments` for the `spservice.*`
 //! metrics that measure throughput and detector recycling.
 
+#[cfg(test)]
+mod arena;
 pub mod p2;
 pub mod sched;
 pub mod service;
