@@ -21,11 +21,13 @@
 //!   walked left-to-right on the calling thread with `&mut` callbacks —
 //!   deterministic, steal-free, and the reference order for conformance.
 //!
-//! Besides the token, a second 64-bit *tag* flows **down** the walk: the
-//! visitor assigns tags to the two children when an internal node is entered
-//! and receives the tag back at each leaf.  Maintainers that keep per-node
-//! handles (the streaming SP-order of `spmaint::stream`) thread their node
-//! handles through tags; SP-hybrid ignores them and uses tokens as traces.
+//! The serial walk alone also threads a 64-bit *tag* **down**: its visitor
+//! assigns tags to the two children when an internal node is entered and
+//! receives the tag back at each leaf, which is where the serial SP-order of
+//! `spmaint::stream` keeps a position's Hebrew handle.  The parallel walk
+//! carries no tag: SP-hybrid keys on procedure ids and uses tokens as
+//! traces, and the one tree-driven maintainer with per-node handles (the §3
+//! strawman) keeps them in a table indexed by node.
 //!
 //! Everything here *assumes* the unfolding is determinate — the same cursor
 //! must reveal the same structure on every schedule.  The assumption is
@@ -139,21 +141,12 @@ pub trait LiveProgram {
 /// `leave_internal`.
 #[allow(unused_variables)]
 pub trait LiveVisitor<P: LiveProgram>: Sync {
-    /// An internal node was unfolded; assign the tags its children carry.
-    fn enter_internal(
-        &self,
-        worker: usize,
-        kind: SpKind,
-        meta: &P::Meta,
-        tag: u64,
-        token: Token,
-    ) -> (u64, u64) {
-        (0, 0)
-    }
+    /// An internal node was unfolded; its left subtree is walked next.
+    fn enter_internal(&self, worker: usize, kind: SpKind, meta: &P::Meta, token: Token) {}
 
-    /// A leaf executes on `worker`, carrying the tag its parent assigned and
-    /// the current token.  This is where the program's real work runs.
-    fn execute_leaf(&self, worker: usize, meta: &P::Meta, tag: u64, token: Token);
+    /// A leaf executes on `worker` under the current token.  This is where
+    /// the program's real work runs.
+    fn execute_leaf(&self, worker: usize, meta: &P::Meta, token: Token);
 
     /// The left subtree finished on this worker and the right subtree is
     /// about to be walked serially by the same worker (no steal here).
@@ -236,9 +229,9 @@ struct Frame<C, M> {
     is_left: bool,
     kind: SpKind,
     meta: M,
-    /// The pending right subtree `(cursor, tag)`; taken exactly once — by
-    /// the owner (S-frame, or unstolen P-frame) or by the thief.
-    right: Mutex<Option<(C, u64)>>,
+    /// The pending right subtree; taken exactly once — by the owner
+    /// (S-frame, or unstolen P-frame) or by the thief.
+    right: Mutex<Option<C>>,
     state: AtomicU8,
     /// Token the frame was entered with (the trace `U` of Figure 8).  Written
     /// once, before the deque hand-off publishes the frame to thieves.
@@ -296,7 +289,7 @@ impl<C, M> WorkerCtx<C, M> {
 }
 
 /// Run `program` on `config.workers` workers, reporting to `visitor`.  The
-/// root is walked with `root_tag` and `initial_token`.
+/// root is walked under `initial_token`.
 ///
 /// Successful steals, failed steal attempts, and idle park episodes land in
 /// `metrics` as counters plus rate-limited trace events — all off the
@@ -343,17 +336,16 @@ impl<C, M> WorkerCtx<C, M> {
 /// struct Nothing;
 ///
 /// impl LiveVisitor<Forks> for Nothing {
-///     fn execute_leaf(&self, _worker: usize, _meta: &(), _tag: u64, _token: Token) {}
+///     fn execute_leaf(&self, _worker: usize, _meta: &(), _token: Token) {}
 /// }
 ///
 /// let config = LiveConfig::with_workers(2);
-/// run_live(&Forks { depth: 3 }, &Nothing, config, 0, 0, &MetricsHandle::detached());
+/// run_live(&Forks { depth: 3 }, &Nothing, config, 0, &MetricsHandle::detached());
 /// ```
 pub fn run_live<P, V>(
     program: &P,
     visitor: &V,
     config: LiveConfig,
-    root_tag: u64,
     initial_token: Token,
     metrics: &MetricsHandle,
 ) -> RunStats
@@ -392,7 +384,7 @@ where
                 };
                 if index == 0 {
                     let root = shared.program.root();
-                    walk_and_ascend(shared, &mut ctx, root, root_tag, initial_token, None);
+                    walk_and_ascend(shared, &mut ctx, root, initial_token, None);
                 }
                 steal_loop(shared, &mut ctx);
                 shared.threads_per_worker[index].store(ctx.threads, Ordering::Relaxed);
@@ -467,13 +459,13 @@ fn steal_loop<P: LiveProgram, V: LiveVisitor<P>>(
                 frame.after_token.store(tokens.after, Ordering::Release);
                 frame.state.fetch_or(STOLEN, Ordering::SeqCst);
                 drop(_guard);
-                let (right, rtag) = frame
+                let right = frame
                     .right
                     .lock()
                     .take()
                     .expect("a stolen frame still owns its right subtree");
                 let link = Some((frame, false));
-                walk_and_ascend(shared, ctx, right, rtag, tokens.right, link);
+                walk_and_ascend(shared, ctx, right, tokens.right, link);
             }
             Steal::Empty => {
                 drop(_guard);
@@ -492,8 +484,8 @@ fn steal_loop<P: LiveProgram, V: LiveVisitor<P>>(
 }
 
 enum Mode<C, M> {
-    /// Unfold and walk the subtree at the cursor, carrying tag and token.
-    Down(C, u64, Token, Link<C, M>),
+    /// Unfold and walk the subtree at the cursor under the token.
+    Down(C, Token, Link<C, M>),
     /// The subtree under the link completed with the token; ascend.
     Up(Link<C, M>, Token),
 }
@@ -502,16 +494,15 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
     shared: &Shared<'_, P, V>,
     ctx: &mut WorkerCtx<P::Cursor, P::Meta>,
     cursor: P::Cursor,
-    tag: u64,
     token: Token,
     link: Link<P::Cursor, P::Meta>,
 ) {
-    let mut mode = Mode::Down(cursor, tag, token, link);
+    let mut mode = Mode::Down(cursor, token, link);
     loop {
         match mode {
-            Mode::Down(cursor, tag, token, link) => match shared.program.unfold(cursor) {
+            Mode::Down(cursor, token, link) => match shared.program.unfold(cursor) {
                 LiveNode::Leaf(meta) => {
-                    shared.visitor.execute_leaf(ctx.index, &meta, tag, token);
+                    shared.visitor.execute_leaf(ctx.index, &meta, token);
                     ctx.threads += 1;
                     mode = Mode::Up(link, token);
                 }
@@ -521,9 +512,7 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
                     left,
                     right,
                 } => {
-                    let (ltag, rtag) = shared
-                        .visitor
-                        .enter_internal(ctx.index, kind, &meta, tag, token);
+                    shared.visitor.enter_internal(ctx.index, kind, &meta, token);
                     // The link's reference to the enclosing frame moves
                     // into the new frame: one count fewer to take and drop.
                     let (parent, is_left) = match link {
@@ -535,7 +524,7 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
                         is_left,
                         kind,
                         meta,
-                        right: Mutex::new(Some((right, rtag))),
+                        right: Mutex::new(Some(right)),
                         state: AtomicU8::new(0),
                         entry_token: token,
                         after_token: AtomicU64::new(0),
@@ -545,7 +534,7 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
                         // spawned left subtree.
                         ctx.deque.push(Arc::clone(&frame));
                     }
-                    mode = Mode::Down(left, ltag, token, Some((frame, true)));
+                    mode = Mode::Down(left, token, Some((frame, true)));
                 }
             },
             Mode::Up(link, result) => {
@@ -565,12 +554,12 @@ fn walk_and_ascend<P: LiveProgram, V: LiveVisitor<P>>(
                                 &frame.meta,
                                 result,
                             );
-                            let (right, rtag) = frame
+                            let right = frame
                                 .right
                                 .lock()
                                 .take()
                                 .expect("an S-frame's right subtree is walked exactly once");
-                            mode = Mode::Down(right, rtag, result, Some((frame, false)));
+                            mode = Mode::Down(right, result, Some((frame, false)));
                         } else {
                             shared
                                 .visitor
@@ -621,12 +610,12 @@ fn finish_left<P: LiveProgram, V: LiveVisitor<P>>(
     shared
         .visitor
         .between_children(ctx.index, frame.kind, &frame.meta, result);
-    let (right, rtag) = frame
+    let right = frame
         .right
         .lock()
         .take()
         .expect("an unstolen P-frame still owns its right subtree");
-    Some(Mode::Down(right, rtag, result, Some((frame, false))))
+    Some(Mode::Down(right, result, Some((frame, false))))
 }
 
 /// The right subtree of P-frame `frame` completed on this worker.
@@ -823,18 +812,10 @@ mod tests {
     }
 
     impl LiveVisitor<Halver> for Recorder {
-        fn enter_internal(
-            &self,
-            _w: usize,
-            _k: SpKind,
-            _m: &(usize, usize),
-            tag: u64,
-            _t: Token,
-        ) -> (u64, u64) {
+        fn enter_internal(&self, _w: usize, _k: SpKind, _m: &(usize, usize), _t: Token) {
             self.enters.fetch_add(1, Ordering::Relaxed);
-            (tag + 1, tag + 1)
         }
-        fn execute_leaf(&self, _w: usize, &(lo, _): &(usize, usize), _tag: u64, _t: Token) {
+        fn execute_leaf(&self, _w: usize, &(lo, _): &(usize, usize), _t: Token) {
             self.executed[lo].fetch_add(1, Ordering::Relaxed);
             let mut x = 1u64;
             for i in 0..self.spin {
@@ -860,7 +841,7 @@ mod tests {
     fn check_parallel(leaves: usize, workers: usize, spin: u64) -> RunStats {
         let program = Halver { leaves };
         let recorder = Recorder::new(leaves, spin);
-        let stats = run_live(&program, &recorder, LiveConfig::with_workers(workers), 0, 0, &MetricsHandle::detached());
+        let stats = run_live(&program, &recorder, LiveConfig::with_workers(workers), 0, &MetricsHandle::detached());
         for (i, count) in recorder.executed.iter().enumerate() {
             assert_eq!(count.load(Ordering::Relaxed), 1, "leaf {i} execution count");
         }
@@ -894,7 +875,7 @@ mod tests {
     fn zero_workers_is_clamped_to_one() {
         let program = Halver { leaves: 32 };
         let recorder = Recorder::new(32, 0);
-        let stats = run_live(&program, &recorder, LiveConfig { workers: 0 }, 0, 0, &MetricsHandle::detached());
+        let stats = run_live(&program, &recorder, LiveConfig { workers: 0 }, 0, &MetricsHandle::detached());
         assert_eq!(stats.workers, 1);
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.total_threads(), 32);

@@ -53,17 +53,9 @@ mod tests {
     }
 
     impl<'t> LiveVisitor<TreeProgram<'t>> for Recorder<'t> {
-        fn enter_internal(
-            &self,
-            _w: usize,
-            _k: SpKind,
-            &node: &NodeId,
-            _tag: u64,
-            token: Token,
-        ) -> (u64, u64) {
+        fn enter_internal(&self, _w: usize, _k: SpKind, &node: &NodeId, token: Token) {
             self.enters.fetch_add(1, Ordering::Relaxed);
             self.log(WalkEvent::EnterInternal(node), token);
-            (0, 0)
         }
         fn between_children(&self, _w: usize, _k: SpKind, &node: &NodeId, token: Token) {
             self.log(WalkEvent::BetweenChildren(node), token);
@@ -75,7 +67,7 @@ mod tests {
         fn join_stolen(&self, _w: usize, _node: &NodeId, _after: Token) {
             self.leaves_or_joins.fetch_add(1, Ordering::Relaxed);
         }
-        fn execute_leaf(&self, _w: usize, &node: &NodeId, _tag: u64, token: Token) {
+        fn execute_leaf(&self, _w: usize, &node: &NodeId, token: Token) {
             let thread = self.tree.thread_of(node).expect("leaves carry a thread");
             self.executed[thread.index()].fetch_add(1, Ordering::Relaxed);
             self.log(WalkEvent::Thread(node, thread), token);
@@ -106,7 +98,6 @@ mod tests {
             &TreeProgram::new(tree),
             recorder,
             config,
-            0,
             token,
             &MetricsHandle::detached(),
         )

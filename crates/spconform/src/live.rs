@@ -8,8 +8,8 @@
 //!   numbering, same access script);
 //! * serial live reports must be **bit-identical** to offline serial
 //!   detection (same races, same order, same thread ids);
-//! * multi-worker live runs — under both live maintainers, the two-tier
-//!   SP-hybrid and the naive-locked strawman — must be *location-sound*
+//! * multi-worker live runs — under the live two-tier SP-hybrid, the one
+//!   parallel maintainer of the live path — must be *location-sound*
 //!   (every reported racy location is truly racy per the brute-force
 //!   parallel-conflict oracle) and *complete on planted races* (each
 //!   planted parallel write-write pair sits alone on its own location, so
@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spmaint::api::BackendConfig;
 use spmaint::SpOrder;
-use spprog::{record_program, run_program, try_run_program, LiveMaintainer, RunConfig};
+use spprog::{record_program, run_program, try_run_program, RunConfig};
 use sptree::cilk::CilkProgram;
 use sptree::oracle::SpOracle;
 use sptree::tree::{ParseTree, ThreadId};
@@ -50,7 +50,7 @@ pub struct LiveCaseStats {
     /// Emergent racy locations of the random mix (serial-exact, checked for
     /// soundness in multi-worker runs).
     pub emergent: u64,
-    /// Multi-worker live runs performed (2 maintainers when `workers > 1`).
+    /// Multi-worker live runs performed (1 when `workers > 1`).
     pub parallel_runs: u64,
 }
 
@@ -117,7 +117,7 @@ pub(crate) fn planted_script(
 
 /// Run the full live-vs-offline differential check for one
 /// `(shape, size, seed)` case.  `workers >= 2` also runs the program live on
-/// that many workers under both live maintainers; shapes without a Cilk
+/// that many workers under the live SP-hybrid; shapes without a Cilk
 /// form ([`ShapeKind::RandomSp`]) are skipped (the live API *is* canonical
 /// Cilk form).
 ///
@@ -209,71 +209,66 @@ pub fn check_live_case(
         ));
     }
 
-    // Multi-worker live runs, both maintainers.
+    // Multi-worker live run under the live SP-hybrid.
     let mut parallel_runs = 0u64;
     if workers > 1 {
-        for (name, maintainer) in [
-            ("live-sp-hybrid", LiveMaintainer::Hybrid),
-            ("live-naive-locked", LiveMaintainer::NaiveLocked),
-        ] {
-            // Tiny capacity hints: every multi-worker case outgrows the
-            // initial chunks of the growable substrates, so the sweep
-            // exercises chunk-boundary crossings on every seed (the hints
-            // are behavior-neutral — only initial sizes, never limits).
-            // Determinacy enforcement is on: every multi-worker run's
-            // structural hash must equal the serial reference seeded above.
-            let config = RunConfig {
-                workers,
-                locations,
-                maintainer,
-                max_threads: 4,
-                max_steals: 1,
-                enforce_determinacy: true,
-                ..RunConfig::default()
-            };
-            let run = match try_run_program(&live, &config) {
-                Ok(run) => run,
-                Err(violation) => return Err(err(name, violation.to_string())),
-            };
-            parallel_runs += 1;
-            if run.structural_hash != serial_run.structural_hash {
-                return Err(err(
-                    name,
-                    format!(
-                        "structural hash {:?} != serial reference {:?} ({workers} workers)",
-                        run.structural_hash, serial_run.structural_hash
-                    ),
-                ));
-            }
-            one_entry_per_location(name, &run.report)?;
-            let locs = run.report.racy_locations();
-            if let Some(bogus) = locs.iter().find(|l| !truth.contains(l)) {
-                return Err(err(
-                    name,
-                    format!(
-                        "unsound: location {bogus} reported racy ({workers} workers) \
-                         but oracle truth is {truth:?}"
-                    ),
-                ));
-            }
-            if let Some(missed) = planted.iter().find(|l| !locs.contains(l)) {
-                return Err(err(
-                    name,
-                    format!(
-                        "planted race on location {missed} missed ({workers} workers); \
-                         reported {locs:?}"
-                    ),
-                ));
-            }
-            if !mixed && locs != truth {
-                return Err(err(
-                    name,
-                    format!(
-                        "planted-only script: racy locations {locs:?} != tree-driven \
-                         {truth:?} ({workers} workers)"
-                    ),
-                ));
-            }
+        let name = "live-sp-hybrid";
+        // Tiny capacity hints: every multi-worker case outgrows the initial
+        // chunks of the growable substrates, so the sweep exercises
+        // chunk-boundary crossings on every seed (the hints are
+        // behavior-neutral — only initial sizes, never limits).  Determinacy
+        // enforcement is on: the run's structural hash must equal the serial
+        // reference seeded above.
+        let config = RunConfig {
+            workers,
+            locations,
+            max_threads: 4,
+            max_steals: 1,
+            enforce_determinacy: true,
+            ..RunConfig::default()
+        };
+        let run = match try_run_program(&live, &config) {
+            Ok(run) => run,
+            Err(violation) => return Err(err(name, violation.to_string())),
+        };
+        parallel_runs += 1;
+        if run.structural_hash != serial_run.structural_hash {
+            return Err(err(
+                name,
+                format!(
+                    "structural hash {:?} != serial reference {:?} ({workers} workers)",
+                    run.structural_hash, serial_run.structural_hash
+                ),
+            ));
+        }
+        one_entry_per_location(name, &run.report)?;
+        let locs = run.report.racy_locations();
+        if let Some(bogus) = locs.iter().find(|l| !truth.contains(l)) {
+            return Err(err(
+                name,
+                format!(
+                    "unsound: location {bogus} reported racy ({workers} workers) \
+                     but oracle truth is {truth:?}"
+                ),
+            ));
+        }
+        if let Some(missed) = planted.iter().find(|l| !locs.contains(l)) {
+            return Err(err(
+                name,
+                format!(
+                    "planted race on location {missed} missed ({workers} workers); \
+                     reported {locs:?}"
+                ),
+            ));
+        }
+        if !mixed && locs != truth {
+            return Err(err(
+                name,
+                format!(
+                    "planted-only script: racy locations {locs:?} != tree-driven \
+                     {truth:?} ({workers} workers)"
+                ),
+            ));
         }
     }
 
@@ -350,7 +345,7 @@ mod tests {
                     panic!("{} seed {seed}: {} — {}", shape.name(), d.backend, d.detail)
                 });
                 assert!(stats.threads > 0);
-                assert_eq!(stats.parallel_runs, 2, "both live maintainers ran");
+                assert_eq!(stats.parallel_runs, 1, "the live SP-hybrid ran");
             }
         }
     }

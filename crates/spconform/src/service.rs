@@ -10,9 +10,9 @@
 //!
 //! * service pools of **1 and ≥ 2 detector workers** (sequential fast path
 //!   and concurrent admission both covered),
-//! * **both live SP maintainers** plus the serial elision, via the
-//!   deterministic one-worker [`SessionMode`]s (`Serial`, `Hybrid`,
-//!   `NaiveLocked` — determinism is what makes bit-identity well-defined),
+//! * **the live SP-hybrid** plus the serial elision, via the deterministic
+//!   one-worker [`SessionMode`]s (`Serial`, `Hybrid` — determinism is what
+//!   makes bit-identity well-defined),
 //! * detector **recycling, growth and shrinking** (more sessions than
 //!   workers, so every detector is reset for several leases, and the
 //!   batch's differently-sized programs make a lease grow or shrink the
@@ -43,12 +43,11 @@ use crate::{
 const BATCH: usize = 3;
 
 /// The deterministic session modes every batch runs under — the serial
-/// elision plus both live SP maintainers pinned to one scheduler worker
-/// (the only configurations where "bit-identical" is well-defined).
-const MODES: [(&str, SessionMode); 3] = [
+/// elision plus the live SP-hybrid pinned to one scheduler worker (the only
+/// configurations where "bit-identical" is well-defined).
+const MODES: [(&str, SessionMode); 2] = [
     ("service-serial", SessionMode::Serial),
     ("service-sp-hybrid", SessionMode::Hybrid { workers: 1 }),
-    ("service-naive-locked", SessionMode::NaiveLocked { workers: 1 }),
 ];
 
 /// What one service differential case covered.

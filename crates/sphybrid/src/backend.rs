@@ -105,7 +105,6 @@ impl<'t> SpBackend<'t> for HybridBackend<'t> {
 pub struct NaiveBackend<'t> {
     tree: &'t ParseTree,
     naive: NaiveSharedSpOrder,
-    root_tag: u64,
     workers: usize,
 }
 
@@ -123,11 +122,9 @@ impl NaiveBackend<'_> {
 
 impl<'t> SpBackend<'t> for NaiveBackend<'t> {
     fn build(tree: &'t ParseTree, config: BackendConfig) -> Self {
-        let (naive, root_tag) = NaiveSharedSpOrder::new();
         NaiveBackend {
             tree,
-            naive,
-            root_tag,
+            naive: NaiveSharedSpOrder::new(tree.root(), tree.num_nodes()),
             workers: config.workers.max(1),
         }
     }
@@ -149,19 +146,13 @@ impl<'t> SpBackend<'t> for NaiveBackend<'t> {
         where
             F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
         {
-            fn enter_internal(
-                &self,
-                _worker: usize,
-                kind: SpKind,
-                _node: &NodeId,
-                tag: u64,
-                _token: Token,
-            ) -> (u64, u64) {
-                self.naive.expand(tag, kind.is_parallel())
+            fn enter_internal(&self, _worker: usize, kind: SpKind, &node: &NodeId, _token: Token) {
+                let children = [self.tree.left(node), self.tree.right(node)];
+                self.naive.expand(node, children, kind.is_parallel());
             }
-            fn execute_leaf(&self, _worker: usize, &node: &NodeId, tag: u64, _token: Token) {
+            fn execute_leaf(&self, _worker: usize, &node: &NodeId, _token: Token) {
                 let current = self.tree.thread_of(node).expect("the runtime executes leaves only");
-                self.naive.execute(tag, current);
+                self.naive.execute(node, current);
                 (self.on_thread)(&self.naive.view(current), current);
             }
             // No `steal`: without trace machinery the token passes through.
@@ -175,7 +166,6 @@ impl<'t> SpBackend<'t> for NaiveBackend<'t> {
             &TreeProgram::new(tree),
             &vis,
             LiveConfig::with_workers(self.workers),
-            self.root_tag,
             0,
             &MetricsHandle::detached(),
         );

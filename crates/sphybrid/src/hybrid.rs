@@ -7,32 +7,8 @@ use forkrt::{
 use spmetrics::MetricsHandle;
 use sptree::tree::{NodeId, ParseTree, ProcId, ThreadId};
 
-use crate::live::{LiveHybridConfig, LiveSpHybrid};
+use crate::live::LiveSpHybrid;
 use crate::trace::TraceId;
-
-/// Configuration of an SP-hybrid run.
-#[derive(Clone, Copy, Debug)]
-pub struct HybridConfig {
-    /// Number of workers (the paper's P).
-    pub workers: usize,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig { workers: 1 }
-    }
-}
-
-impl HybridConfig {
-    /// Convenience constructor.  Clamps `workers` to ≥ 1, matching
-    /// [`forkrt::LiveConfig::with_workers`] — zero workers could otherwise be
-    /// smuggled in and only be caught deep inside the scheduler.
-    pub fn with_workers(workers: usize) -> Self {
-        HybridConfig {
-            workers: workers.max(1),
-        }
-    }
-}
 
 /// Statistics of a completed SP-hybrid run.
 #[derive(Clone, Debug)]
@@ -83,10 +59,7 @@ impl<'t> SpHybrid<'t> {
     pub fn new(tree: &'t ParseTree) -> Self {
         SpHybrid {
             tree,
-            live: LiveSpHybrid::new(LiveHybridConfig {
-                max_threads: tree.num_threads(),
-                max_steals: tree.num_pnodes(),
-            }),
+            live: LiveSpHybrid::new(tree.num_threads(), tree.num_pnodes()),
             split_log: parking_lot::Mutex::new(Vec::new()),
         }
     }
@@ -124,7 +97,8 @@ impl<'t> SpHybrid<'t> {
         self.live.space_bytes()
     }
 
-    /// Run the program on `workers` workers.  `on_thread` is called on the
+    /// Run the program on `workers` workers (clamped to ≥ 1, like
+    /// [`forkrt::LiveConfig::with_workers`]).  `on_thread` is called on the
     /// executing worker for every thread, with the thread id and the trace
     /// it runs in; this is where a race detector performs its shadowed
     /// accesses and issues [`SpHybrid::precedes_current`] queries.
@@ -140,7 +114,6 @@ impl<'t> SpHybrid<'t> {
             &TreeProgram::new(self.tree),
             &visitor,
             LiveConfig::with_workers(workers),
-            0,
             self.live.root_trace().to_token(),
             &MetricsHandle::detached(),
         );
@@ -164,7 +137,7 @@ impl<'t, F> LiveVisitor<TreeProgram<'t>> for HybridVisitor<'_, 't, F>
 where
     F: Fn(&SpHybrid<'t>, ThreadId, TraceId) + Sync,
 {
-    fn execute_leaf(&self, _worker: usize, &node: &NodeId, _tag: u64, token: Token) {
+    fn execute_leaf(&self, _worker: usize, &node: &NodeId, token: Token) {
         let SpHybrid { tree, live, .. } = self.hybrid;
         let thread = tree.thread_of(node).expect("the runtime executes leaves only");
         let trace = TraceId::from_token(token);
@@ -203,17 +176,18 @@ where
     }
 }
 
-/// Convenience wrapper: build an [`SpHybrid`] for `tree` and run it.
+/// Convenience wrapper: build an [`SpHybrid`] for `tree` and run it on
+/// `workers` workers ([`SpHybrid::run`]).
 pub fn run_hybrid<'t, F>(
     tree: &'t ParseTree,
-    config: HybridConfig,
+    workers: usize,
     on_thread: F,
 ) -> (SpHybrid<'t>, HybridStats)
 where
     F: Fn(&SpHybrid<'t>, ThreadId, TraceId) + Sync,
 {
     let hybrid = SpHybrid::new(tree);
-    let stats = hybrid.run(config.workers, on_thread);
+    let stats = hybrid.run(workers, on_thread);
     (hybrid, stats)
 }
 
@@ -232,7 +206,7 @@ mod tests {
     fn check_against_oracle(tree: &ParseTree, workers: usize, spin: u64) -> HybridStats {
         let executed: Vec<AtomicBool> = (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect();
         let recorded: Mutex<Vec<(ThreadId, ThreadId, bool)>> = Mutex::new(Vec::new());
-        let (_hybrid, stats) = run_hybrid(tree, HybridConfig::with_workers(workers), |h, current, trace| {
+        let (_hybrid, stats) = run_hybrid(tree, workers, |h, current, trace| {
             // Busy work to widen steal windows.
             let mut x = 1u64;
             for i in 0..spin {
@@ -321,13 +295,11 @@ mod tests {
 
     #[test]
     fn zero_workers_is_clamped_to_one() {
-        // Regression: `HybridConfig { workers: 0 }` (struct literal) used to
-        // reach the scheduler unclamped; the constructor and the runtime
-        // both normalize to 1.
-        assert_eq!(HybridConfig::with_workers(0).workers, 1);
+        // Regression: zero workers used to reach the scheduler unclamped;
+        // the runtime normalizes to 1.
         let tree = CilkProgram::new(fib_like(5, 1)).build_tree();
-        let config = HybridConfig { workers: 0 };
-        let (_hybrid, stats) = run_hybrid(&tree, config, |_h, _t, _tr| {});
+        let (_hybrid, stats) = run_hybrid(&tree, 0, |_h, _t, _tr| {});
+        assert_eq!(stats.run.workers, 1);
         assert_eq!(stats.run.steals, 0, "one worker cannot steal");
         assert_eq!(stats.traces, 1);
     }
@@ -354,7 +326,7 @@ mod tests {
         let tree = CilkProgram::new(fib_like(10, 1)).build_tree();
         let mut steals = 0;
         for _ in 0..MAX_RUNS {
-            let (hybrid, stats) = run_hybrid(&tree, HybridConfig::with_workers(6), |_h, _t, _trace| {
+            let (hybrid, stats) = run_hybrid(&tree, 6, |_h, _t, _trace| {
                 let mut x = 1u64;
                 for i in 0..20_000u64 {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(i);

@@ -29,7 +29,8 @@
 //!
 //! The crate also contains [`naive::NaiveSharedSpOrder`], the strawman of §3
 //! (one global lock around a shared SP-order structure): the design the
-//! two-tier structure exists to avoid.
+//! two-tier structure exists to avoid, run tree-driven only
+//! ([`backend::NaiveBackend`]) — live runs use SP-hybrid.
 //!
 //! Both parallel structures are additionally exposed through the unified
 //! [`spmaint::SpBackend`] trait ([`backend::HybridBackend`],
@@ -46,7 +47,7 @@ pub mod naive;
 pub mod trace;
 
 pub use backend::{HybridBackend, NaiveBackend};
-pub use hybrid::{run_hybrid, HybridConfig, HybridStats, SpHybrid};
-pub use live::{LiveHybridConfig, LiveSpHybrid, TraceSplit};
+pub use hybrid::{run_hybrid, HybridStats, SpHybrid};
+pub use live::{LiveSpHybrid, TraceSplit};
 pub use naive::NaiveSharedSpOrder;
 pub use trace::TraceId;

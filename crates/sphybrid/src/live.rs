@@ -21,7 +21,7 @@
 //! The two substrates grow on demand (chunked slabs published with release
 //! stores, addressed by readers with acquire loads — see
 //! `ARCHITECTURE.md#growable-epoch-published-substrates`), so a live run
-//! needs **no budgets**: [`LiveHybridConfig`] only carries initial-capacity
+//! needs **no budgets**: [`LiveSpHybrid::new`] only takes initial-capacity
 //! hints, and a program may execute any number of threads and suffer any
 //! number of steals without a capacity panic anywhere on the live path.
 //!
@@ -40,32 +40,6 @@ use sptree::tree::{ProcId, ThreadId};
 use crate::global_tier::GlobalTier;
 use crate::local_tier::{BagKind, LocalTier};
 use crate::trace::{TraceArena, TraceId};
-
-/// Initial-capacity hints of a live SP-hybrid run.
-///
-/// Both fields are **hints only** (kept under their historical names for
-/// source compatibility): they size the first chunk of each growable
-/// substrate, and the structures grow on demand past them.  Exceeding a hint
-/// costs one chunk publication, never a panic.
-#[derive(Clone, Copy, Debug)]
-pub struct LiveHybridConfig {
-    /// Expected number of threads (initial size of the shared union-find's
-    /// first chunk; the slab grows past it on demand).
-    pub max_threads: usize,
-    /// Expected number of steals (each creates 4 traces; sizes the first
-    /// chunk of the global tier's order-maintenance slabs, which grow past
-    /// it on demand).
-    pub max_steals: usize,
-}
-
-impl Default for LiveHybridConfig {
-    fn default() -> Self {
-        LiveHybridConfig {
-            max_threads: 1 << 10,
-            max_steals: 1 << 7,
-        }
-    }
-}
 
 /// What one steal did to the trace structure.
 #[derive(Clone, Copy, Debug)]
@@ -126,15 +100,19 @@ pub struct LiveSpHybrid {
 }
 
 impl LiveSpHybrid {
-    /// Build an empty structure; `config` only seeds the initial chunk sizes
-    /// of the growable substrates.
-    pub fn new(config: LiveHybridConfig) -> Self {
-        let initial_traces = 4 * config.max_steals + 16;
+    /// Build an empty structure.  Both arguments are **hints only**: they
+    /// size the first chunk of each growable substrate — the shared
+    /// union-find for `max_threads` threads, the global tier's
+    /// order-maintenance slabs for the 4 traces each of `max_steals` steals
+    /// creates — and the structures grow on demand past them.  Exceeding a
+    /// hint costs one chunk publication, never a panic.
+    pub fn new(max_threads: usize, max_steals: usize) -> Self {
+        let initial_traces = 4 * max_steals + 16;
         let (global, eng_base, heb_base) = GlobalTier::new(initial_traces.max(4));
         let (traces, root_trace) = TraceArena::new(eng_base, heb_base);
         LiveSpHybrid {
             global,
-            local: LocalTier::new(config.max_threads.max(1)),
+            local: LocalTier::new(max_threads.max(1)),
             traces,
             root_trace,
         }
@@ -269,7 +247,7 @@ mod tests {
     /// u3; sync; u4 }` and check Figure-9 answers at every step.
     #[test]
     fn serial_event_stream_answers_like_sp_bags() {
-        let h = LiveSpHybrid::new(LiveHybridConfig { max_threads: 16, max_steals: 4 });
+        let h = LiveSpHybrid::new(16, 4);
         let u = h.root_trace();
         let (main, child) = (ProcId(0), ProcId(1));
 
@@ -297,7 +275,7 @@ mod tests {
     /// the new traces per Figure 12.
     #[test]
     fn split_consumes_steal_and_orders_traces() {
-        let h = LiveSpHybrid::new(LiveHybridConfig { max_threads: 16, max_steals: 4 });
+        let h = LiveSpHybrid::new(16, 4);
         let u = h.root_trace();
         let (main, child) = (ProcId(0), ProcId(1));
         // main runs u0, spawns child; the victim descends into the child
@@ -329,7 +307,7 @@ mod tests {
     /// and both tiers grow through it without disturbing query answers.
     #[test]
     fn exceeding_the_hints_grows_instead_of_panicking() {
-        let h = LiveSpHybrid::new(LiveHybridConfig { max_threads: 2, max_steals: 1 });
+        let h = LiveSpHybrid::new(2, 1);
         let u = h.root_trace();
         let main = ProcId(0);
         // Thread ids far past the hint: the union-find grows on demand.

@@ -7,71 +7,94 @@
 //! is argued one insertion at a time, so it commutes the same way) — but each
 //! operation may stall all P−1 other processors, so the apparent work can
 //! blow up to Θ(P·T₁).  SP-hybrid's two-tier design exists precisely to avoid
-//! this.  This is the one
-//! implementation of the strawman: [`crate::NaiveBackend`] drives it from a
-//! parse tree, `spprog`'s naive-locked maintainer from a live run; it also
-//! doubles as a second, independently-implemented parallel SP oracle in
-//! stress tests.
+//! this.  This is the one implementation of the strawman, driven from a
+//! parse tree by [`crate::NaiveBackend`] — the offline detection engine and
+//! the conformance sweep run it on any number of workers, next to SP-hybrid;
+//! live runs maintain the SP relation with SP-hybrid alone.  It also doubles
+//! as a second, independently-implemented parallel SP oracle in stress
+//! tests.
 
 use parking_lot::Mutex;
 use spmaint::api::{CurrentSpQuery, SpQuery};
 use spmaint::stream::{StreamNode, StreamingSpBackend, StreamingSpOrder};
-use sptree::tree::ThreadId;
+use sptree::tree::{NodeId, ThreadId};
 
 struct Inner {
     sp: StreamingSpOrder,
+    /// The (English, Hebrew) handle pair of every revealed position not yet
+    /// unfolded, indexed by its node.
+    nodes: Vec<Option<StreamNode>>,
     lock_acquisitions: u64,
+}
+
+impl Inner {
+    /// Hand out the handle pair of `node`, which its one `expand` or
+    /// `execute` spends.
+    fn spend(&mut self, node: NodeId) -> StreamNode {
+        self.nodes[node.index()]
+            .take()
+            .expect("a position is unfolded once, after its parent")
+    }
 }
 
 /// A streaming SP-order shared by all workers behind a single global lock.
 ///
-/// A position's handle pair *is* the scheduler's 64-bit *tag*
-/// ([`StreamNode::to_tag`]): the root tag comes from
-/// [`NaiveSharedSpOrder::new`], and a visitor's `enter_internal` forwards to
-/// [`NaiveSharedSpOrder::expand`] to obtain its children's.
+/// Positions are the [`NodeId`]s of the tree being unfolded.  Under the same
+/// lock the structure keeps each position's handle pair in a node-indexed
+/// table, from the moment its parent unfolds (the root's: from
+/// [`NaiveSharedSpOrder::new`]) until the one
+/// [`expand`](NaiveSharedSpOrder::expand) or
+/// [`execute`](NaiveSharedSpOrder::execute) that reveals it.
 pub struct NaiveSharedSpOrder {
     inner: Mutex<Inner>,
 }
 
 impl NaiveSharedSpOrder {
-    /// An empty structure and the tag of the root position.
-    pub fn new() -> (Self, u64) {
-        let (sp, root) = StreamingSpOrder::stream_new();
+    /// An empty structure for a tree of `num_nodes` nodes rooted at `root`.
+    pub fn new(root: NodeId, num_nodes: usize) -> Self {
+        let (sp, handle) = StreamingSpOrder::stream_new();
+        let mut nodes = vec![None; num_nodes];
+        nodes[root.index()] = Some(handle);
         let inner = Inner {
             sp,
+            nodes,
             lock_acquisitions: 0,
         };
-        (
-            NaiveSharedSpOrder {
-                inner: Mutex::new(inner),
-            },
-            root.to_tag(),
-        )
+        NaiveSharedSpOrder {
+            inner: Mutex::new(inner),
+        }
     }
 
-    fn locked<R>(&self, op: impl FnOnce(&mut StreamingSpOrder) -> R) -> R {
+    fn locked<R>(&self, op: impl FnOnce(&mut Inner) -> R) -> R {
         let mut inner = self.inner.lock();
         inner.lock_acquisitions += 1;
-        op(&mut inner.sp)
+        op(&mut inner)
     }
 
-    /// The position tagged `tag` is revealed to be an internal node; returns
-    /// the tags of its (left, right) children.  Takes the global lock.
-    pub fn expand(&self, tag: u64, parallel: bool) -> (u64, u64) {
-        let (left, right) = self.locked(|sp| sp.expand(StreamNode::from_tag(tag), parallel));
-        (left.to_tag(), right.to_tag())
+    /// Position `node` is revealed to be an internal node whose children are
+    /// `[left, right]`.  Takes the global lock.
+    pub fn expand(&self, node: NodeId, [left, right]: [NodeId; 2], parallel: bool) {
+        self.locked(|inner| {
+            let handle = inner.spend(node);
+            let (l, r) = inner.sp.expand(handle, parallel);
+            inner.nodes[left.index()] = Some(l);
+            inner.nodes[right.index()] = Some(r);
+        });
     }
 
-    /// The position tagged `tag` is revealed to be a leaf executing as
-    /// `thread`.  Takes the global lock.
-    pub fn execute(&self, tag: u64, thread: ThreadId) {
-        self.locked(|sp| sp.execute(StreamNode::from_tag(tag), thread));
+    /// Position `node` is revealed to be a leaf executing as `thread`.
+    /// Takes the global lock.
+    pub fn execute(&self, node: NodeId, thread: ThreadId) {
+        self.locked(|inner| {
+            let handle = inner.spend(node);
+            inner.sp.execute(handle, thread);
+        });
     }
 
     /// Does thread `a` precede thread `b`?  Both must have started executing.
     /// Takes the global lock.
     pub fn precedes(&self, a: ThreadId, b: ThreadId) -> bool {
-        self.locked(|sp| sp.precedes(a, b))
+        self.locked(|inner| inner.sp.precedes(a, b))
     }
 
     /// The [`CurrentSpQuery`] view of the executing thread `current`: pair
@@ -89,9 +112,11 @@ impl NaiveSharedSpOrder {
         self.inner.lock().lock_acquisitions
     }
 
-    /// Approximate heap bytes used by the shared structure.
+    /// Approximate heap bytes used by the shared structure and its node
+    /// table.
     pub fn space_bytes(&self) -> usize {
-        self.inner.lock().sp.stream_space_bytes()
+        let inner = self.inner.lock();
+        inner.sp.stream_space_bytes() + std::mem::size_of_val(inner.nodes.as_slice())
     }
 }
 
@@ -164,11 +189,12 @@ mod tests {
 
     #[test]
     fn tags_thread_handles_and_every_operation_counts_a_lock() {
-        // S(u0, P(u1, u2)), unfolded by hand.
-        let (naive, root) = NaiveSharedSpOrder::new();
-        let (u0, rest) = naive.expand(root, false);
+        // S(u0, P(u1, u2)), unfolded by hand over nodes 0 (the root) to 4.
+        let [root, u0, rest, u1, u2] = [0, 1, 2, 3, 4].map(NodeId);
+        let naive = NaiveSharedSpOrder::new(root, 5);
+        naive.expand(root, [u0, rest], false);
         naive.execute(u0, ThreadId(0));
-        let (u1, u2) = naive.expand(rest, true);
+        naive.expand(rest, [u1, u2], true);
         naive.execute(u1, ThreadId(1));
         naive.execute(u2, ThreadId(2));
         assert!(naive.precedes(ThreadId(0), ThreadId(2)));

@@ -2,7 +2,7 @@
 //! rich diagnostics on any disagreement.
 
 use parking_lot::Mutex;
-use sphybrid::hybrid::{run_hybrid, HybridConfig};
+use sphybrid::hybrid::run_hybrid;
 use sptree::cilk::CilkProgram;
 use sptree::generate::{random_cilk_program, CilkGenParams};
 use sptree::oracle::SpOracle;
@@ -34,31 +34,27 @@ fn stress_parallel_hybrid_against_oracle() {
         type Mismatch = (u32, u32, u32, bool, u32, bool);
         let mismatches: Mutex<Vec<Mismatch>> = Mutex::new(Vec::new());
 
-        let (hybrid, stats) = run_hybrid(
-            &tree,
-            HybridConfig::with_workers(8),
-            |h, current, trace| {
-                let mut x = 1u64;
-                for i in 0..80u64 {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+        let (hybrid, stats) = run_hybrid(&tree, 8, |h, current, trace| {
+            let mut x = 1u64;
+            for i in 0..80u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+            }
+            std::hint::black_box(x);
+            exec_trace[current.index()].store(trace.0, Ordering::Relaxed);
+            for earlier in 0..tree.num_threads() as u32 {
+                let earlier = ThreadId(earlier);
+                if earlier == current || !executed[earlier.index()].load(Ordering::Acquire) {
+                    continue;
                 }
-                std::hint::black_box(x);
-                exec_trace[current.index()].store(trace.0, Ordering::Relaxed);
-                for earlier in 0..tree.num_threads() as u32 {
-                    let earlier = ThreadId(earlier);
-                    if earlier == current || !executed[earlier.index()].load(Ordering::Acquire) {
-                        continue;
-                    }
-                    let answer = h.precedes_current(earlier, trace);
-                    let truth = oracle.precedes(earlier, current);
-                    if answer != truth {
-                        let (et, is_s) = h.find_trace(earlier);
-                        mismatches.lock().push((earlier.0, current.0, trace.0, answer, et.0, is_s));
-                    }
+                let answer = h.precedes_current(earlier, trace);
+                let truth = oracle.precedes(earlier, current);
+                if answer != truth {
+                    let (et, is_s) = h.find_trace(earlier);
+                    mismatches.lock().push((earlier.0, current.0, trace.0, answer, et.0, is_s));
                 }
-                executed[current.index()].store(true, Ordering::Release);
-            },
-        );
+            }
+            executed[current.index()].store(true, Ordering::Release);
+        });
         let mismatches = mismatches.into_inner();
         if !mismatches.is_empty() {
             let log = hybrid.split_log();

@@ -11,7 +11,7 @@
 //!   queries that had to retry) matches the LCA oracle.
 
 use parking_lot::Mutex;
-use sphybrid::hybrid::{run_hybrid, HybridConfig};
+use sphybrid::hybrid::run_hybrid;
 use sptree::cilk::CilkProgram;
 use sptree::generate::{fib_like, random_cilk_program, CilkGenParams};
 use sptree::oracle::SpOracle;
@@ -25,27 +25,23 @@ fn stress_run(tree: &ParseTree, workers: usize, spin: u64) -> (u64, usize, u64) 
     let executed: Vec<AtomicBool> =
         (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect();
     let recorded: Mutex<Vec<(ThreadId, ThreadId, bool)>> = Mutex::new(Vec::new());
-    let (_hybrid, stats) = run_hybrid(
-        tree,
-        HybridConfig::with_workers(workers),
-        |h, current, trace| {
-            let mut x = 1u64;
-            for i in 0..spin {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+    let (_hybrid, stats) = run_hybrid(tree, workers, |h, current, trace| {
+        let mut x = 1u64;
+        for i in 0..spin {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+        }
+        std::hint::black_box(x);
+        let mut answers = Vec::new();
+        for earlier in 0..tree.num_threads() as u32 {
+            let earlier = ThreadId(earlier);
+            if earlier == current || !executed[earlier.index()].load(Ordering::Acquire) {
+                continue;
             }
-            std::hint::black_box(x);
-            let mut answers = Vec::new();
-            for earlier in 0..tree.num_threads() as u32 {
-                let earlier = ThreadId(earlier);
-                if earlier == current || !executed[earlier.index()].load(Ordering::Acquire) {
-                    continue;
-                }
-                answers.push((earlier, current, h.precedes_current(earlier, trace)));
-            }
-            recorded.lock().extend(answers);
-            executed[current.index()].store(true, Ordering::Release);
-        },
-    );
+            answers.push((earlier, current, h.precedes_current(earlier, trace)));
+        }
+        recorded.lock().extend(answers);
+        executed[current.index()].store(true, Ordering::Release);
+    });
 
     let oracle = SpOracle::new(tree);
     for (earlier, current, answer) in recorded.into_inner() {

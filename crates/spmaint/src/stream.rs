@@ -31,8 +31,10 @@ use crate::api::{CurrentSpQuery, SpQuery};
 
 /// Handle of a not-yet-unfolded position in an incrementally unfolding SP
 /// parse tree: the position's (English, Hebrew) list elements packed into one
-/// word, which is exactly the 64-bit tag `forkrt::live` threads down the
-/// walk — a maintainer keeps no per-node table behind it.  A maintainer that
+/// word, which is exactly the 64-bit tag `forkrt::run_live_serial` threads
+/// down the walk — the serial maintainer keeps no per-node table behind it
+/// (a caller without a tag to carry it in keeps the word itself, as the §3
+/// strawman's node table does).  A maintainer that
 /// keeps the Hebrew list alone ([`SerialSpOrder`]) leaves the English half
 /// zero.
 ///
@@ -135,12 +137,12 @@ pub trait StreamingSpBackend: CurrentSpQuery {
 /// what lets the §3 strawman share this structure among workers.
 ///
 /// An unfolded position is just its [`StreamNode`] handle pair, carried by
-/// the caller (the scheduler's tag), and an executed thread is the same word
-/// in a table indexed by [`ThreadId`]: 2·16 B of list items + 8 B ≈ 48 B per
-/// thread with [`TwoLevelList`].  Generic over the order-maintenance
-/// structure like its tree-driven sibling [`crate::SpOrder`], which keeps
-/// Figure 5's per-node elements and stays the reference this is tested
-/// against.
+/// the caller (the §3 strawman keeps it in a node table), and an executed
+/// thread is the same word in a table indexed by [`ThreadId`]: 2·16 B of
+/// list items + 8 B ≈ 48 B per thread with [`TwoLevelList`].  Generic over
+/// the order-maintenance structure like its tree-driven sibling
+/// [`crate::SpOrder`], which keeps Figure 5's per-node elements and stays the
+/// reference this is tested against.
 ///
 /// This is the two-list definition, right under *any* unfolding order: its
 /// [`CurrentSpQuery`] impl is Figure 5's `SP-PRECEDES` as written, both

@@ -18,8 +18,8 @@
 //! * multi-worker runs drive the live two-tier SP-hybrid
 //!   ([`sphybrid::LiveSpHybrid`]): the scheduler's steal tokens *are* the
 //!   trace splits of paper Figure 8, and queries follow Figure 9.  The §3
-//!   naive-locked structure is available as a cross-check
-//!   ([`LiveMaintainer::NaiveLocked`]);
+//!   one-lock strawman SP-hybrid replaces is checked tree-driven only
+//!   ([`sphybrid::NaiveBackend`] over [`record_program`]'s tree);
 //! * detection reuses the sharded shadow memory and the batched per-thread
 //!   engine path ([`racedet::LiveDetector`]).
 //!
@@ -83,8 +83,8 @@ pub use determinacy::{DeterminacyViolation, Divergence};
 pub use program::{build_proc, Proc, ProcBuilder, SpawnFn, StepCtx, StepFn};
 pub use record::{record_program, Recorded};
 pub use runtime::{
-    run_program, run_session, run_uninstrumented, try_run_program,
-    LiveMaintainer, LiveRun, RunConfig, SessionMode, SessionRun,
+    run_program, run_session, run_uninstrumented, try_run_program, LiveRun, RunConfig,
+    SessionMode, SessionRun,
 };
 
 #[cfg(test)]
@@ -152,19 +152,21 @@ mod tests {
         }
     }
 
+    /// The §3 strawman, tree-driven over the program's recorded tree on
+    /// `workers` workers: the report of the offline engine.
+    fn naive_report(prog: &Proc, locations: u32, workers: usize) -> racedet::RaceReport {
+        let rec = record_program(prog, locations);
+        let config = BackendConfig::with_workers(workers);
+        detect_races::<sphybrid::NaiveBackend>(&rec.tree, &rec.script, config).0
+    }
+
     #[test]
     fn naive_locked_maintainer_agrees_on_racy_locations() {
         let prog = build_proc(fib_proc(8, Some(0)));
         let serial = run_program(&prog, &RunConfig::serial(1));
-        let config = RunConfig {
-            workers: 3,
-            locations: 1,
-            maintainer: LiveMaintainer::NaiveLocked,
-            ..RunConfig::default()
-        };
-        let live = run_program(&prog, &config);
-        assert_eq!(live.maintainer, "live-naive-locked");
-        assert_eq!(live.report.racy_locations(), serial.report.racy_locations());
+        let naive = naive_report(&prog, 1, 3);
+        assert!(!naive.is_empty(), "fib leaves race on location 0");
+        assert_eq!(naive.racy_locations(), serial.report.racy_locations());
     }
 
     #[test]
@@ -185,13 +187,7 @@ mod tests {
         });
         assert!(run_program(&prog, &RunConfig::serial(9)).report.is_empty());
         assert!(run_program(&prog, &RunConfig::with_workers(4, 9)).report.is_empty());
-        let naive = RunConfig {
-            workers: 4,
-            locations: 9,
-            maintainer: LiveMaintainer::NaiveLocked,
-            ..RunConfig::default()
-        };
-        assert!(run_program(&prog, &naive).report.is_empty());
+        assert!(naive_report(&prog, 9, 4).is_empty());
     }
 
     #[test]
@@ -211,22 +207,14 @@ mod tests {
         let serial = run_program(&prog, &RunConfig::serial(1).enforced());
         let hash = serial.structural_hash.expect("enforced runs carry a hash");
         for workers in [2usize, 4] {
-            for maintainer in [LiveMaintainer::Hybrid, LiveMaintainer::NaiveLocked] {
-                let config = RunConfig {
-                    workers,
-                    locations: 1,
-                    maintainer,
-                    ..RunConfig::default()
-                }
-                .enforced();
-                let live = try_run_program(&prog, &config).expect("fib is determinate");
-                assert_eq!(live.structural_hash, Some(hash), "workers={workers}");
-                assert_eq!(
-                    live.report.racy_locations(),
-                    serial.report.racy_locations(),
-                    "enforcement must not perturb detection"
-                );
-            }
+            let config = RunConfig::with_workers(workers, 1).enforced();
+            let live = try_run_program(&prog, &config).expect("fib is determinate");
+            assert_eq!(live.structural_hash, Some(hash), "workers={workers}");
+            assert_eq!(
+                live.report.racy_locations(),
+                serial.report.racy_locations(),
+                "enforcement must not perturb detection"
+            );
         }
         // The serial bridge folds the same per-node fingerprints.
         assert_eq!(record_program(&prog, 1).structural_hash, hash);
@@ -244,11 +232,7 @@ mod tests {
         // One worker: every mode is deterministic, so the report is
         // bit-identical to `run_program`'s however the run was entered.
         let serial = run_program(&prog, &RunConfig::serial(1));
-        for mode in [
-            SessionMode::Serial,
-            SessionMode::Hybrid { workers: 1 },
-            SessionMode::NaiveLocked { workers: 1 },
-        ] {
+        for mode in [SessionMode::Serial, SessionMode::Hybrid { workers: 1 }] {
             let (run, report) = session(mode, 1);
             assert_eq!(report.races(), serial.report.races(), "{mode:?}");
             assert_eq!(run.threads, serial.threads, "{mode:?}");
@@ -257,23 +241,14 @@ mod tests {
                 assert_eq!(run.maintainer, serial.maintainer);
             }
         }
-        // Two workers: each maintainer answers under the same name and finds
-        // the same racy locations, entered either way.
-        for (maintainer, mode) in [
-            (LiveMaintainer::Hybrid, SessionMode::Hybrid { workers: 2 }),
-            (LiveMaintainer::NaiveLocked, SessionMode::NaiveLocked { workers: 2 }),
-        ] {
-            let config = RunConfig {
-                maintainer,
-                ..RunConfig::with_workers(2, 1)
-            };
-            let direct = run_program(&prog, &config);
-            let (run, report) = session(mode, 2);
-            assert_eq!(run.maintainer, direct.maintainer, "{mode:?}");
-            assert_eq!(run.threads, direct.threads, "{mode:?}");
-            assert_eq!(report.racy_locations(), direct.report.racy_locations(), "{mode:?}");
-            assert_eq!(report.racy_locations(), serial.report.racy_locations(), "{mode:?}");
-        }
+        // Two workers: the hybrid answers under the same name and finds the
+        // same racy locations, entered either way.
+        let direct = run_program(&prog, &RunConfig::with_workers(2, 1));
+        let (run, report) = session(SessionMode::Hybrid { workers: 2 }, 2);
+        assert_eq!(run.maintainer, direct.maintainer);
+        assert_eq!(run.threads, direct.threads);
+        assert_eq!(report.racy_locations(), direct.report.racy_locations());
+        assert_eq!(report.racy_locations(), serial.report.racy_locations());
     }
 
     #[test]

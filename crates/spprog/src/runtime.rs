@@ -4,7 +4,7 @@
 //! Every instrumented run goes one way — the private `execute` — whatever
 //! the entry point ([`run_session`], [`try_run_program`] plain or enforced),
 //! and a thread's work (`run_leaf`) is the same whatever maintains the SP
-//! relation.  Three run modes over the same unfolding (the crate-internal
+//! relation.  Two run modes over the same unfolding (the crate-internal
 //! `unfold` module):
 //!
 //! * **Serial** (`workers == 1`) — [`forkrt::run_live_serial`] on the calling
@@ -18,15 +18,13 @@
 //!   per-thread batching as the offline engine.  Deterministic: thread ids,
 //!   query answers, and the race report are bit-identical across runs — and
 //!   bit-identical to offline serial detection on the recorded tree.
-//! * **Parallel, SP-hybrid** — [`forkrt::run_live`] with
-//!   [`sphybrid::LiveSpHybrid`]: tokens carry [`TraceId`]s, steals split the
-//!   victim's trace five ways (the steal token *is* the split input), and
-//!   queries follow paper Figure 9.
-//! * **Parallel, naive-locked** — the §3 strawman live
-//!   ([`sphybrid::NaiveSharedSpOrder`]): one global mutex around a shared
-//!   two-list streaming SP-order ([`spmaint::StreamingSpOrder`] — workers
-//!   unfold in no particular order, so both lists are needed).  Kept as the
-//!   ablation/cross-check backend.
+//! * **Parallel** — [`forkrt::run_live`] with the live SP-hybrid
+//!   ([`sphybrid::LiveSpHybrid`], paper §4–§7): tokens carry [`TraceId`]s,
+//!   steals split the victim's trace five ways (the steal token *is* the
+//!   split input), and queries follow paper Figure 9.  The parallel walk
+//!   carries no tag: the hybrid keys on procedure ids and traces.  The §3
+//!   one-lock strawman it replaces runs tree-driven only
+//!   ([`sphybrid::NaiveBackend`]).
 //!
 //! [`run_uninstrumented`] executes the program with *no* SP maintenance and
 //! no detection (values only) — the denominator of every overhead metric.
@@ -41,11 +39,9 @@ use forkrt::{
 };
 use parking_lot::Mutex;
 use racedet::{Access, DetectionSink, LiveDetector, RaceReport};
-use spmaint::api::CurrentSpQuery;
 use spmaint::stream::{SerialSpOrder, StreamNode, StreamingSpBackend};
 use spmetrics::{CounterId, EventKind, HistId, MetricsHandle};
-use sphybrid::live::{LiveHybridConfig, LiveSpHybrid};
-use sphybrid::{NaiveSharedSpOrder, TraceId};
+use sphybrid::{LiveSpHybrid, TraceId};
 use sptree::tree::ThreadId;
 
 use crate::determinacy::{
@@ -59,24 +55,17 @@ use crate::unfold::{InstRef, Meta, SerialCilk, SerialMeta, SharedCilk, SharedMet
 // Configuration and outcome
 // ---------------------------------------------------------------------------
 
-/// Which SP maintainer a multi-worker live run uses (`workers == 1` always
-/// runs the deterministic serial walk under [`spmaint::SerialSpOrder`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LiveMaintainer {
-    /// Two-tier live SP-hybrid (paper §4–§7): steal tokens are trace splits.
-    #[default]
-    Hybrid,
-    /// One global lock around a shared streaming SP-order (the §3 strawman);
-    /// the cross-check/ablation backend.
-    NaiveLocked,
-}
+/// Initial-capacity hints `(max_threads, max_steals)` of the SP-hybrid
+/// substrates when a run names none.
+const DEFAULT_HINTS: (usize, usize) = (1 << 10, 1 << 7);
 
 /// Configuration of a live run.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Worker threads; 1 means deterministic serial execution on the calling
-    /// thread, its SP relation kept by [`spmaint::SerialSpOrder`] whatever
-    /// [`RunConfig::maintainer`] says.  Clamped to ≥ 1 (like
+    /// thread, its SP relation kept by [`spmaint::SerialSpOrder`], and more
+    /// run the live SP-hybrid ([`sphybrid::LiveSpHybrid`]) on the
+    /// work-stealing scheduler.  Clamped to ≥ 1 (like
     /// [`forkrt::LiveConfig`]) so a struct-literal 0 cannot diverge from the
     /// tree-driven engines.
     pub workers: usize,
@@ -92,8 +81,6 @@ pub struct RunConfig {
     /// chunk of the global tier's order-maintenance slabs; any number of
     /// steals beyond it just publishes more chunks.
     pub max_steals: usize,
-    /// SP maintainer for multi-worker runs.
-    pub maintainer: LiveMaintainer,
     /// Enforce fork-join determinacy: fold every spawn/sync/step into the
     /// schedule-independent structural hash (see [`crate::determinacy`])
     /// and require the run's hash to equal the program's cached serial
@@ -113,9 +100,8 @@ impl Default for RunConfig {
         RunConfig {
             workers: 1,
             locations: 64,
-            max_threads: 1 << 10,
-            max_steals: 1 << 7,
-            maintainer: LiveMaintainer::Hybrid,
+            max_threads: DEFAULT_HINTS.0,
+            max_steals: DEFAULT_HINTS.1,
             enforce_determinacy: false,
             metrics: MetricsHandle::detached(),
         }
@@ -157,8 +143,8 @@ impl RunConfig {
 /// How a *session* executes when driven by an external [`DetectionSink`]
 /// (see [`run_session`]).  Unlike [`RunConfig`], the mode names the SP
 /// maintainer explicitly even for one worker, because a multi-session
-/// service needs deterministic per-session execution under **every**
-/// maintainer: `Hybrid { workers: 1 }` runs the live SP-hybrid on the
+/// service needs deterministic per-session execution under **both**
+/// maintainers: `Hybrid { workers: 1 }` runs the live SP-hybrid on the
 /// work-stealing scheduler with a single worker (no steals can occur, so
 /// the run — thread ids, queries, report — is deterministic), which
 /// [`run_program`] never does (it elides `workers == 1` to [`Serial`]).
@@ -175,12 +161,6 @@ pub enum SessionMode {
         /// Worker threads (clamped to ≥ 1).
         workers: usize,
     },
-    /// Naive-locked shared streaming SP-order on `workers` workers
-    /// (deterministic iff `workers == 1`).
-    NaiveLocked {
-        /// Worker threads (clamped to ≥ 1).
-        workers: usize,
-    },
 }
 
 impl SessionMode {
@@ -190,7 +170,7 @@ impl SessionMode {
     pub fn workers(self) -> usize {
         match self {
             SessionMode::Serial => 1,
-            SessionMode::Hybrid { workers } | SessionMode::NaiveLocked { workers } => workers.max(1),
+            SessionMode::Hybrid { workers } => workers.max(1),
         }
     }
 }
@@ -236,7 +216,7 @@ pub struct LiveRun {
     /// Approximate heap bytes of the SP structures (not the detector).
     pub sp_space_bytes: usize,
     /// Substrate chunks published beyond the initial hints during the run
-    /// (0 for serial and naive-locked runs, which have no chunked slabs).
+    /// (0 for serial runs, which have no chunked slabs).
     pub sp_grow_events: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -363,113 +343,10 @@ fn run_serial<'a>(
 // Parallel run
 // ---------------------------------------------------------------------------
 
-/// What the one parallel visitor needs from the structure maintaining the SP
-/// relation.  A thread's work is the same whatever maintains it — only these
-/// events differ between the §3 locked strawman and §4–§7 SP-hybrid
-/// (paper Figure 8).  The defaults suit a maintainer keyed on tags alone.
-trait ParallelSp: Sync {
-    const NAME: &'static str;
-
-    /// An internal node unfolds under `tag`: the tags of its children.
-    fn unfolded(&self, _kind: SpKind, _tag: u64) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// `thread` starts executing at a leaf: insert it, and return the view
-    /// its accesses are checked under.
-    fn started(
-        &self,
-        meta: &SharedMeta,
-        tag: u64,
-        token: Token,
-        thread: ThreadId,
-    ) -> impl CurrentSpQuery + '_;
-
-    /// A spawned child returned with its continuation unstolen.
-    fn child_returned(&self, _meta: &SharedMeta, _token: Token) {}
-
-    /// A spawn completed unstolen through its join point.
-    fn joined(&self, _meta: &SharedMeta, _token: Token) {}
-
-    /// The continuation of the spawn at `meta` was stolen from the trace
-    /// `token`: the tokens of the stolen subtree and of the code after the
-    /// join.
-    fn stolen(&self, _meta: &SharedMeta, token: Token) -> StealTokens {
-        StealTokens {
-            right: token,
-            after: token,
-        }
-    }
-
-    /// `(traces, approximate heap bytes, chunks published past the hints)`
-    /// at the end of the run.
-    fn footprint(&self) -> (usize, usize, u64);
-}
-
-impl ParallelSp for LiveSpHybrid {
-    const NAME: &'static str = "live-sp-hybrid";
-
-    // No `unfolded`: the hybrid keys on proc ids and trace tokens, not tags.
-
-    fn started(
-        &self,
-        meta: &SharedMeta,
-        _tag: u64,
-        token: Token,
-        thread: ThreadId,
-    ) -> impl CurrentSpQuery + '_ {
-        let trace = TraceId::from_token(token);
-        // Line 3 of Figure 8: insert the thread into its trace, then run it.
-        self.thread_executed(meta.proc, thread, trace);
-        self.view(trace)
-    }
-
-    fn child_returned(&self, meta: &SharedMeta, token: Token) {
-        let spawned = meta.spawned.expect("P-nodes carry their spawned procedure");
-        LiveSpHybrid::child_returned(self, meta.proc, spawned, TraceId::from_token(token));
-    }
-
-    fn joined(&self, meta: &SharedMeta, token: Token) {
-        self.synced(meta.proc, TraceId::from_token(token));
-    }
-
-    fn stolen(&self, meta: &SharedMeta, token: Token) -> StealTokens {
-        self.split(meta.proc, TraceId::from_token(token)).tokens()
-    }
-
-    fn footprint(&self) -> (usize, usize, u64) {
-        (self.num_traces(), self.space_bytes(), self.grow_events())
-    }
-}
-
-impl ParallelSp for NaiveSharedSpOrder {
-    const NAME: &'static str = "live-naive-locked";
-
-    fn unfolded(&self, kind: SpKind, tag: u64) -> (u64, u64) {
-        self.expand(tag, kind.is_parallel())
-    }
-
-    fn started(
-        &self,
-        _meta: &SharedMeta,
-        tag: u64,
-        _token: Token,
-        thread: ThreadId,
-    ) -> impl CurrentSpQuery + '_ {
-        self.execute(tag, thread);
-        self.view(thread)
-    }
-
-    // No `stolen`: the shared structure is schedule-independent, so the
-    // token passes through unsplit.
-
-    fn footprint(&self) -> (usize, usize, u64) {
-        (1, self.space_bytes(), 0)
-    }
-}
-
-struct ParallelRunVisitor<'a, S> {
-    sp: &'a S,
+/// The parallel walk's events, forwarded to the live SP-hybrid as paper
+/// Figure 8 orders them.
+struct ParallelRunVisitor<'a> {
+    sp: &'a LiveSpHybrid,
     sink: &'a dyn DetectionSink,
     next_thread: AtomicU32,
     /// Per-worker access buffers, reused across leaves (indexed by worker;
@@ -482,54 +359,47 @@ struct ParallelRunVisitor<'a, S> {
     capture: Option<&'a SharedCapture>,
 }
 
-impl<S: ParallelSp> LiveVisitor<SharedCilk> for ParallelRunVisitor<'_, S> {
-    fn enter_internal(
-        &self,
-        worker: usize,
-        kind: SpKind,
-        meta: &SharedMeta,
-        tag: u64,
-        _token: Token,
-    ) -> (u64, u64) {
+impl LiveVisitor<SharedCilk> for ParallelRunVisitor<'_> {
+    fn enter_internal(&self, worker: usize, kind: SpKind, meta: &SharedMeta, _token: Token) {
         if let Some(c) = self.capture {
             c.fold(worker, internal_record(meta.path, kind));
         }
-        self.sp.unfolded(kind, tag)
     }
 
-    fn execute_leaf(&self, worker: usize, meta: &SharedMeta, tag: u64, token: Token) {
+    fn execute_leaf(&self, worker: usize, meta: &SharedMeta, token: Token) {
         let thread = ThreadId(self.next_thread.fetch_add(1, Ordering::Relaxed));
-        let view = self.sp.started(meta, tag, token, thread);
+        let trace = TraceId::from_token(token);
+        // Line 3 of Figure 8: insert the thread into its trace, then run it.
+        self.sp.thread_executed(meta.proc, thread, trace);
         let mut buf = self.bufs[worker].lock();
         let fold = self.capture.map(|c| move |rec| c.fold(worker, rec));
         run_leaf(meta, self.sink, &mut buf, fold);
-        self.sink.check_thread(&view, thread, &buf);
+        self.sink.check_thread(&self.sp.view(trace), thread, &buf);
     }
 
     fn between_children(&self, _worker: usize, kind: SpKind, meta: &SharedMeta, token: Token) {
         if kind.is_parallel() {
-            self.sp.child_returned(meta, token);
+            let spawned = meta.spawned.expect("P-nodes carry their spawned procedure");
+            self.sp.child_returned(meta.proc, spawned, TraceId::from_token(token));
         }
     }
 
     fn leave_internal(&self, _worker: usize, kind: SpKind, meta: &SharedMeta, token: Token) {
         if kind.is_parallel() {
-            self.sp.joined(meta, token);
+            self.sp.synced(meta.proc, TraceId::from_token(token));
         }
     }
 
     fn steal(&self, _thief: usize, _victim: usize, meta: &SharedMeta, token: Token) -> StealTokens {
-        self.sp.stolen(meta, token)
+        self.sp.split(meta.proc, TraceId::from_token(token)).tokens()
     }
 }
 
-/// Run `prog` on `workers` workers under maintainer `sp`, whose root position
-/// is `(root_tag, root_token)`; returns the run and the number of procedures
-/// it spawned.
-fn run_parallel<S: ParallelSp>(
+/// Run `prog` on `workers` workers under the live SP-hybrid `sp`; returns
+/// the run and the number of procedures it spawned.
+fn run_parallel(
     prog: &Proc,
-    sp: &S,
-    (root_tag, root_token): (u64, Token),
+    sp: &LiveSpHybrid,
     workers: usize,
     sink: &dyn DetectionSink,
     capture: Option<&SharedCapture>,
@@ -545,16 +415,15 @@ fn run_parallel<S: ParallelSp>(
     };
     metrics.event(EventKind::RunStarted, workers as u64, 0);
     let config = LiveConfig::with_workers(workers);
-    let stats = run_live(&program, &visitor, config, root_tag, root_token, metrics);
-    let (traces, sp_space_bytes, sp_grow_events) = sp.footprint();
+    let stats = run_live(&program, &visitor, config, sp.root_trace().to_token(), metrics);
     let run = SessionRun {
         threads: stats.total_threads(),
         steals: stats.steals,
-        traces,
+        traces: sp.num_traces(),
         workers,
-        maintainer: S::NAME,
-        sp_space_bytes,
-        sp_grow_events,
+        maintainer: "live-sp-hybrid",
+        sp_space_bytes: sp.space_bytes(),
+        sp_grow_events: sp.grow_events(),
         elapsed: stats.elapsed,
     };
     (run, program.spawns())
@@ -565,14 +434,15 @@ fn run_parallel<S: ParallelSp>(
 // ---------------------------------------------------------------------------
 
 /// The one way from a [`Proc`] to a finished instrumented run — and the one
-/// place the maintainer is chosen.  `hints` are the initial capacities of
-/// the SP-hybrid substrates; `fold` must match the walk ([`Fold::Ordered`]
-/// for serial, [`Fold::PerWorker`] for the scheduler modes) — a mismatched
-/// fold is never fed, so its hash stays 0 and enforcement fails loudly.
+/// place the maintainer is chosen.  `(max_threads, max_steals)` are the
+/// initial capacities of the SP-hybrid substrates; `fold` must match the
+/// walk ([`Fold::Ordered`] for serial, [`Fold::PerWorker`] for the scheduler
+/// mode) — a mismatched fold is never fed, so its hash stays 0 and
+/// enforcement fails loudly.
 fn execute<'a>(
     prog: &Proc,
     mode: SessionMode,
-    hints: LiveHybridConfig,
+    (max_threads, max_steals): (usize, usize),
     sink: &'a dyn DetectionSink,
     fold: Fold<'a>,
 ) -> SessionRun {
@@ -586,16 +456,11 @@ fn execute<'a>(
     let (run, spawns) = match mode {
         SessionMode::Serial => run_serial(prog, sink, ordered),
         SessionMode::Hybrid { .. } => {
-            let hybrid = LiveSpHybrid::new(hints);
+            let hybrid = LiveSpHybrid::new(max_threads, max_steals);
             if metrics.is_attached() {
                 hybrid.attach_metrics(metrics);
             }
-            let root = (0, hybrid.root_trace().to_token());
-            run_parallel(prog, &hybrid, root, workers, sink, per_worker)
-        }
-        SessionMode::NaiveLocked { .. } => {
-            let (shared, root_tag) = NaiveSharedSpOrder::new();
-            run_parallel(prog, &shared, (root_tag, 0), workers, sink, per_worker)
+            run_parallel(prog, &hybrid, workers, sink, per_worker)
         }
     };
     // Whole-run tallies, folded in once per run — never on a per-node path.
@@ -614,10 +479,9 @@ fn execute<'a>(
 /// The mode [`run_program`] runs a configuration in: one worker always
 /// elides to the deterministic serial walk.
 fn session_mode(config: &RunConfig) -> SessionMode {
-    match (config.workers.max(1), config.maintainer) {
-        (1, _) => SessionMode::Serial,
-        (workers, LiveMaintainer::Hybrid) => SessionMode::Hybrid { workers },
-        (workers, LiveMaintainer::NaiveLocked) => SessionMode::NaiveLocked { workers },
+    match config.workers.max(1) {
+        1 => SessionMode::Serial,
+        workers => SessionMode::Hybrid { workers },
     }
 }
 
@@ -632,7 +496,7 @@ fn session_mode(config: &RunConfig) -> SessionMode {
 /// concurrently, each over its own sink — in one process.  Races land in
 /// the sink; everything else about the run comes back as a [`SessionRun`].
 ///
-/// [`SessionMode::Serial`] and both 1-worker scheduler modes are
+/// [`SessionMode::Serial`] and the 1-worker scheduler mode are
 /// deterministic: same program + same mode ⇒ bit-identical accesses,
 /// thread ids, and report.
 ///
@@ -640,7 +504,7 @@ fn session_mode(config: &RunConfig) -> SessionMode {
 /// events land in the sink's [`DetectionSink::metrics`] handle; reports and
 /// [`SessionRun`] stats are bit-identical whether or not it is attached.
 pub fn run_session(prog: &Proc, mode: SessionMode, sink: &dyn DetectionSink) -> SessionRun {
-    execute(prog, mode, LiveHybridConfig::default(), sink, Fold::Off)
+    execute(prog, mode, DEFAULT_HINTS, sink, Fold::Off)
 }
 
 fn finish_live_run(
@@ -724,10 +588,7 @@ pub fn run_program(prog: &Proc, config: &RunConfig) -> LiveRun {
 pub fn try_run_program(prog: &Proc, config: &RunConfig) -> Result<LiveRun, DeterminacyViolation> {
     let mode = session_mode(config);
     let workers = config.workers.max(1);
-    let hints = LiveHybridConfig {
-        max_threads: config.max_threads,
-        max_steals: config.max_steals,
-    };
+    let hints = (config.max_threads, config.max_steals);
     let metrics = &config.metrics;
     let detector = LiveDetector::with_metrics(config.locations, workers, metrics.clone());
     if !config.enforce_determinacy {
@@ -828,7 +689,7 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
             values: &'a [AtomicU64],
         }
         impl LiveVisitor<SharedCilk> for Bare<'_> {
-            fn execute_leaf(&self, _w: usize, meta: &SharedMeta, _tag: u64, _token: Token) {
+            fn execute_leaf(&self, _w: usize, meta: &SharedMeta, _token: Token) {
                 if let Some(step) = meta.step() {
                     step(&mut StepCtx {
                         mem: MemRef::Raw(self.values),
@@ -842,7 +703,6 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
             &program,
             &Bare { values: &values },
             LiveConfig::with_workers(workers),
-            0,
             0,
             &MetricsHandle::detached(),
         );

@@ -1,5 +1,6 @@
 //! Find an injected determinacy race in a parallel loop, serially (with each
-//! SP-maintenance algorithm) and in parallel (with SP-hybrid).
+//! SP-maintenance algorithm) and in parallel (with SP-hybrid, and with the
+//! one-lock strawman it replaces).
 //!
 //! Run with: `cargo run --release --example race_detection`
 
@@ -66,6 +67,25 @@ fn main() {
             stats.run.steals,
             stats.traces,
             stats.run.elapsed.as_secs_f64() * 1e3
+        );
+        assert_eq!(report.racy_locations(), injected);
+        assert_eq!(
+            report.len(),
+            injected.len(),
+            "one report entry per racy location"
+        );
+    }
+    // The §3 strawman SP-hybrid replaces: one global lock around a shared
+    // SP-order, taken by every maintenance operation and every query.
+    for workers in [1, 4] {
+        let (report, backend) =
+            detect_races::<NaiveBackend>(tree, &script, BackendConfig::with_workers(workers));
+        println!(
+            "naive-locked detector [P = {workers}]: {} race reports on locations {:?} \
+             ({} lock acquisitions)",
+            report.len(),
+            report.racy_locations(),
+            backend.lock_acquisitions()
         );
         assert_eq!(report.racy_locations(), injected);
         assert_eq!(

@@ -142,12 +142,11 @@ pub mod prelude {
     };
     pub use spprog::{
         build_proc, record_program, run_program, run_session, try_run_program,
-        DeterminacyViolation, Divergence, LiveMaintainer, Proc, ProcBuilder, RunConfig,
-        SessionMode, StepCtx,
+        DeterminacyViolation, Divergence, Proc, ProcBuilder, RunConfig, SessionMode, StepCtx,
     };
     pub use spmetrics::{CounterId, EventKind, HistId, MetricsHandle, MetricsRegistry};
     pub use spservice::{DetectionService, ServiceConfig, SessionMetrics, SessionOutcome};
-    pub use sphybrid::{run_hybrid, HybridBackend, HybridConfig, NaiveBackend, SpHybrid};
+    pub use sphybrid::{run_hybrid, HybridBackend, NaiveBackend, SpHybrid};
     pub use spmaint::{
         run_serial, run_serial_with_queries, BackendConfig, CurrentSpQuery, EnglishHebrewLabels,
         FullSpBackend, OffsetSpanLabels, OnTheFlySp, SpBackend, SpBags, SpOrder, SpQuery,

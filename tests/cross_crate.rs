@@ -64,22 +64,18 @@ fn hybrid_answers_match_serial_sp_order_during_parallel_execution() {
     let reference: SpOrder = run_serial(tree);
     let executed: Vec<AtomicBool> = (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect();
     let failures = std::sync::atomic::AtomicU64::new(0);
-    let (_hybrid, stats) = run_hybrid(
-        tree,
-        sp_maintenance::sphybrid::HybridConfig::with_workers(6),
-        |h, current, trace| {
-            for step in 1..16u32 {
-                let earlier = ThreadId(current.0.wrapping_sub(step * 17) % tree.num_threads() as u32);
-                if earlier == current || !executed[earlier.index()].load(Ordering::Acquire) {
-                    continue;
-                }
-                if h.precedes_current(earlier, trace) != reference.precedes(earlier, current) {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                }
+    let (_hybrid, stats) = run_hybrid(tree, 6, |h, current, trace| {
+        for step in 1..16u32 {
+            let earlier = ThreadId(current.0.wrapping_sub(step * 17) % tree.num_threads() as u32);
+            if earlier == current || !executed[earlier.index()].load(Ordering::Acquire) {
+                continue;
             }
-            executed[current.index()].store(true, Ordering::Release);
-        },
-    );
+            if h.precedes_current(earlier, trace) != reference.precedes(earlier, current) {
+                failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        executed[current.index()].store(true, Ordering::Release);
+    });
     assert_eq!(failures.load(Ordering::Relaxed), 0);
     assert_eq!(stats.global_insertions, stats.run.steals);
 }

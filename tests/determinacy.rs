@@ -5,8 +5,7 @@
 //! (fib, loops, matmul), the plan-driven ones (graph BFS), and the
 //! data-dependent ones (quicksort, branch-and-bound, spread reduction) — an
 //! enforced run on 1, 2, 4, or 8 workers, under tiny or generous substrate
-//! capacity hints and under both live SP maintainers, must reproduce the
-//! serial structural hash bit-for-bit, and `record_program` (the offline
+//! capacity hints, must reproduce the serial structural hash bit-for-bit, and `record_program` (the offline
 //! bridge) must land on the same hash.
 //!
 //! Negative direction: deliberately schedule-dependent programs — spawn
@@ -19,27 +18,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spprog::{
-    build_proc, record_program, run_program, try_run_program, LiveMaintainer, Proc, RunConfig,
-};
+use spprog::{build_proc, record_program, run_program, try_run_program, Proc, RunConfig};
 use workloads::{
     branch_bound_plan, live_branch_bound, live_fib, live_graph_bfs, live_matmul,
     live_parallel_loop, live_quicksort, live_reduction, quicksort_input, reduction_input,
     reduction_plan, uniform_digraph, BfsVariant, LiveWorkload,
 };
 
-fn enforced(
-    workers: usize,
-    locations: u32,
-    maintainer: LiveMaintainer,
-    hints: (usize, usize),
-) -> RunConfig {
+fn enforced(workers: usize, locations: u32, hints: (usize, usize)) -> RunConfig {
     RunConfig {
         workers,
         locations,
         max_threads: hints.0,
         max_steals: hints.1,
-        maintainer,
         enforce_determinacy: true,
         ..RunConfig::default()
     }
@@ -66,9 +57,9 @@ fn workload_fleet() -> Vec<LiveWorkload> {
     ]
 }
 
-/// Every workload family hashes identically across 1/2/4/8 workers, tiny vs
-/// generous hints, and both live maintainers — with race reports unperturbed
-/// by the enforcement — and `record_program` agrees (the serial bridge).
+/// Every workload family hashes identically across 1/2/4/8 workers and tiny
+/// vs generous hints — with race reports unperturbed by the enforcement —
+/// and `record_program` agrees (the serial bridge).
 #[test]
 fn structural_hashes_are_schedule_independent_across_every_family() {
     for w in workload_fleet() {
@@ -83,24 +74,21 @@ fn structural_hashes_are_schedule_independent_across_every_family() {
         );
         for workers in [2usize, 4, 8] {
             for hints in [TINY, GENEROUS] {
-                for maintainer in [LiveMaintainer::Hybrid, LiveMaintainer::NaiveLocked] {
-                    let cfg = enforced(workers, w.locations, maintainer, hints);
-                    let run = try_run_program(&w.prog, &cfg).unwrap_or_else(|v| {
-                        panic!("{} w{workers} {maintainer:?} {hints:?}: {v}", w.name)
-                    });
-                    assert_eq!(
-                        run.structural_hash,
-                        Some(hash),
-                        "{} w{workers} {maintainer:?} hints {hints:?}",
-                        w.name
-                    );
-                    assert_eq!(
-                        run.report.racy_locations(),
-                        w.expected_racy,
-                        "{} w{workers}: enforcement must not perturb detection",
-                        w.name
-                    );
-                }
+                let cfg = enforced(workers, w.locations, hints);
+                let run = try_run_program(&w.prog, &cfg)
+                    .unwrap_or_else(|v| panic!("{} w{workers} {hints:?}: {v}", w.name));
+                assert_eq!(
+                    run.structural_hash,
+                    Some(hash),
+                    "{} w{workers} hints {hints:?}",
+                    w.name
+                );
+                assert_eq!(
+                    run.report.racy_locations(),
+                    w.expected_racy,
+                    "{} w{workers}: enforcement must not perturb detection",
+                    w.name
+                );
             }
         }
     }

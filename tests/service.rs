@@ -142,16 +142,12 @@ fn sessions_stay_identical_across_twenty_leases_of_one_detector() {
 
 #[test]
 fn every_deterministic_mode_matches_its_own_standalone_run() {
-    // Both live SP maintainers (pinned to one scheduler worker) and the
-    // serial elision, each compared mode-for-mode against a standalone
+    // The live SP-hybrid (pinned to one scheduler worker) and the serial
+    // elision, each compared mode-for-mode against a standalone
     // `run_session` over a fresh detector.
     let prog = planted_races(2);
     let service = DetectionService::new(ServiceConfig::with_workers(2));
-    for mode in [
-        SessionMode::Serial,
-        SessionMode::Hybrid { workers: 1 },
-        SessionMode::NaiveLocked { workers: 1 },
-    ] {
+    for mode in [SessionMode::Serial, SessionMode::Hybrid { workers: 1 }] {
         let detector = LiveDetector::new(2, 1);
         run_session(&prog, mode, &detector);
         let standalone = detector.into_report();

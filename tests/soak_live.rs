@@ -76,7 +76,7 @@ fn thread_count_past_old_default_budget() {
 /// chunk publication.
 #[test]
 fn split_chain_past_old_default_budget() {
-    let h = sphybrid::LiveSpHybrid::new(sphybrid::LiveHybridConfig::default());
+    let h = sphybrid::LiveSpHybrid::new(1 << 10, 1 << 7);
     let main = ProcId(0);
     let mut victim = h.root_trace();
     for t in 0..64 {

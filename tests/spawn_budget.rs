@@ -11,7 +11,7 @@
 //!   instance (4 allocations; its zero-sized join step takes none), one step
 //!   in a leaf instance (3);
 //! * serial SP maintenance and detection add **no** per-node allocation on
-//!   top of that: a list handle rides the scheduler's tag, so an instrumented
+//!   top of that: a list handle rides the serial walk's tag, so an instrumented
 //!   run allocates a constant (detector set-up) plus vector doublings more
 //!   than the bare walk, whatever the program's size.
 //!
