@@ -5,8 +5,6 @@
 //! O(α(m, n)) amortized, where α is Tarjan's functional inverse of Ackermann's
 //! function.
 
-use crate::DisjointSets;
-
 /// Union-find with union by rank + path compression.
 #[derive(Clone, Debug, Default)]
 pub struct UnionFind {
@@ -50,10 +48,9 @@ impl UnionFind {
         }
         r
     }
-}
 
-impl DisjointSets for UnionFind {
-    fn with_capacity(capacity: usize) -> Self {
+    /// Create an empty structure with pre-reserved capacity.
+    pub fn with_capacity(capacity: usize) -> Self {
         UnionFind {
             parent: Vec::with_capacity(capacity),
             rank: Vec::with_capacity(capacity),
@@ -61,18 +58,22 @@ impl DisjointSets for UnionFind {
         }
     }
 
-    fn make_set(&mut self) -> u32 {
+    /// Add a new singleton set and return its element id (`0, 1, 2, …`).
+    pub fn make_set(&mut self) -> u32 {
         let id = self.parent.len() as u32;
         self.parent.push(id);
         self.rank.push(0);
         id
     }
 
-    fn find(&mut self, x: u32) -> u32 {
+    /// Find the current representative of `x`'s set.
+    pub fn find(&mut self, x: u32) -> u32 {
         self.root(x)
     }
 
-    fn union(&mut self, a: u32, b: u32) -> u32 {
+    /// Merge the sets of `a` and `b`; returns the representative of the
+    /// merged set.
+    pub fn union(&mut self, a: u32, b: u32) -> u32 {
         let ra = self.root(a);
         let rb = self.root(b);
         if ra == rb {
@@ -90,11 +91,23 @@ impl DisjointSets for UnionFind {
         hi
     }
 
-    fn len(&self) -> usize {
+    /// Are `a` and `b` currently in the same set?
+    pub fn same_set(&mut self, a: u32, b: u32) -> bool {
+        self.find(a) == self.find(b)
+    }
+
+    /// Number of elements created so far.
+    pub fn len(&self) -> usize {
         self.parent.len()
     }
 
-    fn space_bytes(&self) -> usize {
+    /// True if no elements have been created.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Approximate heap bytes used (for the Figure-3 space comparison).
+    pub fn space_bytes(&self) -> usize {
         self.parent.capacity() * std::mem::size_of::<u32>()
             + self.rank.capacity()
             + std::mem::size_of::<Self>()

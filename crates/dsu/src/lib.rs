@@ -25,40 +25,6 @@ pub mod concurrent;
 pub use classic::UnionFind;
 pub use concurrent::ConcurrentUnionFind;
 
-/// Minimal interface of a serial union-find, as the SP-bags algorithm uses it.
-pub trait DisjointSets {
-    /// Create an empty structure with pre-reserved capacity.
-    fn with_capacity(capacity: usize) -> Self
-    where
-        Self: Sized;
-
-    /// Add a new singleton set and return its element id (`0, 1, 2, …`).
-    fn make_set(&mut self) -> u32;
-
-    /// Find the current representative of `x`'s set.
-    fn find(&mut self, x: u32) -> u32;
-
-    /// Merge the sets of `a` and `b`; returns the representative of the merged
-    /// set.
-    fn union(&mut self, a: u32, b: u32) -> u32;
-
-    /// Are `a` and `b` currently in the same set?
-    fn same_set(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Number of elements created so far.
-    fn len(&self) -> usize;
-
-    /// True if no elements have been created.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate heap bytes used (for the Figure-3 space comparison).
-    fn space_bytes(&self) -> usize;
-}
-
 #[cfg(test)]
 mod trait_tests {
     use super::*;
@@ -92,9 +58,9 @@ mod trait_tests {
         }
     }
 
-    fn randomized_against_model<D: DisjointSets>(seed: u64) {
+    fn randomized_against_model(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut dsu = D::with_capacity(256);
+        let mut dsu = UnionFind::with_capacity(256);
         let mut model = Model::new();
         for _ in 0..200 {
             dsu.make_set();
@@ -119,7 +85,7 @@ mod trait_tests {
 
     #[test]
     fn classic_matches_model() {
-        randomized_against_model::<UnionFind>(1);
-        randomized_against_model::<UnionFind>(2);
+        randomized_against_model(1);
+        randomized_against_model(2);
     }
 }

@@ -69,12 +69,6 @@ impl TagList {
         self.items[x.0 as usize].tag
     }
 
-    /// Tag of an item; exposed for diagnostics and white-box tests.
-    #[inline]
-    pub fn raw_tag(&self, x: OmNode) -> u64 {
-        self.tag(x)
-    }
-
     /// Walk the list in order, returning handles (O(n); for tests/debugging).
     pub fn iter_order(&self) -> Vec<OmNode> {
         let mut out = Vec::with_capacity(self.items.len());

@@ -60,6 +60,7 @@ pub struct TwoLevelList {
     items: Vec<Item>,
     groups: Vec<Group>,
     top: TagList,
+    /// Items relabelled inside their group; part of `relabel_count`.
     renumbers: u64,
     splits: u64,
 }
@@ -93,11 +94,6 @@ impl TwoLevelList {
     /// Number of group splits performed so far (test/bench introspection).
     pub fn split_count(&self) -> u64 {
         self.splits
-    }
-
-    /// Number of in-group renumberings performed so far.
-    pub fn renumber_count(&self) -> u64 {
-        self.renumbers
     }
 
     /// The items of `group` in order (test helper).

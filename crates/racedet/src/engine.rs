@@ -78,7 +78,7 @@ use crate::shadow::{ShadowCell, ShardedShadowMemory};
 
 /// Run race detection over `tree` with backend `B` built under `config`.
 /// Returns the race report and the fully built backend (useful for space
-/// accounting, statistics, and post-run pair queries on full backends).
+/// accounting, statistics, and post-run pair queries on backends that implement `SpQuery`).
 ///
 /// ```
 /// use racedet::{detect_races, Access, AccessScript};
@@ -592,8 +592,8 @@ mod tests {
         let (_, backend) =
             detect_races::<SpOrder>(&tree, &script, BackendConfig::serial());
         use spmaint::api::SpBackend as _;
-        assert_eq!(backend.backend_name(), "sp-order");
-        assert!(backend.backend_space_bytes() > 0);
+        assert_eq!(backend.name(), "sp-order");
+        assert!(backend.space_bytes() > 0);
     }
 
     #[test]

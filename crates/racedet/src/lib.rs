@@ -12,8 +12,8 @@
 //! SP-order the whole instrumented run costs O(T₁)).
 //!
 //! There is **one** detection engine ([`engine::detect_races`]), generic over
-//! the unified [`spmaint::SpBackend`] trait, so the same shadow-memory logic
-//! drives all six SP maintainers of this repository: the four serial
+//! the one maintainer trait [`spmaint::SpBackend`], so the same shadow-memory
+//! logic drives all six SP maintainers of this repository: the four serial
 //! Figure-3 algorithms, the naive locked SP-order, and SP-hybrid.  Pinned
 //! to one worker with a serial algorithm (`BackendConfig::serial()`) it is
 //! the classic left-to-right simulating detector; instantiated with

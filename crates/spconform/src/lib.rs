@@ -4,13 +4,13 @@
 //! baselines, the naive locked SP-order, and SP-hybrid all answer the *same*
 //! series-parallel queries with different cost profiles.  This crate checks
 //! that claim mechanically: it generates random Cilk programs in several
-//! shapes, drives **every** backend through the unified
-//! [`spmaint::SpBackend`] trait over the same program, and cross-checks
+//! shapes, drives **every** backend through the one maintainer trait
+//! [`spmaint::SpBackend`] over the same program, and cross-checks
 //!
 //! * every current-thread `SP-PRECEDES` answer issued *during* the run
 //!   against the [`SpOracle`] LCA ground truth,
-//! * every arbitrary-pair relation of the full backends
-//!   ([`spmaint::FullSpBackend`]) after the run,
+//! * every arbitrary-pair relation of the backends that also implement
+//!   [`spmaint::SpQuery`] after the run,
 //! * the race reports of the generic detection engine
 //!   ([`racedet::detect_races`]) across all backend instantiations —
 //!   bit-identical for deterministic single-worker runs, equal racy-location
@@ -363,7 +363,7 @@ pub struct CaseStats {
     pub threads: u64,
     /// Current-thread queries cross-checked against the oracle.
     pub queries: u64,
-    /// Arbitrary-pair relations cross-checked on full backends.
+    /// Arbitrary-pair relations cross-checked on the backends that implement `SpQuery`.
     pub pair_queries: u64,
     /// Races injected (and required to be found exactly) in the race check.
     pub injected_races: u64,
@@ -550,7 +550,7 @@ fn verify_queries(
     Ok(recorded.len() as u64)
 }
 
-/// Check arbitrary-pair relations of a full backend against the oracle
+/// Check arbitrary-pair relations of an `SpQuery` backend against the oracle
 /// (all pairs for small programs, a deterministic sample for large ones).
 fn verify_pairs<B: SpQuery>(
     backend_name: &'static str,
@@ -986,7 +986,7 @@ pub struct SweepStats {
     pub threads: u64,
     /// Current-thread queries verified against the oracle.
     pub queries: u64,
-    /// Pair relations verified on full backends.
+    /// Pair relations verified on the `SpQuery` backends.
     pub pair_queries: u64,
     /// Injected races all backends were required to find exactly.
     pub injected_races: u64,

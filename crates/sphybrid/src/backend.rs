@@ -1,7 +1,7 @@
 //! [`SpBackend`] adapters for the parallel SP maintainers.
 //!
-//! The serial algorithms in `spmaint` implement the unified backend trait
-//! directly; the two parallel structures of this crate need thin adapters
+//! The serial algorithms in `spmaint` implement [`SpBackend`] over a tree
+//! walk; the two parallel structures of this crate need thin adapters
 //! because their query interface is threaded through the scheduler:
 //!
 //! * [`HybridBackend`] — SP-hybrid.  Queries need the [`crate::TraceId`] the current
@@ -11,8 +11,8 @@
 //!   structure.
 //! * [`NaiveBackend`] — the globally-locked shared SP-order of §3.  Queries
 //!   are arbitrary-pair under the lock, so the per-thread view simply fixes
-//!   one endpoint; the backend also implements [`SpQuery`], making it a
-//!   [`FullSpBackend`](spmaint::FullSpBackend) — the only *parallel* one.
+//!   one endpoint; the backend also implements [`SpQuery`] — the only
+//!   *parallel* maintainer that answers arbitrary-pair queries.
 //!
 //! Both adapters run the tree as a `forkrt::TreeProgram` on the one
 //! work-stealing runtime, which lets one generic engine (`racedet::detect_races`) and one
@@ -30,7 +30,7 @@ use crate::naive::NaiveSharedSpOrder;
 // SP-hybrid
 // ---------------------------------------------------------------------------
 
-/// SP-hybrid behind the unified [`SpBackend`] interface.
+/// SP-hybrid behind [`SpBackend`].
 ///
 /// Requires the tree to be in canonical Cilk form ([`sptree::cilk`]), like
 /// the underlying [`SpHybrid`] structure; arbitrary fork-join programs can be
@@ -81,7 +81,7 @@ impl<'t> SpBackend<'t> for HybridBackend<'t> {
         self.stats = Some(stats);
     }
 
-    fn backend_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         if self.workers > 1 {
             "sp-hybrid"
         } else {
@@ -89,7 +89,7 @@ impl<'t> SpBackend<'t> for HybridBackend<'t> {
         }
     }
 
-    fn backend_space_bytes(&self) -> usize {
+    fn space_bytes(&self) -> usize {
         self.hybrid.space_bytes()
     }
 }
@@ -98,10 +98,9 @@ impl<'t> SpBackend<'t> for HybridBackend<'t> {
 // Naive globally-locked SP-order
 // ---------------------------------------------------------------------------
 
-/// The naive locked shared SP-order of §3 behind the unified [`SpBackend`]
-/// interface.  Works on arbitrary SP trees (no per-procedure trace
-/// machinery), at the cost of serializing every maintenance operation and
-/// query on one global lock.
+/// The naive locked shared SP-order of §3 behind [`SpBackend`].  Works on
+/// arbitrary SP trees (no per-procedure trace machinery), at the cost of
+/// serializing every maintenance operation and query on one global lock.
 pub struct NaiveBackend<'t> {
     tree: &'t ParseTree,
     naive: NaiveSharedSpOrder,
@@ -171,7 +170,7 @@ impl<'t> SpBackend<'t> for NaiveBackend<'t> {
         );
     }
 
-    fn backend_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         if self.workers > 1 {
             "naive-locked-sp-order"
         } else {
@@ -179,14 +178,14 @@ impl<'t> SpBackend<'t> for NaiveBackend<'t> {
         }
     }
 
-    fn backend_space_bytes(&self) -> usize {
+    fn space_bytes(&self) -> usize {
         self.naive.space_bytes()
     }
 }
 
 /// Once every thread has executed, its English and Hebrew handles are final
 /// and arbitrary-pair queries are valid — this is what makes the naive
-/// scheme the one *parallel* full backend.
+/// scheme the one *parallel* maintainer with pair queries.
 impl SpQuery for NaiveBackend<'_> {
     fn precedes(&self, a: ThreadId, b: ThreadId) -> bool {
         self.naive.precedes(a, b)
@@ -197,7 +196,6 @@ impl SpQuery for NaiveBackend<'_> {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-    use spmaint::api::FullSpBackend;
     use sptree::cilk::CilkProgram;
     use sptree::generate::{fib_like, random_sp_ast};
     use sptree::oracle::SpOracle;
@@ -230,7 +228,7 @@ mod tests {
                 answer,
                 oracle.precedes(earlier, current),
                 "{} disagrees on {earlier:?} ≺ {current:?} (workers={workers})",
-                backend.backend_name()
+                backend.name()
             );
         }
         backend
@@ -256,7 +254,7 @@ mod tests {
 
     #[test]
     fn naive_backend_is_a_full_backend() {
-        fn pair_check<'t, B: FullSpBackend<'t>>(tree: &'t ParseTree, workers: usize) {
+        fn pair_check<'t, B: SpBackend<'t> + SpQuery>(tree: &'t ParseTree, workers: usize) {
             let mut backend = B::build(tree, BackendConfig::with_workers(workers));
             backend.run_with_queries(tree, |_q, _t| {});
             let oracle = SpOracle::new(tree);

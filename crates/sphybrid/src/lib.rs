@@ -32,8 +32,8 @@
 //! two-tier structure exists to avoid, run tree-driven only
 //! ([`backend::NaiveBackend`]) — live runs use SP-hybrid.
 //!
-//! Both parallel structures are additionally exposed through the unified
-//! [`spmaint::SpBackend`] trait ([`backend::HybridBackend`],
+//! Both parallel structures are additionally exposed through the one
+//! maintainer trait [`spmaint::SpBackend`] ([`backend::HybridBackend`],
 //! [`backend::NaiveBackend`]), so the generic race-detection engine in
 //! `racedet` and the `spconform` differential harness can drive them
 //! interchangeably with the serial Figure-3 algorithms.

@@ -116,7 +116,7 @@ impl NaiveSharedSpOrder {
     /// table.
     pub fn space_bytes(&self) -> usize {
         let inner = self.inner.lock();
-        inner.sp.stream_space_bytes() + std::mem::size_of_val(inner.nodes.as_slice())
+        inner.sp.space_bytes() + std::mem::size_of_val(inner.nodes.as_slice())
     }
 }
 

@@ -1,20 +1,23 @@
-//! Common interfaces of the serial SP-maintenance algorithms.
+//! The interface every SP maintainer implements.
 //!
 //! Two query flavours exist, matching the paper:
 //!
 //! * [`SpQuery`] — answer the relation between **any** two already-executed
-//!   threads.  SP-order and the two label-based baselines provide this.
+//!   threads.  SP-order, the two label-based baselines and the §3 strawman
+//!   provide this.
 //! * [`CurrentSpQuery`] — answer the relation between an already-executed
 //!   thread and the **currently executing** thread only.  These are the
 //!   weaker semantics of SP-bags (and of SP-hybrid), and they are exactly what
 //!   an on-the-fly race detector needs.
 //!
-//! Algorithms are built "on the fly" by feeding them the left-to-right walk of
-//! the parse tree through [`sptree::walk::TreeVisitor`]; [`OnTheFlySp`] adds
-//! the constructor and introspection the drivers and benchmarks need.
+//! [`SpBackend`] is the one maintainer trait: build a structure for a parse
+//! tree, run the program, answer [`CurrentSpQuery`] queries while each thread
+//! is current.  The serial algorithms of this crate are
+//! [`sptree::walk::TreeVisitor`]s, and [`run_serial_with_queries`] is the one
+//! left-to-right driver their `run_with_queries` calls.
 
 use sptree::oracle::Relation;
-use sptree::tree::{ParseTree, ThreadId};
+use sptree::tree::{NodeId, ParseTree, ThreadId};
 use sptree::walk::{walk_visitor, TreeVisitor};
 
 /// Relation queries between two arbitrary already-executed threads.
@@ -53,79 +56,37 @@ pub trait CurrentSpQuery {
     }
 }
 
-/// Every algorithm that answers pair queries trivially also answers
-/// current-thread queries once told which thread is current; the serial
-/// drivers take care of that, so a blanket impl is not provided — instead the
-/// per-algorithm impls record the current thread in `visit_thread`.
-///
-/// An on-the-fly serial SP-maintenance algorithm.
-pub trait OnTheFlySp: TreeVisitor + CurrentSpQuery {
-    /// Create an instance sized for `tree`.
-    fn for_tree(tree: &ParseTree) -> Self
-    where
-        Self: Sized;
-
-    /// Human-readable algorithm name (used by benches and examples).
-    fn name(&self) -> &'static str;
-
-    /// Approximate heap bytes used by the maintenance structures
-    /// (the "space" column of Figure 3).
-    fn space_bytes(&self) -> usize;
-}
-
-/// Run `A` over the whole tree with a serial left-to-right walk and return the
-/// fully built structure (no queries issued during the walk).
-pub fn run_serial<A: OnTheFlySp>(tree: &ParseTree) -> A {
-    let mut alg = A::for_tree(tree);
-    walk_visitor(tree, &mut alg);
-    alg
-}
-
-/// Run `A` over the whole tree, invoking `on_thread(&alg, thread)` right after
-/// each thread is visited — i.e. while that thread is the currently executing
-/// one.  This is how a race detector uses the structure: it issues
-/// `precedes_current` queries for every shadowed memory access performed by
-/// the thread.
-pub fn run_serial_with_queries<A, F>(tree: &ParseTree, mut on_thread: F) -> A
-where
-    A: OnTheFlySp,
-    F: FnMut(&A, ThreadId),
-{
+/// Walk `tree` left to right through `alg`, invoking `on_thread(alg, thread)`
+/// right after each thread is visited — i.e. while that thread is the
+/// currently executing one.  This is how a serial race detector uses the
+/// structure: it issues `precedes_current` queries for every shadowed memory
+/// access the thread performs.
+pub fn run_serial_with_queries<A: TreeVisitor>(
+    alg: &mut A,
+    tree: &ParseTree,
+    on_thread: impl FnMut(&A, ThreadId),
+) {
     struct Driver<'a, A, F> {
-        alg: A,
-        on_thread: &'a mut F,
+        alg: &'a mut A,
+        on_thread: F,
     }
-    impl<A: OnTheFlySp, F: FnMut(&A, ThreadId)> TreeVisitor for Driver<'_, A, F> {
-        fn enter_internal(&mut self, tree: &ParseTree, node: sptree::tree::NodeId) {
+    impl<A: TreeVisitor, F: FnMut(&A, ThreadId)> TreeVisitor for Driver<'_, A, F> {
+        fn enter_internal(&mut self, tree: &ParseTree, node: NodeId) {
             self.alg.enter_internal(tree, node);
         }
-        fn between_children(&mut self, tree: &ParseTree, node: sptree::tree::NodeId) {
+        fn between_children(&mut self, tree: &ParseTree, node: NodeId) {
             self.alg.between_children(tree, node);
         }
-        fn leave_internal(&mut self, tree: &ParseTree, node: sptree::tree::NodeId) {
+        fn leave_internal(&mut self, tree: &ParseTree, node: NodeId) {
             self.alg.leave_internal(tree, node);
         }
-        fn visit_thread(
-            &mut self,
-            tree: &ParseTree,
-            node: sptree::tree::NodeId,
-            thread: ThreadId,
-        ) {
+        fn visit_thread(&mut self, tree: &ParseTree, node: NodeId, thread: ThreadId) {
             self.alg.visit_thread(tree, node, thread);
-            (self.on_thread)(&self.alg, thread);
+            (self.on_thread)(&*self.alg, thread);
         }
     }
-    let mut driver = Driver {
-        alg: A::for_tree(tree),
-        on_thread: &mut on_thread,
-    };
-    walk_visitor(tree, &mut driver);
-    driver.alg
+    walk_visitor(tree, &mut Driver { alg, on_thread });
 }
-
-// ---------------------------------------------------------------------------
-// Unified backend abstraction
-// ---------------------------------------------------------------------------
 
 /// Configuration for building an [`SpBackend`].
 ///
@@ -158,18 +119,18 @@ impl BackendConfig {
     }
 }
 
-/// A unified SP-maintenance backend: any structure — serial or parallel —
-/// that can execute a program (an SP parse tree) while maintaining the
-/// series-parallel relation and answering [`CurrentSpQuery`] queries from the
-/// currently executing thread.
+/// An SP maintainer — serial or parallel — that executes a program (an SP
+/// parse tree) while maintaining the series-parallel relation and answering
+/// [`CurrentSpQuery`] queries from the currently executing thread.
 ///
-/// This is the single interface behind which all six maintainers of this
-/// repository run: the four serial algorithms of Figure 3 (`SpOrder`,
-/// `SpBags`, `EnglishHebrewLabels`, `OffsetSpanLabels`), the naive
-/// globally-locked parallel SP-order of §3, and the two-tier SP-hybrid of
-/// §4–§7.  One generic race-detection engine (`racedet::detect_races`) and
-/// one differential conformance harness (the `spconform` crate) drive every
-/// backend through it.
+/// All six maintainers of this repository implement it: the four serial
+/// algorithms of Figure 3 (`SpOrder`, `SpBags`, `EnglishHebrewLabels`,
+/// `OffsetSpanLabels`), the naive globally-locked parallel SP-order of §3,
+/// and the two-tier SP-hybrid of §4–§7.  One generic race-detection engine
+/// (`racedet::detect_races`) and one differential conformance harness (the
+/// `spconform` crate) drive every maintainer through it.  A maintainer that
+/// also answers arbitrary-pair queries implements [`SpQuery`] besides, and
+/// generic code asks for `B: SpBackend<'t> + SpQuery`.
 ///
 /// The lifetime `'t` is the lifetime of the parse tree; parallel backends
 /// borrow the tree, serial backends ignore the lifetime.
@@ -188,7 +149,7 @@ impl BackendConfig {
 ///         assert!(q.parallel_with_current(ThreadId(1))); // sibling branch
 ///     }
 /// });
-/// assert!(backend.backend_space_bytes() > 0);
+/// assert!(backend.space_bytes() > 0);
 /// ```
 pub trait SpBackend<'t>: Sized {
     /// Build an instance for `tree` under `config`.
@@ -207,102 +168,12 @@ pub trait SpBackend<'t>: Sized {
     where
         F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync;
 
-    /// Human-readable backend name (used by benches, the conformance harness
-    /// and failure reports).
-    fn backend_name(&self) -> &'static str;
+    /// Human-readable backend name (for reports and failure messages).
+    fn name(&self) -> &'static str;
 
-    /// Approximate heap bytes used by the maintenance structures.
-    fn backend_space_bytes(&self) -> usize;
-}
-
-/// Extension trait for backends that also answer **arbitrary-pair**
-/// [`SpQuery`] queries once (or while) the program has run — SP-order, the
-/// two label-based baselines, and the naive locked SP-order.  SP-bags and
-/// SP-hybrid deliberately do not qualify: they only support the weaker
-/// current-thread semantics (which is all a race detector needs).
-///
-/// Blanket-implemented; `B: FullSpBackend` is exactly `B: SpBackend + SpQuery`.
-pub trait FullSpBackend<'t>: SpBackend<'t> + SpQuery {}
-
-impl<'t, B: SpBackend<'t> + SpQuery> FullSpBackend<'t> for B {}
-
-/// Drive a serial [`OnTheFlySp`] algorithm through a left-to-right walk,
-/// surfacing the algorithm as a `&dyn CurrentSpQuery` to `on_thread` while
-/// each thread is current.  This is the shared `run_with_queries`
-/// implementation of every serial backend.
-pub fn run_serial_backend<A: OnTheFlySp>(
-    alg: &mut A,
-    tree: &ParseTree,
-    on_thread: &(dyn Fn(&dyn CurrentSpQuery, ThreadId) + Sync),
-) {
-    struct Driver<'a, A> {
-        alg: &'a mut A,
-        on_thread: &'a (dyn Fn(&dyn CurrentSpQuery, ThreadId) + Sync),
-    }
-    impl<A: OnTheFlySp> TreeVisitor for Driver<'_, A> {
-        fn enter_internal(&mut self, tree: &ParseTree, node: sptree::tree::NodeId) {
-            self.alg.enter_internal(tree, node);
-        }
-        fn between_children(&mut self, tree: &ParseTree, node: sptree::tree::NodeId) {
-            self.alg.between_children(tree, node);
-        }
-        fn leave_internal(&mut self, tree: &ParseTree, node: sptree::tree::NodeId) {
-            self.alg.leave_internal(tree, node);
-        }
-        fn visit_thread(&mut self, tree: &ParseTree, node: sptree::tree::NodeId, thread: ThreadId) {
-            self.alg.visit_thread(tree, node, thread);
-            (self.on_thread)(&*self.alg, thread);
-        }
-    }
-    walk_visitor(tree, &mut Driver { alg, on_thread });
-}
-
-/// Implements [`SpBackend`] for a serial [`OnTheFlySp`] algorithm.  A macro
-/// rather than a blanket impl so that downstream crates (sphybrid) can
-/// implement `SpBackend` for their own parallel structures without coherence
-/// conflicts.
-macro_rules! impl_serial_sp_backend {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl<'t> SpBackend<'t> for $ty {
-            fn build(tree: &'t ParseTree, _config: BackendConfig) -> Self {
-                <Self as OnTheFlySp>::for_tree(tree)
-            }
-            fn run_with_queries<F>(&mut self, tree: &'t ParseTree, on_thread: F)
-            where
-                F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
-            {
-                run_serial_backend(self, tree, &on_thread);
-            }
-            fn backend_name(&self) -> &'static str {
-                <Self as OnTheFlySp>::name(self)
-            }
-            fn backend_space_bytes(&self) -> usize {
-                <Self as OnTheFlySp>::space_bytes(self)
-            }
-        }
-    )+};
-}
-
-impl_serial_sp_backend!(crate::SpBags, crate::EnglishHebrewLabels, crate::OffsetSpanLabels);
-
-// SP-order is generic over its order-maintenance structure, so it gets a
-// hand-written impl with the extra type parameter.
-impl<'t, L: om::OrderMaintenance> SpBackend<'t> for crate::SpOrder<L> {
-    fn build(tree: &'t ParseTree, _config: BackendConfig) -> Self {
-        <Self as OnTheFlySp>::for_tree(tree)
-    }
-    fn run_with_queries<F>(&mut self, tree: &'t ParseTree, on_thread: F)
-    where
-        F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
-    {
-        run_serial_backend(self, tree, &on_thread);
-    }
-    fn backend_name(&self) -> &'static str {
-        <Self as OnTheFlySp>::name(self)
-    }
-    fn backend_space_bytes(&self) -> usize {
-        <Self as OnTheFlySp>::space_bytes(self)
-    }
+    /// Approximate heap bytes used by the maintenance structures (the
+    /// "space" column of Figure 3).
+    fn space_bytes(&self) -> usize;
 }
 
 #[cfg(test)]
@@ -316,7 +187,8 @@ mod tests {
     fn run_serial_with_queries_sees_threads_in_order() {
         let tree = random_sp_ast(50, 0.5, 5).build();
         let mut seen = Vec::new();
-        let _alg: SpOrder = run_serial_with_queries(&tree, |_alg, t| seen.push(t.index()));
+        let mut alg: SpOrder = SpOrder::build(&tree, BackendConfig::serial());
+        run_serial_with_queries(&mut alg, &tree, |_alg, t| seen.push(t.index()));
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
     }
 
@@ -324,7 +196,8 @@ mod tests {
     fn queries_during_walk_match_oracle_for_sp_order() {
         let tree = random_sp_ast(60, 0.5, 6).build();
         let oracle = SpOracle::new(&tree);
-        let _alg = run_serial_with_queries::<SpOrder, _>(&tree, |alg, current| {
+        let mut alg: SpOrder = SpOrder::build(&tree, BackendConfig::serial());
+        run_serial_with_queries(&mut alg, &tree, |alg, current| {
             for earlier in 0..current.index() as u32 {
                 let earlier = ThreadId(earlier);
                 assert_eq!(
@@ -335,8 +208,8 @@ mod tests {
         });
     }
 
-    /// Generic over the unified trait: every serial backend must agree with
-    /// the oracle on every current-thread query issued during the run.
+    /// Generic over the one trait: every serial backend must agree with the
+    /// oracle on every current-thread query issued during the run.
     fn backend_matches_oracle<B: for<'t> SpBackend<'t>>(seed: u64) {
         let tree = random_sp_ast(50, 0.5, seed).build();
         let oracle = SpOracle::new(&tree);
@@ -353,10 +226,10 @@ mod tests {
         assert!(
             mismatches.lock().unwrap().is_empty(),
             "{} disagrees with oracle: {:?}",
-            backend.backend_name(),
+            backend.name(),
             mismatches.lock().unwrap()
         );
-        assert!(backend.backend_space_bytes() > 0);
+        assert!(backend.space_bytes() > 0);
     }
 
     #[test]
@@ -369,7 +242,7 @@ mod tests {
 
     #[test]
     fn full_backends_answer_pair_queries_after_the_run() {
-        fn check<B: for<'t> FullSpBackend<'t>>() {
+        fn check<B: for<'t> SpBackend<'t> + SpQuery>() {
             let tree = random_sp_ast(40, 0.5, 3).build();
             let oracle = SpOracle::new(&tree);
             let mut backend = B::build(&tree, BackendConfig::serial());
@@ -380,7 +253,7 @@ mod tests {
                         backend.relation(ThreadId(a), ThreadId(b)),
                         oracle.relation(ThreadId(a), ThreadId(b)),
                         "{} pair query ({a},{b})",
-                        backend.backend_name()
+                        backend.name()
                     );
                 }
             }

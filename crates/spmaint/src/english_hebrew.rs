@@ -19,7 +19,7 @@
 use sptree::tree::{NodeId, NodeKind, ParseTree, ThreadId};
 use sptree::walk::TreeVisitor;
 
-use crate::api::{CurrentSpQuery, OnTheFlySp, SpQuery};
+use crate::api::{run_serial_with_queries, BackendConfig, CurrentSpQuery, SpBackend, SpQuery};
 
 /// One step of a root-to-leaf path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -130,14 +130,21 @@ impl CurrentSpQuery for EnglishHebrewLabels {
     }
 }
 
-impl OnTheFlySp for EnglishHebrewLabels {
-    fn for_tree(tree: &ParseTree) -> Self {
+impl<'t> SpBackend<'t> for EnglishHebrewLabels {
+    fn build(tree: &'t ParseTree, _config: BackendConfig) -> Self {
         EnglishHebrewLabels {
             path: Vec::with_capacity(64),
             labels: vec![None; tree.num_threads()],
             total_label_len: 0,
             current: None,
         }
+    }
+
+    fn run_with_queries<F>(&mut self, tree: &'t ParseTree, on_thread: F)
+    where
+        F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
+    {
+        run_serial_with_queries(self, tree, |alg, thread| on_thread(alg, thread));
     }
 
     fn name(&self) -> &'static str {
@@ -153,14 +160,15 @@ impl OnTheFlySp for EnglishHebrewLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{run_serial, run_serial_with_queries};
     use sptree::builder::Ast;
     use sptree::generate::{left_deep_parallel, random_sp_ast, serial_chain};
     use sptree::oracle::SpOracle;
+    use sptree::walk::walk_visitor;
 
     fn assert_matches_oracle(tree: &ParseTree) {
         let oracle = SpOracle::new(tree);
-        let alg: EnglishHebrewLabels = run_serial(tree);
+        let mut alg: EnglishHebrewLabels = SpBackend::build(tree, BackendConfig::serial());
+        walk_visitor(tree, &mut alg);
         for a in tree.thread_ids() {
             for b in tree.thread_ids() {
                 assert_eq!(
@@ -189,8 +197,14 @@ mod tests {
     #[test]
     fn label_length_grows_with_nesting_depth() {
         // This is precisely the weakness Figure 3 reports: Θ(f)/Θ(d) labels.
-        let shallow: EnglishHebrewLabels = run_serial(&left_deep_parallel(4, 1).build());
-        let deep: EnglishHebrewLabels = run_serial(&left_deep_parallel(64, 1).build());
+        let (shallow_tree, deep_tree) = (
+            left_deep_parallel(4, 1).build(),
+            left_deep_parallel(64, 1).build(),
+        );
+        let mut shallow = EnglishHebrewLabels::build(&shallow_tree, BackendConfig::serial());
+        walk_visitor(&shallow_tree, &mut shallow);
+        let mut deep = EnglishHebrewLabels::build(&deep_tree, BackendConfig::serial());
+        walk_visitor(&deep_tree, &mut deep);
         let shallow_max = (0..5u32).map(|t| shallow.label_len(ThreadId(t))).max();
         let deep_max = (0..65u32).map(|t| deep.label_len(ThreadId(t))).max();
         assert!(deep_max.unwrap() > 8 * shallow_max.unwrap());
@@ -200,7 +214,8 @@ mod tests {
     fn on_the_fly_queries_match_oracle() {
         let tree = random_sp_ast(50, 0.6, 11).build();
         let oracle = SpOracle::new(&tree);
-        let _alg = run_serial_with_queries::<EnglishHebrewLabels, _>(&tree, |alg, current| {
+        let mut alg = EnglishHebrewLabels::build(&tree, BackendConfig::serial());
+        run_serial_with_queries(&mut alg, &tree, |alg, current| {
             for earlier in 0..current.index() as u32 {
                 let earlier = ThreadId(earlier);
                 assert_eq!(
@@ -217,7 +232,8 @@ mod tests {
         fn prop_matches_oracle(leaves in 2usize..80, p in 0.0f64..1.0, seed in 0u64..1_000_000) {
             let tree = random_sp_ast(leaves, p, seed).build();
             let oracle = SpOracle::new(&tree);
-            let alg: EnglishHebrewLabels = run_serial(&tree);
+            let mut alg: EnglishHebrewLabels = SpBackend::build(&tree, BackendConfig::serial());
+            walk_visitor(&tree, &mut alg);
             for a in tree.thread_ids() {
                 for b in tree.thread_ids() {
                     proptest::prop_assert_eq!(alg.relation(a, b), oracle.relation(a, b));

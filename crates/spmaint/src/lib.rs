@@ -21,17 +21,18 @@
 //! query time growing with `f` or `d` while SP-order stays constant — is
 //! preserved and is what `examples/algorithm_comparison.rs` prints.
 //!
-//! All algorithms are driven through the [`sptree::walk::TreeVisitor`]
-//! interface by a serial left-to-right walk ([`run_serial`],
-//! [`run_serial_with_queries`]), mirroring how a serial race detector executes
-//! the program under test and issues queries from the currently executing
-//! thread.
-//!
-//! Every algorithm additionally implements the unified [`SpBackend`] trait,
-//! the common interface shared with the parallel maintainers in `sphybrid`
-//! (SP-hybrid and the naive locked SP-order).  The generic race-detection
+//! Every algorithm here, and the two parallel maintainers in `sphybrid`
+//! (SP-hybrid and the naive locked SP-order), implements the one maintainer
+//! trait [`SpBackend`]: build for a parse tree, run the program, answer
+//! [`CurrentSpQuery`] queries from the currently executing thread.  The
+//! serial algorithms are [`sptree::walk::TreeVisitor`]s run by the
+//! left-to-right driver [`run_serial_with_queries`], mirroring how a serial
+//! race detector executes the program under test.  Those that also answer
+//! arbitrary-pair queries implement [`SpQuery`].  The generic race-detection
 //! engine in `racedet` and the differential conformance harness in
-//! `spconform` drive all six implementations through that one trait.  The
+//! `spconform` drive all six implementations through [`SpBackend`].  For a
+//! computation that unfolds as it runs instead of arriving as a tree,
+//! [`stream`] holds the event-driven SP-order ([`StreamingSpBackend`]).  The
 //! repository-root `ARCHITECTURE.md#serial-sp-maintenance-figure-3` places
 //! this crate in the paper-to-crate map.
 
@@ -42,10 +43,7 @@ pub mod sp_bags;
 pub mod sp_order;
 pub mod stream;
 
-pub use api::{
-    run_serial, run_serial_backend, run_serial_with_queries, BackendConfig, CurrentSpQuery,
-    FullSpBackend, OnTheFlySp, SpBackend, SpQuery,
-};
+pub use api::{run_serial_with_queries, BackendConfig, CurrentSpQuery, SpBackend, SpQuery};
 pub use english_hebrew::EnglishHebrewLabels;
 pub use offset_span::OffsetSpanLabels;
 pub use sp_bags::SpBags;

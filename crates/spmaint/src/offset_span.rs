@@ -27,7 +27,7 @@
 use sptree::tree::{NodeId, NodeKind, ParseTree, ThreadId};
 use sptree::walk::TreeVisitor;
 
-use crate::api::{CurrentSpQuery, OnTheFlySp, SpQuery};
+use crate::api::{run_serial_with_queries, BackendConfig, CurrentSpQuery, SpBackend, SpQuery};
 
 type Pair = (u64, u64);
 
@@ -139,8 +139,8 @@ impl CurrentSpQuery for OffsetSpanLabels {
     }
 }
 
-impl OnTheFlySp for OffsetSpanLabels {
-    fn for_tree(tree: &ParseTree) -> Self {
+impl<'t> SpBackend<'t> for OffsetSpanLabels {
+    fn build(tree: &'t ParseTree, _config: BackendConfig) -> Self {
         OffsetSpanLabels {
             cur: vec![(0, 1)],
             saved: vec![Vec::new(); tree.num_nodes()],
@@ -148,6 +148,13 @@ impl OnTheFlySp for OffsetSpanLabels {
             total_label_len: 0,
             current: None,
         }
+    }
+
+    fn run_with_queries<F>(&mut self, tree: &'t ParseTree, on_thread: F)
+    where
+        F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
+    {
+        run_serial_with_queries(self, tree, |alg, thread| on_thread(alg, thread));
     }
 
     fn name(&self) -> &'static str {
@@ -163,17 +170,18 @@ impl OnTheFlySp for OffsetSpanLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{run_serial, run_serial_with_queries};
     use sptree::builder::Ast;
     use sptree::cilk::CilkProgram;
     use sptree::generate::{
         fib_like, flat_parallel_loop, left_deep_parallel, random_sp_ast, serial_chain,
     };
     use sptree::oracle::SpOracle;
+    use sptree::walk::walk_visitor;
 
     fn assert_matches_oracle(tree: &ParseTree) {
         let oracle = SpOracle::new(tree);
-        let alg: OffsetSpanLabels = run_serial(tree);
+        let mut alg: OffsetSpanLabels = SpBackend::build(tree, BackendConfig::serial());
+        walk_visitor(tree, &mut alg);
         for a in tree.thread_ids() {
             for b in tree.thread_ids() {
                 assert_eq!(
@@ -211,7 +219,9 @@ mod tests {
         // A balanced divide-and-conquer loop has many forks but only
         // logarithmic nesting: labels stay short.
         let balanced_tree = sptree::generate::balanced_parallel(256, 1).build();
-        let balanced: OffsetSpanLabels = run_serial(&balanced_tree);
+        let mut balanced: OffsetSpanLabels =
+            SpBackend::build(&balanced_tree, BackendConfig::serial());
+        walk_visitor(&balanced_tree, &mut balanced);
         let balanced_max = balanced_tree
             .thread_ids()
             .map(|t| balanced.label_len(t))
@@ -219,7 +229,8 @@ mod tests {
             .unwrap();
         // A left-deep chain with the same number of forks has deep nesting.
         let deep_tree = left_deep_parallel(255, 1).build();
-        let deep: OffsetSpanLabels = run_serial(&deep_tree);
+        let mut deep: OffsetSpanLabels = SpBackend::build(&deep_tree, BackendConfig::serial());
+        walk_visitor(&deep_tree, &mut deep);
         let deep_max = deep_tree
             .thread_ids()
             .map(|t| deep.label_len(t))
@@ -234,7 +245,8 @@ mod tests {
     fn on_the_fly_queries_match_oracle() {
         let tree = random_sp_ast(50, 0.5, 21).build();
         let oracle = SpOracle::new(&tree);
-        let _alg = run_serial_with_queries::<OffsetSpanLabels, _>(&tree, |alg, current| {
+        let mut alg = OffsetSpanLabels::build(&tree, BackendConfig::serial());
+        run_serial_with_queries(&mut alg, &tree, |alg, current| {
             for earlier in 0..current.index() as u32 {
                 let earlier = ThreadId(earlier);
                 assert_eq!(
@@ -251,7 +263,8 @@ mod tests {
         fn prop_matches_oracle(leaves in 2usize..90, p in 0.0f64..1.0, seed in 0u64..1_000_000) {
             let tree = random_sp_ast(leaves, p, seed).build();
             let oracle = SpOracle::new(&tree);
-            let alg: OffsetSpanLabels = run_serial(&tree);
+            let mut alg: OffsetSpanLabels = SpBackend::build(&tree, BackendConfig::serial());
+            walk_visitor(&tree, &mut alg);
             for a in tree.thread_ids() {
                 for b in tree.thread_ids() {
                     proptest::prop_assert_eq!(alg.relation(a, b), oracle.relation(a, b));

@@ -36,11 +36,11 @@
 //! defined against the *currently executing* thread ([`CurrentSpQuery`]); this
 //! is the weaker semantics that suffices for race detection.
 
-use dsu::{DisjointSets, UnionFind};
+use dsu::UnionFind;
 use sptree::tree::{NodeId, NodeKind, ParseTree, ProcId, ThreadId};
 use sptree::walk::TreeVisitor;
 
-use crate::api::{CurrentSpQuery, OnTheFlySp};
+use crate::api::{run_serial_with_queries, BackendConfig, CurrentSpQuery, SpBackend};
 
 /// Which flavour a bag currently is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -151,8 +151,8 @@ impl CurrentSpQuery for SpBags {
     }
 }
 
-impl OnTheFlySp for SpBags {
-    fn for_tree(tree: &ParseTree) -> Self {
+impl<'t> SpBackend<'t> for SpBags {
+    fn build(tree: &'t ParseTree, _config: BackendConfig) -> Self {
         let n = tree.num_threads();
         let mut sets = UnionFind::with_capacity(n);
         for _ in 0..n {
@@ -165,6 +165,13 @@ impl OnTheFlySp for SpBags {
             kind_at_root: vec![BagKind::S; n],
             current: None,
         }
+    }
+
+    fn run_with_queries<F>(&mut self, tree: &'t ParseTree, on_thread: F)
+    where
+        F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
+    {
+        run_serial_with_queries(self, tree, |alg, thread| on_thread(alg, thread));
     }
 
     fn name(&self) -> &'static str {
@@ -202,7 +209,6 @@ impl SpBags {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_serial_with_queries;
     use sptree::builder::Ast;
     use sptree::cilk::{CilkProgram, Procedure, SyncBlock};
     use sptree::generate::{fib_like, random_cilk_program, random_sp_ast, CilkGenParams};
@@ -212,7 +218,8 @@ mod tests {
     /// oracle.
     fn assert_matches_oracle(tree: &ParseTree) {
         let oracle = SpOracle::new(tree);
-        let _alg = run_serial_with_queries::<SpBags, _>(tree, |alg, current| {
+        let mut alg = SpBags::build(tree, BackendConfig::serial());
+        run_serial_with_queries(&mut alg, tree, |alg, current| {
             for earlier in 0..current.index() as u32 {
                 let earlier = ThreadId(earlier);
                 assert_eq!(
@@ -274,7 +281,8 @@ mod tests {
         // P(a, b): while b (the continuation) executes, a's thread must be in
         // a P-bag of the root procedure.
         let tree = Ast::par(vec![Ast::leaf(1), Ast::leaf(1)]).build();
-        let _alg = run_serial_with_queries::<SpBags, _>(&tree, |alg, current| {
+        let mut alg = SpBags::build(&tree, BackendConfig::serial());
+        run_serial_with_queries(&mut alg, &tree, |alg, current| {
             if current == ThreadId(1) {
                 assert!(alg.parallel_with_current(ThreadId(0)));
             }
@@ -287,7 +295,8 @@ mod tests {
         fn prop_sp_bags_matches_oracle(leaves in 2usize..90, p in 0.0f64..1.0, seed in 0u64..1_000_000) {
             let tree = random_sp_ast(leaves, p, seed).build();
             let oracle = SpOracle::new(&tree);
-            let _alg = run_serial_with_queries::<SpBags, _>(&tree, |alg, current| {
+            let mut alg = SpBags::build(&tree, BackendConfig::serial());
+            run_serial_with_queries(&mut alg, &tree, |alg, current| {
                 for earlier in 0..current.index() as u32 {
                     let earlier = ThreadId(earlier);
                     assert_eq!(alg.precedes_current(earlier), oracle.precedes(earlier, current));

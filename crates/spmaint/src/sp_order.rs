@@ -22,7 +22,7 @@ use om::{OmNode, OrderMaintenance, TwoLevelList};
 use sptree::tree::{NodeId, NodeKind, ParseTree, ThreadId};
 use sptree::walk::TreeVisitor;
 
-use crate::api::{CurrentSpQuery, OnTheFlySp, SpQuery};
+use crate::api::{run_serial_with_queries, BackendConfig, CurrentSpQuery, SpBackend, SpQuery};
 
 /// SP-order over an arbitrary order-maintenance implementation.
 pub struct SpOrder<L: OrderMaintenance = TwoLevelList> {
@@ -125,8 +125,8 @@ impl<L: OrderMaintenance> CurrentSpQuery for SpOrder<L> {
     }
 }
 
-impl<L: OrderMaintenance> OnTheFlySp for SpOrder<L> {
-    fn for_tree(tree: &ParseTree) -> Self {
+impl<'t, L: OrderMaintenance> SpBackend<'t> for SpOrder<L> {
+    fn build(tree: &'t ParseTree, _config: BackendConfig) -> Self {
         let n = tree.num_nodes();
         let (mut eng, eng_base) = L::new();
         let (mut heb, heb_base) = L::new();
@@ -150,6 +150,13 @@ impl<L: OrderMaintenance> OnTheFlySp for SpOrder<L> {
         }
     }
 
+    fn run_with_queries<F>(&mut self, tree: &'t ParseTree, on_thread: F)
+    where
+        F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
+    {
+        run_serial_with_queries(self, tree, |alg, thread| on_thread(alg, thread));
+    }
+
     fn name(&self) -> &'static str {
         "sp-order"
     }
@@ -166,15 +173,16 @@ impl<L: OrderMaintenance> OnTheFlySp for SpOrder<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{run_serial, run_serial_with_queries};
     use om::TagList;
     use sptree::builder::Ast;
     use sptree::generate::{flat_parallel_loop, random_sp_ast, serial_chain};
     use sptree::oracle::{Relation, SpOracle};
+    use sptree::walk::walk_visitor;
 
     fn assert_matches_oracle(tree: &ParseTree) {
         let oracle = SpOracle::new(tree);
-        let alg: SpOrder = run_serial(tree);
+        let mut alg: SpOrder = SpBackend::build(tree, BackendConfig::serial());
+        walk_visitor(tree, &mut alg);
         for a in tree.thread_ids() {
             for b in tree.thread_ids() {
                 assert_eq!(
@@ -190,7 +198,8 @@ mod tests {
     fn snode_insert_order() {
         // Figure 6: at an S-node, both orders become ⟨S, L, R⟩.
         let tree = Ast::seq(vec![Ast::leaf(1), Ast::leaf(1)]).build();
-        let alg: SpOrder = run_serial(&tree);
+        let mut alg: SpOrder = SpBackend::build(&tree, BackendConfig::serial());
+        walk_visitor(&tree, &mut alg);
         let root = tree.root();
         let l = tree.left(root);
         let r = tree.right(root);
@@ -206,7 +215,8 @@ mod tests {
         // Figure 7: at a P-node the Hebrew order reverses the children, so the
         // two leaves are parallel.
         let tree = Ast::par(vec![Ast::leaf(1), Ast::leaf(1)]).build();
-        let alg: SpOrder = run_serial(&tree);
+        let mut alg: SpOrder = SpBackend::build(&tree, BackendConfig::serial());
+        walk_visitor(&tree, &mut alg);
         assert_eq!(alg.relation(ThreadId(0), ThreadId(1)), Relation::Parallel);
         assert_eq!(alg.relation(ThreadId(1), ThreadId(0)), Relation::Parallel);
     }
@@ -230,7 +240,8 @@ mod tests {
         for seed in 0..5u64 {
             let tree = random_sp_ast(80, 0.4, seed).build();
             let oracle = SpOracle::new(&tree);
-            let alg: SpOrder<TagList> = run_serial(&tree);
+            let mut alg: SpOrder<TagList> = SpBackend::build(&tree, BackendConfig::serial());
+            walk_visitor(&tree, &mut alg);
             for a in tree.thread_ids() {
                 for b in tree.thread_ids() {
                     assert_eq!(alg.relation(a, b), oracle.relation(a, b));
@@ -245,7 +256,8 @@ mod tests {
         // thread is current (Theorem 4).
         let tree = random_sp_ast(70, 0.6, 77).build();
         let oracle = SpOracle::new(&tree);
-        let _alg = run_serial_with_queries::<SpOrder, _>(&tree, |alg, current| {
+        let mut alg: SpOrder = SpOrder::build(&tree, BackendConfig::serial());
+        run_serial_with_queries(&mut alg, &tree, |alg, current| {
             for earlier in 0..=current.index() as u32 {
                 let earlier = ThreadId(earlier);
                 if earlier == current {
@@ -266,7 +278,8 @@ mod tests {
     #[test]
     fn construction_inserts_every_node_once() {
         let tree = random_sp_ast(120, 0.5, 3).build();
-        let alg: SpOrder = run_serial(&tree);
+        let mut alg: SpOrder = SpBackend::build(&tree, BackendConfig::serial());
+        walk_visitor(&tree, &mut alg);
         for node in tree.node_ids() {
             assert!(alg.is_inserted(node));
         }
@@ -281,7 +294,8 @@ mod tests {
         fn prop_sp_order_matches_oracle(leaves in 2usize..120, p in 0.0f64..1.0, seed in 0u64..1_000_000) {
             let tree = random_sp_ast(leaves, p, seed).build();
             let oracle = SpOracle::new(&tree);
-            let alg: SpOrder = run_serial(&tree);
+            let mut alg: SpOrder = SpBackend::build(&tree, BackendConfig::serial());
+            walk_visitor(&tree, &mut alg);
             for a in tree.thread_ids() {
                 for b in tree.thread_ids() {
                     proptest::prop_assert_eq!(alg.relation(a, b), oracle.relation(a, b));

@@ -6,7 +6,8 @@
 //! execution (the `spprog` crate, over `forkrt`'s live mode) has no tree to
 //! hand out — only a stream of *reveal* events: "this position turned out to
 //! be an S/P node", "this position is a leaf and its thread executes now".
-//! [`StreamingSpBackend`] is that event interface, and
+//! [`StreamingSpBackend`] is that event interface — the live counterpart of
+//! [`crate::SpBackend`], with the same `name` / `space_bytes` accessors — and
 //! [`StreamingSpOrder`] implements the paper's SP-order algorithm (§2,
 //! Figure 5) against it, keeping list elements for the *leaves* only: every
 //! pair of threads is ordered exactly as by the tree-driven
@@ -112,10 +113,10 @@ pub trait StreamingSpBackend: CurrentSpQuery {
     fn execute(&mut self, node: StreamNode, thread: ThreadId);
 
     /// Human-readable name (for reports and benches).
-    fn stream_name(&self) -> &'static str;
+    fn name(&self) -> &'static str;
 
     /// Approximate heap bytes used.
-    fn stream_space_bytes(&self) -> usize;
+    fn space_bytes(&self) -> usize;
 }
 
 /// SP-order over an incrementally unfolding tree, with list elements for the
@@ -246,11 +247,11 @@ impl<L: OrderMaintenance> StreamingSpBackend for StreamingSpOrder<L> {
         self.current = Some(thread);
     }
 
-    fn stream_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "streaming-sp-order"
     }
 
-    fn stream_space_bytes(&self) -> usize {
+    fn space_bytes(&self) -> usize {
         self.eng.space_bytes()
             + self.heb.space_bytes()
             + self.threads.capacity() * std::mem::size_of::<StreamNode>()
@@ -347,11 +348,11 @@ impl<L: OrderMaintenance> StreamingSpBackend for SerialSpOrder<L> {
         self.threads.push(node.heb());
     }
 
-    fn stream_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "serial-sp-order"
     }
 
-    fn stream_space_bytes(&self) -> usize {
+    fn space_bytes(&self) -> usize {
         self.heb.space_bytes() + self.threads.capacity() * std::mem::size_of::<OmNode>()
     }
 }
@@ -465,12 +466,14 @@ mod tests {
 
     #[test]
     fn streaming_agrees_with_tree_driven_sp_order() {
-        use crate::api::run_serial;
+        use crate::api::{BackendConfig, SpBackend};
         use crate::SpOrder;
+        use sptree::walk::walk_visitor;
         for seed in [3u64, 9, 27] {
             let tree = random_sp_ast(60, 0.45, seed).build();
             let streamed: StreamingSpOrder = stream_tree(&tree, |_b, _t| {});
-            let driven: SpOrder = run_serial(&tree);
+            let mut driven: SpOrder = SpBackend::build(&tree, BackendConfig::serial());
+            walk_visitor(&tree, &mut driven);
             for a in tree.thread_ids() {
                 for b in tree.thread_ids() {
                     assert_eq!(streamed.relation(a, b), driven.relation(a, b));
@@ -489,8 +492,8 @@ mod tests {
                 assert_eq!(sp.relation(a, b), oracle.relation(a, b));
             }
         }
-        assert_eq!(sp.stream_name(), "streaming-sp-order");
-        assert!(sp.stream_space_bytes() > 0);
+        assert_eq!(sp.name(), "streaming-sp-order");
+        assert!(sp.space_bytes() > 0);
     }
 
     #[test]
@@ -524,10 +527,11 @@ mod tests {
     /// (what concurrent workers of the §3 strawman produce) must order every
     /// pair of leaves like Figure 5 on the whole tree does.
     fn check_random_unfolding_order<L: OrderMaintenance>(seed: u64) {
-        use crate::api::run_serial;
+        use crate::api::{BackendConfig, SpBackend};
         use crate::SpOrder;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        use sptree::walk::walk_visitor;
 
         let tree = random_sp_ast(200, 0.5, seed).build();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
@@ -560,7 +564,8 @@ mod tests {
         assert_eq!(sp.heb.len(), tree.num_threads() + 1);
 
         let oracle = SpOracle::new(&tree);
-        let driven: SpOrder<L> = run_serial(&tree);
+        let mut driven: SpOrder<L> = SpBackend::build(&tree, BackendConfig::serial());
+        walk_visitor(&tree, &mut driven);
         for a in tree.thread_ids() {
             for b in tree.thread_ids() {
                 let got = sp.relation(a, b);
@@ -660,8 +665,8 @@ mod tests {
         let (first, second) = sp.expand(left, false);
         assert_eq!((sp.heb.inserted, first), (3, left));
         assert!(sp.heb.precedes(first.heb(), second.heb()));
-        assert_eq!(sp.stream_name(), "serial-sp-order");
-        assert!(sp.stream_space_bytes() > 0);
+        assert_eq!(sp.name(), "serial-sp-order");
+        assert!(sp.space_bytes() > 0);
     }
 
     /// The precondition is held, not assumed — in debug **and** release: a

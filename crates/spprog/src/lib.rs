@@ -133,7 +133,7 @@ mod tests {
         // The serial maintainer, under whatever name it reports.
         use spmaint::{SerialSpOrder, StreamingSpBackend};
         let (serial_sp, _) = <SerialSpOrder>::stream_new();
-        assert_eq!(a.maintainer, serial_sp.stream_name());
+        assert_eq!(a.maintainer, serial_sp.name());
     }
 
     #[test]

@@ -331,8 +331,8 @@ fn run_serial<'a>(
         steals: 0,
         traces: 1,
         workers: 1,
-        maintainer: visitor.sp.stream_name(),
-        sp_space_bytes: visitor.sp.stream_space_bytes(),
+        maintainer: visitor.sp.name(),
+        sp_space_bytes: visitor.sp.space_bytes(),
         sp_grow_events: 0,
         elapsed,
     };

@@ -83,18 +83,6 @@ impl<'t> SpOracle<'t> {
     pub fn parallel(&self, a: ThreadId, b: ThreadId) -> bool {
         self.relation(a, b) == Relation::Parallel
     }
-
-    /// The full n×n relation matrix (tests on small trees only).
-    pub fn relation_matrix(&self) -> Vec<Vec<Relation>> {
-        let n = self.tree.num_threads();
-        (0..n as u32)
-            .map(|i| {
-                (0..n as u32)
-                    .map(|j| self.relation(ThreadId(i), ThreadId(j)))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

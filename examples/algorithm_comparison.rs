@@ -7,12 +7,17 @@
 use std::time::Instant;
 
 use sp_maintenance::prelude::*;
+use sp_maintenance::sptree::walk::{walk_visitor, TreeVisitor};
 
 /// Measure one algorithm on one workload: (construction ns/thread, query ns,
 /// space bytes/node).
-fn measure<A: OnTheFlySp + CurrentSpQuery>(tree: &ParseTree, queries: usize) -> (f64, f64, f64) {
+fn measure<'t, A>(tree: &'t ParseTree, queries: usize) -> (f64, f64, f64)
+where
+    A: SpBackend<'t> + TreeVisitor + CurrentSpQuery,
+{
     let start = Instant::now();
-    let alg: A = run_serial(tree);
+    let mut alg = A::build(tree, BackendConfig::serial());
+    walk_visitor(tree, &mut alg);
     let build = start.elapsed();
 
     // Queries against the last thread as "current", spread over earlier threads.

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use sp_maintenance::prelude::*;
+use sp_maintenance::sptree::walk::walk_visitor;
 
 fn main() {
     // The paper's running example (Figures 1 and 2): nine threads u0..u8 with
@@ -42,7 +43,8 @@ fn main() {
     );
 
     // Maintain the English/Hebrew orders on the fly (SP-order, §2 of the paper).
-    let sp: SpOrder = run_serial(&tree);
+    let mut sp: SpOrder = SpBackend::build(&tree, BackendConfig::serial());
+    walk_visitor(&tree, &mut sp);
 
     let pairs = [(1u32, 4u32), (1, 6), (0, 8), (2, 3), (5, 1)];
     for (a, b) in pairs {

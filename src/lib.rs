@@ -39,8 +39,8 @@
 //! ([`sphybrid::HybridBackend`], serial or multi-worker) — implement one
 //! trait, [`spmaint::SpBackend`]: *build a structure for a parse tree, run
 //! the program while maintaining it, answer `SP-PRECEDES` queries from the
-//! currently executing thread*.  Backends that also answer arbitrary-pair
-//! queries additionally satisfy [`spmaint::FullSpBackend`].
+//! currently executing thread*.  Those that also answer arbitrary-pair
+//! queries implement [`spmaint::SpQuery`] as well.
 //!
 //! Two subsystems consume the trait generically:
 //!
@@ -108,7 +108,8 @@
 //! .build();
 //!
 //! // Maintain SP relationships on the fly with SP-order and query them.
-//! let sp: SpOrder = run_serial(&tree);
+//! let mut sp: SpOrder = SpOrder::build(&tree, BackendConfig::serial());
+//! sp.run_with_queries(&tree, |_, _| {});
 //! assert!(sp.precedes(ThreadId(0), ThreadId(3)));
 //! assert!(sp.parallel(ThreadId(1), ThreadId(2)));
 //! ```
@@ -148,8 +149,8 @@ pub mod prelude {
     pub use spservice::{DetectionService, ServiceConfig, SessionMetrics, SessionOutcome};
     pub use sphybrid::{run_hybrid, HybridBackend, NaiveBackend, SpHybrid};
     pub use spmaint::{
-        run_serial, run_serial_with_queries, BackendConfig, CurrentSpQuery, EnglishHebrewLabels,
-        FullSpBackend, OffsetSpanLabels, OnTheFlySp, SpBackend, SpBags, SpOrder, SpQuery,
+        BackendConfig, CurrentSpQuery, EnglishHebrewLabels, OffsetSpanLabels, SpBackend, SpBags,
+        SpOrder, SpQuery,
     };
     pub use sptree::{
         Ast, CilkProgram, NodeId, NodeKind, ParseTree, Procedure, Relation, SpOracle, Stmt,

@@ -3,6 +3,7 @@
 
 use sp_maintenance::prelude::*;
 use sp_maintenance::sphybrid::hybrid::run_hybrid;
+use sp_maintenance::sptree::walk::walk_visitor;
 use sp_maintenance::workloads::{disjoint_writes, inject_races, shared_read_private_write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -61,7 +62,8 @@ fn hybrid_answers_match_serial_sp_order_during_parallel_execution() {
     // against a fully built serial SP-order structure.
     let workload = Workload::build(WorkloadKind::Fib, 800, 1, 9);
     let tree = &workload.tree;
-    let reference: SpOrder = run_serial(tree);
+    let mut reference: SpOrder = SpBackend::build(tree, BackendConfig::serial());
+    walk_visitor(tree, &mut reference);
     let executed: Vec<AtomicBool> = (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect();
     let failures = std::sync::atomic::AtomicU64::new(0);
     let (_hybrid, stats) = run_hybrid(tree, 6, |h, current, trace| {

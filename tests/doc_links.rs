@@ -5,8 +5,11 @@
 //! every workspace source file for such references, and fails if a reference
 //! points at an anchor that no longer exists (or if the document stops being
 //! referenced at all — the link-rot failure mode in the other direction).
+//! It also checks the names the document uses: every backticked path that
+//! starts with a workspace crate must name `pub` items of that crate, and
+//! every backticked `….rs` file must exist.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -186,4 +189,125 @@ fn architecture_mentions_every_bench_target() {
             assert!(!text.contains(stale), "{} still names `{stale}…`", rel.display());
         }
     }
+}
+
+/// The names declared `pub` in the `.rs` files under `src`: items (`pub fn`,
+/// `pub struct`, `pub mod`, …), fields (`pub name: …`) and whatever a
+/// `pub use` re-exports (the last path segment, or its `as` alias).
+fn pub_names(src: &Path) -> BTreeSet<String> {
+    const KEYWORDS: [&str; 13] = [
+        "fn", "struct", "enum", "trait", "type", "mod", "const", "static", "union", "unsafe",
+        "async", "extern", "\"C\"",
+    ];
+    let ident = |word: &str| -> String {
+        word.chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect()
+    };
+    let mut files = Vec::new();
+    sources(src, &["rs"], &mut files);
+    let mut names = BTreeSet::new();
+    for file in files {
+        let text = fs::read_to_string(&file).expect("source file is readable");
+        for (i, _) in text.match_indices("pub ") {
+            let preceded = text[..i].chars().next_back();
+            if preceded.is_some_and(|c| c.is_alphanumeric() || c == '_') {
+                continue;
+            }
+            let rest = &text[i + 4..];
+            if let Some(used) = rest.strip_prefix("use ") {
+                let used = used.split(';').next().unwrap_or_default();
+                for item in used.split([',', '{', '}']) {
+                    let name = item.split(" as ").last().unwrap_or_default();
+                    let name = ident(name.rsplit("::").next().unwrap_or_default().trim());
+                    names.insert(name);
+                }
+            } else if let Some(word) = rest.split_whitespace().find(|w| !KEYWORDS.contains(w)) {
+                names.insert(ident(word));
+            }
+        }
+    }
+    names.remove("");
+    names
+}
+
+/// Every backticked crate path (`` `spmaint::api::SpBackend` ``) in
+/// `markdown` whose segments are not all `pub` names of that crate, and every
+/// backticked `….rs` file that does not exist under `root` or `root/crates`.
+fn stale_names(
+    markdown: &str,
+    crates: &BTreeMap<String, BTreeSet<String>>,
+    root: &Path,
+) -> Vec<String> {
+    let mut stale = Vec::new();
+    let mut in_code_fence = false;
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            in_code_fence = !in_code_fence;
+            continue;
+        }
+        if in_code_fence {
+            continue;
+        }
+        for span in line.split('`').skip(1).step_by(2) {
+            if span.ends_with(".rs") && span.contains('/') {
+                if !root.join(span).is_file() && !root.join("crates").join(span).is_file() {
+                    stale.push(span.to_string());
+                }
+                continue;
+            }
+            let path: String = span
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
+                .collect();
+            let mut segments = path.split("::").filter(|s| !s.is_empty());
+            let Some(names) = segments.next().and_then(|krate| crates.get(krate)) else {
+                continue;
+            };
+            if path.contains("::") && !segments.all(|s| names.contains(s)) {
+                stale.push(path);
+            }
+        }
+    }
+    stale
+}
+
+/// The `pub` names of every workspace crate, by crate name.
+fn workspace_pub_names(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
+    let crates = fs::read_dir(root.join("crates")).expect("crates/ is readable");
+    crates
+        .flatten()
+        .map(|entry| {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, pub_names(&entry.path().join("src")))
+        })
+        .collect()
+}
+
+#[test]
+fn architecture_names_resolve_to_pub_items_and_files() {
+    let root = repo_root();
+    let markdown = fs::read_to_string(root.join("ARCHITECTURE.md")).unwrap();
+    let crates = workspace_pub_names(&root);
+    assert!(crates
+        .get("spmaint")
+        .is_some_and(|n| n.contains("SpBackend")));
+    let stale = stale_names(&markdown, &crates, &root);
+    assert!(
+        stale.is_empty(),
+        "ARCHITECTURE.md names what the workspace does not declare `pub`:\n  {}",
+        stale.join("\n  ")
+    );
+}
+
+#[test]
+fn the_name_check_rejects_a_stale_name() {
+    let root = repo_root();
+    let crates = workspace_pub_names(&root);
+    let doc = "Driven through `spmaint::api::SpBackend` and `spmaint::api::OnTheFlySp`, \
+               checked by `tests/paper_example.rs` and `tests/no_such_test.rs`.";
+    assert_eq!(
+        stale_names(doc, &crates, &root),
+        ["spmaint::api::OnTheFlySp", "tests/no_such_test.rs"]
+    );
 }

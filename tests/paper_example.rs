@@ -3,7 +3,7 @@
 
 use sp_maintenance::prelude::*;
 use sp_maintenance::sptree::dag::ComputationDag;
-use sp_maintenance::sptree::walk::{english_index, hebrew_index};
+use sp_maintenance::sptree::walk::{english_index, hebrew_index, walk_visitor};
 
 /// A nine-thread parse tree with the relationships the paper discusses for its
 /// Figure 1/2 example: u1 ≺ u4 (their LCA is an S-node) and u1 ∥ u6 (their LCA
@@ -46,7 +46,8 @@ fn figure_1_and_2_structure() {
 fn stated_relations_hold_in_the_oracle_and_in_sp_order() {
     let tree = paper_style_tree();
     let oracle = SpOracle::new(&tree);
-    let sp: SpOrder = run_serial(&tree);
+    let mut sp: SpOrder = SpBackend::build(&tree, BackendConfig::serial());
+    walk_visitor(&tree, &mut sp);
 
     // u1 ≺ u4 because S1 = lca(u1, u4) is an S-node with u1 on the left.
     assert_eq!(oracle.relation(ThreadId(1), ThreadId(4)), Relation::Precedes);
@@ -112,9 +113,12 @@ fn figure_4_english_hebrew_orderings_characterize_sp_relations() {
 fn all_serial_algorithms_agree_on_the_example() {
     let tree = paper_style_tree();
     let oracle = SpOracle::new(&tree);
-    let order: SpOrder = run_serial(&tree);
-    let eh: EnglishHebrewLabels = run_serial(&tree);
-    let os: OffsetSpanLabels = run_serial(&tree);
+    let mut order: SpOrder = SpBackend::build(&tree, BackendConfig::serial());
+    walk_visitor(&tree, &mut order);
+    let mut eh: EnglishHebrewLabels = SpBackend::build(&tree, BackendConfig::serial());
+    walk_visitor(&tree, &mut eh);
+    let mut os: OffsetSpanLabels = SpBackend::build(&tree, BackendConfig::serial());
+    walk_visitor(&tree, &mut os);
     for i in 0..9u32 {
         for j in 0..9u32 {
             let expect = oracle.relation(ThreadId(i), ThreadId(j));
@@ -150,7 +154,8 @@ fn theorem_5_sp_order_cost_per_node_is_flat() {
 
     /// (relabels per node, bytes per node) of one SP-order construction.
     fn per_node<L: OrderMaintenance>(tree: &ParseTree) -> (f64, f64) {
-        let sp: SpOrder<L> = run_serial(tree);
+        let mut sp: SpOrder<L> = SpBackend::build(tree, BackendConfig::serial());
+        walk_visitor(tree, &mut sp);
         let nodes = tree.num_nodes() as f64;
         (sp.relabel_count() as f64 / nodes, sp.space_bytes() as f64 / nodes)
     }
@@ -174,7 +179,8 @@ fn theorem_5_sp_order_cost_per_node_is_flat() {
         .iter()
         .map(|&depth| {
             let tree = left_deep_parallel(depth, 1).build();
-            let eh: EnglishHebrewLabels = run_serial(&tree);
+            let mut eh: EnglishHebrewLabels = SpBackend::build(&tree, BackendConfig::serial());
+            walk_visitor(&tree, &mut eh);
             eh.total_label_len() as f64 / tree.num_threads() as f64
         })
         .collect();
@@ -204,7 +210,7 @@ fn theorem_5_streaming_sp_order_space_per_thread_is_small_and_flat() {
             .map(|&n| {
                 let tree = ast(n).build();
                 let sp: B = stream_tree(&tree, |_, _| {});
-                sp.stream_space_bytes() as f64 / tree.num_threads() as f64
+                sp.space_bytes() as f64 / tree.num_threads() as f64
             })
             .collect();
         println!("{shape}: bytes/thread {bytes:.1?}");
