@@ -30,10 +30,6 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-// The slab and its base chunk size — the validated `SP_OM_CHUNK` override —
-// are the order-maintenance list's, so one CI knob shrinks every substrate
-// at once and a typo in the knob fails loudly in exactly one place.
-use om::concurrent::CHUNK_KNOB;
 use om::ChunkedSlab;
 use spmetrics::{CounterId, EventKind, MetricsHandle};
 
@@ -72,13 +68,12 @@ pub struct ConcurrentUnionFind {
 
 impl ConcurrentUnionFind {
     /// Create a structure with an *initial-capacity hint* of `capacity`
-    /// elements (rounded up to a power of two, overridable via
-    /// `SP_OM_CHUNK`).  The structure grows on demand; writes beyond the
-    /// current slab publish new chunks instead of panicking.
+    /// elements (the first chunk's size, see [`ChunkedSlab::new`]).  The
+    /// structure grows on demand; writes beyond the current slab publish new
+    /// chunks instead of panicking.
     pub fn with_capacity(capacity: usize) -> Self {
-        let base = CHUNK_KNOB.from_env(capacity.max(1));
         let uf = ConcurrentUnionFind {
-            elements: ChunkedSlab::new(base, CounterId::DsuGrowth, EventKind::DsuGrow),
+            elements: ChunkedSlab::new(capacity, CounterId::DsuGrowth, EventKind::DsuGrow),
             len: AtomicU32::new(0),
         };
         uf.ensure(0);

@@ -27,13 +27,12 @@
 //! serialized by the insertion lock) allocate a fresh chunk when the slab is
 //! full and *publish* it with a single release store of the chunk pointer;
 //! readers traverse with acquire loads and never take a lock, exactly as
-//! before.  The initial chunk size is only a capacity hint (overridable with
-//! the `SP_OM_CHUNK` env knob so CI can force growth on tiny programs).
+//! before.  The initial chunk size is only a capacity hint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use spmetrics::{CounterId, EnvKnob, EventKind, MetricsHandle};
+use spmetrics::{CounterId, EventKind, MetricsHandle};
 
 use crate::slab::ChunkedSlab;
 
@@ -52,24 +51,6 @@ impl ConcurrentOmNode {
 const TAG_BITS: u32 = 62;
 const TAG_LIMIT: u64 = 1 << TAG_BITS;
 const NIL: u32 = u32::MAX;
-
-/// The `SP_OM_CHUNK` knob: forces the base chunk size of every chunked slab
-/// (this list's and the concurrent union-find's), so CI can force growth on
-/// tiny programs.  A power-of-two slot count in `[2, 1 << 24]`.
-pub const CHUNK_KNOB: EnvKnob = EnvKnob {
-    name: "SP_OM_CHUNK",
-    what: "chunk size",
-    power_of_two: true,
-    min: 2,
-    max: 1 << 24,
-};
-
-/// Validate a raw `SP_OM_CHUNK` value against a capacity hint
-/// ([`EnvKnob::parse`]): unset or blank falls back to `hint`, itself rounded
-/// up to a power of two and clamped.
-pub fn parse_chunk_env(value: Option<&str>, hint: usize) -> usize {
-    CHUNK_KNOB.parse(value, hint)
-}
 
 /// Per-item atomics readable without the list lock.
 struct Slot {
@@ -108,14 +89,13 @@ pub struct ConcurrentOmList {
 impl ConcurrentOmList {
     /// Create a list containing one base item (whose handle is returned).
     ///
-    /// `capacity` is only an *initial-capacity hint* (rounded up to a power
-    /// of two, overridable via `SP_OM_CHUNK`): the list grows by appending
-    /// chunks whenever an insertion needs more room, and never panics on
-    /// size.
+    /// `capacity` is only an *initial-capacity hint* (the first chunk's
+    /// size, see [`ChunkedSlab::new`]): the list grows by appending chunks
+    /// whenever an insertion needs more room, and never panics on size.
     pub fn with_capacity(capacity: usize) -> (Self, ConcurrentOmNode) {
-        let base = CHUNK_KNOB.from_env(capacity.max(1));
-        let slots = ChunkedSlab::new(base, CounterId::OmGrowth, EventKind::OmGrow);
+        let slots = ChunkedSlab::new(capacity, CounterId::OmGrowth, EventKind::OmGrow);
         slots.ensure(0, Slot::new);
+        let base = slots.chunk_len(0);
         let mut inner = Inner {
             next: Vec::with_capacity(base),
             prev: Vec::with_capacity(base),
@@ -474,45 +454,14 @@ mod tests {
 
     #[test]
     fn chunk_env_unset_or_blank_falls_back_to_the_hint() {
-        assert_eq!(parse_chunk_env(None, 64), 64);
-        assert_eq!(parse_chunk_env(Some(""), 64), 64);
-        assert_eq!(parse_chunk_env(Some("  \t"), 64), 64);
-        // The hint itself is still rounded and clamped.
-        assert_eq!(parse_chunk_env(None, 0), 2);
-        assert_eq!(parse_chunk_env(None, 100), 128);
-        assert_eq!(parse_chunk_env(None, usize::MAX / 2), 1 << 24);
-    }
-
-    #[test]
-    fn chunk_env_valid_values_override_the_hint() {
-        assert_eq!(parse_chunk_env(Some("2"), 1 << 14), 2);
-        assert_eq!(parse_chunk_env(Some(" 1024 "), 4), 1024);
-        // 1 is a power of two but below the supported minimum: clamped to 2.
-        assert_eq!(parse_chunk_env(Some("1"), 4), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn chunk_env_rejects_zero() {
-        parse_chunk_env(Some("0"), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn chunk_env_rejects_non_power_of_two() {
-        parse_chunk_env(Some("3"), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "unparseable value")]
-    fn chunk_env_rejects_unparseable_values() {
-        parse_chunk_env(Some("lots"), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "unparseable value")]
-    fn chunk_env_rejects_negative_values() {
-        parse_chunk_env(Some("-8"), 64);
+        let first_chunk = |hint| {
+            ChunkedSlab::<Slot>::new(hint, CounterId::OmGrowth, EventKind::OmGrow).chunk_len(0)
+        };
+        assert_eq!(first_chunk(64), 64);
+        // The hint is rounded up to a power of two and clamped.
+        assert_eq!(first_chunk(0), 2);
+        assert_eq!(first_chunk(100), 128);
+        assert_eq!(first_chunk(usize::MAX / 2), 1 << 24);
     }
 
     #[test]

@@ -54,13 +54,13 @@ unsafe impl<T: Send + Sync> Send for ChunkedSlab<T> {}
 unsafe impl<T: Send + Sync> Sync for ChunkedSlab<T> {}
 
 impl<T> ChunkedSlab<T> {
-    /// An empty slab whose first chunk will hold `base` elements (a power of
-    /// two, at least 2), reporting growth as `counter` / `event`.
-    pub fn new(base: usize, counter: CounterId, event: EventKind) -> Self {
-        assert!(
-            base.is_power_of_two() && base >= 2,
-            "slab base chunk must be a power of two >= 2"
-        );
+    /// An empty slab for about `hint` elements, reporting growth as
+    /// `counter` / `event`.  The hint is only a size for the first chunk:
+    /// rounded up to a power of two and clamped to `[2, 1 << 24]`.
+    pub fn new(hint: usize, counter: CounterId, event: EventKind) -> Self {
+        // Clamping first keeps the rounding from overflowing; the result is
+        // the same as rounding first.
+        let base = hint.clamp(2, 1 << 24).next_power_of_two();
         ChunkedSlab {
             chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             base,
@@ -76,8 +76,9 @@ impl<T> ChunkedSlab<T> {
         }
     }
 
+    /// Length of chunk `k`; chunk 0 is the one the hint sized.
     #[inline]
-    fn chunk_len(&self, k: usize) -> usize {
+    pub(crate) fn chunk_len(&self, k: usize) -> usize {
         self.base << k
     }
 

@@ -1013,13 +1013,11 @@ pub fn case_seed(base_seed: u64, shape_idx: u64, case: u64) -> u64 {
 /// The one sweep loop: `cases_per_shape` cases of `check` for every shape
 /// the sweep covers (every shape for [`SweepKind::Tree`], the Cilk-form ones
 /// otherwise), each green case folded into the stats by `add`.  Every
-/// `parallel_every`-th case runs on `parallel_workers` workers;
-/// `workers_override` pins the worker count of every case instead.  On the
+/// `parallel_every`-th case runs on `parallel_workers` workers.  On the
 /// first disagreement the failing case is [`minimize`]d and returned.
 pub(crate) fn sweep<C, S: Default>(
     kind: SweepKind,
     config: &SweepConfig,
-    workers_override: Option<usize>,
     check: impl Fn(ShapeKind, u32, u64, usize) -> Result<C, Discrepancy>,
     mut add: impl FnMut(&mut S, C),
 ) -> Result<S, Box<Failure>> {
@@ -1036,11 +1034,11 @@ pub(crate) fn sweep<C, S: Default>(
             let seed = case_seed(config.base_seed, shape_idx as u64 + seed_offset, case as u64);
             let size = 4 + (seed % 25) as u32;
             let parallel_case = config.parallel_every > 0 && case % config.parallel_every == 0;
-            let workers = workers_override.unwrap_or(if parallel_case {
+            let workers = if parallel_case {
                 config.parallel_workers.max(base_workers)
             } else {
                 base_workers
-            });
+            };
             match check(shape, size, seed, workers) {
                 Ok(case_stats) => add(&mut stats, case_stats),
                 Err(discrepancy) => {
@@ -1103,7 +1101,7 @@ pub(crate) fn minimize<C>(
 /// assert_eq!(stats.cases, 20); // 2 cases × 10 shapes
 /// ```
 pub fn run_sweep(config: &SweepConfig) -> Result<SweepStats, Box<ConformanceFailure>> {
-    sweep(SweepKind::Tree, config, None, check_case, |stats: &mut SweepStats, s| {
+    sweep(SweepKind::Tree, config, check_case, |stats: &mut SweepStats, s| {
         stats.cases += 1;
         stats.threads += s.threads;
         stats.queries += s.queries;
@@ -1215,20 +1213,17 @@ mod tests {
             }
             Ok(())
         };
-        for (kind, replay, pinned) in [
-            (SweepKind::Tree, "spconform::check_case(", None),
-            (SweepKind::Live, "spconform::live::check_live_case(", None),
-            (SweepKind::Service, "spconform::service::check_service_case(", Some(3)),
+        for (kind, replay) in [
+            (SweepKind::Tree, "spconform::check_case("),
+            (SweepKind::Live, "spconform::live::check_live_case("),
+            (SweepKind::Service, "spconform::service::check_service_case("),
         ] {
-            let failure = sweep(kind, &config, pinned, check, |green: &mut u32, ()| *green += 1)
+            let failure = sweep(kind, &config, check, |green: &mut u32, ()| *green += 1)
                 .expect_err("sizes 7.. fail");
             assert_eq!((failure.sweep, failure.shape, failure.size), (kind, shape, 7));
             // The shrunk discrepancy was observed on the failing case's workers.
             let detail = format!("size 7 on {} workers", failure.workers);
             assert_eq!(failure.discrepancy.detail, detail);
-            if let Some(workers) = pinned {
-                assert_eq!(failure.workers, workers, "an override pins every case");
-            }
             let text = failure.to_string();
             assert!(text.contains(replay), "{text}");
             assert!(text.contains("shrunk tree: "), "{text}");

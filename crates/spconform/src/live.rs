@@ -213,17 +213,16 @@ pub fn check_live_case(
     let mut parallel_runs = 0u64;
     if workers > 1 {
         let name = "live-sp-hybrid";
-        // Tiny capacity hints: every multi-worker case outgrows the initial
-        // chunks of the growable substrates, so the sweep exercises
-        // chunk-boundary crossings on every seed (the hints are
-        // behavior-neutral — only initial sizes, never limits).  Determinacy
-        // enforcement is on: the run's structural hash must equal the serial
-        // reference seeded above.
+        // The smallest capacity hints: both growable substrates start at
+        // their 2-slot minimum chunk, so every multi-worker case crosses
+        // chunk boundaries (the hints are behavior-neutral — only initial
+        // sizes, never limits).  Determinacy enforcement is on: the run's
+        // structural hash must equal the serial reference seeded above.
         let config = RunConfig {
             workers,
             locations,
-            max_threads: 4,
-            max_steals: 1,
+            max_threads: 2,
+            max_steals: 0,
             enforce_determinacy: true,
             ..RunConfig::default()
         };
@@ -304,7 +303,7 @@ pub struct LiveSweepStats {
 /// the two sweeps cover different programs); every case runs multi-worker —
 /// 2 workers by default, `parallel_workers` on every `parallel_every`-th case.
 pub fn run_live_sweep(config: &SweepConfig) -> Result<LiveSweepStats, Box<LiveFailure>> {
-    sweep(SweepKind::Live, config, None, check_live_case, |stats: &mut LiveSweepStats, s| {
+    sweep(SweepKind::Live, config, check_live_case, |stats: &mut LiveSweepStats, s| {
         stats.cases += 1;
         stats.threads += s.threads;
         stats.accesses += s.accesses;

@@ -5,11 +5,12 @@
 //! race report must be **bit-identical** to its standalone twin (same races,
 //! same order, same thread ids).
 //!
-//! Each case exercises the full service surface the tentpole claims are
-//! isolation-safe:
+//! Each case exercises the service surface that must keep sessions
+//! isolated:
 //!
 //! * service pools of **1 and ≥ 2 detector workers** (sequential fast path
-//!   and concurrent admission both covered),
+//!   and concurrent admission both covered; the wider pool is the case's
+//!   worker count),
 //! * **the live SP-hybrid** plus the serial elision, via the deterministic
 //!   one-worker [`SessionMode`]s (`Serial`, `Hybrid` — determinism is what
 //!   makes bit-identity well-defined),
@@ -22,8 +23,9 @@
 //! parallel write-write pairs on dedicated locations (odd seeds add a random
 //! shared/private mix), so the compared reports are non-trivial on every
 //! seed.  Failures shrink to a replayable `(shape, size, seed, workers)`
-//! like the other sweeps, and [`run_service_sweep`] honors the same
-//! `SPCONFORM_SEED` / `SPCONFORM_CASES` environment variables.
+//! like the other sweeps, and [`run_service_sweep`] takes the same
+//! [`SweepConfig`] (built from `SPCONFORM_SEED` / `SPCONFORM_CASES` by
+//! [`SweepConfig::from_env`]).
 
 use racedet::LiveDetector;
 use spprog::{run_session, Proc, SessionMode};
@@ -39,7 +41,7 @@ use crate::{
 };
 
 /// Programs per batch: enough that sessions outnumber any worker pool's
-/// arenas (forcing recycling) while a single case stays cheap.
+/// detectors (forcing recycling) while a single case stays cheap.
 const BATCH: usize = 3;
 
 /// The deterministic session modes every batch runs under — the serial
@@ -236,23 +238,15 @@ pub struct ServiceSweepStats {
 /// Seeds draw from the same [`crate::case_seed`] stream as the other sweeps,
 /// offset so the three sweeps cover different programs; every case runs
 /// against a 1-worker service and a multi-worker one (2 by default,
-/// `parallel_workers` on every `parallel_every`-th case).  The validated
-/// `SP_SERVICE_WORKERS` knob ([`spservice::parse_workers_env`]) overrides
-/// the multi-worker pool size for the whole sweep — CI pins one matrix leg
-/// to a fixed pool that way; a zero or unparseable override panics naming
-/// the knob instead of silently shrinking the sweep.
+/// `parallel_workers` on every `parallel_every`-th case).
 pub fn run_service_sweep(config: &SweepConfig) -> Result<ServiceSweepStats, Box<ServiceFailure>> {
-    let env_override = std::env::var(spservice::WORKERS_ENV)
-        .ok()
-        .filter(|raw| !raw.trim().is_empty())
-        .map(|raw| spservice::parse_workers_env(Some(&raw), 2));
     let add = |stats: &mut ServiceSweepStats, s: ServiceCaseStats| {
         stats.cases += 1;
         stats.sessions += s.sessions;
         stats.planted += s.planted;
         stats.epoch_resets += s.epoch_resets;
     };
-    sweep(SweepKind::Service, config, env_override, check_service_case, add)
+    sweep(SweepKind::Service, config, check_service_case, add)
 }
 
 /// Shrink a failing [`check_service_case`] case to the smallest `size` that still

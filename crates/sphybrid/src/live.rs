@@ -103,16 +103,15 @@ impl LiveSpHybrid {
     /// Build an empty structure.  Both arguments are **hints only**: they
     /// size the first chunk of each growable substrate — the shared
     /// union-find for `max_threads` threads, the global tier's
-    /// order-maintenance slabs for the 4 traces each of `max_steals` steals
-    /// creates — and the structures grow on demand past them.  Exceeding a
-    /// hint costs one chunk publication, never a panic.
+    /// order-maintenance slabs for the `4·max_steals + 1` traces that many
+    /// steals leave (paper §3) — and the structures grow on demand past
+    /// them.  Exceeding a hint costs one chunk publication, never a panic.
     pub fn new(max_threads: usize, max_steals: usize) -> Self {
-        let initial_traces = 4 * max_steals + 16;
-        let (global, eng_base, heb_base) = GlobalTier::new(initial_traces.max(4));
+        let (global, eng_base, heb_base) = GlobalTier::new(4 * max_steals + 1);
         let (traces, root_trace) = TraceArena::new(eng_base, heb_base);
         LiveSpHybrid {
             global,
-            local: LocalTier::new(max_threads.max(1)),
+            local: LocalTier::new(max_threads),
             traces,
             root_trace,
         }

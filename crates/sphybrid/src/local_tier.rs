@@ -54,7 +54,7 @@ impl LocalTier {
     /// the shared union-find grows on demand as threads execute.
     pub fn new(num_threads: usize) -> Self {
         LocalTier {
-            sets: ConcurrentUnionFind::with_capacity(num_threads.max(1)),
+            sets: ConcurrentUnionFind::with_capacity(num_threads),
         }
     }
 

@@ -37,7 +37,7 @@
 //! is the weaker semantics that suffices for race detection.
 
 use dsu::UnionFind;
-use sptree::tree::{NodeId, NodeKind, ParseTree, ProcId, ThreadId};
+use sptree::tree::{NodeId, NodeKind, ParseTree, ThreadId};
 use sptree::walk::TreeVisitor;
 
 use crate::api::{run_serial_with_queries, BackendConfig, CurrentSpQuery, SpBackend};
@@ -63,7 +63,6 @@ pub struct SpBags {
     pbag: Vec<u32>,
     /// Bag metadata, valid at set representatives only.
     kind_at_root: Vec<BagKind>,
-    current: Option<ThreadId>,
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -79,12 +78,6 @@ impl SpBags {
         root
     }
 
-    /// The kind of bag `thread` currently belongs to.
-    pub fn bag_of(&mut self, thread: ThreadId) -> BagKind {
-        let root = self.sets.find(thread.0);
-        self.kind_at_root[root as usize]
-    }
-
     /// Cumulative number of parent-pointer hops performed by finds
     /// (benchmark metric: grows like α amortized).
     pub fn find_steps(&self) -> u64 {
@@ -97,7 +90,6 @@ impl TreeVisitor for SpBags {
         // The executing thread joins the S-bag of its procedure.
         let f = tree.proc_of(node).index();
         self.sbag[f] = self.union_into_bag(self.sbag[f], thread.0, BagKind::S);
-        self.current = Some(thread);
     }
 
     fn between_children(&mut self, tree: &ParseTree, node: NodeId) {
@@ -163,7 +155,6 @@ impl<'t> SpBackend<'t> for SpBags {
             sbag: vec![EMPTY; tree.num_procs()],
             pbag: vec![EMPTY; tree.num_nodes()],
             kind_at_root: vec![BagKind::S; n],
-            current: None,
         }
     }
 
@@ -183,26 +174,6 @@ impl<'t> SpBackend<'t> for SpBags {
             + self.sbag.capacity() * 4
             + self.pbag.capacity() * 4
             + self.kind_at_root.capacity()
-    }
-}
-
-/// Extra helpers the SP-hybrid local tier and the tests need.
-impl SpBags {
-    /// Representative of a procedure's S-bag, if non-empty.
-    pub fn sbag_root(&self, proc: ProcId) -> Option<u32> {
-        let r = self.sbag[proc.index()];
-        (r != EMPTY).then_some(r)
-    }
-
-    /// Representative of the P-bag attached to a P-node, if non-empty.
-    pub fn pbag_root(&self, pnode: NodeId) -> Option<u32> {
-        let r = self.pbag[pnode.index()];
-        (r != EMPTY).then_some(r)
-    }
-
-    /// The currently executing thread, if any.
-    pub fn current(&self) -> Option<ThreadId> {
-        self.current
     }
 }
 

@@ -32,8 +32,8 @@
 //! the payload.  Tags are strictly increasing per cell, so a torn read
 //! (writer wrapped the ring mid-copy) is always detected and the record is
 //! counted as dropped — overflow **loses events gracefully, never corrupts**.
-//! The ring capacity is sized by the `SP_TRACE_BUF` environment knob,
-//! validated by [`EnvKnob`] exactly like `om`'s `SP_OM_CHUNK`.
+//! The ring capacity is an argument of [`MetricsRegistry::with_options`];
+//! [`MetricsRegistry::new`] uses [`DEFAULT_TRACE_BUF`].
 //!
 //! ```
 //! use spmetrics::{CounterId, EventKind, MetricsHandle, MetricsRegistry};
@@ -67,9 +67,6 @@ use std::time::Instant;
 
 use crossbeam_utils::CachePadded;
 
-/// Environment variable overriding the per-slot trace ring capacity.
-pub const TRACE_BUF_ENV: &str = "SP_TRACE_BUF";
-
 /// Default per-slot trace ring capacity (records).
 pub const DEFAULT_TRACE_BUF: usize = 1 << 12;
 
@@ -79,75 +76,6 @@ pub const DEFAULT_SLOTS: usize = 16;
 
 /// Number of log2 buckets per histogram (one per `u64` bit position).
 pub const HIST_BUCKETS: usize = 64;
-
-/// An integer environment knob under the workspace's one validation
-/// contract: unset or empty/whitespace keeps the caller's default (CI matrix
-/// legs pass `KNOB: ""` for the default configuration); anything else must
-/// parse as a positive integer — a power of two if the knob demands one — or
-/// the process panics naming the knob, because a knob exists to *force* a
-/// value and a typo must fail loudly rather than silently fall back.  The
-/// result (default included) is rounded up to a power of two where required
-/// and clamped to the supported range.
-#[derive(Clone, Copy, Debug)]
-pub struct EnvKnob {
-    /// The environment variable.
-    pub name: &'static str,
-    /// What the value counts, for the panic messages ("chunk size").
-    pub what: &'static str,
-    /// Whether the value must be a power of two.
-    pub power_of_two: bool,
-    /// Smallest supported value.
-    pub min: usize,
-    /// Largest supported value.
-    pub max: usize,
-}
-
-impl EnvKnob {
-    /// Validate a raw value of the knob against `default`.
-    pub fn parse(&self, value: Option<&str>, default: usize) -> usize {
-        let EnvKnob { name, what, .. } = *self;
-        let chosen = match value.map(str::trim) {
-            None | Some("") => default,
-            Some(raw) => {
-                let expected = if self.power_of_two { "power-of-two integer" } else { what };
-                let n: usize = raw.parse().unwrap_or_else(|_| {
-                    panic!("{name}: unparseable value {raw:?} (expected a positive {expected})")
-                });
-                assert!(n > 0, "{name}: {what} must be positive, got 0");
-                assert!(
-                    !self.power_of_two || n.is_power_of_two(),
-                    "{name}: {what} must be a power of two, got {n}"
-                );
-                n
-            }
-        };
-        let chosen = if self.power_of_two {
-            chosen.next_power_of_two()
-        } else {
-            chosen
-        };
-        chosen.clamp(self.min, self.max)
-    }
-
-    /// The knob's validated value from the process environment.
-    pub fn from_env(&self, default: usize) -> usize {
-        self.parse(std::env::var(self.name).ok().as_deref(), default)
-    }
-}
-
-/// The `SP_TRACE_BUF` knob: a power-of-two record count in `[8, 1 << 20]`.
-pub const TRACE_BUF_KNOB: EnvKnob = EnvKnob {
-    name: TRACE_BUF_ENV,
-    what: "ring capacity",
-    power_of_two: true,
-    min: 8,
-    max: 1 << 20,
-};
-
-/// Validate an `SP_TRACE_BUF` override ([`EnvKnob::parse`]).
-pub fn parse_trace_buf_env(value: Option<&str>, default: usize) -> usize {
-    TRACE_BUF_KNOB.parse(value, default)
-}
 
 macro_rules! id_enum {
     ($(#[$meta:meta])* $vis:vis enum $name:ident { $($(#[$vmeta:meta])* $variant:ident => $label:literal,)+ }) => {
@@ -329,10 +257,9 @@ thread_local! {
 }
 
 impl MetricsRegistry {
-    /// Registry with default slot count and the `SP_TRACE_BUF`-validated
-    /// default ring capacity.
+    /// Registry with the default slot count and ring capacity.
     pub fn new() -> Arc<Self> {
-        Self::with_options(DEFAULT_SLOTS, TRACE_BUF_KNOB.from_env(DEFAULT_TRACE_BUF))
+        Self::with_options(DEFAULT_SLOTS, DEFAULT_TRACE_BUF)
     }
 
     /// Registry with explicit slot count and per-slot ring capacity (both
@@ -346,11 +273,6 @@ impl MetricsRegistry {
             slots: (0..slots).map(|_| CachePadded::new(Slot::new(ring_cap))).collect(),
             ring_cap,
         })
-    }
-
-    /// Per-slot ring capacity in records.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring_cap
     }
 
     /// Number of cache-padded slots.
@@ -795,49 +717,6 @@ mod tests {
              \"s\":\"t\",\"pid\":1,\"tid\":0,\"ts\":0.000,\"args\":{\"a\":0,\"b\":0,\"seq\":0}}]}"
         )
         .is_err());
-    }
-
-    // ---- SP_TRACE_BUF validation, one test per accepted/rejected class. ----
-
-    #[test]
-    fn trace_buf_env_unset_or_empty_keeps_default() {
-        assert_eq!(parse_trace_buf_env(None, 4096), 4096);
-        assert_eq!(parse_trace_buf_env(Some(""), 4096), 4096);
-        assert_eq!(parse_trace_buf_env(Some("  \t"), 4096), 4096);
-    }
-
-    #[test]
-    fn trace_buf_env_accepts_powers_of_two_and_clamps() {
-        assert_eq!(parse_trace_buf_env(Some("64"), 4096), 64);
-        assert_eq!(parse_trace_buf_env(Some(" 1024 "), 4096), 1024);
-        // Below the floor: clamped up.
-        assert_eq!(parse_trace_buf_env(Some("2"), 4096), 8);
-        // Above the ceiling: clamped down.
-        assert_eq!(parse_trace_buf_env(Some("2097152"), 4096), 1 << 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "SP_TRACE_BUF: unparseable value")]
-    fn trace_buf_env_rejects_garbage() {
-        parse_trace_buf_env(Some("lots"), 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "SP_TRACE_BUF: unparseable value")]
-    fn trace_buf_env_rejects_negative() {
-        parse_trace_buf_env(Some("-8"), 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "ring capacity must be positive, got 0")]
-    fn trace_buf_env_rejects_zero() {
-        parse_trace_buf_env(Some("0"), 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be a power of two, got 48")]
-    fn trace_buf_env_rejects_non_power_of_two() {
-        parse_trace_buf_env(Some("48"), 4096);
     }
 
     #[test]

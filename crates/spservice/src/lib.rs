@@ -28,11 +28,10 @@
 //!   starvation aging, collapsing to a no-overhead sequential mode while
 //!   ≤ 1 session is pending.
 //!
-//! Worker count ships behind the validated [`WORKERS_ENV`]
-//! (`SP_SERVICE_WORKERS`) knob.  See the repository-root
-//! `ARCHITECTURE.md#detection-as-a-service-spservice` for the design map
-//! and `ARCHITECTURE.md#benchmarks-and-experiments` for the `spservice.*`
-//! metrics that measure throughput and detector recycling.
+//! The caller sizes the pool with [`ServiceConfig::workers`].  See the
+//! repository-root `ARCHITECTURE.md#detection-as-a-service-spservice` for
+//! the design map and `ARCHITECTURE.md#benchmarks-and-experiments` for the
+//! `spservice.*` metrics that measure throughput and detector recycling.
 
 #[cfg(test)]
 mod arena;
@@ -43,6 +42,6 @@ pub mod service;
 pub use p2::P2Quantile;
 pub use sched::{RuntimeEstimator, WorkloadSignature};
 pub use service::{
-    parse_workers_env, DetectionService, ServiceConfig, ServiceStats, SessionCompleted,
-    SessionHandle, SessionMetrics, SessionOutcome, SessionPanicked, WORKERS_ENV,
+    DetectionService, ServiceConfig, ServiceStats, SessionCompleted, SessionHandle,
+    SessionMetrics, SessionOutcome, SessionPanicked,
 };

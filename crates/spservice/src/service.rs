@@ -42,29 +42,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use racedet::{LiveDetector, RaceReport};
-use spmetrics::{CounterId, EnvKnob, EventKind, HistId, MetricsHandle};
+use spmetrics::{CounterId, EventKind, HistId, MetricsHandle};
 use spprog::{run_session, Proc, SessionMode, SessionRun};
 
 use crate::sched::{select_session, RuntimeEstimator, WorkloadSignature};
-
-/// Environment knob naming the detector worker count.
-pub const WORKERS_ENV: &str = "SP_SERVICE_WORKERS";
-
-/// The `SP_SERVICE_WORKERS` knob: a positive worker count, clamped to 512.
-pub const WORKERS_KNOB: EnvKnob = EnvKnob {
-    name: WORKERS_ENV,
-    what: "worker count",
-    power_of_two: false,
-    min: 1,
-    max: 512,
-};
-
-/// Validate an `SP_SERVICE_WORKERS` override ([`EnvKnob::parse`]): unset or
-/// empty keeps `default`; a typo'd override refuses to start the service,
-/// naming the knob.
-pub fn parse_workers_env(value: Option<&str>, default: usize) -> usize {
-    WORKERS_KNOB.parse(value, default)
-}
 
 /// Starvation aging of the admission score: estimate-nanoseconds forgiven
 /// per waited nanosecond.  1.0 bounds any session's extra wait by its own
@@ -114,12 +95,6 @@ impl ServiceConfig {
     pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
         self.metrics = metrics;
         self
-    }
-
-    /// Worker count from the validated [`WORKERS_ENV`] knob, `default` when
-    /// unset.  Panics (naming the knob) on unparseable or zero overrides.
-    pub fn workers_from_env(default: usize) -> usize {
-        WORKERS_KNOB.from_env(default)
     }
 }
 
@@ -244,19 +219,6 @@ impl SessionOutcome {
         match self {
             SessionOutcome::Completed(_) => None,
             SessionOutcome::Panicked(p) => Some(&p.message),
-        }
-    }
-
-    /// Unwrap into the completed form.
-    ///
-    /// # Panics
-    /// If the session panicked.
-    pub fn into_completed(self) -> SessionCompleted {
-        match self {
-            SessionOutcome::Completed(c) => c,
-            SessionOutcome::Panicked(p) => {
-                panic!("session panicked ({}), it did not complete", p.message)
-            }
         }
     }
 }
@@ -432,11 +394,6 @@ impl DetectionService {
         }
         self.shared.work_cv.notify_one();
         SessionHandle { slot }
-    }
-
-    /// Sessions completed so far.
-    pub fn sessions_completed(&self) -> u64 {
-        self.shared.sessions.load(Ordering::Relaxed)
     }
 
     /// Live lifetime counters — readable at any moment, mid-flight, without
@@ -899,27 +856,5 @@ mod tests {
         assert_eq!(snap.histogram_count(HistId::QueueWaitNs), 1);
         assert_eq!(snap.events_of(EventKind::SessionSubmitted).count(), 1);
         assert_eq!(snap.events_of(EventKind::SessionFinished).count(), 1);
-    }
-
-    #[test]
-    fn parse_workers_env_accepts_valid_overrides() {
-        assert_eq!(parse_workers_env(None, 3), 3);
-        assert_eq!(parse_workers_env(Some(""), 3), 3);
-        assert_eq!(parse_workers_env(Some("  "), 3), 3);
-        assert_eq!(parse_workers_env(Some("8"), 3), 8);
-        assert_eq!(parse_workers_env(Some(" 2 "), 3), 2);
-        assert_eq!(parse_workers_env(Some("100000"), 3), 512, "clamped");
-    }
-
-    #[test]
-    #[should_panic(expected = "SP_SERVICE_WORKERS: unparseable value")]
-    fn parse_workers_env_rejects_garbage() {
-        parse_workers_env(Some("two"), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "SP_SERVICE_WORKERS: worker count must be positive")]
-    fn parse_workers_env_rejects_zero() {
-        parse_workers_env(Some("0"), 3);
     }
 }

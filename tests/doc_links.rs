@@ -175,7 +175,9 @@ fn architecture_mentions_every_bench_target() {
     }
 
     // Nothing outside the history files may still point at the retired
-    // harness: its crate, its result files, its smoke knob (`SP` + `BENCH_…`).
+    // harness — its crate, its result files, its smoke knob (`SP` +
+    // `BENCH_…`) — or at the retired environment knobs: the library crates
+    // are configured by argument only.
     let mut files = Vec::new();
     sources(&root, &["rs", "md", "yml"], &mut files);
     for file in files {
@@ -185,7 +187,15 @@ fn architecture_mentions_every_bench_target() {
             continue;
         }
         let text = fs::read_to_string(&file).expect("source file is readable");
-        for stale in ["crates/spbench", "BENCH_"] {
+        let stale_names = [
+            "crates/spbench",
+            "BENCH_",
+            "EnvKnob",
+            "SP_OM_CHUNK",
+            "SP_TRACE_BUF",
+            "SP_SERVICE_WORKERS",
+        ];
+        for stale in stale_names {
             assert!(!text.contains(stale), "{} still names `{stale}…`", rel.display());
         }
     }

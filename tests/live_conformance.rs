@@ -287,31 +287,11 @@ fn bfs_workloads_hold_their_contract_both_ways() {
 }
 
 /// Hint-independence + growth-stress for the BFS shapes (the skewed
-/// power-law frontier): tiny `RunConfig` hints and a tiny `SP_OM_CHUNK`
-/// must force substrate growth (`sp_grow_events > 0`) while reporting
-/// bit-identically to generous hints.  The `SP_OM_CHUNK` knob is
-/// process-global, so when the environment does not already pin it this
-/// test re-executes itself in a child process with `SP_OM_CHUNK=2` instead
-/// of mutating the live environment under concurrent tests.
+/// power-law frontier): the smallest `RunConfig` hints start both growable
+/// substrates at their 2-slot minimum chunk, so they must grow
+/// (`sp_grow_events > 0`) while reporting identically to generous hints.
 #[test]
 fn power_law_bfs_grows_under_tiny_hints_and_tiny_chunks() {
-    let chunk_pinned =
-        std::env::var("SP_OM_CHUNK").map(|v| !v.trim().is_empty()).unwrap_or(false);
-    if !chunk_pinned {
-        let exe = std::env::current_exe().expect("test binary path");
-        let status = std::process::Command::new(exe)
-            .args([
-                "power_law_bfs_grows_under_tiny_hints_and_tiny_chunks",
-                "--exact",
-                "--nocapture",
-            ])
-            .env("SP_OM_CHUNK", "2")
-            .status()
-            .expect("re-exec the test binary with SP_OM_CHUNK=2");
-        assert!(status.success(), "tiny-chunk BFS growth leg failed");
-        return;
-    }
-
     let graph = power_law_digraph(80, 3, 21);
     for variant in [BfsVariant::RaceFree, BfsVariant::RacyVisited] {
         let w = live_graph_bfs(&graph, 2, variant);
@@ -319,7 +299,7 @@ fn power_law_bfs_grows_under_tiny_hints_and_tiny_chunks() {
             workers: 4,
             locations: w.locations,
             max_threads: 2,
-            max_steals: 1,
+            max_steals: 0,
             ..RunConfig::default()
         };
         let generous = RunConfig {
@@ -338,7 +318,7 @@ fn power_law_bfs_grows_under_tiny_hints_and_tiny_chunks() {
         );
         assert_eq!(tiny_run.report.racy_locations(), w.expected_racy, "{} tiny", w.name);
         assert_eq!(generous_run.report.racy_locations(), w.expected_racy, "{} generous", w.name);
-        // Serial bridge stays bit-identical under the tiny chunk size too.
+        // The serial bridge stays bit-identical beside them.
         let serial = run_program(&w.prog, &RunConfig::serial(w.locations));
         let rec = record_program(&w.prog, w.locations);
         let (offline, _) =

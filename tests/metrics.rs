@@ -8,6 +8,7 @@
 use racedet::RaceKind;
 use spmetrics::{
     validate_chrome_trace, CounterId, EventKind, HistId, MetricsHandle, MetricsRegistry,
+    DEFAULT_SLOTS, DEFAULT_TRACE_BUF,
 };
 use spprog::{build_proc, run_program, LiveRun, Proc, RunConfig};
 
@@ -58,8 +59,14 @@ fn fib_prog(n: u32) -> Proc {
     build_proc(move |p| fib(p, n, 0))
 }
 
-fn attached_config(locations: u32, workers: usize) -> (RunConfig, std::sync::Arc<MetricsRegistry>) {
-    let registry = MetricsRegistry::new();
+/// A run configuration attached to a fresh registry whose per-slot event
+/// rings hold `ring` records.
+fn attached_config(
+    locations: u32,
+    workers: usize,
+    ring: usize,
+) -> (RunConfig, std::sync::Arc<MetricsRegistry>) {
+    let registry = MetricsRegistry::with_options(DEFAULT_SLOTS, ring);
     let config = RunConfig::with_workers(workers, locations)
         .with_metrics(MetricsHandle::attached(&registry));
     (config, registry)
@@ -69,7 +76,7 @@ fn attached_config(locations: u32, workers: usize) -> (RunConfig, std::sync::Arc
 fn serial_fib_counters_are_exact() {
     let prog = fib_prog(8);
     let locations = 1 << 10;
-    let (config, registry) = attached_config(locations, 1);
+    let (config, registry) = attached_config(locations, 1, DEFAULT_TRACE_BUF);
     let run = run_program(&prog, &config);
     let snap = registry.snapshot();
 
@@ -103,7 +110,7 @@ fn serial_trace_follows_serial_visit_order() {
     // Planted races on locations 0,1,2 are discovered left-to-right in a
     // serial run; the RaceFound events must appear in exactly that order.
     let prog = planted_races(3);
-    let (config, registry) = attached_config(3, 1);
+    let (config, registry) = attached_config(3, 1, DEFAULT_TRACE_BUF);
     let run = run_program(&prog, &config);
     assert_eq!(run.report.racy_locations(), vec![0, 1, 2]);
 
@@ -122,23 +129,26 @@ fn serial_trace_follows_serial_visit_order() {
 #[test]
 fn parallel_snapshot_agrees_with_run_stats() {
     let prog = fib_prog(10);
-    let (config, registry) = attached_config(1 << 12, 4);
-    let run = run_program(&prog, &config);
-    let snap = registry.snapshot();
+    for ring in [DEFAULT_TRACE_BUF, 8] {
+        let (config, registry) = attached_config(1 << 12, 4, ring);
+        let run = run_program(&prog, &config);
+        let snap = registry.snapshot();
 
-    assert_eq!(snap.counter(CounterId::Threads), run.threads);
-    assert_eq!(snap.counter(CounterId::Steals), run.steals);
-    if snap.events_dropped == 0 {
-        // Counters never drop; events can under a deliberately tiny ring
-        // (the SP_TRACE_BUF=8 CI leg), so the per-event identity is only
-        // claimed when nothing wrapped.
-        assert_eq!(
-            snap.events_of(EventKind::Steal).count() as u64,
-            run.steals,
-            "one Steal event per successful steal"
-        );
+        // Counters never drop, whatever the ring.
+        assert_eq!(snap.counter(CounterId::Threads), run.threads, "ring={ring}");
+        assert_eq!(snap.counter(CounterId::Steals), run.steals, "ring={ring}");
+        assert_eq!(snap.counter(CounterId::RacesFound), run.report.len() as u64, "ring={ring}");
+        let steal_events = snap.events_of(EventKind::Steal).count() as u64;
+        if ring == DEFAULT_TRACE_BUF {
+            assert_eq!(steal_events, run.steals, "one Steal event per successful steal");
+        } else {
+            // A wrapped ring keeps the newest events and counts every one it
+            // lost: RunStarted, the steals and RunFinished are all there or
+            // dropped.
+            assert!(steal_events <= run.steals);
+            assert!(snap.events.len() as u64 + snap.events_dropped >= run.steals + 2);
+        }
     }
-    assert_eq!(snap.counter(CounterId::RacesFound), run.report.len() as u64);
 }
 
 #[test]
@@ -146,23 +156,32 @@ fn race_counters_and_events_see_one_race_per_location() {
     // Six writers per location find at least five races on each; the
     // report, the RacesFound counter and the RaceFound events all see the
     // first one only.
-    for workers in [1usize, 4] {
-        let (config, registry) = attached_config(8, workers);
-        let run = run_program(&contended_races(8, 6), &config);
-        let snap = registry.snapshot();
-        let entries = run.report.len();
-        let locations = run.report.racy_locations();
-        assert_eq!(locations, (0..8).collect::<Vec<u32>>(), "workers={workers}");
-        assert_eq!(entries, 8, "workers={workers}: one entry per location");
-        let counted = snap.counter(CounterId::RacesFound);
-        assert_eq!(counted, entries as u64, "workers={workers}");
-        if snap.events_dropped == 0 {
-            // As above: events are only comparable when no ring wrapped.
-            assert_eq!(
-                snap.events_of(EventKind::RaceFound).count(),
-                entries,
-                "workers={workers}: one RaceFound event per report entry"
-            );
+    for ring in [DEFAULT_TRACE_BUF, 8] {
+        for workers in [1usize, 4] {
+            let (config, registry) = attached_config(8, workers, ring);
+            let run = run_program(&contended_races(8, 6), &config);
+            let snap = registry.snapshot();
+            let entries = run.report.len();
+            let locations = run.report.racy_locations();
+            let at = format!("ring={ring} workers={workers}");
+            assert_eq!(locations, (0..8).collect::<Vec<u32>>(), "{at}");
+            assert_eq!(entries, 8, "{at}: one entry per location");
+            assert_eq!(snap.counter(CounterId::RacesFound), entries as u64, "{at}");
+            let race_events = snap.events_of(EventKind::RaceFound).count();
+            if ring == DEFAULT_TRACE_BUF {
+                assert_eq!(race_events, entries, "{at}: one RaceFound event per report entry");
+            } else {
+                // Eight RaceFound events plus RunStarted and RunFinished
+                // overflow one 8-entry ring: what is not seen is counted.
+                assert!(race_events <= entries, "{at}");
+                assert!(
+                    snap.events.len() + snap.events_dropped as usize >= entries + 2,
+                    "{at}: every lost event is counted"
+                );
+                if workers == 1 {
+                    assert!(snap.events_dropped > 0, "{at}: one slot must wrap");
+                }
+            }
         }
     }
 }
@@ -183,7 +202,7 @@ fn attaching_a_registry_never_changes_detection_results() {
     for workers in [1usize, 4] {
         let prog = planted_races(4);
         let detached = run_program(&prog, &RunConfig::with_workers(workers, 4));
-        let (config, _registry) = attached_config(4, workers);
+        let (config, _registry) = attached_config(4, workers, DEFAULT_TRACE_BUF);
         let attached = run_program(&prog, &config);
         if workers == 1 {
             assert_eq!(attached.report.races(), detached.report.races());
@@ -258,7 +277,7 @@ fn tiny_rings_lose_events_gracefully_never_corrupt() {
 #[test]
 fn chrome_trace_round_trips() {
     let prog = planted_races(2);
-    let (config, registry) = attached_config(2, 1);
+    let (config, registry) = attached_config(2, 1, DEFAULT_TRACE_BUF);
     run_program(&prog, &config);
     let snap = registry.snapshot();
     let json = snap.chrome_trace_json();
