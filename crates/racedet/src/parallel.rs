@@ -10,8 +10,7 @@ mod tests {
     use crate::access::{Access, AccessScript};
     use crate::engine::detect_races;
     use crate::report::RaceReport;
-    use sphybrid::hybrid::HybridStats;
-    use sphybrid::HybridBackend;
+    use sphybrid::{HybridBackend, HybridStats};
     use spmaint::api::BackendConfig;
     use spmaint::SpOrder;
     use sptree::tree::ParseTree;
@@ -20,10 +19,12 @@ mod tests {
 
     /// The engine over SP-hybrid on `workers` workers.
     fn detect_parallel(tree: &ParseTree, script: &AccessScript, workers: usize) -> (RaceReport, HybridStats) {
-        let (report, mut backend) =
+        let (report, backend) =
             detect_races::<HybridBackend>(tree, script, BackendConfig::with_workers(workers));
-        let stats = backend.take_stats().expect("run_with_queries completed, so stats are recorded");
-        (report, stats)
+        let stats = backend
+            .stats()
+            .expect("run_with_queries completed, so stats are recorded");
+        (report, stats.clone())
     }
 
     /// main spawns two children that both write the same location.

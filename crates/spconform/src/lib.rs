@@ -25,10 +25,11 @@
 //! `(shape, size, seed)` triple plus the shrunk parse tree, so a red run
 //! prints something a human can act on instead of a 300-thread random dump.
 //!
-//! The sweep entry point [`run_sweep`] honors two environment variables:
-//! `SPCONFORM_SEED` (base seed, default `0xC0FFEE`) and `SPCONFORM_CASES`
-//! (cases per shape, default 32; CI passes 200) — CI runs the sweep under
-//! several seeds.
+//! The sweep entry point [`run_sweep`] takes a [`SweepConfig`];
+//! [`SweepConfig::from_env`] builds one from `SPCONFORM_SEED` (base seed,
+//! default `0xC0FFEE`), `SPCONFORM_CASES` (cases per shape, default 32; CI
+//! passes 200) and `SPCONFORM_SHAPE` (one shape only) — CI runs the sweep
+//! under several seeds.
 //!
 //! The shape generators double as handy deterministic program factories.
 //! Build a tree, script two parallel writes, detect, assert the race:
@@ -43,12 +44,12 @@
 //! let mut script = AccessScript::new(tree.num_threads(), 1);
 //! script.push(ThreadId(1), Access::write(0)); // two parallel loop iterations
 //! script.push(ThreadId(3), Access::write(0)); // write the same location
-//! let (report, _) = detect_races::<SpOrder>(&tree, &script, BackendConfig::serial());
+//! let (report, _): (_, SpOrder) = detect_races(&tree, &script, BackendConfig::serial());
 //! assert_eq!(report.racy_locations(), vec![0]);
 //! ```
 
 use parking_lot::Mutex;
-use racedet::{detect_races, RaceReport};
+use racedet::{detect_races, AccessScript, RaceReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spmaint::api::{BackendConfig, SpBackend};
@@ -211,8 +212,9 @@ impl ShapeKind {
                 // multiple chunk publications in the union-find, and the
                 // nesting gives steals plenty of continuations to split.
                 // `size` saturates at 16 to keep debug-mode sweeps affordable
-                // (still hundreds of threads — dozens of chunk crossings with
-                // the conformance harness's hint of 4).
+                // (still hundreds of threads — dozens of chunk crossings from
+                // the live sweep's `(max_threads, max_steals)` hints of
+                // `(2, 0)`).
                 let depth = 4 + size.min(16);
                 let mut chain = Procedure::single(SyncBlock::new().work(1));
                 for _ in 0..depth {
@@ -346,9 +348,70 @@ impl BackendKind {
         }
     }
 
+    /// The two parallel maintainers, in the order multi-worker passes run
+    /// them.
+    const PARALLEL: [BackendKind; 2] = [BackendKind::Naive, BackendKind::Hybrid];
+
     /// Can this backend run programs of the given shape?
     pub fn supports(self, shape: ShapeKind) -> bool {
         self != BackendKind::Hybrid || shape.is_cilk_form()
+    }
+
+    /// The backends a pass on `workers` workers runs over `shape`, in
+    /// order: all six on one worker, the two parallel ones on more — each
+    /// only where it [`supports`](Self::supports) the shape.
+    fn for_pass(shape: ShapeKind, workers: usize) -> impl Iterator<Item = BackendKind> {
+        let kinds: &'static [BackendKind] = if workers > 1 {
+            &BackendKind::PARALLEL
+        } else {
+            &BackendKind::ALL
+        };
+        kinds
+            .iter()
+            .copied()
+            .filter(move |kind| kind.supports(shape))
+    }
+
+    /// The generic detection engine's report over this backend.
+    fn detect(self, tree: &ParseTree, script: &AccessScript, config: BackendConfig) -> RaceReport {
+        match self {
+            BackendKind::SpOrder => detect_races::<SpOrder>(tree, script, config).0,
+            BackendKind::SpBags => detect_races::<SpBags>(tree, script, config).0,
+            BackendKind::EnglishHebrew => {
+                detect_races::<EnglishHebrewLabels>(tree, script, config).0
+            }
+            BackendKind::OffsetSpan => detect_races::<OffsetSpanLabels>(tree, script, config).0,
+            BackendKind::Naive => detect_races::<NaiveBackend>(tree, script, config).0,
+            BackendKind::Hybrid => detect_races::<HybridBackend>(tree, script, config).0,
+        }
+    }
+
+    /// Query conformance on `workers` workers: every current-thread answer
+    /// against the oracle, then — for the backends that implement
+    /// [`SpQuery`] — arbitrary-pair relations.  Returns both counts.
+    fn check_queries(
+        self,
+        tree: &ParseTree,
+        oracle: &SpOracle<'_>,
+        workers: usize,
+    ) -> Result<(u64, u64), Discrepancy> {
+        let name = self.name();
+        Ok(match self {
+            BackendKind::SpOrder => paired::<SpOrder>(name, tree, oracle, workers)?,
+            BackendKind::SpBags => {
+                let (_, queries) = query_run::<SpBags>(name, tree, oracle, workers)?;
+                (queries, 0)
+            }
+            BackendKind::EnglishHebrew => {
+                paired::<EnglishHebrewLabels>(name, tree, oracle, workers)?
+            }
+            BackendKind::OffsetSpan => paired::<OffsetSpanLabels>(name, tree, oracle, workers)?,
+            BackendKind::Naive => paired::<NaiveBackend>(name, tree, oracle, workers)?,
+            BackendKind::Hybrid => {
+                let (_, queries) = query_run::<HybridBackend>(name, tree, oracle, workers)?;
+                (queries, 0)
+            }
+        })
     }
 }
 
@@ -499,12 +562,16 @@ pub fn tree_sexpr(tree: &ParseTree) -> String {
 }
 
 /// Run backend `B` over `tree` on `workers` workers, recording every
-/// current-thread query answer against already-executed threads.  Per-thread
-/// fan-in is capped (deterministically) so huge programs stay affordable.
-fn record_query_run<'t, B: SpBackend<'t>>(
+/// current-thread query answer against already-executed threads, and check
+/// the recorded answers against the oracle.  Per-thread fan-in is capped
+/// (deterministically) so huge programs stay affordable.  Returns the
+/// backend and the number of answers checked.
+fn query_run<'t, B: SpBackend<'t>>(
+    name: &'static str,
     tree: &'t ParseTree,
+    oracle: &SpOracle<'_>,
     workers: usize,
-) -> (B, Vec<(ThreadId, ThreadId, bool)>) {
+) -> Result<(B, u64), Discrepancy> {
     let n = tree.num_threads();
     let stride = (n / 96).max(1) as u32;
     let executed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
@@ -525,21 +592,12 @@ fn record_query_run<'t, B: SpBackend<'t>>(
         recorded.lock().extend(answers);
         executed[current.index()].store(true, Ordering::Release);
     });
-    (backend, recorded.into_inner())
-}
-
-/// Check the recorded current-thread answers of one backend run against the
-/// oracle.
-fn verify_queries(
-    backend: &'static str,
-    recorded: &[(ThreadId, ThreadId, bool)],
-    oracle: &SpOracle<'_>,
-) -> Result<u64, Discrepancy> {
-    for &(earlier, current, answer) in recorded {
+    let recorded = recorded.into_inner();
+    for &(earlier, current, answer) in &recorded {
         let truth = oracle.precedes(earlier, current);
         if answer != truth {
             return Err(Discrepancy {
-                backend,
+                backend: name,
                 detail: format!(
                     "precedes_current(u{}) answered {answer} while u{} was current; oracle says {truth}",
                     earlier.0, current.0
@@ -547,17 +605,19 @@ fn verify_queries(
             });
         }
     }
-    Ok(recorded.len() as u64)
+    Ok((backend, recorded.len() as u64))
 }
 
-/// Check arbitrary-pair relations of an `SpQuery` backend against the oracle
-/// (all pairs for small programs, a deterministic sample for large ones).
-fn verify_pairs<B: SpQuery>(
-    backend_name: &'static str,
-    backend: &B,
-    tree: &ParseTree,
+/// [`query_run`], then the arbitrary-pair relations of a backend that also
+/// implements [`SpQuery`] against the oracle (all pairs for small programs,
+/// a deterministic sample for large ones).  Returns both counts.
+fn paired<'t, B: SpBackend<'t> + SpQuery>(
+    name: &'static str,
+    tree: &'t ParseTree,
     oracle: &SpOracle<'_>,
-) -> Result<u64, Discrepancy> {
+    workers: usize,
+) -> Result<(u64, u64), Discrepancy> {
+    let (backend, queries) = query_run::<B>(name, tree, oracle, workers)?;
     let n = tree.num_threads() as u32;
     let mut checked = 0u64;
     let stride = (n / 64).max(1);
@@ -571,55 +631,29 @@ fn verify_pairs<B: SpQuery>(
             let want = oracle.relation(ta, tb);
             if got != want {
                 return Err(Discrepancy {
-                    backend: backend_name,
+                    backend: name,
                     detail: format!("relation(u{a}, u{b}) = {got:?}, oracle says {want:?}"),
                 });
             }
             checked += 1;
         }
     }
-    Ok(checked)
+    Ok((queries, checked))
 }
 
-/// Query-conformance pass for one backend kind, serial (`workers == 1`) or
-/// parallel.
+/// Query-conformance pass of every backend that runs `shape` on `workers`
+/// workers ([`BackendKind::check_queries`]).
 fn check_backend_queries(
-    kind: BackendKind,
+    shape: ShapeKind,
     tree: &ParseTree,
     oracle: &SpOracle<'_>,
     workers: usize,
 ) -> Result<CaseStats, Discrepancy> {
-    let name = kind.name();
     let mut stats = CaseStats::default();
-    match kind {
-        BackendKind::SpOrder => {
-            let (backend, rec) = record_query_run::<SpOrder>(tree, workers);
-            stats.queries += verify_queries(name, &rec, oracle)?;
-            stats.pair_queries += verify_pairs(name, &backend, tree, oracle)?;
-        }
-        BackendKind::SpBags => {
-            let (_backend, rec) = record_query_run::<SpBags>(tree, workers);
-            stats.queries += verify_queries(name, &rec, oracle)?;
-        }
-        BackendKind::EnglishHebrew => {
-            let (backend, rec) = record_query_run::<EnglishHebrewLabels>(tree, workers);
-            stats.queries += verify_queries(name, &rec, oracle)?;
-            stats.pair_queries += verify_pairs(name, &backend, tree, oracle)?;
-        }
-        BackendKind::OffsetSpan => {
-            let (backend, rec) = record_query_run::<OffsetSpanLabels>(tree, workers);
-            stats.queries += verify_queries(name, &rec, oracle)?;
-            stats.pair_queries += verify_pairs(name, &backend, tree, oracle)?;
-        }
-        BackendKind::Naive => {
-            let (backend, rec) = record_query_run::<NaiveBackend>(tree, workers);
-            stats.queries += verify_queries(name, &rec, oracle)?;
-            stats.pair_queries += verify_pairs(name, &backend, tree, oracle)?;
-        }
-        BackendKind::Hybrid => {
-            let (_backend, rec) = record_query_run::<HybridBackend>(tree, workers);
-            stats.queries += verify_queries(name, &rec, oracle)?;
-        }
+    for kind in BackendKind::for_pass(shape, workers) {
+        let (queries, pair_queries) = kind.check_queries(tree, oracle, workers)?;
+        stats.queries += queries;
+        stats.pair_queries += pair_queries;
     }
     Ok(stats)
 }
@@ -644,6 +678,46 @@ pub(crate) fn one_entry_per_location(
     })
 }
 
+/// The serial leg of both race checks: sp-order's report must flag exactly
+/// `truth` (`truth_name` says where it came from), and every other backend
+/// that runs `shape` must reproduce that report race for race, each report
+/// one entry per racy location.
+fn check_serial_reports(
+    shape: ShapeKind,
+    tree: &ParseTree,
+    script: &AccessScript,
+    truth: &[u32],
+    truth_name: &str,
+) -> Result<(), Discrepancy> {
+    let serial = BackendConfig::serial();
+    let reference = BackendKind::SpOrder.detect(tree, script, serial);
+    one_entry_per_location("sp-order", &reference)?;
+    if reference.racy_locations() != truth {
+        return Err(Discrepancy {
+            backend: "sp-order",
+            detail: format!(
+                "racy locations {:?} != {truth_name} {truth:?}",
+                reference.racy_locations()
+            ),
+        });
+    }
+    for kind in BackendKind::for_pass(shape, 1).filter(|&kind| kind != BackendKind::SpOrder) {
+        let report = kind.detect(tree, script, serial);
+        one_entry_per_location(kind.name(), &report)?;
+        if report.races() != reference.races() {
+            return Err(Discrepancy {
+                backend: kind.name(),
+                detail: format!(
+                    "serial race report diverges from sp-order ({truth_name} check): {:?} vs {:?}",
+                    report.races(),
+                    reference.races()
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Race-report conformance: inject known races, then require every serial
 /// backend instantiation of the generic engine to produce the **identical**
 /// report, and every backend (including multi-worker parallel runs) to flag
@@ -660,85 +734,19 @@ pub fn check_races(
     let base = disjoint_writes(tree, 2);
     let wanted = (tree.num_threads() / 8).min(4);
     let (script, expected) = inject_races(tree, &base, wanted, seed ^ 0x9E37_79B9);
-    let serial = BackendConfig::serial();
-
-    let (reference, _) = detect_races::<SpOrder>(tree, &script, serial);
-    one_entry_per_location("sp-order", &reference)?;
-    if reference.racy_locations() != expected {
-        return Err(Discrepancy {
-            backend: "sp-order",
-            detail: format!(
-                "racy locations {:?} != injected {:?}",
-                reference.racy_locations(),
-                expected
-            ),
-        });
-    }
-
-    // Deterministic single-worker runs must agree *race for race*.
-    let serial_reports = [
-        ("sp-bags", detect_races::<SpBags>(tree, &script, serial).0),
-        (
-            "english-hebrew",
-            detect_races::<EnglishHebrewLabels>(tree, &script, serial).0,
-        ),
-        (
-            "offset-span",
-            detect_races::<OffsetSpanLabels>(tree, &script, serial).0,
-        ),
-        ("naive-locked", detect_races::<NaiveBackend>(tree, &script, serial).0),
-    ];
-    for (name, report) in &serial_reports {
-        one_entry_per_location(name, report)?;
-        if report.races() != reference.races() {
-            return Err(Discrepancy {
-                backend: name,
-                detail: format!(
-                    "serial race report diverges from sp-order: {:?} vs {:?}",
-                    report.races(),
-                    reference.races()
-                ),
-            });
-        }
-    }
-    if shape.is_cilk_form() {
-        let (report, _) = detect_races::<HybridBackend>(tree, &script, serial);
-        one_entry_per_location("sp-hybrid", &report)?;
-        if report.races() != reference.races() {
-            return Err(Discrepancy {
-                backend: "sp-hybrid",
-                detail: format!(
-                    "serial race report diverges from sp-order: {:?} vs {:?}",
-                    report.races(),
-                    reference.races()
-                ),
-            });
-        }
-    }
+    check_serial_reports(shape, tree, &script, &expected, "injected")?;
 
     // Multi-worker runs are nondeterministically ordered, but on this script
     // (each injected location carries exactly one parallel write-write pair)
     // the racy-location set must still be exactly the injected one.
     if workers > 1 {
         let cfg = BackendConfig::with_workers(workers);
-        let (report, _) = detect_races::<NaiveBackend>(tree, &script, cfg);
-        one_entry_per_location("naive-locked", &report)?;
-        if report.racy_locations() != expected {
-            return Err(Discrepancy {
-                backend: "naive-locked",
-                detail: format!(
-                    "parallel ({workers} workers) racy locations {:?} != injected {:?}",
-                    report.racy_locations(),
-                    expected
-                ),
-            });
-        }
-        if shape.is_cilk_form() {
-            let (report, _) = detect_races::<HybridBackend>(tree, &script, cfg);
-            one_entry_per_location("sp-hybrid", &report)?;
+        for kind in BackendKind::for_pass(shape, workers) {
+            let report = kind.detect(tree, &script, cfg);
+            one_entry_per_location(kind.name(), &report)?;
             if report.racy_locations() != expected {
                 return Err(Discrepancy {
-                    backend: "sp-hybrid",
+                    backend: kind.name(),
                     detail: format!(
                         "parallel ({workers} workers) racy locations {:?} != injected {:?}",
                         report.racy_locations(),
@@ -770,80 +778,21 @@ pub fn check_random_scripts(
 ) -> Result<u64, Discrepancy> {
     let script = random_mixed_script(tree, 4, 3, seed ^ 0x0DD_B01D);
     let truth = racy_locations_oracle(tree, &script);
-    let serial = BackendConfig::serial();
-
-    let (reference, _) = detect_races::<SpOrder>(tree, &script, serial);
-    one_entry_per_location("sp-order", &reference)?;
-    if reference.racy_locations() != truth {
-        return Err(Discrepancy {
-            backend: "sp-order",
-            detail: format!(
-                "random script: racy locations {:?} != oracle {:?}",
-                reference.racy_locations(),
-                truth
-            ),
-        });
-    }
-
-    let serial_reports = [
-        ("sp-bags", detect_races::<SpBags>(tree, &script, serial).0),
-        (
-            "english-hebrew",
-            detect_races::<EnglishHebrewLabels>(tree, &script, serial).0,
-        ),
-        (
-            "offset-span",
-            detect_races::<OffsetSpanLabels>(tree, &script, serial).0,
-        ),
-        ("naive-locked", detect_races::<NaiveBackend>(tree, &script, serial).0),
-    ];
-    for (name, report) in &serial_reports {
-        one_entry_per_location(name, report)?;
-        if report.races() != reference.races() {
-            return Err(Discrepancy {
-                backend: name,
-                detail: format!(
-                    "random script: serial race report diverges from sp-order: {:?} vs {:?}",
-                    report.races(),
-                    reference.races()
-                ),
-            });
-        }
-    }
-    if shape.is_cilk_form() {
-        let (report, _) = detect_races::<HybridBackend>(tree, &script, serial);
-        one_entry_per_location("sp-hybrid", &report)?;
-        if report.races() != reference.races() {
-            return Err(Discrepancy {
-                backend: "sp-hybrid",
-                detail: format!(
-                    "random script: serial race report diverges from sp-order: {:?} vs {:?}",
-                    report.races(),
-                    reference.races()
-                ),
-            });
-        }
-    }
+    check_serial_reports(shape, tree, &script, &truth, "random-script oracle")?;
 
     if workers > 1 {
         let cfg = BackendConfig::with_workers(workers);
         let oracle = SpOracle::new(tree);
-        let mut parallel_runs = vec![(
-            "naive-locked",
-            detect_races::<NaiveBackend>(tree, &script, cfg).0,
-        )];
-        if shape.is_cilk_form() {
-            parallel_runs.push(("sp-hybrid", detect_races::<HybridBackend>(tree, &script, cfg).0));
-        }
-        for (name, report) in &parallel_runs {
-            one_entry_per_location(name, report)?;
+        for kind in BackendKind::for_pass(shape, workers) {
+            let report = kind.detect(tree, &script, cfg);
+            one_entry_per_location(kind.name(), &report)?;
             for race in report.races() {
                 let genuine = race.earlier != race.later
                     && oracle.parallel(race.earlier, race.later)
                     && truth.contains(&race.loc);
                 if !genuine {
                     return Err(Discrepancy {
-                        backend: name,
+                        backend: kind.name(),
                         detail: format!(
                             "random script ({workers} workers): unsound race {race:?} \
                              (oracle racy locations {truth:?})"
@@ -877,31 +826,15 @@ pub fn check_case(
 ) -> Result<CaseStats, Discrepancy> {
     let tree = shape.build_tree(size, seed);
     let oracle = SpOracle::new(&tree);
-    let mut stats = CaseStats {
-        threads: tree.num_threads() as u64,
-        ..CaseStats::default()
-    };
-
-    for kind in BackendKind::ALL {
-        if !kind.supports(shape) {
-            continue;
-        }
-        let s = check_backend_queries(kind, &tree, &oracle, 1)?;
+    let mut stats = check_backend_queries(shape, &tree, &oracle, 1)?;
+    if workers > 1 {
+        let s = check_backend_queries(shape, &tree, &oracle, workers)?;
         stats.queries += s.queries;
         stats.pair_queries += s.pair_queries;
     }
-    if workers > 1 {
-        for kind in [BackendKind::Naive, BackendKind::Hybrid] {
-            if !kind.supports(shape) {
-                continue;
-            }
-            let s = check_backend_queries(kind, &tree, &oracle, workers)?;
-            stats.queries += s.queries;
-            stats.pair_queries += s.pair_queries;
-        }
-    }
-    stats.injected_races += check_races(shape, &tree, seed, workers)?;
-    stats.emergent_races += check_random_scripts(shape, &tree, seed, workers)?;
+    stats.threads = tree.num_threads() as u64;
+    stats.injected_races = check_races(shape, &tree, seed, workers)?;
+    stats.emergent_races = check_random_scripts(shape, &tree, seed, workers)?;
     Ok(stats)
 }
 
@@ -1024,7 +957,7 @@ pub(crate) fn sweep<C, S: Default>(
     let (seed_offset, base_workers) = kind.plan();
     let mut stats = S::default();
     for (shape_idx, shape) in ShapeKind::ALL.iter().copied().enumerate() {
-        if kind != SweepKind::Tree && !shape.is_cilk_form() {
+        if kind != SweepKind::Tree && !BackendKind::Hybrid.supports(shape) {
             continue;
         }
         if config.only_shape.is_some_and(|only| only != shape) {

@@ -1,68 +1,183 @@
 //! [`SpBackend`] adapters for the parallel SP maintainers.
 //!
 //! The serial algorithms in `spmaint` implement [`SpBackend`] over a tree
-//! walk; the two parallel structures of this crate need thin adapters
-//! because their query interface is threaded through the scheduler:
+//! walk; the two parallel structures of this crate run the tree as a
+//! `forkrt::TreeProgram` on the one work-stealing runtime instead:
 //!
-//! * [`HybridBackend`] — SP-hybrid.  Queries need the [`crate::TraceId`] the current
-//!   thread runs in, so the adapter closes over it in a per-thread view.
-//!   With `workers == 1` this is the paper's serialized SP-hybrid (no steals,
-//!   one trace); with `workers > 1` it is the full two-tier parallel
-//!   structure.
+//! * [`HybridBackend`] — SP-hybrid, and its one tree driver.  Queries need
+//!   the [`TraceId`] the current thread runs in, so each thread queries
+//!   through [`LiveSpHybrid::view`].  One worker is the paper's serialized
+//!   SP-hybrid (no steals, one trace); more is the full two-tier structure.
 //! * [`NaiveBackend`] — the globally-locked shared SP-order of §3.  Queries
 //!   are arbitrary-pair under the lock, so the per-thread view simply fixes
 //!   one endpoint; the backend also implements [`SpQuery`] — the only
 //!   *parallel* maintainer that answers arbitrary-pair queries.
 //!
-//! Both adapters run the tree as a `forkrt::TreeProgram` on the one
-//! work-stealing runtime, which lets one generic engine (`racedet::detect_races`) and one
-//! conformance harness (`spconform`) drive all six maintainers identically.
+//! So one generic engine (`racedet::detect_races`) and one conformance
+//! harness (`spconform`) drive all six maintainers identically.
 
-use forkrt::{run_live, LiveConfig, LiveVisitor, SpKind, Token, TreeProgram};
+use forkrt::{
+    run_live, LiveConfig, LiveVisitor, RunStats, SpKind, StealTokens, Token, TreeProgram,
+};
+use parking_lot::Mutex;
 use spmaint::api::{BackendConfig, CurrentSpQuery, SpBackend, SpQuery};
 use spmetrics::MetricsHandle;
-use sptree::tree::{NodeId, ParseTree, ThreadId};
+use sptree::tree::{NodeId, ParseTree, ProcId, ThreadId};
 
-use crate::hybrid::{HybridStats, SpHybrid};
+use crate::live::LiveSpHybrid;
 use crate::naive::NaiveSharedSpOrder;
+use crate::trace::TraceId;
 
 // ---------------------------------------------------------------------------
 // SP-hybrid
 // ---------------------------------------------------------------------------
 
-/// SP-hybrid behind [`SpBackend`].
+/// Statistics of a completed SP-hybrid run.
+#[derive(Clone, Debug)]
+pub struct HybridStats {
+    /// Scheduler statistics (steals, per-worker thread counts, wall time).
+    pub run: RunStats,
+    /// Number of traces at the end (must equal 4·steals + 1).
+    pub traces: usize,
+    /// Global-tier insertions (one per steal).
+    pub global_insertions: u64,
+    /// Lock-free query attempts that had to be retried.
+    pub query_retries: u64,
+}
+
+/// Record of one trace split, kept for diagnostics (splits are rare — one
+/// per steal — so logging them is cheap).
+#[derive(Clone, Copy, Debug)]
+pub struct SplitRecord {
+    /// The stolen P-node.
+    pub pnode: NodeId,
+    /// The procedure whose bags were moved.
+    pub proc: ProcId,
+    /// The trace that was split (U = U⁽³⁾).
+    pub victim: TraceId,
+    /// The four traces created: U⁽¹⁾, U⁽²⁾, U⁽⁴⁾, U⁽⁵⁾.
+    pub created: [TraceId; 4],
+    /// Position of this split in global-tier insertion order (1-based).
+    pub seq: u64,
+}
+
+/// SP-hybrid for a program given as a parse tree: the two tiers
+/// ([`LiveSpHybrid`]) fed with the tree's own procedure ids by a Figure-8
+/// visitor on the work-stealing runtime, plus a log of the splits its
+/// steals caused.
 ///
-/// Requires the tree to be in canonical Cilk form ([`sptree::cilk`]), like
-/// the underlying [`SpHybrid`] structure; arbitrary fork-join programs can be
-/// brought into that form by adding empty threads (paper footnote 6).
+/// Requires the tree to be in canonical Cilk form ([`sptree::cilk`]);
+/// arbitrary fork-join programs can be brought into that form by adding
+/// empty threads (paper footnote 6).
 pub struct HybridBackend<'t> {
-    hybrid: SpHybrid<'t>,
+    tree: &'t ParseTree,
+    live: LiveSpHybrid,
     workers: usize,
+    split_log: Mutex<Vec<SplitRecord>>,
     stats: Option<HybridStats>,
 }
 
 impl<'t> HybridBackend<'t> {
-    /// The underlying two-tier structure.
-    pub fn hybrid(&self) -> &SpHybrid<'t> {
-        &self.hybrid
-    }
-
-    /// Statistics of the completed run (`None` before `run_with_queries`).
+    /// Statistics of the completed run (`None` before a run).
     pub fn stats(&self) -> Option<&HybridStats> {
         self.stats.as_ref()
     }
 
-    /// Take ownership of the run statistics.
-    pub fn take_stats(&mut self) -> Option<HybridStats> {
-        self.stats.take()
+    /// The splits performed so far (one per steal), in the order their
+    /// steals logged them — not necessarily `seq` order.
+    pub fn split_log(&self) -> Vec<SplitRecord> {
+        self.split_log.lock().clone()
+    }
+
+    /// Run the tree on the configured workers.  `on_thread` is called on
+    /// the executing worker for every thread, with the two tiers, the thread
+    /// and the trace it runs in; this is where a race detector performs its
+    /// shadowed accesses and issues [`LiveSpHybrid::precedes_current`]
+    /// queries.
+    pub fn run(&mut self, on_thread: impl Fn(&LiveSpHybrid, ThreadId, TraceId) + Sync) {
+        let run = run_live(
+            &TreeProgram::new(self.tree),
+            &HybridVisitor {
+                backend: &*self,
+                on_thread,
+            },
+            LiveConfig::with_workers(self.workers),
+            self.live.root_trace().to_token(),
+            &MetricsHandle::detached(),
+        );
+        self.stats = Some(HybridStats {
+            traces: self.live.num_traces(),
+            global_insertions: self.live.global_insertions(),
+            query_retries: self.live.query_retries(),
+            run,
+        });
+    }
+}
+
+/// Figure 8: translates the runtime's events on tree nodes into the
+/// maintenance events of the two tiers.
+struct HybridVisitor<'b, 't, F> {
+    backend: &'b HybridBackend<'t>,
+    on_thread: F,
+}
+
+impl<'t, F> LiveVisitor<TreeProgram<'t>> for HybridVisitor<'_, 't, F>
+where
+    F: Fn(&LiveSpHybrid, ThreadId, TraceId) + Sync,
+{
+    fn execute_leaf(&self, _worker: usize, &node: &NodeId, token: Token) {
+        let HybridBackend { tree, live, .. } = self.backend;
+        let thread = tree
+            .thread_of(node)
+            .expect("the runtime executes leaves only");
+        let trace = TraceId::from_token(token);
+        // Line 3 of Figure 8: insert the thread into the trace, then execute.
+        live.thread_executed(tree.proc_of(node), thread, trace);
+        (self.on_thread)(live, thread, trace);
+    }
+
+    fn between_children(&self, _worker: usize, kind: SpKind, &node: &NodeId, token: Token) {
+        if kind.is_parallel() {
+            let HybridBackend { tree, live, .. } = self.backend;
+            let trace = TraceId::from_token(token);
+            live.child_returned(tree.proc_of(node), tree.spawned_proc(node), trace);
+        }
+    }
+
+    fn leave_internal(&self, _worker: usize, kind: SpKind, &node: &NodeId, token: Token) {
+        if kind.is_parallel() {
+            let HybridBackend { tree, live, .. } = self.backend;
+            live.synced(tree.proc_of(node), TraceId::from_token(token));
+        }
+    }
+
+    fn steal(&self, _thief: usize, _victim: usize, &pnode: &NodeId, token: Token) -> StealTokens {
+        let HybridBackend {
+            tree,
+            live,
+            split_log,
+            ..
+        } = self.backend;
+        let (proc, victim) = (tree.proc_of(pnode), TraceId::from_token(token));
+        let split = live.split(proc, victim);
+        split_log.lock().push(SplitRecord {
+            pnode,
+            proc,
+            victim,
+            created: split.created,
+            seq: split.seq,
+        });
+        split.tokens()
     }
 }
 
 impl<'t> SpBackend<'t> for HybridBackend<'t> {
     fn build(tree: &'t ParseTree, config: BackendConfig) -> Self {
         HybridBackend {
-            hybrid: SpHybrid::new(tree),
+            tree,
+            live: LiveSpHybrid::new(tree.num_threads(), tree.num_pnodes()),
             workers: config.workers.max(1),
+            split_log: Mutex::new(Vec::new()),
             stats: None,
         }
     }
@@ -72,13 +187,10 @@ impl<'t> SpBackend<'t> for HybridBackend<'t> {
         F: Fn(&dyn CurrentSpQuery, ThreadId) + Sync,
     {
         debug_assert!(
-            std::ptr::eq(tree, self.hybrid.tree()),
+            std::ptr::eq(tree, self.tree),
             "run_with_queries must receive the tree the backend was built for"
         );
-        let stats = self.hybrid.run(self.workers, |h, current, trace| {
-            on_thread(&h.live().view(trace), current);
-        });
-        self.stats = Some(stats);
+        self.run(|live, current, trace| on_thread(&live.view(trace), current));
     }
 
     fn name(&self) -> &'static str {
@@ -90,7 +202,7 @@ impl<'t> SpBackend<'t> for HybridBackend<'t> {
     }
 
     fn space_bytes(&self) -> usize {
-        self.hybrid.space_bytes()
+        self.live.space_bytes()
     }
 }
 
@@ -108,11 +220,6 @@ pub struct NaiveBackend<'t> {
 }
 
 impl NaiveBackend<'_> {
-    /// The underlying locked structure.
-    pub fn naive(&self) -> &NaiveSharedSpOrder {
-        &self.naive
-    }
-
     /// Number of global-lock acquisitions so far (contention metric).
     pub fn lock_acquisitions(&self) -> u64 {
         self.naive.lock_acquisitions()

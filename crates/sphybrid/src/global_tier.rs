@@ -65,8 +65,15 @@ impl GlobalTier {
 
     /// Perform the two `OM-MULTI-INSERT`s of Figure 8 (lines 20–23) for a
     /// split of the trace with handles `(u_eng, u_heb)`, under the global
-    /// insertion lock.
-    pub fn insert_split(&self, u_eng: ConcurrentOmNode, u_heb: ConcurrentOmNode) -> SplitHandles {
+    /// insertion lock, and hand the new handles to `register` while still
+    /// holding it — so whatever `register` numbers is numbered in `seq`
+    /// order.
+    pub fn insert_split<R>(
+        &self,
+        u_eng: ConcurrentOmNode,
+        u_heb: ConcurrentOmNode,
+        register: impl FnOnce(SplitHandles) -> R,
+    ) -> R {
         let _guard = self.lock.lock();
         let seq = 1 + self
             .insertions
@@ -75,13 +82,13 @@ impl GlobalTier {
         let (e1, e2, e4, e5) = self.eng.multi_insert_around(u_eng);
         // Hebrew: ⟨U1, U4, U, U2, U5⟩.
         let (h1, h4, h2, h5) = self.heb.multi_insert_around(u_heb);
-        SplitHandles {
+        register(SplitHandles {
             u1: (e1, h1),
             u2: (e2, h2),
             u4: (e4, h4),
             u5: (e5, h5),
             seq,
-        }
+        })
     }
 
     /// Lock-free trace-order query: does trace `a` precede trace `b` in the
@@ -129,7 +136,7 @@ mod tests {
     fn split_produces_paper_figure_12_order() {
         let (tier, u_eng, u_heb) = GlobalTier::new(64);
         let u = (u_eng, u_heb);
-        let s = tier.insert_split(u_eng, u_heb);
+        let s = tier.insert_split(u_eng, u_heb, |s| s);
         // U1 precedes U3(=U), U4, U5 in both orders.
         assert!(tier.precedes(s.u1, u));
         assert!(tier.precedes(s.u1, s.u4));
@@ -151,9 +158,9 @@ mod tests {
     fn nested_splits_preserve_relative_order() {
         let (tier, u_eng, u_heb) = GlobalTier::new(256);
         let u = (u_eng, u_heb);
-        let s1 = tier.insert_split(u_eng, u_heb);
+        let s1 = tier.insert_split(u_eng, u_heb, |s| s);
         // Split U4 again (as if the thief's trace was itself stolen from).
-        let s2 = tier.insert_split(s1.u4.0, s1.u4.1);
+        let s2 = tier.insert_split(s1.u4.0, s1.u4.1, |s| s);
         // Everything in the second split still follows U1 and precedes U5 of
         // the first split.
         for x in [s2.u1, s2.u2, s2.u4, s2.u5] {

@@ -3,8 +3,8 @@
 //! SP-hybrid maintains series-parallel relationships while the program runs
 //! **in parallel** under a Cilk-style work-stealing scheduler (our `forkrt`
 //! crate).  It is a two-tier structure ([`LiveSpHybrid`]), driven by
-//! maintenance events; [`SpHybrid`] feeds it from a materialized parse tree
-//! and `spprog` from a live run, on the same runtime:
+//! maintenance events; [`HybridBackend`] feeds it from a materialized parse
+//! tree and `spprog` from a live run, on the same runtime:
 //!
 //! * the **global tier** ([`global_tier::GlobalTier`]) is a shared SP-order
 //!   structure over *traces* — sets of threads executed on one processor
@@ -30,24 +30,22 @@
 //! The crate also contains [`naive::NaiveSharedSpOrder`], the strawman of §3
 //! (one global lock around a shared SP-order structure): the design the
 //! two-tier structure exists to avoid, run tree-driven only
-//! ([`backend::NaiveBackend`]) — live runs use SP-hybrid.
+//! ([`NaiveBackend`]) — live runs use SP-hybrid.
 //!
-//! Both parallel structures are additionally exposed through the one
-//! maintainer trait [`spmaint::SpBackend`] ([`backend::HybridBackend`],
-//! [`backend::NaiveBackend`]), so the generic race-detection engine in
-//! `racedet` and the `spconform` differential harness can drive them
-//! interchangeably with the serial Figure-3 algorithms.
+//! Both tree drivers implement the one maintainer trait
+//! [`spmaint::SpBackend`], so `racedet`'s generic engine and the `spconform`
+//! harness drive them interchangeably with the serial Figure-3 algorithms.
 
 pub mod backend;
 pub mod global_tier;
-pub mod hybrid;
+#[cfg(test)]
+mod hybrid;
 pub mod live;
 pub mod local_tier;
 pub mod naive;
 pub mod trace;
 
-pub use backend::{HybridBackend, NaiveBackend};
-pub use hybrid::{run_hybrid, HybridStats, SpHybrid};
+pub use backend::{HybridBackend, HybridStats, NaiveBackend};
 pub use live::{LiveSpHybrid, TraceSplit};
 pub use naive::NaiveSharedSpOrder;
 pub use trace::TraceId;

@@ -13,10 +13,9 @@
 //!   (carried in the token) splits five ways (Figure 8, lines 19–24), the
 //!   stolen continuation runs under U⁽⁴⁾ and the post-join code under U⁽⁵⁾.
 //!
-//! A live `spprog` run feeds it procedure ids the runtime allocates as
-//! procedures are instantiated; the tree-driven [`crate::SpHybrid`] feeds it
-//! `proc_of` / `spawned_proc` of a materialized parse tree.  Both run on the
-//! same `forkrt` runtime.
+//! A live `spprog` run feeds it the procedure ids its runtime allocates;
+//! [`crate::HybridBackend`] feeds it a parse tree's `proc_of` /
+//! `spawned_proc`.  Both run on the same `forkrt` runtime.
 //!
 //! The two substrates grow on demand (chunked slabs published with release
 //! stores, addressed by readers with acquire loads — see
@@ -37,7 +36,7 @@ use forkrt::StealTokens;
 use spmaint::api::CurrentSpQuery;
 use sptree::tree::{ProcId, ThreadId};
 
-use crate::global_tier::GlobalTier;
+use crate::global_tier::{GlobalTier, SplitHandles};
 use crate::local_tier::{BagKind, LocalTier};
 use crate::trace::{TraceArena, TraceId};
 
@@ -220,21 +219,23 @@ impl LiveSpHybrid {
     /// Lines 19–24 of Figure 8: the continuation of a spawn in procedure
     /// `proc` was stolen from `victim_trace`.  Creates the four new traces
     /// in the global orders and splits the victim's local tier in O(1).
+    ///
+    /// The four trace ids are taken under the global tier's insertion lock,
+    /// so split `seq = s` creates traces 4s − 3 ..= 4s however concurrent
+    /// steals interleave.
     pub fn split(&self, proc: ProcId, victim_trace: TraceId) -> TraceSplit {
         let u_state = self.traces.get(victim_trace);
-        let handles = self.global.insert_split(u_state.eng, u_state.heb);
-        let u1 = self.traces.push(handles.u1.0, handles.u1.1);
-        let u2 = self.traces.push(handles.u2.0, handles.u2.1);
-        let u4 = self.traces.push(handles.u4.0, handles.u4.1);
-        let u5 = self.traces.push(handles.u5.0, handles.u5.1);
+        let register = |h: SplitHandles| TraceSplit {
+            created: [h.u1, h.u2, h.u4, h.u5].map(|(eng, heb)| self.traces.push(eng, heb)),
+            seq: h.seq,
+        };
+        let split = self.global.insert_split(u_state.eng, u_state.heb, register);
+        let [u1, u2, ..] = split.created;
         {
             let mut local = u_state.local.lock();
             self.local.split(&mut local, proc, u1, u2);
         }
-        TraceSplit {
-            created: [u1, u2, u4, u5],
-            seq: handles.seq,
-        }
+        split
     }
 }
 
@@ -327,5 +328,45 @@ mod tests {
         for t in 0..200 {
             assert!(h.precedes_current(ThreadId(t), victim));
         }
+    }
+
+    /// Two thieves splitting different victims at once: every split still
+    /// creates traces 4s − 3 ..= 4s for its `seq = s`, the numbering a split
+    /// log is decoded by.
+    #[test]
+    fn concurrent_splits_number_their_traces_by_seq() {
+        const SPLITS: usize = 20_000;
+        let h = &LiveSpHybrid::new(2, 1);
+        let first = h.split(ProcId(0), h.root_trace());
+        let start = &std::sync::Barrier::new(2);
+        let mut splits = vec![first];
+        std::thread::scope(|s| {
+            let thieves = [h.root_trace(), first.stolen()].map(|victim| {
+                s.spawn(move || {
+                    start.wait();
+                    (0..SPLITS)
+                        .map(|_| h.split(ProcId(0), victim))
+                        .collect::<Vec<_>>()
+                })
+            });
+            for thief in thieves {
+                splits.extend(thief.join().expect("the thief finished"));
+            }
+        });
+        assert_eq!(h.num_traces(), 1 + 4 * splits.len());
+        let misnumbered: Vec<_> = splits
+            .iter()
+            .filter(|split| {
+                let first = 4 * split.seq as u32 - 3;
+                split.created != [0, 1, 2, 3].map(|i| TraceId(first + i))
+            })
+            .collect();
+        assert!(
+            misnumbered.is_empty(),
+            "{} of {} splits misnumbered, e.g. {:?}",
+            misnumbered.len(),
+            splits.len(),
+            &misnumbered[..misnumbered.len().min(3)]
+        );
     }
 }

@@ -2,7 +2,8 @@
 //! rich diagnostics on any disagreement.
 
 use parking_lot::Mutex;
-use sphybrid::hybrid::run_hybrid;
+use sphybrid::HybridBackend;
+use spmaint::api::{BackendConfig, SpBackend};
 use sptree::cilk::CilkProgram;
 use sptree::generate::{random_cilk_program, CilkGenParams};
 use sptree::oracle::SpOracle;
@@ -34,7 +35,8 @@ fn stress_parallel_hybrid_against_oracle() {
         type Mismatch = (u32, u32, u32, bool, u32, bool);
         let mismatches: Mutex<Vec<Mismatch>> = Mutex::new(Vec::new());
 
-        let (hybrid, stats) = run_hybrid(&tree, 8, |h, current, trace| {
+        let mut hybrid = HybridBackend::build(&tree, BackendConfig::with_workers(8));
+        hybrid.run(|h, current, trace| {
             let mut x = 1u64;
             for i in 0..80u64 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
@@ -57,7 +59,16 @@ fn stress_parallel_hybrid_against_oracle() {
         });
         let mismatches = mismatches.into_inner();
         if !mismatches.is_empty() {
+            let stats = hybrid.stats().expect("the run completed");
+            // Split `seq = s` created traces 4s − 3 ..= 4s (U⁽¹⁾, U⁽²⁾, U⁽⁴⁾,
+            // U⁽⁵⁾); the log is in push order, so look records up by `seq`.
             let log = hybrid.split_log();
+            let split_of = |trace: u32| {
+                let seq = u64::from((trace - 1) / 4 + 1);
+                log.iter()
+                    .find(|r| r.seq == seq)
+                    .expect("every split is logged")
+            };
             eprintln!(
                 "round {round}: {} mismatches, steals={}, traces={}",
                 mismatches.len(),
@@ -71,16 +82,15 @@ fn stress_parallel_hybrid_against_oracle() {
                         out.push_str("U0");
                         break;
                     }
-                    let split = ((trace - 1) / 4) as usize;
                     let role = match (trace - 1) % 4 {
                         0 => "U1",
                         1 => "U2",
                         2 => "U4",
                         _ => "U5",
                     };
-                    let rec = &log[split];
+                    let rec = split_of(trace);
                     out.push_str(&format!(
-                        "{trace}={role}(split{split} seq{} @node{} proc{} victim{}) <- ",
+                        "{trace}={role}(split seq{} @node{} proc{} victim{}) <- ",
                         rec.seq, rec.pnode.0, rec.proc.0, rec.victim.0
                     ));
                     trace = rec.victim.0;
@@ -98,10 +108,8 @@ fn stress_parallel_hybrid_against_oracle() {
                 eprintln!("    earlier trace ancestry: {}", ancestry(et));
                 eprintln!("    current trace ancestry: {}", ancestry(ct));
                 if et > 0 && ct > 0 {
-                    let re = &log[((et - 1) / 4) as usize];
-                    let rc = &log[((ct - 1) / 4) as usize];
-                    let a = re.pnode;
-                    let b = rc.pnode;
+                    let a = split_of(et).pnode;
+                    let b = split_of(ct).pnode;
                     eprintln!(
                         "    stolen nodes: earlier-split node {} vs current-split node {}: a_anc_b={} b_anc_a={}",
                         a.0, b.0, tree.is_ancestor(a, b), tree.is_ancestor(b, a)

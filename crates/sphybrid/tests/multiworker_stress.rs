@@ -11,7 +11,8 @@
 //!   queries that had to retry) matches the LCA oracle.
 
 use parking_lot::Mutex;
-use sphybrid::hybrid::run_hybrid;
+use sphybrid::HybridBackend;
+use spmaint::api::{BackendConfig, SpBackend};
 use sptree::cilk::CilkProgram;
 use sptree::generate::{fib_like, random_cilk_program, CilkGenParams};
 use sptree::oracle::SpOracle;
@@ -25,7 +26,8 @@ fn stress_run(tree: &ParseTree, workers: usize, spin: u64) -> (u64, usize, u64) 
     let executed: Vec<AtomicBool> =
         (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect();
     let recorded: Mutex<Vec<(ThreadId, ThreadId, bool)>> = Mutex::new(Vec::new());
-    let (_hybrid, stats) = run_hybrid(tree, workers, |h, current, trace| {
+    let mut hybrid = HybridBackend::build(tree, BackendConfig::with_workers(workers));
+    hybrid.run(|h, current, trace| {
         let mut x = 1u64;
         for i in 0..spin {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
@@ -43,6 +45,7 @@ fn stress_run(tree: &ParseTree, workers: usize, spin: u64) -> (u64, usize, u64) 
         executed[current.index()].store(true, Ordering::Release);
     });
 
+    let stats = hybrid.stats().expect("the run completed");
     let oracle = SpOracle::new(tree);
     for (earlier, current, answer) in recorded.into_inner() {
         assert_eq!(

@@ -147,7 +147,7 @@ pub mod prelude {
     };
     pub use spmetrics::{CounterId, EventKind, HistId, MetricsHandle, MetricsRegistry};
     pub use spservice::{DetectionService, ServiceConfig, SessionMetrics, SessionOutcome};
-    pub use sphybrid::{run_hybrid, HybridBackend, NaiveBackend, SpHybrid};
+    pub use sphybrid::{HybridBackend, NaiveBackend};
     pub use spmaint::{
         BackendConfig, CurrentSpQuery, EnglishHebrewLabels, OffsetSpanLabels, SpBackend, SpBags,
         SpOrder, SpQuery,

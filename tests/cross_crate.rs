@@ -2,7 +2,6 @@
 //! detection, serial vs parallel.
 
 use sp_maintenance::prelude::*;
-use sp_maintenance::sphybrid::hybrid::run_hybrid;
 use sp_maintenance::sptree::walk::walk_visitor;
 use sp_maintenance::workloads::{disjoint_writes, inject_races, shared_read_private_write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,7 +65,8 @@ fn hybrid_answers_match_serial_sp_order_during_parallel_execution() {
     walk_visitor(tree, &mut reference);
     let executed: Vec<AtomicBool> = (0..tree.num_threads()).map(|_| AtomicBool::new(false)).collect();
     let failures = std::sync::atomic::AtomicU64::new(0);
-    let (_hybrid, stats) = run_hybrid(tree, 6, |h, current, trace| {
+    let mut hybrid = HybridBackend::build(tree, BackendConfig::with_workers(6));
+    hybrid.run(|h, current, trace| {
         for step in 1..16u32 {
             let earlier = ThreadId(current.0.wrapping_sub(step * 17) % tree.num_threads() as u32);
             if earlier == current || !executed[earlier.index()].load(Ordering::Acquire) {
@@ -79,6 +79,7 @@ fn hybrid_answers_match_serial_sp_order_during_parallel_execution() {
         executed[current.index()].store(true, Ordering::Release);
     });
     assert_eq!(failures.load(Ordering::Relaxed), 0);
+    let stats = hybrid.stats().expect("the run completed");
     assert_eq!(stats.global_insertions, stats.run.steals);
 }
 

@@ -176,8 +176,10 @@ fn architecture_mentions_every_bench_target() {
 
     // Nothing outside the history files may still point at the retired
     // harness — its crate, its result files, its smoke knob (`SP` +
-    // `BENCH_…`) — or at the retired environment knobs: the library crates
-    // are configured by argument only.
+    // `BENCH_…`) —, at the retired environment knobs (the library crates
+    // are configured by argument only) or at SP-hybrid's retired second tree
+    // driver (`HybridBackend` is the one; these spellings miss
+    // `LiveSpHybrid`).
     let mut files = Vec::new();
     sources(&root, &["rs", "md", "yml"], &mut files);
     for file in files {
@@ -194,6 +196,9 @@ fn architecture_mentions_every_bench_target() {
             "SP_OM_CHUNK",
             "SP_TRACE_BUF",
             "SP_SERVICE_WORKERS",
+            "run_hybrid",
+            "`SpHybrid",
+            "::SpHybrid",
         ];
         for stale in stale_names {
             assert!(!text.contains(stale), "{} still names `{stale}…`", rel.display());
