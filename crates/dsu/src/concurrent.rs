@@ -225,7 +225,7 @@ impl ConcurrentUnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Arc;
 
     #[test]
@@ -286,21 +286,34 @@ mod tests {
             uf.make_set();
         }
         let stop = Arc::new(AtomicBool::new(false));
+        // Readers that have done a find: the writer waits for all of them,
+        // so the finds really overlap the unions.
+        let started = Arc::new(AtomicUsize::new(0));
         let mut readers = Vec::new();
         for t in 0..4 {
             let uf = Arc::clone(&uf);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             readers.push(std::thread::spawn(move || {
                 let mut finds = 0u64;
                 let mut x = t as u32;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let r = uf.find(x % 10_000);
                     assert!(r < 10_000);
                     finds += 1;
+                    if finds == 1 {
+                        started.fetch_add(1, Ordering::Release);
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                     x = x.wrapping_mul(2654435761).wrapping_add(1);
                 }
                 finds
             }));
+        }
+        while started.load(Ordering::Acquire) < 4 {
+            std::thread::yield_now();
         }
         // Writer: build a single set by unions of adjacent blocks.
         for step in [1u32, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {

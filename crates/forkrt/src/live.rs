@@ -21,14 +21,6 @@
 //!   walked left-to-right on the calling thread with `&mut` callbacks —
 //!   deterministic, steal-free, and the reference order for conformance.
 //!
-//! The serial walk alone also threads a 64-bit *tag* **down**: its visitor
-//! assigns tags to the two children when an internal node is entered and
-//! receives the tag back at each leaf, which is where the serial SP-order of
-//! `spmaint::stream` keeps a position's Hebrew handle.  The parallel walk
-//! carries no tag: SP-hybrid keys on procedure ids and uses tokens as
-//! traces, and the one tree-driven maintainer with per-node handles (the §3
-//! strawman) keeps them in a table indexed by node.
-//!
 //! Everything here *assumes* the unfolding is determinate — the same cursor
 //! must reveal the same structure on every schedule.  The assumption is
 //! checkable: `spprog`'s `RunConfig::enforced` folds every unfolded node
@@ -179,12 +171,10 @@ pub trait LiveVisitor<P: LiveProgram>: Sync {
 /// splits a trace).
 #[allow(unused_variables)]
 pub trait SerialLiveVisitor<P: LiveProgram> {
-    /// An internal node was unfolded; assign the tags its children carry.
-    fn enter_internal(&mut self, kind: SpKind, meta: &P::Meta, tag: u64) -> (u64, u64) {
-        (0, 0)
-    }
-    /// A leaf executes, carrying the tag its parent assigned.
-    fn execute_leaf(&mut self, meta: &P::Meta, tag: u64);
+    /// An internal node was unfolded; its left subtree is walked next.
+    fn enter_internal(&mut self, kind: SpKind, meta: &P::Meta) {}
+    /// A leaf executes.
+    fn execute_leaf(&mut self, meta: &P::Meta);
     /// The left subtree finished; the right subtree follows.  The node's
     /// metadata was handed over at `enter_internal` and is gone by now.
     fn between_children(&mut self, kind: SpKind) {}
@@ -699,29 +689,29 @@ fn join_stolen<P: LiveProgram, V: LiveVisitor<P>>(
 /// struct Nothing;
 ///
 /// impl SerialLiveVisitor<Forks> for Nothing {
-///     fn execute_leaf(&mut self, _meta: &(), _tag: u64) {}
+///     fn execute_leaf(&mut self, _meta: &()) {}
 /// }
 ///
-/// assert_eq!(run_live_serial(&Forks { depth: 3 }, &mut Nothing, 0), 8);
+/// assert_eq!(run_live_serial(&Forks { depth: 3 }, &mut Nothing), 8);
 /// ```
-pub fn run_live_serial<P, V>(program: &P, visitor: &mut V, root_tag: u64) -> u64
+pub fn run_live_serial<P, V>(program: &P, visitor: &mut V) -> u64
 where
     P: LiveProgram,
     V: SerialLiveVisitor<P>,
 {
     struct SFrame<C> {
         kind: SpKind,
-        right: Option<(C, u64)>,
+        right: Option<C>,
     }
     let mut stack: Vec<SFrame<P::Cursor>> = Vec::new();
     let mut threads = 0u64;
-    let mut down = Some((program.root(), root_tag));
+    let mut down = Some(program.root());
     loop {
         // Descend along left children until a leaf completes...
-        while let Some((cursor, tag)) = down.take() {
+        while let Some(cursor) = down.take() {
             match program.unfold(cursor) {
                 LiveNode::Leaf(meta) => {
-                    visitor.execute_leaf(&meta, tag);
+                    visitor.execute_leaf(&meta);
                     threads += 1;
                 }
                 LiveNode::Internal {
@@ -730,12 +720,12 @@ where
                     left,
                     right,
                 } => {
-                    let (ltag, rtag) = visitor.enter_internal(kind, &meta, tag);
+                    visitor.enter_internal(kind, &meta);
                     stack.push(SFrame {
                         kind,
-                        right: Some((right, rtag)),
+                        right: Some(right),
                     });
-                    down = Some((left, ltag));
+                    down = Some(left);
                 }
             }
         }
@@ -745,9 +735,9 @@ where
             let Some(top) = stack.last_mut() else {
                 return threads;
             };
-            if let Some((right, rtag)) = top.right.take() {
+            if let Some(right) = top.right.take() {
                 visitor.between_children(top.kind);
-                down = Some((right, rtag));
+                down = Some(right);
                 break;
             }
             let frame = stack.pop().expect("stack top exists");
@@ -887,35 +877,40 @@ mod tests {
             seen: Vec<usize>,
         }
         impl SerialLiveVisitor<Halver> for Ordered {
-            fn execute_leaf(&mut self, &(lo, _): &(usize, usize), _tag: u64) {
+            fn execute_leaf(&mut self, &(lo, _): &(usize, usize)) {
                 self.seen.push(lo);
             }
         }
         let program = Halver { leaves: 64 };
         let mut v = Ordered { seen: Vec::new() };
-        let threads = run_live_serial(&program, &mut v, 0);
+        let threads = run_live_serial(&program, &mut v);
         assert_eq!(threads, 64);
         assert_eq!(v.seen, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
-    fn serial_tags_flow_from_parent_to_children() {
-        // Tags assigned as depth: every leaf's tag equals its depth in the
-        // balanced split tree.
+    fn serial_events_nest_like_the_split_tree() {
+        // Depth counted by enter/leave: every leaf sits at its depth in the
+        // balanced split tree, and every entered node is left.
         struct Depths {
-            max_leaf_tag: u64,
+            depth: u64,
+            max_leaf_depth: u64,
         }
         impl SerialLiveVisitor<Halver> for Depths {
-            fn enter_internal(&mut self, _k: SpKind, _m: &(usize, usize), tag: u64) -> (u64, u64) {
-                (tag + 1, tag + 1)
+            fn enter_internal(&mut self, _k: SpKind, _m: &(usize, usize)) {
+                self.depth += 1;
             }
-            fn execute_leaf(&mut self, _m: &(usize, usize), tag: u64) {
-                self.max_leaf_tag = self.max_leaf_tag.max(tag);
+            fn execute_leaf(&mut self, _m: &(usize, usize)) {
+                self.max_leaf_depth = self.max_leaf_depth.max(self.depth);
+            }
+            fn leave_internal(&mut self, _k: SpKind) {
+                self.depth -= 1;
             }
         }
         let program = Halver { leaves: 8 };
-        let mut v = Depths { max_leaf_tag: 0 };
-        run_live_serial(&program, &mut v, 0);
-        assert_eq!(v.max_leaf_tag, 3, "8 balanced leaves sit at depth 3");
+        let mut v = Depths { depth: 0, max_leaf_depth: 0 };
+        run_live_serial(&program, &mut v);
+        assert_eq!(v.max_leaf_depth, 3, "8 balanced leaves sit at depth 3");
+        assert_eq!(v.depth, 0, "every entered node is left");
     }
 }

@@ -173,10 +173,13 @@ where
 
 impl<'t> SpBackend<'t> for HybridBackend<'t> {
     fn build(tree: &'t ParseTree, config: BackendConfig) -> Self {
+        let workers = config.workers.max(1);
+        // One worker never steals: size the global tier for no splits.
+        let steals = if workers > 1 { tree.num_pnodes() } else { 0 };
         HybridBackend {
             tree,
-            live: LiveSpHybrid::new(tree.num_threads(), tree.num_pnodes()),
-            workers: config.workers.max(1),
+            live: LiveSpHybrid::new(tree.num_threads(), steals),
+            workers,
             split_log: Mutex::new(Vec::new()),
             stats: None,
         }
@@ -349,6 +352,18 @@ mod tests {
         let b4: HybridBackend = backend_agrees_with_oracle(&tree, 4);
         let stats = b4.stats().unwrap();
         assert_eq!(stats.traces as u64, 4 * stats.run.steals + 1);
+    }
+
+    /// One worker cannot steal, so the global tier is not sized for a split
+    /// per P-node (14.7 MB on this tree).
+    #[test]
+    fn a_serial_hybrid_sizes_its_global_tier_for_no_steals() {
+        let tree = CilkProgram::new(fib_like(20, 1)).build_tree();
+        let mut backend = HybridBackend::build(&tree, BackendConfig::serial());
+        backend.run_with_queries(&tree, |_q, _t| {});
+        assert_eq!(backend.name(), "sp-hybrid-serial");
+        let bytes = backend.space_bytes();
+        assert!(bytes < 3 << 20, "sp-hybrid-serial holds {bytes} B on fib_like(20, 1)");
     }
 
     #[test]

@@ -48,4 +48,4 @@ pub use english_hebrew::EnglishHebrewLabels;
 pub use offset_span::OffsetSpanLabels;
 pub use sp_bags::SpBags;
 pub use sp_order::SpOrder;
-pub use stream::{stream_tree, SerialSpOrder, StreamNode, StreamingSpBackend, StreamingSpOrder};
+pub use stream::{stream_tree, SerialSpBags, StreamNode, StreamingSpBackend, StreamingSpOrder};

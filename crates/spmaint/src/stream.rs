@@ -1,28 +1,19 @@
 //! Streaming SP maintenance: the event layer for computations that *unfold*
 //! instead of arriving as a pre-built parse tree.
 //!
-//! Every serial algorithm in this crate consumes a materialized
-//! [`sptree::tree::ParseTree`] through [`sptree::walk::TreeVisitor`].  A live
-//! execution (the `spprog` crate, over `forkrt`'s live mode) has no tree to
-//! hand out — only a stream of *reveal* events: "this position turned out to
-//! be an S/P node", "this position is a leaf and its thread executes now".
-//! [`StreamingSpBackend`] is that event interface — the live counterpart of
-//! [`crate::SpBackend`], with the same `name` / `space_bytes` accessors — and
-//! [`StreamingSpOrder`] implements the paper's SP-order algorithm (§2,
-//! Figure 5) against it, keeping list elements for the *leaves* only: every
-//! pair of threads is ordered exactly as by the tree-driven
-//! [`crate::SpOrder`], at one element per thread per list instead of one per
-//! node.  [`SerialSpOrder`] is the same algorithm for the one unfolding order
-//! in which half of it is known in advance — the serial left-to-right walk,
-//! whose execution index *is* the English order — and keeps the Hebrew list
-//! alone.
+//! A live execution (the `spprog` crate, over `forkrt`'s live mode) has no
+//! tree to hand out, only events as the tree unfolds.
+//! [`StreamingSpBackend`] is that event interface and [`StreamingSpOrder`]
+//! the paper's SP-order (§2, Figure 5) behind it, with list elements for the
+//! leaves only: right under *any* parent-before-child unfolding order.
+//! [`SerialSpBags`] serves the one order a serial walk produces, in which a
+//! thread id is the English label: it keeps Feng–Leiserson's P-bags as runs
+//! of thread ids, in space proportional to the walk's depth.
 //!
-//! The adapter [`stream_tree`] replays a materialized tree through the
-//! streaming interface — the bridge used by the equivalence tests: streaming
-//! a tree must answer every query exactly like the tree-driven algorithm.
-//!
-//! See the repository-root `ARCHITECTURE.md#live-execution-spprog` for how
-//! this layer slots into the live-execution subsystem.
+//! [`stream_tree`] replays a materialized tree through the streaming
+//! interface, which is how the tests pin it against the tree-driven
+//! algorithms.  See the repository-root
+//! `ARCHITECTURE.md#live-execution-spprog`.
 
 use om::{OmNode, OrderMaintenance, TwoLevelList};
 use sptree::tree::{NodeKind, ParseTree, ThreadId};
@@ -32,12 +23,8 @@ use crate::api::{CurrentSpQuery, SpQuery};
 
 /// Handle of a not-yet-unfolded position in an incrementally unfolding SP
 /// parse tree: the position's (English, Hebrew) list elements packed into one
-/// word, which is exactly the 64-bit tag `forkrt::run_live_serial` threads
-/// down the walk — the serial maintainer keeps no per-node table behind it
-/// (a caller without a tag to carry it in keeps the word itself, as the §3
-/// strawman's node table does).  A maintainer that
-/// keeps the Hebrew list alone ([`SerialSpOrder`]) leaves the English half
-/// zero.
+/// word.  The caller keeps it until the position unfolds (the §3 strawman
+/// keeps it in a node table).
 ///
 /// The root is handed out by [`StreamingSpBackend::stream_new`]; children
 /// come from [`StreamingSpBackend::expand`].  A handle is spent by the one
@@ -61,30 +48,6 @@ impl StreamNode {
             OmNode::from_index((self.0 >> 32) as u32),
             OmNode::from_index(self.0 as u32),
         )
-    }
-
-    /// The handle of a position known by its Hebrew element alone.
-    #[inline]
-    fn hebrew(heb: OmNode) -> Self {
-        StreamNode(heb.index() as u64)
-    }
-
-    #[inline]
-    fn heb(self) -> OmNode {
-        self.unpack().1
-    }
-
-    /// Encode as a scheduler tag (the 64-bit value `forkrt::live` threads
-    /// down the walk).
-    #[inline]
-    pub fn to_tag(self) -> u64 {
-        self.0
-    }
-
-    /// Decode from a scheduler tag.
-    #[inline]
-    pub fn from_tag(tag: u64) -> Self {
-        StreamNode(tag)
     }
 }
 
@@ -148,8 +111,8 @@ pub trait StreamingSpBackend: CurrentSpQuery {
 /// This is the two-list definition, right under *any* unfolding order: its
 /// [`CurrentSpQuery`] impl is Figure 5's `SP-PRECEDES` as written, both
 /// orders compared (the §3 strawman's workers unfold wherever they are).  A
-/// **serial** walk needs only half of it — see [`SerialSpOrder`], which is
-/// tested against this structure thread by thread.
+/// **serial** walk needs neither list — see [`SerialSpBags`], which is tested
+/// against this structure thread by thread.
 ///
 /// ```
 /// use spmaint::stream::{StreamingSpBackend, StreamingSpOrder};
@@ -258,114 +221,128 @@ impl<L: OrderMaintenance> StreamingSpBackend for StreamingSpOrder<L> {
     }
 }
 
-/// SP-order on a **serial** left-to-right walk: Figure 5 with the English
-/// list replaced by what it equals there, so the Hebrew list alone.
+/// SP maintenance on a **serial** left-to-right walk, in walk-depth space:
+/// Feng–Leiserson's P-bags as runs of thread ids.
 ///
-/// Paper §2 defines the English order as the order in which the serial
-/// execution visits the threads.  A serial walk numbers its threads in that
-/// very order, so `eng(u) < eng(v)` *is* `u.index() < v.index()`: the
-/// [`ThreadId`] is the English label, nothing has to be built to hold it, and
-/// every executed thread precedes the current one in it.  Figure 5's
-/// `eng(u) < eng(current) ∧ heb(u) < heb(current)` is then its Hebrew half —
-/// the same fact SP-bags and the local tier of Figure 9 rest on.
+/// A serial walk numbers its threads in execution order.  An executed thread
+/// is parallel to the current one iff it lies in the finished left subtree of
+/// a P-node on the current path, and on this walk each such subtree is a
+/// contiguous run of thread ids.  This keeps one entry `[lo, hi)` per open
+/// P-node on a stack: `hi` is where its left subtree ended (its start while
+/// that subtree runs), and `lo` is its start merged down with the entry
+/// below when that one's run ends exactly there, so that a level of k spawns
+/// reads as one run at the top instead of k.  Entering a P-node pushes its
+/// entry, between its children `hi` moves to the next thread, and leaving
+/// pops it; S-nodes and threads store nothing.  Both `lo` and `hi` ascend up
+/// the stack, and the threads parallel to the current one are the union of
+/// the entries.
 ///
-/// So per fork this does **one** `insert_after` (into the Hebrew list, with
-/// [`StreamingSpOrder`]'s takeover rule: X's first Hebrew child keeps X's
-/// element), per thread it keeps one 16-byte list item and one 4-byte handle
-/// in a table indexed by [`ThreadId`] (≈ 24 B with [`TwoLevelList`], half of
-/// [`StreamingSpOrder`]), and per query it compares once.
+/// So a fork and a join cost O(1), space is 8 B per open P-node, and a query
+/// about `u` costs O(1) when `u` is at or above the top entry's `lo` or below
+/// the bottom one's, and O(log r) over the r open entries otherwise.
 ///
-/// **Precondition, asserted in every build:** threads execute in English
-/// order and are numbered by it — [`StreamingSpBackend::execute`] panics
-/// unless `thread` is the next index.  `forkrt::run_live_serial` and
-/// [`stream_tree`] walk that way; an unfolding in any other order (the §3
-/// strawman) needs both lists, i.e. [`StreamingSpOrder`].
+/// **Precondition, asserted in every build:** threads execute in the order
+/// they are numbered — [`SerialSpBags::execute`] panics unless `thread` is
+/// the next index.  `forkrt::run_live_serial` walks that way; an unfolding
+/// in any other order needs [`StreamingSpOrder`].
 ///
 /// ```
-/// use spmaint::stream::{SerialSpOrder, StreamingSpBackend};
+/// use spmaint::stream::SerialSpBags;
 /// use spmaint::CurrentSpQuery;
 /// use sptree::tree::ThreadId;
 ///
-/// // Walk S(u0, P(u1, u2)) left to right.
-/// let (mut sp, root) = SerialSpOrder::<om::TwoLevelList>::stream_new();
-/// let (u0, rest) = sp.expand(root, false);
-/// sp.execute(u0, ThreadId(0));
-/// let (u1, u2) = sp.expand(rest, true);
-/// sp.execute(u1, ThreadId(1));
+/// // Walk S(u0, P(u1, u2)) left to right; the S-node needs no event.
+/// let mut sp = SerialSpBags::default();
+/// sp.execute(ThreadId(0));
+/// sp.enter_p();
+/// sp.execute(ThreadId(1));
 /// assert!(sp.precedes_current(ThreadId(0))); // serial prefix precedes
-/// sp.execute(u2, ThreadId(2));
+/// sp.between_p();
+/// sp.execute(ThreadId(2));
 /// assert!(sp.parallel_with_current(ThreadId(1))); // sibling branch is parallel
+/// sp.leave_p();
 /// assert_eq!(sp.num_executed(), 3);
 /// ```
-pub struct SerialSpOrder<L: OrderMaintenance = TwoLevelList> {
-    heb: L,
-    /// Hebrew element of every executed thread's leaf.  The index is the
-    /// [`ThreadId`] — the thread's place in the English order.
-    threads: Vec<OmNode>,
+#[derive(Default)]
+pub struct SerialSpBags {
+    /// The id the next thread must carry; the current thread is `next - 1`.
+    next: u32,
+    /// One `(lo, hi)` per open P-node, innermost last.
+    runs: Vec<(u32, u32)>,
 }
 
-impl<L: OrderMaintenance> SerialSpOrder<L> {
-    /// Number of threads executed so far.
-    pub fn num_executed(&self) -> usize {
-        self.threads.len()
-    }
-}
-
-impl<L: OrderMaintenance> StreamingSpBackend for SerialSpOrder<L> {
-    fn stream_new() -> (Self, StreamNode) {
-        let (mut heb, base) = L::new();
-        let root = StreamNode::hebrew(heb.insert_after(base));
-        (
-            SerialSpOrder {
-                heb,
-                threads: Vec::new(),
-            },
-            root,
-        )
+impl SerialSpBags {
+    /// A P-node is entered: its left subtree starts at the next thread.
+    #[inline]
+    pub fn enter_p(&mut self) {
+        let next = self.next;
+        let lo = match self.runs.last() {
+            Some(&(lo, hi)) if hi == next => lo,
+            _ => next,
+        };
+        self.runs.push((lo, next));
     }
 
-    fn expand(&mut self, node: StreamNode, parallel: bool) -> (StreamNode, StreamNode) {
-        // Hebrew order ⟨left, right⟩ under an S-node, ⟨right, left⟩ under a
-        // P-node (lines 5–7 of Figure 5): the first of the two takes over X's
-        // element, the other goes right behind it.
-        let first = node;
-        let second = StreamNode::hebrew(self.heb.insert_after(node.heb()));
-        if parallel {
-            (second, first)
-        } else {
-            (first, second)
-        }
+    /// The innermost open P-node's left subtree finished: its threads are
+    /// parallel to everything in the right subtree.
+    #[inline]
+    pub fn between_p(&mut self) {
+        self.runs.last_mut().expect("between_p inside an entered P-node").1 = self.next;
     }
 
-    fn execute(&mut self, node: StreamNode, thread: ThreadId) {
+    /// The innermost open P-node is left.
+    #[inline]
+    pub fn leave_p(&mut self) {
+        self.runs.pop().expect("leave_p closes an entered P-node");
+    }
+
+    /// `thread` starts executing and becomes the current thread.
+    #[inline]
+    pub fn execute(&mut self, thread: ThreadId) {
         assert!(
-            thread.index() == self.threads.len(),
-            "the serial SP-order needs threads executed in English order and numbered by it, \
+            thread.0 == self.next,
+            "serial SP-bags need threads executed in English order and numbered by it, \
              but u{} executes after {} threads",
             thread.0,
-            self.threads.len()
+            self.next
         );
-        self.threads.push(node.heb());
+        self.next += 1;
     }
 
-    fn name(&self) -> &'static str {
-        "serial-sp-order"
+    /// Number of threads executed so far.
+    pub fn num_executed(&self) -> usize {
+        self.next as usize
     }
 
-    fn space_bytes(&self) -> usize {
-        self.heb.space_bytes() + self.threads.capacity() * std::mem::size_of::<OmNode>()
+    /// Human-readable name (for reports and benches).
+    pub fn name(&self) -> &'static str {
+        "serial-sp-bags"
+    }
+
+    /// Heap bytes used: the stack, nothing per thread.
+    pub fn space_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
-impl<L: OrderMaintenance> CurrentSpQuery for SerialSpOrder<L> {
+impl CurrentSpQuery for SerialSpBags {
     #[inline]
     fn precedes_current(&self, earlier: ThreadId) -> bool {
-        let (Some(&earlier_heb), Some(&current_heb)) =
-            (self.threads.get(earlier.index()), self.threads.last())
-        else {
-            panic!("thread u{} has not executed yet", earlier.0);
-        };
-        self.heb.precedes(earlier_heb, current_heb)
+        let u = earlier.0;
+        assert!(u < self.next, "thread u{u} has not executed yet");
+        if u + 1 == self.next {
+            return false; // the current thread itself
+        }
+        match self.runs.last() {
+            None => true,
+            Some(&(lo, hi)) if u >= lo => u >= hi,
+            Some(_) if u < self.runs[0].0 => true,
+            Some(_) => {
+                // The last entry with `lo ≤ u` has the highest `hi` of them.
+                let i = self.runs.partition_point(|&(lo, _)| lo <= u);
+                u >= self.runs[i - 1].1
+            }
+        }
     }
 }
 
@@ -510,7 +487,6 @@ mod tests {
         let (mut sp, root) = StreamingSpOrder::<TwoLevelList>::stream_new();
         let (left, right) = sp.expand(root, true);
         for node in [root, left, right] {
-            assert_eq!(StreamNode::from_tag(node.to_tag()), node);
             let (eng, heb) = node.unpack();
             assert_eq!(StreamNode::pack(eng, heb), node);
             assert_ne!(node, StreamNode::NONE);
@@ -583,61 +559,60 @@ mod tests {
         }
     }
 
-    /// An order-maintenance list that counts its insertions and comparisons.
-    struct Counting<L> {
-        inner: L,
-        inserted: usize,
-        compared: std::cell::Cell<usize>,
+    /// Walk `tree` left to right through serial SP-bags, calling
+    /// `on_thread` while each thread is current.
+    fn walk_bags(tree: &ParseTree, mut on_thread: impl FnMut(&SerialSpBags, ThreadId)) -> SerialSpBags {
+        let mut sp = SerialSpBags::default();
+        let is_p = |n| tree.kind(n) == NodeKind::P;
+        serial_walk(tree, |event| match event {
+            WalkEvent::EnterInternal(n) if is_p(n) => sp.enter_p(),
+            WalkEvent::BetweenChildren(n) if is_p(n) => sp.between_p(),
+            WalkEvent::LeaveInternal(n) if is_p(n) => sp.leave_p(),
+            WalkEvent::Thread(_, t) => {
+                sp.execute(t);
+                on_thread(&sp, t);
+            }
+            _ => {}
+        });
+        sp
     }
 
-    impl<L: OrderMaintenance> OrderMaintenance for Counting<L> {
-        fn new() -> (Self, OmNode) {
-            let (inner, base) = L::new();
-            (Counting { inner, inserted: 0, compared: Default::default() }, base)
-        }
-        fn insert_after(&mut self, x: OmNode) -> OmNode {
-            self.inserted += 1;
-            self.inner.insert_after(x)
-        }
-        fn precedes(&self, a: OmNode, b: OmNode) -> bool {
-            self.compared.set(self.compared.get() + 1);
-            self.inner.precedes(a, b)
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn space_bytes(&self) -> usize {
-            self.inner.space_bytes()
-        }
+    /// `spawn; step; spawn; step; …; sync` in one block: a step between
+    /// every two spawns keeps their runs apart, so queries from the last
+    /// spawned child take the binary-search path.
+    fn alternating_spawns_and_steps(spawns: usize) -> ParseTree {
+        use sptree::cilk::{CilkProgram, Procedure, SyncBlock};
+        let block = (0..spawns).fold(SyncBlock::new(), |b, _| {
+            b.spawn(Procedure::single(SyncBlock::new().work(1))).work(1)
+        });
+        CilkProgram::new(Procedure::single(block)).build_tree()
     }
 
-    /// The serial SP-order is Figure 5 on a serial walk: at every thread of a
-    /// streamed tree it answers, about **every** executed thread, what the
-    /// two-list definition and the oracle answer — for one insertion per
-    /// fork and one comparison per query.
-    fn check_serial_order<L: OrderMaintenance>(tree: &ParseTree, what: &str) {
+    /// Serial SP-bags are Figure 5 on a serial walk: at every thread of a
+    /// walked tree they answer, about **every** executed thread, what the
+    /// two-list definition and the oracle answer, with `lo` and `hi`
+    /// ascending up the stack.  Returns the most separate runs (distinct
+    /// `lo`s) ever open.
+    fn check_serial_order(tree: &ParseTree, what: &str) -> usize {
         let oracle = SpOracle::new(tree);
-        // `stream_tree` drives one backend at a time: the two-list answers
-        // of every (current, earlier) pair first, then the walk under test.
         let mut two_lists: Vec<Vec<bool>> = Vec::new();
-        let reference: StreamingSpOrder<L> = stream_tree(tree, |sp: &StreamingSpOrder<L>, current| {
+        let _: StreamingSpOrder = stream_tree(tree, |sp: &StreamingSpOrder, current| {
             two_lists.push((0..=current.0).map(|u| sp.precedes_current(ThreadId(u))).collect());
         });
-        let serial: SerialSpOrder<Counting<L>> = stream_tree(tree, |sp: &SerialSpOrder<Counting<L>>, current| {
+        let mut most_runs = 0;
+        let bags = walk_bags(tree, |sp, current| {
+            let ascending = sp.runs.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1);
+            assert!(ascending, "{what}: {:?}", sp.runs);
+            most_runs = most_runs.max(1 + sp.runs.windows(2).filter(|w| w[0].0 < w[1].0).count());
             for earlier in (0..=current.0).map(ThreadId) {
-                let compared = sp.heb.compared.get();
                 let got = sp.precedes_current(earlier);
-                assert_eq!(sp.heb.compared.get() - compared, 1, "{what}: one comparison per query");
                 assert_eq!(got, two_lists[current.index()][earlier.index()], "{what}: u{} vs u{}", earlier.0, current.0);
                 assert_eq!(got, oracle.precedes(earlier, current), "{what}: u{} vs u{}", earlier.0, current.0);
             }
         });
-        assert_eq!(serial.num_executed(), tree.num_threads(), "{what}");
-        // The root's element, then one insertion per unfolded internal node:
-        // the same Hebrew list, element for element, as the two-list walk.
-        let expands = tree.num_nodes() - tree.num_threads();
-        assert_eq!(serial.heb.inserted, 1 + expands, "{what}: one insertion per expand");
-        assert_eq!(serial.heb.len(), reference.heb.len(), "{what}");
+        assert_eq!(bags.num_executed(), tree.num_threads(), "{what}");
+        assert!(bags.runs.is_empty(), "{what}: every P-node closed");
+        most_runs
     }
 
     #[test]
@@ -646,27 +621,47 @@ mod tests {
         let mut trees: Vec<(String, ParseTree)> = (0..8u64)
             .map(|seed| (format!("random seed {seed}"), random_sp_ast(200, 0.5, seed).build()))
             .collect();
-        trees.push(("flat parallel loop".into(), flat_parallel_loop(150, 1).build()));
         trees.push(("serial chain".into(), serial_chain(150, 1).build()));
         for (what, tree) in &trees {
-            check_serial_order::<TwoLevelList>(tree, what);
-            check_serial_order::<TagList>(tree, what);
+            check_serial_order(tree, what);
         }
+        assert_eq!(check_serial_order(&flat_parallel_loop(150, 1).build(), "loop"), 1, "one level, one run");
+        let most_runs = check_serial_order(&alternating_spawns_and_steps(40), "alternating");
+        assert_eq!(most_runs, 40, "a step between every two spawns keeps 40 runs apart");
     }
 
+    /// Adjacent runs merge and leaving undoes the merge: a level of spawns
+    /// reads as one run at the top, a step between two spawns keeps their
+    /// runs apart.
     #[test]
-    fn a_serial_expand_inserts_once_and_the_first_hebrew_child_takes_over() {
-        let (mut sp, root) = SerialSpOrder::<Counting<TwoLevelList>>::stream_new();
-        assert_eq!(sp.heb.inserted, 1);
-        // Hebrew order ⟨right, left⟩ under a P-node, ⟨left, right⟩ under S.
-        let (left, right) = sp.expand(root, true);
-        assert_eq!((sp.heb.inserted, right), (2, root));
-        assert!(sp.heb.precedes(right.heb(), left.heb()));
-        let (first, second) = sp.expand(left, false);
-        assert_eq!((sp.heb.inserted, first), (3, left));
-        assert!(sp.heb.precedes(first.heb(), second.heb()));
-        assert_eq!(sp.name(), "serial-sp-order");
-        assert!(sp.space_bytes() > 0);
+    fn adjacent_runs_merge_and_leaving_undoes_the_merge() {
+        let mut sp = SerialSpBags::default();
+        // P(u0, P(u1, P(u2, u3))): the loop `spawn u0; spawn u1; spawn u2`.
+        for u in 0..3 {
+            sp.enter_p();
+            sp.execute(ThreadId(u));
+            sp.between_p();
+        }
+        sp.execute(ThreadId(3));
+        assert_eq!(sp.runs, [(0, 1), (0, 2), (0, 3)], "three spawns, one run [0, 3) at the top");
+        assert!(sp.parallel_with_current(ThreadId(1)));
+        sp.leave_p();
+        assert_eq!(sp.runs.last(), Some(&(0, 2)));
+        sp.leave_p();
+        assert_eq!(sp.runs, [(0, 1)]);
+        // S(u4, P(u5, u6)) in the last right subtree: u4 keeps the runs apart.
+        sp.execute(ThreadId(4));
+        sp.enter_p();
+        sp.execute(ThreadId(5));
+        sp.between_p();
+        sp.execute(ThreadId(6));
+        assert_eq!(sp.runs, [(0, 1), (5, 6)]);
+        assert!(sp.precedes_current(ThreadId(4)) && !sp.precedes_current(ThreadId(0)));
+        sp.leave_p();
+        sp.leave_p();
+        assert!(sp.runs.is_empty());
+        assert_eq!(sp.name(), "serial-sp-bags");
+        assert!(sp.precedes_current(ThreadId(0)));
     }
 
     /// The precondition is held, not assumed — in debug **and** release: a
@@ -674,10 +669,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "executed in English order")]
     fn the_serial_order_rejects_a_thread_out_of_execution_order() {
-        let (mut sp, root) = SerialSpOrder::<TwoLevelList>::stream_new();
-        let (left, right) = sp.expand(root, true);
-        sp.execute(left, ThreadId(0));
-        sp.execute(right, ThreadId(2));
+        let mut sp = SerialSpBags::default();
+        sp.enter_p();
+        sp.execute(ThreadId(0));
+        sp.between_p();
+        sp.execute(ThreadId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "has not executed yet")]
+    fn serial_bags_refuse_a_query_about_an_unexecuted_thread() {
+        let mut sp = SerialSpBags::default();
+        sp.execute(ThreadId(0));
+        let _ = sp.precedes_current(ThreadId(1));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! reported *during* execution and **no parse tree is ever materialized on
 //! the live path**:
 //!
-//! * serial runs (`workers == 1`) drive the serial SP-order
-//!   ([`spmaint::SerialSpOrder`]: the Hebrew list, thread ids standing for
-//!   the English one) — deterministic, with reports bit-identical to
-//!   offline serial detection on the equivalent tree;
+//! * serial runs (`workers == 1`) drive [`spmaint::SerialSpBags`] (runs of
+//!   thread ids parallel to the current thread) — deterministic, with
+//!   reports bit-identical to offline serial detection on the equivalent
+//!   tree;
 //! * multi-worker runs drive the live two-tier SP-hybrid
 //!   ([`sphybrid::LiveSpHybrid`]): the scheduler's steal tokens *are* the
 //!   trace splits of paper Figure 8, and queries follow Figure 9.  The §3
@@ -122,6 +122,34 @@ mod tests {
         assert_eq!(live.report.races(), offline.races(), "bit-identical reports");
     }
 
+    /// `spawn c_i; step s_i` eight times in one block: each step keeps the
+    /// spawned children's runs of thread ids apart, so a child's queries
+    /// about earlier children (parallel: they raced on `i`) and earlier steps
+    /// (preceding: no race on `N + i`) land between the bottom and top runs.
+    #[test]
+    fn alternating_spawns_and_steps_report_like_offline_detection() {
+        const N: u32 = 8;
+        let prog = build_proc(|p| {
+            for i in 0..N {
+                p.spawn(move |c| {
+                    c.step(move |m| {
+                        m.write(i, 1);
+                        for j in 0..i {
+                            m.read(j);
+                            m.read(N + j);
+                        }
+                    });
+                });
+                p.step(move |m| m.write(N + i, 1));
+            }
+        });
+        let live = run_program(&prog, &RunConfig::serial(2 * N));
+        let rec = record_program(&prog, 2 * N);
+        let (offline, _) = detect_races::<SpOrder>(&rec.tree, &rec.script, BackendConfig::serial());
+        assert_eq!(live.report.racy_locations(), (0..N - 1).collect::<Vec<_>>());
+        assert_eq!(live.report.races(), offline.races(), "bit-identical reports");
+    }
+
     #[test]
     fn serial_execution_is_deterministic() {
         let prog = build_proc(fib_proc(8, Some(0)));
@@ -130,10 +158,7 @@ mod tests {
         assert_eq!(a.report.races(), b.report.races());
         assert_eq!(a.threads, b.threads);
         assert_eq!(a.steals, 0);
-        // The serial maintainer, under whatever name it reports.
-        use spmaint::{SerialSpOrder, StreamingSpBackend};
-        let (serial_sp, _) = <SerialSpOrder>::stream_new();
-        assert_eq!(a.maintainer, serial_sp.name());
+        assert_eq!(a.maintainer, spmaint::SerialSpBags::default().name());
     }
 
     #[test]

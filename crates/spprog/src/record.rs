@@ -65,13 +65,12 @@ impl Recorder<'_> {
 }
 
 impl SerialLiveVisitor<SerialCilk> for Recorder<'_> {
-    fn enter_internal(&mut self, kind: SpKind, meta: &SerialMeta, _tag: u64) -> (u64, u64) {
+    fn enter_internal(&mut self, kind: SpKind, meta: &SerialMeta) {
         self.capture.fold(internal_record(meta.path, kind));
         self.stack.push((kind, Vec::with_capacity(2)));
-        (0, 0)
     }
 
-    fn execute_leaf(&mut self, meta: &SerialMeta, _tag: u64) {
+    fn execute_leaf(&mut self, meta: &SerialMeta) {
         let capture = &mut self.capture;
         run_leaf(meta, self.detector, &mut self.buf, Some(|rec| capture.fold(rec)));
         self.accesses.push(self.buf.clone());
@@ -105,7 +104,7 @@ pub fn record_program(prog: &Proc, locations: u32) -> Recorded {
         buf: Vec::new(),
         capture: SerialCapture::default(),
     };
-    let threads = run_live_serial(&program, &mut recorder, 0);
+    let threads = run_live_serial(&program, &mut recorder);
     let ast = recorder.root.expect("the program unfolds at least one thread");
     let tree = ast.build();
     debug_assert_eq!(tree.num_threads() as u64, threads);

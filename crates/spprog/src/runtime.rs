@@ -8,23 +8,18 @@
 //! `unfold` module):
 //!
 //! * **Serial** (`workers == 1`) — [`forkrt::run_live_serial`] on the calling
-//!   thread.  SP maintenance is the serial SP-order
-//!   ([`spmaint::SerialSpOrder`]): the walk numbers its threads in English
-//!   order, so the thread id *is* the English label and only the Hebrew list
-//!   is built — one insertion per fork, a position's Hebrew handle riding the
-//!   scheduler's 64-bit *tag*, nothing stored per unfolded node; that the
-//!   walk really executes threads in that order is asserted at every thread,
-//!   in every build.  Detection is [`racedet::LiveDetector`] with the same
-//!   per-thread batching as the offline engine.  Deterministic: thread ids,
-//!   query answers, and the race report are bit-identical across runs — and
-//!   bit-identical to offline serial detection on the recorded tree.
+//!   thread, SP maintenance by [`spmaint::SerialSpBags`]: runs of thread ids
+//!   parallel to the current thread, nothing stored per thread or per
+//!   S-node.  That the walk executes threads in the order it numbers them is
+//!   asserted at every thread, in every build.  Detection is
+//!   [`racedet::LiveDetector`] with the offline engine's per-thread
+//!   batching.  Deterministic, and its report is bit-identical to offline
+//!   serial detection on the recorded tree.
 //! * **Parallel** — [`forkrt::run_live`] with the live SP-hybrid
 //!   ([`sphybrid::LiveSpHybrid`], paper §4–§7): tokens carry [`TraceId`]s,
 //!   steals split the victim's trace five ways (the steal token *is* the
-//!   split input), and queries follow paper Figure 9.  The parallel walk
-//!   carries no tag: the hybrid keys on procedure ids and traces.  The §3
-//!   one-lock strawman it replaces runs tree-driven only
-//!   ([`sphybrid::NaiveBackend`]).
+//!   split input), and queries follow paper Figure 9.  The §3 one-lock
+//!   strawman it replaces runs tree-driven only ([`sphybrid::NaiveBackend`]).
 //!
 //! [`run_uninstrumented`] executes the program with *no* SP maintenance and
 //! no detection (values only) — the denominator of every overhead metric.
@@ -39,7 +34,7 @@ use forkrt::{
 };
 use parking_lot::Mutex;
 use racedet::{Access, DetectionSink, LiveDetector, RaceReport};
-use spmaint::stream::{SerialSpOrder, StreamNode, StreamingSpBackend};
+use spmaint::stream::SerialSpBags;
 use spmetrics::{CounterId, EventKind, HistId, MetricsHandle};
 use sphybrid::{LiveSpHybrid, TraceId};
 use sptree::tree::ThreadId;
@@ -63,7 +58,7 @@ const DEFAULT_HINTS: (usize, usize) = (1 << 10, 1 << 7);
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Worker threads; 1 means deterministic serial execution on the calling
-    /// thread, its SP relation kept by [`spmaint::SerialSpOrder`], and more
+    /// thread, its SP relation kept by [`spmaint::SerialSpBags`], and more
     /// run the live SP-hybrid ([`sphybrid::LiveSpHybrid`]) on the
     /// work-stealing scheduler.  Clamped to ≥ 1 (like
     /// [`forkrt::LiveConfig`]) so a struct-literal 0 cannot diverge from the
@@ -273,7 +268,7 @@ enum Fold<'a> {
 // ---------------------------------------------------------------------------
 
 struct SerialRunVisitor<'a> {
-    sp: SerialSpOrder,
+    sp: SerialSpBags,
     sink: &'a dyn DetectionSink,
     next_thread: u32,
     buf: Vec<Access>,
@@ -282,24 +277,37 @@ struct SerialRunVisitor<'a> {
 }
 
 impl SerialLiveVisitor<SerialCilk> for SerialRunVisitor<'_> {
-    fn enter_internal(&mut self, kind: SpKind, meta: &SerialMeta, tag: u64) -> (u64, u64) {
+    fn enter_internal(&mut self, kind: SpKind, meta: &SerialMeta) {
         if let Some(c) = self.capture.as_deref_mut() {
             c.fold(internal_record(meta.path, kind));
         }
-        let (l, r) = self.sp.expand(StreamNode::from_tag(tag), kind.is_parallel());
-        (l.to_tag(), r.to_tag())
+        if kind.is_parallel() {
+            self.sp.enter_p();
+        }
     }
 
-    fn execute_leaf(&mut self, meta: &SerialMeta, tag: u64) {
+    fn between_children(&mut self, kind: SpKind) {
+        if kind.is_parallel() {
+            self.sp.between_p();
+        }
+    }
+
+    fn leave_internal(&mut self, kind: SpKind) {
+        if kind.is_parallel() {
+            self.sp.leave_p();
+        }
+    }
+
+    fn execute_leaf(&mut self, meta: &SerialMeta) {
         let thread = ThreadId(self.next_thread);
         // `ThreadId(u32::MAX)` is the shadow cells' "no thread" word.
         self.next_thread = self
             .next_thread
             .checked_add(1)
             .expect("the serial run executed u32::MAX threads, which exhausts the thread-id space");
-        // `run_live_serial` executes leaves left to right — the English order
-        // the serial SP-order stands on, and checks here.
-        self.sp.execute(StreamNode::from_tag(tag), thread);
+        // `run_live_serial` executes leaves left to right — the order the
+        // serial SP-bags stand on, and check here.
+        self.sp.execute(thread);
         let fold = self.capture.as_deref_mut().map(|c| |rec| c.fold(rec));
         run_leaf(meta, self.sink, &mut self.buf, fold);
         self.sink.check_thread(&self.sp, thread, &self.buf);
@@ -314,9 +322,8 @@ fn run_serial<'a>(
     capture: Option<&'a mut (dyn SerialFold + 'a)>,
 ) -> (SessionRun, u64) {
     let program = SerialCilk::new(prog);
-    let (sp, root) = SerialSpOrder::stream_new();
     let mut visitor = SerialRunVisitor {
-        sp,
+        sp: SerialSpBags::default(),
         sink,
         next_thread: 0,
         buf: Vec::new(),
@@ -324,7 +331,7 @@ fn run_serial<'a>(
     };
     sink.metrics().event(EventKind::RunStarted, 0, 0);
     let start = Instant::now();
-    let threads = run_live_serial(&program, &mut visitor, root.to_tag());
+    let threads = run_live_serial(&program, &mut visitor);
     let elapsed = start.elapsed();
     let run = SessionRun {
         threads,
@@ -671,7 +678,7 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
             values: &'a [AtomicU64],
         }
         impl SerialLiveVisitor<SerialCilk> for Bare<'_> {
-            fn execute_leaf(&mut self, meta: &SerialMeta, _tag: u64) {
+            fn execute_leaf(&mut self, meta: &SerialMeta) {
                 if let Some(step) = meta.step() {
                     step(&mut StepCtx {
                         mem: MemRef::Raw(self.values),
@@ -682,7 +689,7 @@ pub fn run_uninstrumented(prog: &Proc, workers: usize, locations: u32) -> (u64, 
         }
         let program = SerialCilk::new(prog);
         let start = Instant::now();
-        let threads = run_live_serial(&program, &mut Bare { values: &values }, 0);
+        let threads = run_live_serial(&program, &mut Bare { values: &values });
         (threads, 0, start.elapsed())
     } else {
         struct Bare<'a> {

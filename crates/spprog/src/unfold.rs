@@ -304,12 +304,11 @@ mod tests {
     struct Nodes(Vec<Node>);
 
     impl<R: InstRef> SerialLiveVisitor<LiveCilk<R>> for Nodes {
-        fn enter_internal(&mut self, kind: SpKind, meta: &Meta<R>, _tag: u64) -> (u64, u64) {
+        fn enter_internal(&mut self, kind: SpKind, meta: &Meta<R>) {
             self.0.push(Node::of(Some(kind), meta));
-            (0, 0)
         }
 
-        fn execute_leaf(&mut self, meta: &Meta<R>, _tag: u64) {
+        fn execute_leaf(&mut self, meta: &Meta<R>) {
             self.0.push(Node::of(None, meta));
         }
     }
@@ -318,7 +317,7 @@ mod tests {
     /// order.
     fn unfolded<R: InstRef>(prog: &Proc) -> Vec<Node> {
         let mut nodes = Nodes::default();
-        let threads = run_live_serial(&LiveCilk::<R>::new(prog), &mut nodes, 0);
+        let threads = run_live_serial(&LiveCilk::<R>::new(prog), &mut nodes);
         let leaves = nodes.0.iter().filter(|n| n.kind.is_none()).count();
         assert_eq!(threads as usize, leaves);
         nodes.0

@@ -179,7 +179,8 @@ fn architecture_mentions_every_bench_target() {
     // `BENCH_…`) —, at the retired environment knobs (the library crates
     // are configured by argument only) or at SP-hybrid's retired second tree
     // driver (`HybridBackend` is the one; these spellings miss
-    // `LiveSpHybrid`).
+    // `LiveSpHybrid`), or at the serial walk's retired Hebrew-list
+    // maintainer and the tag that carried its handles.
     let mut files = Vec::new();
     sources(&root, &["rs", "md", "yml"], &mut files);
     for file in files {
@@ -199,6 +200,9 @@ fn architecture_mentions_every_bench_target() {
             "run_hybrid",
             "`SpHybrid",
             "::SpHybrid",
+            "SerialSpOrder",
+            "to_tag",
+            "root_tag",
         ];
         for stale in stale_names {
             assert!(!text.contains(stale), "{} still names `{stale}…`", rel.display());

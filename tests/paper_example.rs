@@ -187,38 +187,46 @@ fn theorem_5_sp_order_cost_per_node_is_flat() {
     assert!(label_len.windows(2).all(|w| w[1] >= 3.0 * w[0]), "label entries/thread: {label_len:?}");
 }
 
-/// The same count for the streaming SP-orders, which keep list elements for
-/// the leaves only, so their space per *thread* is small and flat from 10³
-/// to 10⁵ threads: the two-list `StreamingSpOrder` (two 16-byte items and one
-/// 8-byte handle pair per thread, before vector slack) and, at half of it,
-/// the `SerialSpOrder` a live serial run maintains (one item and one 4-byte
-/// handle: 24 B measured, the English order being the thread ids).
+/// The same count for the two-list `StreamingSpOrder`, which keeps list
+/// elements for the leaves only (two 16-byte items and one 8-byte handle pair
+/// per thread, before vector slack), so its space per *thread* is small and
+/// flat from 10³ to 10⁵ threads.  The `SerialSpBags` a live serial run
+/// maintains keep nothing per thread, only one 8-byte entry per open P-node,
+/// so their bytes are bounded by the tree's height instead.
 #[test]
 fn theorem_5_streaming_sp_order_space_per_thread_is_small_and_flat() {
-    use sp_maintenance::spmaint::stream::{
-        stream_tree, SerialSpOrder, StreamingSpBackend, StreamingSpOrder,
-    };
+    use sp_maintenance::spmaint::stream::{stream_tree, SerialSpBags, StreamingSpBackend, StreamingSpOrder};
     use sp_maintenance::sptree::generate::{flat_parallel_loop, random_sp_ast};
+    use sp_maintenance::sptree::walk::{serial_walk, WalkEvent};
 
-    fn assert_small_and_flat<B: StreamingSpBackend>(
-        shape: &str,
-        max_bytes_per_thread: f64,
-        ast: impl Fn(usize) -> Ast,
-    ) {
-        let bytes: Vec<f64> = SIZES
-            .iter()
-            .map(|&n| {
-                let tree = ast(n).build();
-                let sp: B = stream_tree(&tree, |_, _| {});
-                sp.space_bytes() as f64 / tree.num_threads() as f64
-            })
-            .collect();
-        println!("{shape}: bytes/thread {bytes:.1?}");
-        assert!(bytes.iter().all(|&b| b <= max_bytes_per_thread), "{shape}: {bytes:?}");
+    for shape in ["random", "spawn-loop"] {
+        let ast = |n| match shape {
+            "random" => random_sp_ast(n, 0.5, 42),
+            _ => flat_parallel_loop(n, 1),
+        };
+        let mut bytes = Vec::new();
+        for &n in &SIZES {
+            let tree = ast(n).build();
+            let sp: StreamingSpOrder = stream_tree(&tree, |_, _| {});
+            bytes.push(sp.space_bytes() as f64 / tree.num_threads() as f64);
+
+            let mut bags = SerialSpBags::default();
+            let is_p = |n| tree.kind(n) == NodeKind::P;
+            serial_walk(&tree, |event| match event {
+                WalkEvent::EnterInternal(n) if is_p(n) => bags.enter_p(),
+                WalkEvent::BetweenChildren(n) if is_p(n) => bags.between_p(),
+                WalkEvent::LeaveInternal(n) if is_p(n) => bags.leave_p(),
+                WalkEvent::Thread(_, t) => bags.execute(t),
+                _ => {}
+            });
+            let height = tree.max_depth() as usize;
+            // 8 bytes per open P-node, vector slack at most doubling.
+            let bound = 16 * height.max(2);
+            println!("{shape}, {n} threads: serial SP-bags {} B, height {height}", bags.space_bytes());
+            assert!(bags.space_bytes() <= bound, "{shape}, {n}: {} B > {bound} B", bags.space_bytes());
+        }
+        println!("{shape}: streaming bytes/thread {bytes:.1?}");
+        assert!(bytes.iter().all(|&b| b <= 96.0), "{shape}: {bytes:?}");
         assert!(spread(&bytes) <= 2.0, "{shape}: bytes/thread grow with n: {bytes:?}");
     }
-    assert_small_and_flat::<StreamingSpOrder>("streaming, random", 96.0, |n| random_sp_ast(n, 0.5, 42));
-    assert_small_and_flat::<StreamingSpOrder>("streaming, spawn-loop", 96.0, |n| flat_parallel_loop(n, 1));
-    assert_small_and_flat::<SerialSpOrder>("serial, random", 48.0, |n| random_sp_ast(n, 0.5, 42));
-    assert_small_and_flat::<SerialSpOrder>("serial, spawn-loop", 48.0, |n| flat_parallel_loop(n, 1));
 }
