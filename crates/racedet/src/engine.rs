@@ -25,8 +25,8 @@
 //!      an inlined compare.  Sound on every maintainer: the relation between
 //!      an already-executed thread and the current one is a fixed fact of
 //!      the dag, so any answer obtained during the batch *is* the answer for
-//!      the rest of it.  The memo dies with the batch — the next batch has a
-//!      different current thread;
+//!      the rest of it.  The memo dies with the batch (the next one may
+//!      have another current thread);
 //!    * **one linear grouping pass** — the accesses are stably grouped by
 //!      shard with a counting pass over the few shards the batch touches
 //!      (stable, so same-location accesses keep their program order — all
@@ -269,7 +269,7 @@ const MEMO_SLOTS: usize = 16;
 /// Sound on every maintainer: the relation between an already-executed
 /// thread and the current one is a fixed fact of the dag, so an answer
 /// obtained at any point of the batch is the answer at every later point.
-/// It must not outlive the batch — the next batch has another current thread.
+/// It must not outlive the batch — the next may have another current thread.
 struct BatchMemo<'q> {
     inner: &'q dyn CurrentSpQuery,
     /// `(earlier thread id, answer)`; an empty slot holds `u32::MAX`, which
@@ -433,7 +433,7 @@ fn keep_if_first(races: &RaceCollector, found: &mut Vec<(u32, Race)>, idx: u32, 
     }
 }
 
-/// Check one thread's scripted accesses against the sharded shadow memory:
+/// Check a batch of one thread's accesses against the sharded shadow memory:
 /// SP queries memoised for the batch, accesses stable-grouped by shard,
 /// lock-free fast path first, at most one striped lock acquisition per shard
 /// group, the first race of each location reported to `races` in program
@@ -524,9 +524,10 @@ pub(crate) fn check_thread_accesses(
     }
 }
 
-/// Checked size of one thread's access batch: batch indices are `u32` (they
-/// ride in the shard-grouped order vector and the race re-sort keys), so a
-/// batch beyond `u32::MAX` accesses must fail loudly, not wrap.
+/// Checked size of one access batch: batch indices are `u32` (they ride in
+/// the shard-grouped order vector and the race re-sort keys), so a batch
+/// beyond `u32::MAX` accesses must fail loudly, not wrap.  Only a script
+/// thread can be that long; a live run checks in bounded batches.
 fn batch_index_count(len: usize) -> u32 {
     u32::try_from(len).unwrap_or_else(|_| {
         panic!("one thread recorded {len} accesses, which exceeds the engine's u32 batch-index space")

@@ -12,11 +12,10 @@
 //!   *values* from an atomic value memory (racy programs really do race on
 //!   it — atomics keep that well-defined);
 //! * each executing thread's accesses are recorded as they happen and
-//!   checked as one batch via [`LiveDetector::check_thread`] when the thread
-//!   ends, under whatever [`CurrentSpQuery`] view the live SP maintainer
-//!   provides.  Batching at thread granularity is exactly what the offline
-//!   engine does, which is why serial live runs produce **bit-identical**
-//!   reports to offline serial detection on the equivalent tree.
+//!   checked via [`LiveDetector::check_thread`] in program-order batches of
+//!   a few thousand, under the live SP maintainer's [`CurrentSpQuery`]
+//!   view.  Cutting a thread into batches changes no report, so serial live
+//!   runs report **bit-identically** to offline serial detection.
 //!
 //! A detector is also reusable: [`LiveDetector::reset`] makes it the
 //! detector [`LiveDetector::new`] would build for the next run's size and
@@ -55,10 +54,10 @@ pub trait DetectionSink: Sync {
     /// Store a value into a location.
     fn write(&self, loc: u32, value: u64);
 
-    /// Check one finished thread's recorded accesses against the shadow
-    /// memory (the per-thread batch of the generic engine).  `queries` must
-    /// answer [`CurrentSpQuery`] for `thread` as the currently executing
-    /// thread.
+    /// Check a batch of `thread`'s accesses against the shadow memory: a run
+    /// of consecutive accesses in program order (a thread may arrive in
+    /// several).  `queries` must answer [`CurrentSpQuery`] for `thread` as
+    /// the currently executing thread.
     fn check_thread(&self, queries: &dyn CurrentSpQuery, thread: ThreadId, accesses: &[Access]);
 
     /// Where a run over this sink reports its runtime events (steals, parks,
@@ -152,9 +151,9 @@ impl LiveDetector {
         })
     }
 
-    /// Check one finished thread's recorded accesses against the shadow
-    /// memory — the online equivalent of the script engine's per-thread
-    /// batch.  `queries` must answer [`CurrentSpQuery`] for `thread` as the
+    /// Check a batch of `thread`'s accesses — consecutive, in program order;
+    /// a thread may arrive in several — with the script engine's per-thread
+    /// loop.  `queries` must answer [`CurrentSpQuery`] for `thread` as the
     /// currently executing thread.
     pub fn check_thread(
         &self,
@@ -182,10 +181,10 @@ impl LiveDetector {
         std::mem::replace(&mut self.races, fresh).into_report()
     }
 
-    /// Approximate heap bytes used (value + shadow memory).
+    /// Approximate heap bytes held (value + shadow memory), counted by
+    /// capacity: a pooled detector keeps what its largest lease grew.
     pub fn space_bytes(&self) -> usize {
-        self.values.capacity() * std::mem::size_of::<AtomicU64>()
-            + self.shadow.len() * std::mem::size_of::<AtomicU64>()
+        (self.values.capacity() + self.shadow.capacity()) * std::mem::size_of::<AtomicU64>()
     }
 }
 
@@ -305,6 +304,17 @@ mod tests {
             assert!(det.take_report().is_empty());
         }
         assert!(det.space_bytes() >= 4096 * 16, "the largest lease's memory is kept");
+    }
+
+    /// A shrinking reset keeps both planes' memory, and the detector still
+    /// counts all of it: 4,096 locations of values and shadow cells, 16 B
+    /// each, although the lease now covers 16.
+    #[test]
+    fn a_shrunk_detector_still_counts_the_memory_it_holds() {
+        let mut det = LiveDetector::new(4096, 1);
+        det.reset(16, 1, MetricsHandle::detached());
+        assert_eq!(det.num_locations(), 16);
+        assert!(det.space_bytes() >= 4096 * 16, "{} bytes after 4,096 → 16", det.space_bytes());
     }
 
     /// A claimed location belongs to its lease: in every lease of one

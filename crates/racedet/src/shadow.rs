@@ -176,6 +176,12 @@ impl ShardedShadowMemory {
         self.cells.len()
     }
 
+    /// Cells the store holds memory for: at least [`Self::len`], and more
+    /// after a reset to fewer locations than an earlier lease had.
+    pub(crate) fn capacity(&self) -> usize {
+        self.cells.capacity()
+    }
+
     /// True if no locations are shadowed.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()

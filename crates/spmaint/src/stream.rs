@@ -304,6 +304,12 @@ impl SerialSpBags {
         debug_assert!(left.is_some(), "leave_p closes an entered P-node");
     }
 
+    /// The id the next thread to execute must carry.
+    #[inline]
+    pub fn next_thread(&self) -> ThreadId {
+        ThreadId(self.next)
+    }
+
     /// `thread` starts executing and becomes the current thread.
     #[inline]
     pub fn execute(&mut self, thread: ThreadId) {
@@ -314,7 +320,10 @@ impl SerialSpBags {
             thread.0,
             self.next
         );
-        self.next += 1;
+        // `ThreadId(u32::MAX)` is the shadow cells' "no thread" word.
+        self.next = self.next.checked_add(1).expect(
+            "the serial walk executed u32::MAX threads, which exhausts the thread-id space",
+        );
     }
 
     /// Number of threads executed so far.
@@ -682,6 +691,17 @@ mod tests {
         sp.execute(ThreadId(0));
         sp.between_p();
         sp.execute(ThreadId(2));
+    }
+
+    /// The thread count is checked, not wrapped, in release builds too: ids
+    /// stop short of `u32::MAX`, the shadow cells' "no thread" word.
+    #[test]
+    #[should_panic(expected = "exhausts the thread-id space")]
+    fn the_serial_bags_refuse_the_thread_id_reserved_for_no_thread() {
+        let mut sp = SerialSpBags { next: u32::MAX - 1, runs: Vec::new() };
+        sp.execute(sp.next_thread());
+        assert_eq!(sp.next_thread(), ThreadId(u32::MAX));
+        sp.execute(ThreadId(u32::MAX));
     }
 
     #[test]

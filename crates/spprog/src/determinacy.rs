@@ -67,9 +67,9 @@ pub(crate) fn child_paths(path: u64) -> (u64, u64) {
     (mix(path ^ LEFT_SALT), mix(path ^ RIGHT_SALT))
 }
 
-/// Fold a step's access *sequence* (kind + location per access, never the
-/// values — racy programs may legitimately read schedule-dependent values)
-/// into one word.
+/// A step's access *sequence* (kind + location per access, never the values
+/// — racy programs may legitimately read schedule-dependent values) folded
+/// into one word, batch by batch as the step records them.
 ///
 /// Zobrist-style: each access hashes its packed (position, location, kind)
 /// word independently and the terms combine with XOR.  Position rides in
@@ -78,15 +78,31 @@ pub(crate) fn child_paths(path: u64) -> (u64, u64) {
 /// terms compute with instruction-level parallelism — a chained
 /// mix-per-access fold costs its full latency on every access, and steps
 /// with large access lists (the BFS chunk tasks) pay that on the
-/// enforcement hot path.
-#[inline]
-pub(crate) fn access_fold(accesses: &[Access]) -> u64 {
-    let mut h = ACCESS_SEED;
-    for (i, a) in accesses.iter().enumerate() {
-        let w = u64::from(a.kind == AccessKind::Write);
-        h ^= mix((i as u64) << 33 | u64::from(a.loc) << 1 | w);
+/// enforcement hot path.  Because the terms are independent, folding a
+/// sequence in batches (positions offset by the accesses folded before)
+/// gives the word folding it whole gives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct AccessFold {
+    hash: u64,
+    count: u64,
+}
+
+impl Default for AccessFold {
+    fn default() -> Self {
+        AccessFold { hash: ACCESS_SEED, count: 0 }
     }
-    h
+}
+
+impl AccessFold {
+    /// Fold the step's next `batch` of accesses.
+    #[inline]
+    pub(crate) fn add(&mut self, batch: &[Access]) {
+        for (i, a) in batch.iter().enumerate() {
+            let w = u64::from(a.kind == AccessKind::Write);
+            self.hash ^= mix((self.count + i as u64) << 33 | u64::from(a.loc) << 1 | w);
+        }
+        self.count += batch.len() as u64;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -138,12 +154,12 @@ pub(crate) fn internal_record(path: u64, kind: SpKind) -> NodeRecord {
 
 /// Record for a leaf; step leaves also fold their access sequence.
 #[inline]
-pub(crate) fn leaf_record(path: u64, has_step: bool, accesses: &[Access]) -> NodeRecord {
+pub(crate) fn leaf_record(path: u64, has_step: bool, accesses: AccessFold) -> NodeRecord {
     let salt = if has_step { STEP_LEAF_SALT } else { EMPTY_LEAF_SALT };
     NodeRecord {
         path,
-        fp: mix(path ^ salt ^ access_fold(accesses)),
-        desc: pack_desc(None, has_step, accesses.len() as u64),
+        fp: mix(path ^ salt ^ accesses.hash),
+        desc: pack_desc(None, has_step, accesses.count),
     }
 }
 
@@ -411,6 +427,23 @@ pub(crate) fn diagnose(reference: &SerialReference, checked: &[NodeRecord]) -> O
 mod tests {
     use super::*;
 
+    /// The fold of a whole access sequence at once, straight from the
+    /// formula: the reference [`AccessFold`]'s batches must reproduce.
+    fn access_fold(accesses: &[Access]) -> u64 {
+        let mut h = ACCESS_SEED;
+        for (i, a) in accesses.iter().enumerate() {
+            let w = u64::from(a.kind == AccessKind::Write);
+            h ^= mix((i as u64) << 33 | u64::from(a.loc) << 1 | w);
+        }
+        h
+    }
+
+    fn folded(accesses: &[Access]) -> AccessFold {
+        let mut fold = AccessFold::default();
+        fold.add(accesses);
+        fold
+    }
+
     #[test]
     fn child_paths_are_distinct_and_deterministic() {
         let (l, r) = child_paths(ROOT_PATH);
@@ -434,10 +467,10 @@ mod tests {
         let fps = [
             internal_record(p, SpKind::Series).fp,
             internal_record(p, SpKind::Parallel).fp,
-            leaf_record(p, true, &[]).fp,
-            leaf_record(p, false, &[]).fp,
-            leaf_record(p, true, &[Access::write(0)]).fp,
-            leaf_record(p, true, &[Access::read(0)]).fp,
+            leaf_record(p, true, folded(&[])).fp,
+            leaf_record(p, false, folded(&[])).fp,
+            leaf_record(p, true, folded(&[Access::write(0)])).fp,
+            leaf_record(p, true, folded(&[Access::read(0)])).fp,
         ];
         for (i, a) in fps.iter().enumerate() {
             for b in &fps[i + 1..] {
@@ -459,11 +492,31 @@ mod tests {
         assert_eq!(access_fold(&wr), access_fold(&wr), "values are not folded");
     }
 
+    /// A step's accesses arrive in batches; folded batch by batch they give
+    /// the word and the count of the whole sequence, wherever it is cut.
+    #[test]
+    fn a_fold_across_batches_equals_the_fold_of_the_whole_sequence() {
+        let accesses: Vec<Access> = (0..1_000u32)
+            .map(|i| if i % 3 == 0 { Access::write(i % 61) } else { Access::read(i % 61) })
+            .collect();
+        let whole = folded(&accesses);
+        assert_eq!(whole.hash, access_fold(&accesses));
+        assert_eq!(whole.count, 1_000);
+        for cut in [1, 7, 64, 999, 1_000] {
+            let mut batched = AccessFold::default();
+            for batch in accesses.chunks(cut) {
+                batched.add(batch);
+            }
+            assert_eq!(batched, whole, "batches of {cut}");
+        }
+        assert_eq!(AccessFold::default().hash, access_fold(&[]), "an empty step folds nothing");
+    }
+
     #[test]
     fn diagnose_names_the_first_serial_order_mismatch() {
         let a = internal_record(1, SpKind::Series);
         let b = internal_record(2, SpKind::Parallel);
-        let c = leaf_record(3, true, &[]);
+        let c = leaf_record(3, true, folded(&[]));
         let reference = SerialReference {
             hash: a.fp ^ b.fp ^ c.fp,
             nodes: vec![a, b, c],
@@ -480,7 +533,7 @@ mod tests {
         assert_eq!(d.path, 2);
         assert_eq!(d.parallel_node, None);
         // Superset: every serial node matches, the extra node is named.
-        let extra = leaf_record(0, false, &[]);
+        let extra = leaf_record(0, false, folded(&[]));
         let d = diagnose(&reference, &[a, b, c, extra]).expect("diverges");
         assert_eq!(d.path, 0);
         assert_eq!(d.serial_index, None);
@@ -491,7 +544,7 @@ mod tests {
     fn serial_check_streams_the_first_divergence() {
         let a = internal_record(1, SpKind::Series);
         let b = internal_record(2, SpKind::Parallel);
-        let c = leaf_record(3, true, &[]);
+        let c = leaf_record(3, true, folded(&[]));
         let reference = SerialReference {
             hash: a.fp ^ b.fp ^ c.fp,
             nodes: vec![a, b, c],
@@ -521,7 +574,7 @@ mod tests {
         assert_eq!((d.path, d.serial_index), (3, Some(2)));
         assert_eq!(d.parallel_node, None);
         // Walk runs long: the extra node is named, serial side absent.
-        let extra = leaf_record(9, false, &[]);
+        let extra = leaf_record(9, false, folded(&[]));
         let mut check = SerialCheck::new(&reference);
         for r in [a, b, c, extra] {
             check.fold(r);
@@ -535,8 +588,8 @@ mod tests {
     fn shared_capture_hash_matches_serial_regardless_of_worker() {
         let recs = [
             internal_record(1, SpKind::Parallel),
-            leaf_record(2, true, &[Access::write(0)]),
-            leaf_record(3, true, &[Access::read(0)]),
+            leaf_record(2, true, folded(&[Access::write(0)])),
+            leaf_record(3, true, folded(&[Access::read(0)])),
         ];
         let serial = recs.iter().fold(0, |h, r| h ^ r.fp);
         // The hash-only hot path carries no records.

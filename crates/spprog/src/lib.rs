@@ -90,8 +90,13 @@ pub use runtime::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use racedet::detect_races;
-    use spmaint::{BackendConfig, SpOrder};
+    use racedet::{detect_races, Access, AccessKind, DetectionSink, LiveDetector};
+    use spmaint::{BackendConfig, CurrentSpQuery, SpOrder};
+    use sptree::oracle::SpOracle;
+    use sptree::tree::ThreadId;
+    use std::sync::Mutex;
+
+    use crate::program::BATCH;
 
     /// fib-style recursion through lazy spawn bodies: the program unfolds at
     /// run time, procedure by procedure.
@@ -406,6 +411,132 @@ mod tests {
             assert_eq!(rec.script.total_accesses(), 6 + 6 + 1);
             let run = run_program(&prog, &RunConfig::with_workers(workers, 8));
             assert!(run.report.is_empty(), "workers={workers}");
+        }
+    }
+
+    /// Accesses of the long step in [`long_thread_prog`]: three full batches
+    /// and five more.
+    const LONG: usize = 3 * BATCH + 5;
+
+    /// `spawn { write 0; write 1 }; step { write 0; … ; write 1 }` over 66
+    /// locations: the step makes [`LONG`] accesses, and races with its
+    /// spawned sibling in its first access and its last, so in its first
+    /// batch and its last.  In between it reads and writes 64 locations of
+    /// its own.
+    fn long_thread_prog() -> Proc {
+        build_proc(|p| {
+            p.spawn(|c| {
+                c.step(|m| {
+                    m.write(0, 1);
+                    m.write(1, 1);
+                });
+            });
+            p.step(|m| {
+                m.write(0, 2);
+                for i in 1..LONG as u32 - 1 {
+                    let loc = 2 + i % 64;
+                    if i % 3 == 0 {
+                        m.write(loc, u64::from(i));
+                    } else {
+                        m.read(loc);
+                    }
+                }
+                m.write(1, 2);
+            });
+        })
+    }
+
+    /// The structural hash of [`long_thread_prog`], as fixed before threads
+    /// were checked in batches: cutting a step's accesses does not move it.
+    const LONG_THREAD_HASH: u64 = 0x6a80_ac14_0043_75b9;
+
+    /// A detector that also logs the size of every non-empty batch it
+    /// checks, per thread.
+    struct BatchLog {
+        detector: LiveDetector,
+        batches: Mutex<Vec<(ThreadId, usize)>>,
+    }
+
+    impl DetectionSink for BatchLog {
+        fn read(&self, loc: u32) -> u64 {
+            self.detector.read(loc)
+        }
+
+        fn write(&self, loc: u32, value: u64) {
+            self.detector.write(loc, value);
+        }
+
+        fn check_thread(&self, queries: &dyn CurrentSpQuery, thread: ThreadId, accesses: &[Access]) {
+            if !accesses.is_empty() {
+                self.batches.lock().unwrap().push((thread, accesses.len()));
+            }
+            self.detector.check_thread(queries, thread, accesses);
+        }
+    }
+
+    /// Racy locations by brute force over the recorded tree and script: two
+    /// parallel threads touch the location and one of them writes it.
+    fn oracle_racy_locations(rec: &Recorded) -> Vec<u32> {
+        let oracle = SpOracle::new(&rec.tree);
+        let threads: Vec<ThreadId> = rec.tree.thread_ids().collect();
+        let mut racy = Vec::new();
+        for (i, &a) in threads.iter().enumerate() {
+            for &b in threads[i + 1..].iter().filter(|&&b| oracle.parallel(a, b)) {
+                for x in rec.script.of(a) {
+                    for y in rec.script.of(b) {
+                        let write = x.kind == AccessKind::Write || y.kind == AccessKind::Write;
+                        if x.loc == y.loc && write {
+                            racy.push(x.loc);
+                        }
+                    }
+                }
+            }
+        }
+        racy.sort_unstable();
+        racy.dedup();
+        racy
+    }
+
+    #[test]
+    fn a_long_thread_is_checked_in_bounded_batches() {
+        let prog = long_thread_prog();
+        let sink = BatchLog { detector: LiveDetector::new(66, 1), batches: Mutex::new(Vec::new()) };
+        let run = run_session(&prog, SessionMode::Serial, &sink);
+        assert_eq!(run.threads, 4, "the sibling's step and sync thread, the long step, the sync");
+        let batches = sink.batches.into_inner().unwrap();
+        assert_eq!(
+            batches,
+            [(ThreadId(0), 2), (ThreadId(2), BATCH), (ThreadId(2), BATCH), (ThreadId(2), BATCH), (ThreadId(2), 5)],
+            "the long step arrives in program order, {BATCH} accesses at a time"
+        );
+        let report = sink.detector.into_report();
+        assert_eq!(report.racy_locations(), [0, 1], "a race found in the first batch and in the last");
+        assert!(report.races().iter().all(|r| r.later == ThreadId(2)));
+    }
+
+    #[test]
+    fn a_long_thread_reports_like_offline_detection() {
+        let prog = long_thread_prog();
+        let rec = record_program(&prog, 66);
+        assert_eq!(rec.script.of(ThreadId(2)).len(), LONG, "the recorder keeps every batch");
+        let (offline, _) = detect_races::<SpOrder>(&rec.tree, &rec.script, BackendConfig::serial());
+        let serial = run_program(&prog, &RunConfig::serial(66));
+        assert_eq!(serial.report.races(), offline.races(), "bit-identical reports");
+        let oracle = oracle_racy_locations(&rec);
+        assert_eq!(oracle, [0, 1]);
+        for _ in 0..4 {
+            let live = run_program(&prog, &RunConfig::with_workers(2, 66));
+            assert_eq!(live.report.racy_locations(), oracle, "2 workers, {} steals", live.steals);
+        }
+    }
+
+    #[test]
+    fn a_long_thread_keeps_its_structural_hash() {
+        let prog = long_thread_prog();
+        assert_eq!(record_program(&prog, 66).structural_hash, LONG_THREAD_HASH);
+        for config in [RunConfig::serial(66), RunConfig::with_workers(2, 66)] {
+            let run = try_run_program(&prog, &config.enforced()).expect("the program is determinate");
+            assert_eq!(run.structural_hash, Some(LONG_THREAD_HASH), "{} workers", run.workers);
         }
     }
 }

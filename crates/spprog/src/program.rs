@@ -44,21 +44,61 @@ pub(crate) enum MemRef<'a> {
     Raw(&'a [AtomicU64]),
 }
 
+/// Accesses a step records before they are checked: a thread's accesses
+/// reach the detector in batches of at most this many, so recording holds
+/// 32 KiB however long the thread runs.
+pub(crate) const BATCH: usize = 4096;
+
+/// Where an instrumented step's accesses go: into `buf`, which is handed to
+/// `flush` whenever it holds [`BATCH`] accesses and once more, with what is
+/// left, when the step ends.
+pub(crate) struct Recording<'a> {
+    pub(crate) buf: &'a mut Vec<Access>,
+    pub(crate) flush: &'a mut dyn FnMut(&[Access]),
+}
+
+impl Recording<'_> {
+    #[inline]
+    fn push(&mut self, access: Access) {
+        if self.buf.len() == BATCH {
+            self.flush();
+        }
+        self.buf.push(access);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn flush(&mut self) {
+        (self.flush)(self.buf);
+        self.buf.clear();
+    }
+
+    /// The step ended: flush the last, partial batch, if any.
+    pub(crate) fn finish(&mut self) {
+        if !self.buf.is_empty() {
+            self.flush();
+        }
+    }
+}
+
 /// The view a step closure gets of shared memory.
 ///
 /// Reads and writes go to the program's *value* memory immediately (racy
 /// programs really race on it — it is atomic word storage); in instrumented
-/// runs each access is also recorded and checked against the shadow memory
-/// when the step ends, exactly like the offline engine checks one thread's
-/// scripted accesses.
+/// runs each access is also recorded, and checked against the shadow memory
+/// in program-order batches of a few thousand while the step runs.
 pub struct StepCtx<'a> {
     pub(crate) mem: MemRef<'a>,
     /// Where the step's accesses are recorded, in instrumented runs.
-    pub(crate) trace: Option<&'a mut Vec<Access>>,
+    pub(crate) trace: Option<Recording<'a>>,
 }
 
 impl StepCtx<'_> {
     /// Read a shared location, returning its current value.
+    //
+    // Inlined into the step closures: on a long thread the batch-full test
+    // otherwise adds a compare to a call made for every access.
+    #[inline]
     pub fn read(&mut self, loc: u32) -> u64 {
         if let Some(t) = self.trace.as_mut() {
             t.push(Access::read(loc));
@@ -70,6 +110,7 @@ impl StepCtx<'_> {
     }
 
     /// Write a value to a shared location.
+    #[inline]
     pub fn write(&mut self, loc: u32, value: u64) {
         if let Some(t) = self.trace.as_mut() {
             t.push(Access::write(loc));

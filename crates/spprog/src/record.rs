@@ -47,6 +47,7 @@ struct Recorder<'a> {
     /// lowered so far.
     stack: Vec<(SpKind, Vec<Ast>)>,
     root: Option<Ast>,
+    /// Every executed thread's accesses, in program order.
     accesses: Vec<Vec<Access>>,
     buf: Vec<Access>,
     capture: SerialCapture,
@@ -72,8 +73,10 @@ impl SerialLiveVisitor<SerialCilk> for Recorder<'_> {
 
     fn execute_leaf(&mut self, meta: &SerialMeta) {
         let capture = &mut self.capture;
-        run_leaf(meta, self.detector, &mut self.buf, Some(|rec| capture.fold(rec)));
-        self.accesses.push(self.buf.clone());
+        let mut own = Vec::new();
+        let check = |batch: &[Access]| own.extend_from_slice(batch);
+        run_leaf(meta, self.detector, &mut self.buf, check, Some(|rec| capture.fold(rec)));
+        self.accesses.push(own);
         self.attach(Ast::leaf(u64::from(meta.step().is_some())));
     }
 

@@ -12,8 +12,8 @@
 //!   parallel to the current thread, nothing stored per thread or per
 //!   S-node.  That the walk executes threads in the order it numbers them is
 //!   asserted at every thread, in every build.  Detection is
-//!   [`racedet::LiveDetector`] with the offline engine's per-thread
-//!   batching.  Deterministic, and its report is bit-identical to offline
+//!   [`racedet::LiveDetector`], fed each thread's accesses in bounded
+//!   batches.  Deterministic, and its report is bit-identical to offline
 //!   serial detection on the recorded tree.
 //! * **Parallel** — [`forkrt::run_live`] with the live SP-hybrid
 //!   ([`sphybrid::LiveSpHybrid`], paper §4–§7): tokens carry [`TraceId`]s,
@@ -40,10 +40,10 @@ use sphybrid::{LiveSpHybrid, TraceId};
 use sptree::tree::ThreadId;
 
 use crate::determinacy::{
-    diagnose, internal_record, leaf_record, DeterminacyViolation, NodeRecord, SerialCapture,
-    SerialCheck, SerialFold, SerialReference, SharedCapture,
+    diagnose, internal_record, leaf_record, AccessFold, DeterminacyViolation, NodeRecord,
+    SerialCapture, SerialCheck, SerialFold, SerialReference, SharedCapture,
 };
-use crate::program::{MemRef, Proc, StepCtx};
+use crate::program::{MemRef, Proc, Recording, StepCtx};
 use crate::unfold::{InstRef, Meta, SerialCilk, SerialMeta, SharedCilk, SharedMeta};
 
 // ---------------------------------------------------------------------------
@@ -228,26 +228,44 @@ pub struct LiveRun {
 // ---------------------------------------------------------------------------
 
 /// The body of one executing thread, the same on every instrumented walk:
-/// run the step (if any) over `sink`'s value memory with its accesses
-/// recorded into `buf`, then — on a hashed walk — hand the leaf's structural
-/// record to `fold`.
+/// run the step (if any) over `sink`'s value memory, its accesses recorded
+/// into `buf` and handed to `check` in program-order batches of at most
+/// [`BATCH`](crate::program::BATCH), then — on a hashed walk — hand the
+/// leaf's structural record to `fold`.
 #[inline]
 pub(crate) fn run_leaf<R: InstRef>(
     meta: &Meta<R>,
     sink: &dyn DetectionSink,
     buf: &mut Vec<Access>,
+    mut check: impl FnMut(&[Access]),
     fold: Option<impl FnOnce(NodeRecord)>,
 ) {
+    // A step that panicked on this buffer may have left accesses in it.
     buf.clear();
     let step = meta.step();
+    let mut accesses = AccessFold::default();
     if let Some(step) = step {
-        step(&mut StepCtx {
+        let hashed = fold.is_some();
+        let mut flush = |batch: &[Access]| {
+            if hashed {
+                accesses.add(batch);
+            }
+            check(batch);
+        };
+        let mut ctx = StepCtx {
             mem: MemRef::Sink(sink),
-            trace: Some(buf),
-        });
+            trace: Some(Recording { buf, flush: &mut flush }),
+        };
+        step(&mut ctx);
+        // Finished in place: moving the recording out of `ctx` here reloads
+        // it wider than the stores that built it, which cost `spawn-fib`'s
+        // near-empty threads ≈ 5 % of its run.
+        if let Some(recording) = &mut ctx.trace {
+            recording.finish();
+        }
     }
     if let Some(fold) = fold {
-        fold(leaf_record(meta.path, step.is_some(), buf));
+        fold(leaf_record(meta.path, step.is_some(), accesses));
     }
 }
 
@@ -270,7 +288,6 @@ enum Fold<'a> {
 struct SerialRunVisitor<'a> {
     sp: SerialSpBags,
     sink: &'a dyn DetectionSink,
-    next_thread: u32,
     buf: Vec<Access>,
     /// Structural-hash fold when the run is determinacy-enforced.
     capture: Option<&'a mut dyn SerialFold>,
@@ -299,18 +316,13 @@ impl SerialLiveVisitor<SerialCilk> for SerialRunVisitor<'_> {
     }
 
     fn execute_leaf(&mut self, meta: &SerialMeta) {
-        let thread = ThreadId(self.next_thread);
-        // `ThreadId(u32::MAX)` is the shadow cells' "no thread" word.
-        self.next_thread = self
-            .next_thread
-            .checked_add(1)
-            .expect("the serial run executed u32::MAX threads, which exhausts the thread-id space");
-        // `run_live_serial` executes leaves left to right — the order the
-        // serial SP-bags stand on, and check here.
+        // `run_live_serial` executes leaves left to right, the order the
+        // serial SP-bags number threads in: the bags hold the one count.
+        let thread = self.sp.next_thread();
         self.sp.execute(thread);
+        let (sp, sink) = (&self.sp, self.sink);
         let fold = self.capture.as_deref_mut().map(|c| |rec| c.fold(rec));
-        run_leaf(meta, self.sink, &mut self.buf, fold);
-        self.sink.check_thread(&self.sp, thread, &self.buf);
+        run_leaf(meta, sink, &mut self.buf, |batch| sink.check_thread(sp, thread, batch), fold);
     }
 }
 
@@ -325,7 +337,6 @@ fn run_serial<'a>(
     let mut visitor = SerialRunVisitor {
         sp: SerialSpBags::default(),
         sink,
-        next_thread: 0,
         buf: Vec::new(),
         capture,
     };
@@ -378,10 +389,10 @@ impl LiveVisitor<SharedCilk> for ParallelRunVisitor<'_> {
         let trace = TraceId::from_token(token);
         // Line 3 of Figure 8: insert the thread into its trace, then run it.
         self.sp.thread_executed(meta.proc, thread, trace);
+        let view = self.sp.view(trace);
         let mut buf = self.bufs[worker].lock();
         let fold = self.capture.map(|c| move |rec| c.fold(worker, rec));
-        run_leaf(meta, self.sink, &mut buf, fold);
-        self.sink.check_thread(&self.sp.view(trace), thread, &buf);
+        run_leaf(meta, self.sink, &mut buf, |batch| self.sink.check_thread(&view, thread, batch), fold);
     }
 
     fn between_children(&self, _worker: usize, kind: SpKind, meta: &SharedMeta, token: Token) {

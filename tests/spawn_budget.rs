@@ -11,14 +11,18 @@
 //!   instance (4 allocations; its zero-sized join step takes none), one step
 //!   in a leaf instance (3);
 //! * serial SP maintenance and detection add **no** per-node allocation on
-//!   top of that: a list handle rides the serial walk's tag, so an instrumented
-//!   run allocates a constant (detector set-up) plus vector doublings more
-//!   than the bare walk, whatever the program's size.
+//!   top of that: the serial SP-bags store nothing per thread or S-node, so
+//!   an instrumented run allocates a constant (detector set-up) plus vector
+//!   doublings more than the bare walk, whatever the program's size.
 //!
-//! And one budget of the serial *check* path: a one-worker detector has one
+//! One budget of the serial *check* path: a one-worker detector has one
 //! shadow stripe, so a race-free batch is walked in script order and
 //! allocates **nothing** (a striped store builds an index vector per batch
 //! that spans stripes).
+//!
+//! And one budget in bytes: a thread's accesses are checked in bounded
+//! batches as they are recorded, so a run's peak heap does not grow with
+//! its longest thread.
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`.
@@ -28,7 +32,7 @@ use std::cell::Cell;
 
 use sp_maintenance::racedet::{Access, LiveDetector};
 use sp_maintenance::spmaint::CurrentSpQuery;
-use sp_maintenance::spprog::{run_program, run_uninstrumented, Proc, RunConfig};
+use sp_maintenance::spprog::{build_proc, run_program, run_uninstrumented, Proc, RunConfig};
 use sp_maintenance::sptree::tree::ThreadId;
 use sp_maintenance::workloads::live::live_fib;
 
@@ -37,27 +41,43 @@ thread_local! {
     /// the test harness's own threads cannot disturb a count; const-initialised
     /// and without a destructor, so touching it never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed (signed: it may free
+    /// what another thread allocated), and the high-water mark of that.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Move the calling thread's live bytes by `delta`, raising its peak.
+fn track_bytes(delta: i64) {
+    let live = LIVE_BYTES.with(|b| {
+        b.set(b.get() + delta);
+        b.get()
+    });
+    PEAK_BYTES.with(|p| p.set(p.get().max(live)));
 }
 
 struct CountingAllocator;
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter bump
-// that neither allocates nor unwinds.
+// `GlobalAlloc` contract; the only additions are thread-local counter updates
+// that neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        track_bytes(layout.size() as i64);
         // SAFETY: the caller's obligations are `System.alloc`'s, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_bytes(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through this allocator with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        track_bytes(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` through this allocator with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -72,6 +92,15 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = f();
     (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The most bytes the calling thread held while `f` ran, beyond what it
+/// held before.
+fn peak_bytes_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|p| p.set(before));
+    let result = f();
+    (result, (PEAK_BYTES.with(Cell::get) - before) as u64)
 }
 
 /// `(threads, allocations)` of the bare serial walk of `prog`.
@@ -98,9 +127,9 @@ fn a_lazily_spawned_thread_costs_seven_quarters_of_an_allocation() {
 
 #[test]
 fn serial_sp_maintenance_allocates_nothing_per_node() {
-    // Detector set-up plus the doublings of a handful of vectors (the Hebrew
-    // order-maintenance list, the thread table, the access buffer): grows
-    // with the logarithm of the run, not with the run.
+    // Detector set-up plus the doublings of a handful of vectors (the walk's
+    // stack, the SP-bags' run stack, the access buffer): grows with the
+    // logarithm of the run, not with the run.
     const MAX_EXTRA: u64 = 128;
     for depth in [16, 20] {
         let fib = live_fib(depth, false);
@@ -148,4 +177,40 @@ fn a_one_worker_batch_allocates_nothing() {
     println!("1,000 scattered 64-access batches on one stripe: {allocations} allocations");
     assert_eq!(allocations, 0, "a one-stripe batch is walked in script order, in place");
     assert!(detector.report().is_empty());
+}
+
+#[test]
+fn a_long_thread_does_not_grow_the_peak_heap() {
+    /// Detector set-up and the access buffer are the same for both lengths;
+    /// one batch of accesses is 32 KiB.
+    const SLACK: u64 = 64 << 10;
+    let one_step = |accesses: u32| {
+        build_proc(move |p| {
+            p.step(move |m| {
+                for i in 0..accesses {
+                    if i % 4 == 0 {
+                        m.write(i % 64, u64::from(i));
+                    } else {
+                        m.read(i % 64);
+                    }
+                }
+            });
+        })
+    };
+    let peaks: Vec<u64> = [100_000, 1_000_000]
+        .into_iter()
+        .map(|accesses| {
+            let prog = one_step(accesses);
+            let (run, peak) = peak_bytes_during(|| run_program(&prog, &RunConfig::serial(64)));
+            assert!(run.report.is_empty());
+            println!("one step of {accesses} accesses over 64 locations: peak {peak} B");
+            peak
+        })
+        .collect();
+    assert!(
+        peaks[1] <= peaks[0] + SLACK,
+        "10⁶ accesses peaked at {} B, 10⁵ at {} B",
+        peaks[1],
+        peaks[0]
+    );
 }
