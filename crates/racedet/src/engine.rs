@@ -9,62 +9,36 @@
 //! accesses against the shadow memory, issuing `SP-PRECEDES` queries through
 //! the backend's [`CurrentSpQuery`] view.
 //!
-//! ## Batched, mostly lock-free shadow access
+//! ## Batched shadow access
 //!
-//! The shadow store is the sharded [`ShardedShadowMemory`]; per-thread
-//! accesses are processed in *batches* by `check_thread_accesses`:
+//! The shadow store is the sharded [`ShardedShadowMemory`], and
+//! `check_thread_accesses` checks one thread's accesses a *batch* at a time:
 //!
-//! 1. batch-constant work is done once per batch:
-//!    * **each SP question once** — the backend's [`CurrentSpQuery`] view is
-//!      wrapped in a `BatchMemo`, a small fixed-size table of
-//!      `precedes_current` answers keyed by the earlier thread and living on
-//!      the batch's stack, so a batch that meets the same recorded
-//!      writer/reader in thousands of cells reaches the maintainer about it
-//!      once (two OM comparisons on SP-order, a trace lock + `FIND-TRACE` on
-//!      SP-hybrid, the global mutex on the §3 strawman) and every repeat is
-//!      an inlined compare.  Sound on every maintainer: the relation between
-//!      an already-executed thread and the current one is a fixed fact of
-//!      the dag, so any answer obtained during the batch *is* the answer for
-//!      the rest of it.  The memo dies with the batch (the next one may
-//!      have another current thread);
-//!    * **one linear grouping pass** — the accesses are stably grouped by
-//!      shard with a counting pass over the few shards the batch touches
-//!      (stable, so same-location accesses keep their program order — all
-//!      that the Feng–Leiserson rules depend on); a batch that lies in one
-//!      shard — common, since consecutive locations share a shard, and
-//!      *every* batch of a store built for one worker, which has one stripe
-//!      — is walked in script order with no index vector built at all;
-//! 2. within a shard group, each access first tries a **lock-free fast
-//!    path**: one atomic snapshot of the packed cell; if the snapshot shows
-//!    the cell is wholly owned by the current thread (the *owner hint* —
-//!    private-write runs, same thread re-writing its own location) or the
-//!    recorded writer/reader already precede the current thread and no cell
-//!    update is needed (the overwhelmingly common case on read-shared
-//!    data), the access completes without any lock, and — by the owner hint
-//!    or a memo hit — without reaching the SP maintainer;
-//! 3. the first access that must mutate (or report) acquires the shard's
-//!    striped lock **once**, and the rest of the group is processed under
-//!    that single acquisition;
-//! 4. a race found under the lock is kept only if it is the first on its
-//!    location: the run's `RaceCollector` holds one claim bit per
-//!    location, and a race whose `claim` does not flip the bit is dropped
-//!    where it is found — one bit test, nothing stored, no report lock, no
-//!    `RacesFound` count and no `RaceFound` event.  The report is thus one
-//!    entry per racy location, the guarantee SP-bags states per location.
-//!    Kept races are re-sorted by the access's original script index before
-//!    being appended, so the report lists each thread's first races in
-//!    program order — serial backend runs therefore report exactly the
-//!    unbatched per-cell engine's races compacted to the first per location,
-//!    order kept, which is what lets the conformance harness demand
-//!    identical reports across serial backends.
+//! 1. **one rule** — `rule` applies the Feng–Leiserson update to a cell's
+//!    packed `(writer, reader)` word and returns the next word plus which
+//!    recorded thread races; every path below runs it and nothing else;
+//! 2. **each SP question once** — the backend's [`CurrentSpQuery`] view is
+//!    wrapped in a `BatchMemo`, a 16-slot table of `precedes_current`
+//!    answers on the batch's stack.  Sound on every maintainer: the relation
+//!    between an executed thread and the current one is a fixed fact of the
+//!    dag.  The memo dies with the batch;
+//! 3. **one stripe, one pass** — a store with one stripe (every one-worker
+//!    run) takes its lock once and walks the batch in script order: load the
+//!    word, apply `rule`, store it only if it changed;
+//! 4. **several stripes** — the accesses are stably grouped by shard (one
+//!    counting pass), and each group runs lock-free while `rule` leaves the
+//!    word as it is and reports nothing; the first access that must mutate
+//!    or report takes the shard's lock for the rest of the group.  The
+//!    unlocked load is a linearization point: the locked path given the same
+//!    word would also have done nothing.
 //!
-//! The fast path is sound because a packed cell is one atomic word: the
-//! snapshot is a linearization point, and the locked path given the same
-//! snapshot would have reported nothing and written nothing.  The report is
-//! behind a mutex and a claim is one atomic `fetch_or`, so the *same* engine
-//! code is correct for concurrent backends; for serial backends all locks
-//! are uncontended.  The claim plane is allocated on the first race, so a
-//! race-free run never touches it.
+//! A race is kept only if it is the first on its location (the run's
+//! `RaceCollector` holds one claim bit per location), through one `#[cold]`
+//! call.  Kept races are put back in script order before they reach the
+//! report, so a serial run reports exactly the unbatched per-cell engine's
+//! races compacted to the first per location.  The report sits behind a
+//! mutex and a claim is one atomic `fetch_or`, so the same code is correct
+//! for concurrent backends.
 
 use std::cell::Cell;
 
@@ -74,7 +48,7 @@ use sptree::tree::{ParseTree, ThreadId};
 
 use crate::access::{Access, AccessKind, AccessScript};
 use crate::report::{Race, RaceCollector, RaceKind, RaceReport};
-use crate::shadow::{ShadowCell, ShardedShadowMemory};
+use crate::shadow::{ShardedShadowMemory, NONE};
 
 /// Run race detection over `tree` with backend `B` built under `config`.
 /// Returns the race report and the fully built backend (useful for space
@@ -112,146 +86,47 @@ pub fn detect_races<'t, B: SpBackend<'t>>(
     (races.into_report(), backend)
 }
 
-/// Shadow-memory update for one access (the Feng–Leiserson rules).  Races
-/// are handed to `found` in the fixed writer-conflict-then-reader-conflict
-/// order.
-fn apply_access<Q: CurrentSpQuery + ?Sized>(
-    queries: &Q,
-    current: ThreadId,
-    loc: u32,
-    kind: AccessKind,
-    cell: &mut ShadowCell,
-    found: &mut impl FnMut(Race),
-) {
-    let parallel_with =
-        |earlier: ThreadId| earlier != current && queries.parallel_with_current(earlier);
+/// What one access does to its cell: the next packed word, and whether the
+/// recorded writer and the recorded reader race with it.
+#[derive(Clone, Copy)]
+struct Outcome {
+    next: u64,
+    writer_races: bool,
+    reader_races: bool,
+}
+
+impl Outcome {
+    fn races(self) -> bool {
+        self.writer_races | self.reader_races
+    }
+
+    /// Neither writes the cell, which holds `word`, nor reports.
+    fn silent(self, word: u64) -> bool {
+        !self.races() && self.next == word
+    }
+}
+
+/// The Feng–Leiserson rules on a packed `(writer, reader)` word (see
+/// [`crate::shadow`]): a write races with a parallel writer or reader and
+/// records itself as the writer; a read races with a parallel writer and
+/// replaces the reader only if that reader precedes it.  [`NONE`] and the
+/// current thread fail the parallel test before any query is made.
+#[inline(always)]
+fn rule<Q: CurrentSpQuery + ?Sized>(queries: &Q, current: ThreadId, kind: AccessKind, word: u64) -> Outcome {
+    let (writer, reader, me) = ((word >> 32) as u32, word as u32, current.0);
+    let parallel = |t: u32| t != me && t != NONE && queries.parallel_with_current(ThreadId(t));
+    let writer_races = parallel(writer);
     match kind {
-        AccessKind::Write => {
-            if let Some(w) = cell.writer {
-                if parallel_with(w) {
-                    found(Race {
-                        loc,
-                        earlier: w,
-                        later: current,
-                        kind: RaceKind::WriteWrite,
-                    });
-                }
-            }
-            if let Some(r) = cell.reader {
-                if parallel_with(r) {
-                    found(Race {
-                        loc,
-                        earlier: r,
-                        later: current,
-                        kind: RaceKind::ReadWrite,
-                    });
-                }
-            }
-            cell.writer = Some(current);
-        }
+        AccessKind::Write => Outcome {
+            next: u64::from(me) << 32 | u64::from(reader),
+            writer_races,
+            reader_races: parallel(reader),
+        },
         AccessKind::Read => {
-            if let Some(w) = cell.writer {
-                if parallel_with(w) {
-                    found(Race {
-                        loc,
-                        earlier: w,
-                        later: current,
-                        kind: RaceKind::WriteRead,
-                    });
-                }
-            }
-            // Keep the reader that is "deepest": replace only a reader that
-            // serially precedes the current thread (Feng–Leiserson rule).
-            let replace = match cell.reader {
-                None => true,
-                Some(r) => r == current || queries.precedes_current(r),
-            };
-            if replace {
-                cell.reader = Some(current);
-            }
+            let replace = reader == NONE || reader == me || queries.precedes_current(ThreadId(reader));
+            let next = if replace { word & !u64::from(u32::MAX) | u64::from(me) } else { word };
+            Outcome { next, writer_races, reader_races: false }
         }
-    }
-}
-
-/// Can this access complete without the shard lock?  True only for accesses
-/// that, per [`apply_access`] run against a consistent snapshot of the cell,
-/// would neither report a race nor mutate the cell.
-///
-/// Two tiers:
-///
-/// 1. **Owner hint** — the packed cell word itself doubles as an ownership
-///    hint: if the snapshot says the current thread is the recorded writer
-///    and there is no foreign recorded reader, the access is silent whatever
-///    the SP structure says, so it completes with zero queries and zero
-///    locks.  This is the *private-write run* pattern (the same thread
-///    re-writing or re-reading its own location), which the old read-only
-///    fast path always sent to the slow path because a write was assumed to
-///    mutate.  A write by the recorded writer re-records the same writer —
-///    no mutation; a read by it can only mutate when the recorded reader is
-///    absent (the reader slot would be filled).
-/// 2. **Silent-read check** — otherwise, reads run the update rules on a
-///    scratch copy (so the predicate can never drift from the locked path)
-///    and qualify when nothing would be reported or written.  Writes by any
-///    *other* thread than the recorded writer always mutate the writer slot,
-///    so they never qualify.
-///
-/// Both tiers are sound for the same reason: a packed cell is one atomic
-/// word, the snapshot is a linearization point, and the locked path given
-/// the same snapshot would have reported nothing and written nothing.
-#[cfg(test)]
-fn silent_fast_path(
-    queries: &dyn CurrentSpQuery,
-    shadow: &ShardedShadowMemory,
-    current: ThreadId,
-    access: Access,
-) -> bool {
-    fast_path_tier(queries, shadow, current, access).is_some()
-}
-
-/// Which lock-free tier resolved an access — the per-access attribution
-/// behind the `shadow_owner_hint` / `shadow_lock_free` counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FastTier {
-    /// Tier 1: the cell's own ownership hint answered with zero SP queries.
-    OwnerHint,
-    /// Tier 2: the silent-read scratch-copy check answered lock-free.
-    SilentRead,
-}
-
-/// Tier-attributing body of [`silent_fast_path`]; `None` means the access
-/// needs the shard lock.
-fn fast_path_tier<Q: CurrentSpQuery + ?Sized>(
-    queries: &Q,
-    shadow: &ShardedShadowMemory,
-    current: ThreadId,
-    access: Access,
-) -> Option<FastTier> {
-    let before = shadow.load(access.loc);
-    // Owner hint: writer is the current thread, reader absent (writes only —
-    // a read would fill it) or the current thread itself.
-    if before.writer == Some(current) {
-        let reader_silent = match before.reader {
-            Some(r) => r == current,
-            None => access.kind == AccessKind::Write,
-        };
-        if reader_silent {
-            return Some(FastTier::OwnerHint);
-        }
-    }
-    if access.kind != AccessKind::Read {
-        // A write by a thread that is not the recorded writer always mutates
-        // the writer slot.
-        return None;
-    }
-    let mut scratch = before;
-    let mut raced = false;
-    apply_access(queries, current, access.loc, access.kind, &mut scratch, &mut |_| {
-        raced = true
-    });
-    if !raced && scratch == before {
-        Some(FastTier::SilentRead)
-    } else {
-        None
     }
 }
 
@@ -367,8 +242,8 @@ impl ShardGroups {
     }
 }
 
-/// The running state of one thread batch: what every shard group reads, and
-/// the per-batch tallies it adds to.
+/// The running state of one thread batch: what every access reads, and the
+/// per-batch tallies it adds to.
 struct Batch<'a> {
     queries: BatchMemo<'a>,
     shadow: &'a ShardedShadowMemory,
@@ -377,13 +252,34 @@ struct Batch<'a> {
     accesses: &'a [Access],
     owner_hits: u64,
     silent_hits: u64,
-    locked: u64,
     /// First races on their locations, with the script index of the access
     /// that found them.
     found: Vec<(u32, Race)>,
 }
 
 impl Batch<'_> {
+    /// Apply `rule` to the access at script index `idx`, whose cell holds
+    /// `word`, with its shard's lock held.
+    #[inline(always)]
+    fn apply_locked(&mut self, idx: u32, access: Access, word: u64) {
+        let out = rule(&self.queries, self.current, access.kind, word);
+        if out.races() {
+            keep_if_first(self.races, &mut self.found, idx, self.current, access, word, out);
+        }
+        if out.next != word {
+            self.shadow.store_word(access.loc, out.next);
+        }
+    }
+
+    /// The one-stripe pass: the whole batch in script order, under one
+    /// acquisition of the only lock.
+    fn check_one_stripe(&mut self) {
+        let _stripe = self.shadow.lock_shard(0);
+        for (idx, &access) in (0..batch_index_count(self.accesses.len())).zip(self.accesses) {
+            self.apply_locked(idx, access, self.shadow.load_word(access.loc));
+        }
+    }
+
     /// Check the accesses `indices` (script order, all guarded by `shard`):
     /// lock-free while they stay silent, under one acquisition of the shard
     /// lock from the first access that must mutate or report.
@@ -391,53 +287,58 @@ impl Batch<'_> {
         let mut guard = None;
         for idx in indices {
             let access = self.accesses[idx as usize];
+            let word = self.shadow.load_word(access.loc);
             if guard.is_none() {
-                match fast_path_tier(&self.queries, self.shadow, self.current, access) {
-                    Some(FastTier::OwnerHint) => {
+                let out = rule(&self.queries, self.current, access.kind, word);
+                if out.silent(word) {
+                    // Owner hint: the cell is the current thread's alone, so
+                    // the rule asked the maintainer nothing.
+                    let (writer, reader, me) = ((word >> 32) as u32, word as u32, self.current.0);
+                    if writer == me && (reader == me || reader == NONE) {
                         self.owner_hits += 1;
-                        continue;
-                    }
-                    Some(FastTier::SilentRead) => {
+                    } else {
                         self.silent_hits += 1;
-                        continue;
                     }
-                    None => {}
+                    continue;
                 }
-                // First access of the group that needs exclusivity: one lock
-                // acquisition covers the rest of the group.
                 guard = Some(self.shadow.lock_shard(shard));
             }
-            self.locked += 1;
-            let mut cell = self.shadow.load(access.loc);
-            let before = cell;
-            let (races, found) = (self.races, &mut self.found);
-            apply_access(&self.queries, self.current, access.loc, access.kind, &mut cell, &mut |race| {
-                keep_if_first(races, found, idx, race)
-            });
-            if cell != before {
-                self.shadow.store(access.loc, cell);
-            }
+            // Re-read under the lock: another worker may have written since.
+            self.apply_locked(idx, access, self.shadow.load_word(access.loc));
         }
     }
 }
 
-/// Keep `race`, found by the access at script index `idx`, if it is the first
-/// on its location.  Out of line, so that the closure `apply_access` calls on
-/// a race stays one call and inlines into the locked loop: a race-free run
-/// pays nothing for the claim, and a racy one a call per race.
+/// Keep the race `out` reports for `access` (script index `idx`, cell word
+/// `word`) if it is the first on its location.  Out of line, so that a
+/// race-free pass pays nothing for it and a racy one a call per racy access.
+/// A location keeps only its first race, so when a write races with both
+/// recorded threads only the writer's race can be kept.
 #[cold]
 #[inline(never)]
-fn keep_if_first(races: &RaceCollector, found: &mut Vec<(u32, Race)>, idx: u32, race: Race) {
-    if races.claim(race.loc) {
-        found.push((idx, race));
+fn keep_if_first(
+    races: &RaceCollector,
+    found: &mut Vec<(u32, Race)>,
+    idx: u32,
+    current: ThreadId,
+    access: Access,
+    word: u64,
+    out: Outcome,
+) {
+    let (earlier, kind) = match access.kind {
+        AccessKind::Read => (word >> 32, RaceKind::WriteRead),
+        AccessKind::Write if out.writer_races => (word >> 32, RaceKind::WriteWrite),
+        AccessKind::Write => (word & u64::from(u32::MAX), RaceKind::ReadWrite),
+    };
+    if races.claim(access.loc) {
+        found.push((idx, Race { loc: access.loc, earlier: ThreadId(earlier as u32), later: current, kind }));
     }
 }
 
 /// Check a batch of one thread's accesses against the sharded shadow memory:
-/// SP queries memoised for the batch, accesses stable-grouped by shard,
-/// lock-free fast path first, at most one striped lock acquisition per shard
-/// group, the first race of each location reported to `races` in program
-/// order.
+/// SP queries memoised for the batch, one locked pass on a one-stripe
+/// store, shard groups with a lock-free silent prefix on a striped one, the
+/// first race of each location reported to `races` in program order.
 ///
 /// This is the per-thread body of [`detect_races`] and of
 /// [`LiveDetector::check_thread`](crate::live::LiveDetector::check_thread),
@@ -445,14 +346,11 @@ fn keep_if_first(races: &RaceCollector, found: &mut Vec<(u32, Race)>, idx: u32, 
 /// loop over the same store — which is what makes service-session reports
 /// bit-identical to standalone runs by construction.
 ///
-/// Per-access tier attribution (owner-hint / lock-free silent read /
-/// striped-lock) and found races are tallied in plain locals during the
-/// batch and folded into `metrics` **once** at the end — an attached
-/// registry costs one `is_attached` check plus a handful of relaxed adds per
-/// batch, never per-access atomics, which is what keeps the measured
-/// overhead within the ≤5% bar; a detached handle costs nothing.  Race
-/// counts and events cover the races the report keeps, and events are
-/// published in script order, matching the report.
+/// Per-access tiers (owner hint and lock-free silent access, both on a
+/// striped store only, and locked — every access of a one-stripe batch) and
+/// found races are tallied in plain locals and folded into `metrics` once
+/// per batch; a detached handle costs nothing.  Race events are published in
+/// script order, matching the report.
 ///
 /// `#[inline]`: it runs once per executed thread, mostly on an empty batch,
 /// and a copy in each calling codegen unit makes that a direct call (or
@@ -479,38 +377,41 @@ pub(crate) fn check_thread_accesses(
         accesses,
         owner_hits: 0,
         silent_hits: 0,
-        locked: 0,
         found: Vec::new(),
     };
     // Stability preserves program order within a shard, and same-location
     // accesses always share a shard, so every cell still sees its updates in
     // program order.
-    let regrouped = match ShardGroups::new(accesses, |loc| shadow.shard_of(loc)) {
-        ShardGroups::Single(shard) => {
-            batch.check_group(shard, 0..batch_index_count(accesses.len()));
-            false
-        }
-        ShardGroups::Many(grouped) => {
-            for (shard, run) in grouped.runs() {
-                batch.check_group(shard, run.iter().copied());
+    let regrouped = if shadow.num_shards() == 1 {
+        batch.check_one_stripe();
+        false
+    } else {
+        match ShardGroups::new(accesses, |loc| shadow.shard_of(loc)) {
+            ShardGroups::Single(shard) => {
+                batch.check_group(shard, 0..batch_index_count(accesses.len()));
+                false
             }
-            true
+            ShardGroups::Many(grouped) => {
+                for (shard, run) in grouped.runs() {
+                    batch.check_group(shard, run.iter().copied());
+                }
+                true
+            }
         }
     };
-    let Batch { owner_hits, silent_hits, locked, mut found, .. } = batch;
+    let Batch { owner_hits, silent_hits, mut found, .. } = batch;
 
     if metrics.is_attached() {
         metrics.add(CounterId::ShadowOwnerHint, owner_hits);
         metrics.add(CounterId::ShadowLockFree, silent_hits);
-        metrics.add(CounterId::ShadowLocked, locked);
+        metrics.add(CounterId::ShadowLocked, accesses.len() as u64 - owner_hits - silent_hits);
         metrics.add(CounterId::RacesFound, found.len() as u64);
     }
 
     if !found.is_empty() {
         // Shard grouping visited accesses out of script order; restore it so
         // the report lists this thread's races exactly as the unbatched
-        // engine did (sort is stable: ties keep writer-before-reader order).
-        // A single group was walked in script order and is appended as is.
+        // engine did.  A single group was walked in script order.
         if regrouped {
             found.sort_by_key(|&(idx, _)| idx);
         }
@@ -538,8 +439,142 @@ fn batch_index_count(len: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::access::Access;
+    use crate::shadow::{pack, unpack, ShadowCell};
     use parking_lot::Mutex;
     use sphybrid::{HybridBackend, NaiveBackend};
+    use std::cell::RefCell;
+
+    /// The Feng–Leiserson rules on an unpacked cell, written independently
+    /// of `rule` as its reference.  Races are handed to `found` in the fixed
+    /// writer-conflict-then-reader-conflict order.
+    fn apply_access<Q: CurrentSpQuery + ?Sized>(
+        queries: &Q,
+        current: ThreadId,
+        loc: u32,
+        kind: AccessKind,
+        cell: &mut ShadowCell,
+        found: &mut impl FnMut(Race),
+    ) {
+        let parallel_with =
+            |earlier: ThreadId| earlier != current && queries.parallel_with_current(earlier);
+        let mut race = |earlier, kind| found(Race { loc, earlier, later: current, kind });
+        match kind {
+            AccessKind::Write => {
+                if let Some(w) = cell.writer.filter(|&w| parallel_with(w)) {
+                    race(w, RaceKind::WriteWrite);
+                }
+                if let Some(r) = cell.reader.filter(|&r| parallel_with(r)) {
+                    race(r, RaceKind::ReadWrite);
+                }
+                cell.writer = Some(current);
+            }
+            AccessKind::Read => {
+                if let Some(w) = cell.writer.filter(|&w| parallel_with(w)) {
+                    race(w, RaceKind::WriteRead);
+                }
+                // Keep the "deepest" reader: replace only one that serially
+                // precedes the current thread.
+                let replace = match cell.reader {
+                    None => true,
+                    Some(r) => r == current || queries.precedes_current(r),
+                };
+                if replace {
+                    cell.reader = Some(current);
+                }
+            }
+        }
+    }
+
+    /// Would `access` complete on the lock-free prefix of a striped group?
+    fn silent_fast_path(
+        queries: &dyn CurrentSpQuery,
+        shadow: &ShardedShadowMemory,
+        current: ThreadId,
+        access: Access,
+    ) -> bool {
+        let word = shadow.load_word(access.loc);
+        rule(queries, current, access.kind, word).silent(word)
+    }
+
+    /// The races `out` stands for, in the reference's order.
+    fn races_of(out: Outcome, word: u64, current: ThreadId, access: Access) -> Vec<Race> {
+        let cell = unpack(word);
+        let race = |earlier: Option<ThreadId>, kind| Race {
+            loc: access.loc,
+            earlier: earlier.expect("a race has a recorded thread"),
+            later: current,
+            kind,
+        };
+        let writer_kind = match access.kind {
+            AccessKind::Write => RaceKind::WriteWrite,
+            AccessKind::Read => RaceKind::WriteRead,
+        };
+        let mut races = Vec::new();
+        if out.writer_races {
+            races.push(race(cell.writer, writer_kind));
+        }
+        if out.reader_races {
+            races.push(race(cell.reader, RaceKind::ReadWrite));
+        }
+        races
+    }
+
+    /// Threads `A` and `B` each precede the current thread or run parallel
+    /// with it; every question is logged, and one about any other thread
+    /// fails the test.
+    struct TwoThreads {
+        a_precedes: bool,
+        b_precedes: bool,
+        asked: RefCell<Vec<u32>>,
+    }
+
+    const A: ThreadId = ThreadId(1);
+    const B: ThreadId = ThreadId(2);
+    const CURRENT: ThreadId = ThreadId(3);
+
+    impl CurrentSpQuery for TwoThreads {
+        fn precedes_current(&self, earlier: ThreadId) -> bool {
+            self.asked.borrow_mut().push(earlier.0);
+            match earlier {
+                A => self.a_precedes,
+                B => self.b_precedes,
+                other => panic!("asked about {other:?}"),
+            }
+        }
+    }
+
+    /// `rule` against the reference on every cell over {none, current, A, B}
+    /// for writer and reader, both kinds, and A and B each preceding or
+    /// parallel: the same next cell, the same races in order, and the same
+    /// questions in order.
+    #[test]
+    fn the_packed_rule_matches_the_reference_exhaustively() {
+        let slots = [None, Some(CURRENT), Some(A), Some(B)];
+        let mut cases = 0;
+        for (a_precedes, b_precedes) in [(false, false), (false, true), (true, false), (true, true)] {
+            for writer in slots {
+                for reader in slots {
+                    for access in [Access::read(5), Access::write(5)] {
+                        let before = ShadowCell { writer, reader };
+                        let ask = || TwoThreads { a_precedes, b_precedes, asked: RefCell::default() };
+                        let (reference, packed) = (ask(), ask());
+                        let mut cell = before;
+                        let mut expected = Vec::new();
+                        apply_access(&reference, CURRENT, access.loc, access.kind, &mut cell, &mut |r| {
+                            expected.push(r)
+                        });
+                        let out = rule(&packed, CURRENT, access.kind, pack(before));
+                        let case = format!("{before:?} {access:?} A<{a_precedes} B<{b_precedes}");
+                        assert_eq!(unpack(out.next), cell, "{case}");
+                        assert_eq!(races_of(out, pack(before), CURRENT, access), expected, "{case}");
+                        assert_eq!(packed.asked.take(), reference.asked.take(), "{case}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 4 * 4 * 2);
+    }
 
     #[test]
     fn batch_index_count_is_checked() {
@@ -686,40 +721,81 @@ mod tests {
         report.into_inner()
     }
 
-    /// A serial program whose accesses hit many locations in a scrambled
-    /// order, with read-write and write-write conflicts across several
-    /// shards — batching must still report the exact per-cell race list.
-    #[test]
-    fn batched_sharded_reports_are_bit_identical_to_per_cell_on_serial_runs() {
-        use sptree::generate::random_sp_ast;
-        let tree = random_sp_ast(120, 0.5, 99).build();
-        let n = tree.num_threads();
-        let mut script = AccessScript::new(n, 64);
-        // Scrambled multi-shard access pattern: every thread touches a
-        // pseudo-random sequence of the 64 locations, mixing reads/writes.
-        for t in tree.thread_ids() {
-            for k in 0..6u32 {
-                let loc = (t.0.wrapping_mul(2654435761).wrapping_add(k * 97)) % 64;
-                let access = if (t.0 + k) % 3 == 0 {
-                    Access::write(loc)
-                } else {
-                    Access::read(loc)
-                };
-                script.push(t, access);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// A serial program whose accesses hit many locations in a scrambled
+        /// order, with read-write and write-write conflicts: on a one-stripe
+        /// store and on a striped one (a serial backend ignores the worker
+        /// count, so only the store's layout changes), batching must report
+        /// the exact per-cell race list compacted to the first per location.
+        #[test]
+        fn batched_sharded_reports_are_bit_identical_to_per_cell_on_serial_runs(seed in 0u64..1 << 32) {
+            use sptree::generate::random_sp_ast;
+            let tree = random_sp_ast(120, 0.5, seed).build();
+            let mut script = AccessScript::new(tree.num_threads(), 64);
+            let mix = (seed as u32) | 1;
+            for t in tree.thread_ids() {
+                for k in 0..6u32 {
+                    let loc = (t.0.wrapping_mul(2654435761).wrapping_add(k * 97).wrapping_mul(mix)) % 64;
+                    let access = if (t.0 + k) % 3 == 0 { Access::write(loc) } else { Access::read(loc) };
+                    script.push(t, access);
+                }
+            }
+            let reference = detect_per_cell::<SpOrder>(&tree, &script, BackendConfig::serial());
+            proptest::prop_assert!(
+                reference.len() > reference.racy_locations().len(),
+                "workload must race more than once on some location"
+            );
+            for workers in [1, 2] {
+                let (batched, _) = detect_races::<SpOrder>(&tree, &script, BackendConfig::with_workers(workers));
+                proptest::prop_assert_eq!(batched.races(), &compact(&reference)[..], "{} workers", workers);
             }
         }
-        let cfg = BackendConfig::serial();
-        let (batched, _) = detect_races::<SpOrder>(&tree, &script, cfg);
-        let reference = detect_per_cell::<SpOrder>(&tree, &script, cfg);
-        assert!(
-            reference.len() > reference.racy_locations().len(),
-            "workload must race more than once on some location"
-        );
-        assert_eq!(
-            batched.races(),
-            compact(&reference),
-            "the per-cell report, first race per location"
-        );
+    }
+
+    /// The tier counters, `[owner hint, lock-free, locked]`, of four race-free
+    /// batches on `shadow`: thread 0 writes cells 0..16; thread 1, after it,
+    /// reads 8..16; thread 2, after thread 0 and parallel with thread 1,
+    /// reads 0..16 and then writes and reads cell 16, twice over.
+    fn tier_batches(shadow: &ShardedShadowMemory) -> [[u64; 3]; 4] {
+        use spmetrics::MetricsRegistry;
+        let report = RaceCollector::new(shadow.len() as u32);
+        let own = [Access::write(16), Access::read(16)];
+        let batches: [(u32, Vec<Access>); 4] = [
+            (0, (0..16).map(Access::write).collect()),
+            (1, (8..16).map(Access::read).collect()),
+            (2, (0..16).map(Access::read).chain(own).collect()),
+            (2, own.into_iter().chain([Access::read(8)]).collect()),
+        ];
+        let tiers = batches.map(|(thread, accesses)| {
+            let registry = MetricsRegistry::new();
+            let queries = CountingQueries::preceded_by_ids_below(1);
+            let metrics = MetricsHandle::attached(&registry);
+            check_thread_accesses(&queries, shadow, &report, ThreadId(thread), &accesses, &metrics);
+            let snap = registry.snapshot();
+            [CounterId::ShadowOwnerHint, CounterId::ShadowLockFree, CounterId::ShadowLocked].map(|id| snap.counter(id))
+        });
+        assert!(report.into_report().is_empty());
+        tiers
+    }
+
+    /// On one stripe every access of a batch is checked under the lock.
+    #[test]
+    fn a_one_stripe_batch_counts_every_access_as_locked() {
+        let shadow = ShardedShadowMemory::new(17, 1);
+        assert_eq!(shadow.num_shards(), 1);
+        assert_eq!(tier_batches(&shadow), [[0, 0, 16], [0, 0, 8], [0, 0, 18], [0, 0, 3]]);
+    }
+
+    /// The striped twin, one stripe each for cells 0..8, 8..16 and 16: thread
+    /// 2's reads of 8..16 keep reader 1 and are silent, its reads of 0..8
+    /// fill the reader slot and lock their group, and once it owns cell 16
+    /// its accesses there are owner-silent.
+    #[test]
+    fn a_striped_batch_attributes_owner_hint_and_silent_read_tiers() {
+        let shadow = ShardedShadowMemory::new(17, 8);
+        assert_eq!((shadow.num_shards(), shadow.shard_of(8), shadow.shard_of(16)), (3, 1, 2));
+        assert_eq!(tier_batches(&shadow), [[0, 0, 16], [0, 0, 8], [0, 8, 10], [2, 1, 0]]);
     }
 
     #[test]

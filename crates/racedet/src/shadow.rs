@@ -49,7 +49,7 @@ pub struct ShadowCell {
 
 /// Sentinel for "no recorded thread" in a packed cell word (thread ids are
 /// dense indices starting at 0, so `u32::MAX` can never be a real thread).
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 fn encode(t: Option<ThreadId>) -> u32 {
     match t {
@@ -65,11 +65,11 @@ fn decode(raw: u32) -> Option<ThreadId> {
     (raw != NONE).then_some(ThreadId(raw))
 }
 
-fn pack(cell: ShadowCell) -> u64 {
+pub(crate) fn pack(cell: ShadowCell) -> u64 {
     ((encode(cell.writer) as u64) << 32) | encode(cell.reader) as u64
 }
 
-fn unpack(word: u64) -> ShadowCell {
+pub(crate) fn unpack(word: u64) -> ShadowCell {
     ShadowCell {
         writer: decode((word >> 32) as u32),
         reader: decode(word as u32),
@@ -199,21 +199,35 @@ impl ShardedShadowMemory {
 
     /// Consistent lock-free snapshot of a cell (one atomic load).
     pub fn load(&self, loc: u32) -> ShadowCell {
-        unpack(self.cells[loc as usize].load(Ordering::Acquire))
+        unpack(self.load_word(loc))
     }
 
     /// Acquire the striped lock of one shard.  Mutating any cell of the
-    /// shard ([`Self::store`]) requires holding this.
+    /// shard ([`Self::store_word`]) requires holding this.
     pub(crate) fn lock_shard(&self, shard: usize) -> parking_lot::MutexGuard<'_, ()> {
         self.locks[shard].lock()
     }
 
-    /// Publish a new cell value.  The caller must hold the shard lock of
+    /// The packed word of a cell: writer in the high half, reader in the
+    /// low, [`NONE`] for no thread.  One atomic load, so a snapshot.
+    #[inline]
+    pub(crate) fn load_word(&self, loc: u32) -> u64 {
+        self.cells[loc as usize].load(Ordering::Acquire)
+    }
+
+    /// Publish a new packed word.  The caller must hold the shard lock of
     /// `shard_of(loc)` — enforced by convention inside this crate; the store
-    /// itself is a single atomic release so unlocked [`Self::load`]s always
-    /// see a consistent value.
+    /// itself is a single atomic release so unlocked loads always see a
+    /// consistent value.
+    #[inline]
+    pub(crate) fn store_word(&self, loc: u32, word: u64) {
+        self.cells[loc as usize].store(word, Ordering::Release);
+    }
+
+    /// [`Self::store_word`] of an unpacked cell.
+    #[cfg(test)]
     pub(crate) fn store(&self, loc: u32, cell: ShadowCell) {
-        self.cells[loc as usize].store(pack(cell), Ordering::Release);
+        self.store_word(loc, pack(cell));
     }
 }
 

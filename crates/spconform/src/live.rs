@@ -52,6 +52,8 @@ pub struct LiveCaseStats {
     pub emergent: u64,
     /// Multi-worker live runs performed (1 when `workers > 1`).
     pub parallel_runs: u64,
+    /// 1 if a planted race sits in a thread's third live batch.
+    pub split: u64,
 }
 
 /// A [`Failure`] of the live sweep.
@@ -61,17 +63,26 @@ fn err(backend: &'static str, detail: String) -> Discrepancy {
     Discrepancy { backend, detail }
 }
 
+/// Accesses a live step thread records before its first check: `spprog`'s
+/// crate-private `BATCH`, which this must follow so that a long run below
+/// really spans three batches.
+const LIVE_BATCH: usize = 4096;
+
 /// The script of one live or service case, over step threads only: on odd
 /// seeds a random shared/private read/write mix, and always planted parallel
-/// write-write pairs, each alone on a dedicated fresh location.  Returns the
-/// script and the planted locations (ascending).  `salt` keeps the two
-/// sweeps' random streams apart.
+/// write-write pairs, each alone on a dedicated fresh location.  On seeds
+/// ≡ 3 (mod 8) the first planted pair's first thread also runs more than
+/// `2 · LIVE_BATCH` alternating writes and reads of its private location
+/// ahead of its planted writes, so a live run checks that thread in three
+/// batches and finds its planted race in the third.  Returns the script,
+/// the planted locations (ascending) and whether such a split thread was
+/// planted.  `salt` keeps the two sweeps' random streams apart.
 pub(crate) fn planted_script(
     tree: &ParseTree,
     oracle: &SpOracle<'_>,
     seed: u64,
     salt: u64,
-) -> (AccessScript, Vec<u32>) {
+) -> (AccessScript, Vec<u32>, bool) {
     let n = tree.num_threads();
     let steps: Vec<ThreadId> = tree.thread_ids().filter(|&t| tree.work_of(t) > 0).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ salt);
@@ -94,25 +105,35 @@ pub(crate) fn planted_script(
             }
         }
     }
-    let mut planted = Vec::new();
+    let mut pairs = Vec::new();
     if steps.len() >= 2 {
         let wanted = (steps.len() / 4).clamp(1, 4);
         let mut next_loc = SHARED + n as u32;
         let mut attempts = 0;
-        while planted.len() < wanted && attempts < 4_000 {
+        while pairs.len() < wanted && attempts < 4_000 {
             attempts += 1;
             let a = steps[rng.gen_range(0..steps.len())];
             let b = steps[rng.gen_range(0..steps.len())];
             if a == b || !oracle.parallel(a, b) {
                 continue;
             }
-            script.push(a, Access::write(next_loc));
-            script.push(b, Access::write(next_loc));
-            planted.push(next_loc);
+            pairs.push((a, b, next_loc));
             next_loc += 1;
         }
     }
-    (script, planted)
+    // A private location adds no race, so the ground truth is unchanged.
+    let split = seed % 8 == 3 && !pairs.is_empty();
+    if split {
+        let (long, private) = (pairs[0].0, SHARED + pairs[0].0 .0);
+        for i in 0..2 * LIVE_BATCH + 2 {
+            script.push(long, if i % 2 == 0 { Access::write(private) } else { Access::read(private) });
+        }
+    }
+    for &(a, b, loc) in &pairs {
+        script.push(a, Access::write(loc));
+        script.push(b, Access::write(loc));
+    }
+    (script, pairs.into_iter().map(|(_, _, loc)| loc).collect(), split)
 }
 
 /// Run the full live-vs-offline differential check for one
@@ -138,7 +159,7 @@ pub fn check_live_case(
     let oracle = SpOracle::new(&tree);
     let n = tree.num_threads();
     let mixed = seed % 2 == 1;
-    let (script, planted) = planted_script(&tree, &oracle, seed, 0x11FE_C0DE);
+    let (script, planted, split) = planted_script(&tree, &oracle, seed, 0x11FE_C0DE);
 
     // Ground truth and the offline serial reference.
     let truth = racy_locations_oracle(&tree, &script);
@@ -277,6 +298,7 @@ pub fn check_live_case(
         planted: planted.len() as u64,
         emergent: (truth.len() - planted.len()) as u64,
         parallel_runs,
+        split: u64::from(split),
     })
 }
 
@@ -295,6 +317,8 @@ pub struct LiveSweepStats {
     pub emergent: u64,
     /// Multi-worker live runs performed.
     pub parallel_runs: u64,
+    /// Cases whose planted race sits in a thread's third live batch.
+    pub split: u64,
 }
 
 /// Run `cases_per_shape` live differential cases for every Cilk-form shape,
@@ -310,6 +334,7 @@ pub fn run_live_sweep(config: &SweepConfig) -> Result<LiveSweepStats, Box<LiveFa
         stats.planted += s.planted;
         stats.emergent += s.emergent;
         stats.parallel_runs += s.parallel_runs;
+        stats.split += s.split;
     })
 }
 
@@ -364,6 +389,19 @@ mod tests {
                 .planted;
         }
         assert!(planted > 0, "the plant machinery must actually plant races");
+    }
+
+    /// Seeds ≡ 3 (mod 8) give a planted thread more than two live batches
+    /// of private accesses ahead of its planted write, and stay green.
+    #[test]
+    fn split_cases_plant_a_race_behind_two_full_batches() {
+        for seed in [3u64, 11, 19] {
+            let stats = check_live_case(ShapeKind::DivideAndConquer, 10, seed, 2).expect("case is green");
+            assert_eq!(stats.split, 1, "seed {seed}");
+            assert!(stats.accesses > 2 * LIVE_BATCH as u64, "seed {seed}");
+        }
+        let other = check_live_case(ShapeKind::DivideAndConquer, 10, 4, 2).expect("case is green");
+        assert_eq!(other.split, 0);
     }
 
     #[test]

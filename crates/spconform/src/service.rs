@@ -62,6 +62,8 @@ pub struct ServiceCaseStats {
     pub planted: u64,
     /// Detector resets the services performed (one per session lease).
     pub epoch_resets: u64,
+    /// Batch programs whose planted race sits in a thread's third batch.
+    pub split: u64,
 }
 
 /// A [`Failure`] of the service sweep (`workers` is the detector-worker
@@ -84,6 +86,7 @@ struct BatchProgram {
     live: Proc,
     locations: u32,
     planted: u64,
+    split: bool,
     references: Vec<racedet::RaceReport>,
 }
 
@@ -104,7 +107,7 @@ fn build_program(
     };
     let tree = CilkProgram::new(procedure.clone()).build_tree();
     let oracle = SpOracle::new(&tree);
-    let (script, planted) = planted_script(&tree, &oracle, seed, 0x5E21_1CE5);
+    let (script, planted, split) = planted_script(&tree, &oracle, seed, 0x5E21_1CE5);
 
     let live = live_from_cilk(&procedure, &script);
     let locations = script.num_locations();
@@ -134,6 +137,7 @@ fn build_program(
         live,
         locations,
         planted: planted.len() as u64,
+        split,
         references,
     }))
 }
@@ -163,6 +167,7 @@ pub fn check_service_case(
         sessions: 0,
         planted: batch.iter().map(|p| p.planted).sum(),
         epoch_resets: 0,
+        split: batch.iter().map(|p| u64::from(p.split)).sum(),
     };
 
     for workers in [1, service_workers.max(2)] {
@@ -231,6 +236,8 @@ pub struct ServiceSweepStats {
     pub planted: u64,
     /// Detector resets across all services (one per session lease).
     pub epoch_resets: u64,
+    /// Batch programs whose planted race sits in a thread's third batch.
+    pub split: u64,
 }
 
 /// Run `cases_per_shape` service differential cases for every Cilk-form
@@ -245,6 +252,7 @@ pub fn run_service_sweep(config: &SweepConfig) -> Result<ServiceSweepStats, Box<
         stats.sessions += s.sessions;
         stats.planted += s.planted;
         stats.epoch_resets += s.epoch_resets;
+        stats.split += s.split;
     };
     sweep(SweepKind::Service, config, check_service_case, add)
 }

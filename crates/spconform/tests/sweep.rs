@@ -76,11 +76,12 @@ fn service_differential_sweep_all_cilk_shapes() {
             );
             println!(
                 "service conformance sweep green: {} cases, {} sessions, {} planted races, \
-                 {} detector resets (seed {:#x})",
+                 {} detector resets, {} programs checked in split batches (seed {:#x})",
                 stats.cases,
                 stats.sessions,
                 stats.planted,
                 stats.epoch_resets,
+                stats.split,
                 config.base_seed
             );
         }
@@ -120,13 +121,15 @@ fn live_differential_sweep_all_cilk_shapes() {
             );
             println!(
                 "live conformance sweep green: {} cases, {} threads, {} accesses, \
-                 {} planted + {} emergent races, {} multi-worker live runs (seed {:#x})",
+                 {} planted + {} emergent races, {} multi-worker live runs, \
+                 {} cases checked in split batches (seed {:#x})",
                 stats.cases,
                 stats.threads,
                 stats.accesses,
                 stats.planted,
                 stats.emergent,
                 stats.parallel_runs,
+                stats.split,
                 config.base_seed
             );
         }

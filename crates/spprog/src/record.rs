@@ -111,16 +111,11 @@ pub fn record_program(prog: &Proc, locations: u32) -> Recorded {
     let ast = recorder.root.expect("the program unfolds at least one thread");
     let tree = ast.build();
     debug_assert_eq!(tree.num_threads() as u64, threads);
-    let mut script = AccessScript::new(tree.num_threads(), locations);
-    for (t, accesses) in recorder.accesses.iter().enumerate() {
-        let thread = recorded_thread_id(t);
-        for &access in accesses {
-            script.push(thread, access);
-        }
-    }
+    // One access list per executed thread, each needing a `u32` id downstream.
+    recorded_thread_id(recorder.accesses.len() - 1);
     Recorded {
         tree,
-        script,
+        script: AccessScript::from_threads(recorder.accesses, locations),
         structural_hash: recorder.capture.hash,
     }
 }
