@@ -69,7 +69,10 @@ impl AccessScript {
     /// they are, over at least `num_locations` locations: the location space
     /// grows to cover every access, as [`Self::push`] grows it.
     pub fn from_threads(threads: Vec<Vec<Access>>, num_locations: u32) -> Self {
-        let mut script = AccessScript { accesses: Vec::new(), num_locations };
+        let mut script = AccessScript {
+            accesses: Vec::new(),
+            num_locations,
+        };
         for access in threads.iter().flatten() {
             script.ensure_location(access.loc);
         }
@@ -127,8 +130,15 @@ mod tests {
         assert_eq!(script.total_accesses(), 3);
         // Location space grew to cover loc 7.
         assert_eq!(script.num_locations(), 8);
-        let threads = vec![vec![Access::write(1), Access::read(2)], vec![], vec![Access::write(7)]];
+        let threads = vec![
+            vec![Access::write(1), Access::read(2)],
+            vec![],
+            vec![Access::write(7)],
+        ];
         assert_eq!(AccessScript::from_threads(threads, 4), script);
-        assert_eq!(AccessScript::from_threads(vec![vec![Access::read(1)]], 9).num_locations(), 9);
+        assert_eq!(
+            AccessScript::from_threads(vec![vec![Access::read(1)]], 9).num_locations(),
+            9
+        );
     }
 }

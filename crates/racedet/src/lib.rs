@@ -22,8 +22,8 @@
 //!
 //! There is likewise **one** shadow store, the sharded, cache-aware
 //! [`shadow::ShardedShadowMemory`]: packed atomic cells under striped locks
-//! sized to the worker count, with a lock-free fast path and per-thread
-//! shard batching in the engine (see [`engine`] and the repository-root
+//! sized to the worker count, checked a batch of one thread's accesses at a
+//! time by the engine (see [`engine`] and the repository-root
 //! `ARCHITECTURE.md#race-detection-racedet` for the design).  A standalone
 //! run builds a fresh one; a detection-service session leases a pooled
 //! [`LiveDetector`] and [`LiveDetector::reset`]s it, which refills the leased

@@ -18,10 +18,9 @@
 //! striped lock per shard (lock count sized to the worker count) serializes
 //! mutations within a shard.  Because a cell is a single atomic word, an
 //! unlocked load always yields a consistent snapshot — the seqlock pattern
-//! with the version counter collapsed away — which gives the engine a
-//! lock-free fast path for the common "recorded reader/writer already
-//! precedes the current thread" re-check (see
-//! `engine::check_thread_accesses`).
+//! with the version counter collapsed away — which lets the engine check an
+//! access that changes nothing and reports nothing on a striped store
+//! without its lock (see `engine::check_thread_accesses`).
 //!
 //! Logically parallel threads may access the same location concurrently —
 //! which is precisely when a race exists and must still be reported, not
@@ -80,15 +79,13 @@ pub(crate) fn unpack(word: u64) -> ShadowCell {
 /// `(shard_shift, num_shards)` for `locations` locations checked by `workers`
 /// concurrent workers; [`shard_of`] maps a location under it.
 ///
-/// Stripes exist to keep threads that can contend apart, so they follow the
-/// worker count and nothing else.  **One worker cannot contend with itself**:
-/// it gets exactly one stripe whatever the size (`shard_shift` is the full
-/// width of a location, so every location maps to shard 0), and the engine
-/// then walks every batch in script order under at most one lock acquisition
-/// — no grouping pass, no index vector.  Two or more workers get a
-/// power-of-two lock count comfortably above the worker count
-/// (`8 · workers`, saturating), capped by how many cache-line blocks there
-/// are to guard (see [`ShardedShadowMemory`] for the rationale).
+/// Stripes keep threads that can contend apart, so they follow the worker
+/// count alone.  **One worker cannot contend with itself**: it gets one
+/// stripe (`shard_shift` is a location's full width, so every location maps
+/// to shard 0), and the engine checks each batch in one locked pass.  Two or
+/// more workers get `8 · workers` locks (saturating) rounded up to a power of
+/// two, capped by the cache-line blocks to guard (see
+/// [`ShardedShadowMemory`]).
 ///
 /// Pure arithmetic, no allocation, total on every `(u32, usize)` input.
 fn shard_layout(locations: u32, workers: usize) -> (u32, usize) {
